@@ -15,15 +15,13 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import diagnostics as dg
 from .config import ConfigError, ExperimentConfig, load_config
-from .counts import build_counts, extend_counts
-from .estimator import estimate_order, required_depth_cap
-from .likelihood import lil_statistic, mixture_kernel
+from .estimator import evaluate_replications, recovery_summary
+from .likelihood import mixture_kernel
 from .model import MarkovModel, read_model_file, sample_path, true_order
 from .rng import derive_seed
 
@@ -74,38 +72,58 @@ def _write_path_file(path, symbols, m: int, seed: int) -> None:
         fh.write("symbols: " + " ".join(str(int(s)) for s in symbols) + "\n")
 
 
-def _read_path_file(path) -> tuple[np.ndarray, int, int]:
+def _check_run_fields(source, fields: dict, expected: dict) -> None:
+    """Reject a manifest or path file written by another run, naming the
+    field; an expected value of None only requires the field."""
+    for key, value in expected.items():
+        if key not in fields:
+            raise ConfigError(f"{source}: the {key} field is missing")
+        if value is not None and fields[key] != value:
+            raise ConfigError(f"{source}: {key} is {fields[key]!r}, this run has {value!r}")
+
+
+def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
+    """Symbols of a path file, checked against the run that reads it."""
     fields = {}
     with open(path) as fh:
         for line in fh:
             key, _, rest = line.partition(":")
             fields[key.strip()] = rest.strip()
+    _check_run_fields(
+        path, fields, {"alphabet_size": str(m), "seed": str(seed), "symbols": None}
+    )
     symbols = np.array(fields["symbols"].split(), dtype=np.int64)
-    return symbols, int(fields["alphabet_size"]), int(fields["seed"])
+    if symbols.shape[0] < n_max:
+        raise ConfigError(
+            f"experiment.n_grid: stored path {path} has "
+            f"{symbols.shape[0]} symbols, grid needs {n_max}"
+        )
+    return symbols
 
 
-def _replication_paths(config: ExperimentConfig, model: MarkovModel):
-    """Yield (replication, seed, symbols); reads simulate output when its
-    manifest is present in the output directory, samples inline otherwise."""
+def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
+    """(replication, seed, path file or None) per replication: the simulate
+    output when its manifest is in the output directory, inline sampling
+    otherwise."""
     manifest_file = os.path.join(config.out_dir, "manifest.json")
-    n_max = max(config.n_grid)
-    if os.path.exists(manifest_file):
-        with open(manifest_file) as fh:
-            manifest = json.load(fh)
-        for entry in manifest["paths"]:
-            symbols, _, seed = _read_path_file(
-                os.path.join(config.out_dir, entry["file"])
-            )
-            if symbols.shape[0] < n_max:
-                raise ConfigError(
-                    f"experiment.n_grid: stored path {entry['file']} has "
-                    f"{symbols.shape[0]} symbols, grid needs {n_max}"
-                )
-            yield entry["replication"], seed, symbols
-    else:
-        for i in range(config.replications):
-            seed = derive_seed(config.seed, i)
-            yield i, seed, sample_path(model, n_max, seed).symbols
+    if not os.path.exists(manifest_file):
+        return [(i, derive_seed(config.seed, i), None) for i in range(config.replications)]
+    with open(manifest_file) as fh:
+        manifest = json.load(fh)
+    _check_run_fields(
+        manifest_file,
+        manifest,
+        {
+            "master_seed": config.seed,
+            "model_label": model.label(),
+            "replications": config.replications,
+            "paths": None,
+        },
+    )
+    return [
+        (entry["replication"], entry["seed"], os.path.join(config.out_dir, entry["file"]))
+        for entry in manifest["paths"]
+    ]
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:
@@ -134,79 +152,6 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _replication_task(args):
-    """Estimate one replication at every grid length (picklable for --jobs)."""
-    symbols, m, r_star, pen, cutoff, n_grid, depth_cap, replication, seed = args
-    est_rows = []
-    score_rows = []
-    counts = None
-    prev = 0
-    for n in n_grid:
-        counts = (
-            build_counts(symbols[:n], depth_cap, m)
-            if counts is None
-            else extend_counts(counts, symbols[prev:n])
-        )
-        prev = n
-        result = estimate_order(counts, pen, cutoff, m, n=n)
-        lil = lil_statistic(counts, r_star, result.kappa_used, m)
-        est_rows.append(
-            (
-                n,
-                pen.describe(),
-                cutoff.describe(),
-                replication,
-                result.chosen_order,
-                r_star,
-                lil.value,
-                seed,
-            )
-        )
-        for entry in result.table:
-            score_rows.append(
-                (n, replication, entry.order, entry.loglik, entry.penalty, entry.score)
-            )
-    return est_rows, score_rows
-
-
-def _estimate_rows(config: ExperimentConfig, model: MarkovModel, pen):
-    """Per-(replication, n) estimate rows plus per-(replication, n, r) scores.
-
-    Replications may run in parallel; output order is by replication index.
-    """
-    m = model.m
-    r_star = true_order(model)
-    depth_cap = required_depth_cap(config.cutoff, config.n_grid, m)
-    tasks = [
-        (symbols, m, r_star, pen, config.cutoff, config.n_grid, depth_cap, replication, seed)
-        for replication, seed, symbols in _replication_paths(config, model)
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_replication_task, tasks, chunksize=1))
-    else:
-        results = [_replication_task(t) for t in tasks]
-    est_rows = []
-    score_rows = []
-    for est, scores in results:
-        est_rows.extend(est)
-        score_rows.extend(scores)
-    return est_rows, score_rows
-
-
-def _recovery_rows(est_rows, n_grid):
-    rows = []
-    for n in n_grid:
-        at_n = [r for r in est_rows if r[0] == n]
-        exact = sum(1 for r in at_n if r[4] == r[5])
-        under = sum(1 for r in at_n if r[4] < r[5])
-        over = sum(1 for r in at_n if r[4] > r[5])
-        rows.append(
-            (n, at_n[0][1], at_n[0][2], len(at_n), exact / len(at_n), under, over)
-        )
-    return rows
-
-
 ESTIMATE_HEADER = (
     "n", "penalty", "cutoff", "replication", "chosen_order", "true_order",
     "lil_stat", "seed",
@@ -215,50 +160,62 @@ SCORES_HEADER = ("n", "replication", "r", "loglik", "penalty_value", "score")
 RECOVERY_HEADER = ("n", "penalty", "cutoff", "replications", "recovery", "under", "over")
 
 
-def cmd_estimate(config: ExperimentConfig) -> int:
+def _estimate_tables(config: ExperimentConfig, pens):
+    """Score every penalty in one pass over each replication's path.
+
+    Returns the sweep tables (estimates, scores, recovery), penalty first;
+    rows run by penalty as configured, then replication, then n.
+    """
     model = read_model_file(config.model_file)
     os.makedirs(config.out_dir, exist_ok=True)
-    est_rows, score_rows = _estimate_rows(config, model, config.penalty)
-    _write_csv(os.path.join(config.out_dir, "estimates.csv"), ESTIMATE_HEADER, est_rows)
-    _write_csv(os.path.join(config.out_dir, "scores.csv"), SCORES_HEADER, score_rows)
-    _write_csv(
-        os.path.join(config.out_dir, "recovery.csv"),
-        RECOVERY_HEADER,
-        _recovery_rows(est_rows, config.n_grid),
+    r_star = true_order(model)
+    cutoff = config.cutoff.describe()
+    per_rep = evaluate_replications(
+        model, pens, config.cutoff, config.n_grid,
+        _replication_tasks(config, model), config.jobs, load=_read_path_file,
     )
+    est, scores, recovery = [], [], []
+    for p, pen in enumerate(pens):
+        label = pen.describe()
+        rows = [row for rep in per_rep for row in rep[p]]
+        est += [
+            (label, row.n, cutoff, row.replication, row.chosen_order, r_star,
+             row.lil_stat, row.seed)
+            for row in rows
+        ]
+        scores += [
+            (label, row.n, row.replication, s.order, s.loglik, s.penalty, s.score)
+            for row in rows
+            for s in row.table
+        ]
+        recovery += [
+            (label, s.n, cutoff, len(per_rep), s.recovery, s.under, s.over)
+            for s in recovery_summary(rows, config.n_grid, r_star)
+        ]
+    return est, scores, recovery
+
+
+def _swap_first(row):
+    return (row[1], row[0]) + row[2:]
+
+
+def cmd_estimate(config: ExperimentConfig) -> int:
+    est, scores, recovery = _estimate_tables(config, (config.penalty,))
+    out = config.out_dir
+    _write_csv(os.path.join(out, "estimates.csv"), ESTIMATE_HEADER, map(_swap_first, est))
+    _write_csv(os.path.join(out, "scores.csv"), SCORES_HEADER, (row[1:] for row in scores))
+    _write_csv(os.path.join(out, "recovery.csv"), RECOVERY_HEADER, map(_swap_first, recovery))
     return EXIT_OK
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
     if len(config.penalties) < 2:
         raise ConfigError("penalty.specs: a sweep needs at least two penalties")
-    model = read_model_file(config.model_file)
-    os.makedirs(config.out_dir, exist_ok=True)
-    sweep_rows = []
-    sweep_scores = []
-    recovery = []
-    for pen in config.penalties:
-        est_rows, score_rows = _estimate_rows(config, model, pen)
-        sweep_rows.extend((row[1],) + (row[0],) + row[2:] for row in est_rows)
-        sweep_scores.extend((pen.describe(),) + row for row in score_rows)
-        recovery.extend(
-            (row[1],) + (row[0],) + row[2:] for row in _recovery_rows(est_rows, config.n_grid)
-        )
-    _write_csv(
-        os.path.join(config.out_dir, "sweep.csv"),
-        ("penalty", "n", "cutoff", "replication", "chosen_order", "true_order", "lil_stat", "seed"),
-        sweep_rows,
-    )
-    _write_csv(
-        os.path.join(config.out_dir, "sweep_scores.csv"),
-        ("penalty",) + SCORES_HEADER,
-        sweep_scores,
-    )
-    _write_csv(
-        os.path.join(config.out_dir, "sweep_recovery.csv"),
-        ("penalty", "n", "cutoff", "replications", "recovery", "under", "over"),
-        recovery,
-    )
+    est, scores, recovery = _estimate_tables(config, config.penalties)
+    out = config.out_dir
+    _write_csv(os.path.join(out, "sweep.csv"), _swap_first(ESTIMATE_HEADER), est)
+    _write_csv(os.path.join(out, "sweep_scores.csv"), ("penalty",) + SCORES_HEADER, scores)
+    _write_csv(os.path.join(out, "sweep_recovery.csv"), _swap_first(RECOVERY_HEADER), recovery)
     return EXIT_OK
 
 

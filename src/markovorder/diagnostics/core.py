@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .._contexts import context_codes
 from ..counts import ContextCounts, build_counts
-from ..likelihood import MixtureKernel
+from ..likelihood import MixtureKernel, log_ratio_rows
 from ..model import MarkovModel, stationary_block_law
 
 _PHI_SERIES_CUT = 1e-4
@@ -150,17 +150,8 @@ def bernstein_norm(
     """
     if r != mix.order:
         raise ValueError(f"order {r} does not match the mixture order {mix.order}")
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
-    if up_to > symbols.shape[0]:
-        raise ValueError(f"up_to {up_to} exceeds path length {symbols.shape[0]}")
-    if up_to <= r:
-        return 0.0
-    codes = context_codes(symbols[:up_to], r, mix.m)
-    t_rows = truth.kernel[codes % truth.n_contexts]
-    mask = t_rows > 0.0
-    ratio = np.ones_like(t_rows)
-    np.divide(mix.table[codes], t_rows, out=ratio, where=mask)
-    contrib = np.where(mask, t_rows * phi(0.5 * np.abs(np.log(ratio))), 0.0)
+    t_rows, log_ratio, _ = log_ratio_rows(truth, mix, path, up_to)
+    contrib = t_rows * phi(0.5 * np.abs(log_ratio))
     return 8.0 * float(contrib.sum())
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .._contexts import block_digits
 from ..counts import build_counts
-from ..likelihood import MixtureKernel, mixture_kernel
+from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
 from ..model import (
     MarkovModel,
     lift_kernel,
@@ -24,10 +24,9 @@ from ..model import (
     stationary_block_law,
     true_order,
 )
-from ..penalty import CutoffSpec, cutoff_value
-from ..counts import extend_counts
-from ..estimator import required_depth_cap
-from ..likelihood import lil_statistic
+from ..penalty import CutoffSpec
+from ..estimator import grid_logliks, required_depth_cap
+from ..likelihood import lil_from_logliks
 from ..rng import derive_seed, uniform_block, uniforms_at
 from .core import (
     BoundParams,
@@ -86,13 +85,6 @@ def _chunks(total: int, size: int):
     while start < total:
         yield start, min(start + size, total)
         start += size
-
-
-def _ratio_table(numer: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    mask = denom > 0.0
-    out = np.ones_like(denom)
-    np.divide(numer, denom, out=out, where=mask)
-    return out
 
 
 # -- martingale maximum vs the closed-form tail ------------------------------
@@ -157,13 +149,9 @@ def bernstein_mc_check(
     if replications < 10**4:
         raise ValueError("need at least 1e4 replications for a meaningful tail")
     m = truth.m
-    table_t = lift_kernel(truth.kernel, m, r)
-    mix = mixture_kernel(candidate, truth, r)
-    ratio = _ratio_table(mix.table, table_t)
-    log_ratio = np.log(ratio)
-    mask = table_t > 0.0
-    d_step = -np.where(mask, table_t * log_ratio, 0.0).sum(axis=1)
-    r_step = 8.0 * np.where(mask, table_t * phi(0.5 * np.abs(log_ratio)), 0.0).sum(axis=1)
+    table_t, log_ratio = log_ratio_table(truth, mixture_kernel(candidate, truth, r))
+    d_step = -(table_t * log_ratio).sum(axis=1)
+    r_step = 8.0 * (table_t * phi(0.5 * np.abs(log_ratio))).sum(axis=1)
     alphas = [float(a) for a in alpha_grid]
     hits = np.zeros(len(alphas), dtype=np.int64)
     sum_final = 0.0
@@ -265,9 +253,6 @@ def deviation_tail_mc(
     m, r0 = truth.m, truth.order
     length = 2 * n
     size_r = m**r
-    xlogx = np.zeros(length + 2)
-    ks = np.arange(1, length + 2, dtype=np.float64)
-    xlogx[1:] = ks * np.log(ks)
     log_t0 = np.where(truth.kernel > 0.0, np.log(np.where(truth.kernel > 0.0, truth.kernel, 1.0)), 0.0)
     typ_depths = [d for d in range(1, rho)]
     block_laws = {d: stationary_block_law(truth, d) for d in typ_depths}
@@ -279,30 +264,15 @@ def deviation_tail_mc(
         seeds = np.array([derive_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
         reps = seeds.shape[0]
         rep_idx = np.arange(reps, dtype=np.int64)
-        trans = np.zeros(reps * size_r * m, dtype=np.int32)
-        ctxcnt = np.zeros(reps * size_r, dtype=np.int32)
+        run = RunningOvershoot(reps, m, r, length)
         typ = {d: np.zeros(reps * m**d, dtype=np.int32) for d in typ_depths}
-        ml = np.zeros(reps)
-        llt = np.zeros(reps)
-        dmax = np.full(reps, -np.inf)
         good = np.ones(reps, dtype=bool)
         for i, ctx, sym in _batch_steps(truth, length, seeds, depth):
             for d in typ_depths:
                 if i > d:
                     typ[d][rep_idx * m**d + ctx % m**d] += 1
             if i > r:
-                code = ctx % size_r
-                flat_tb = rep_idx * (size_r * m) + code * m + sym
-                c = trans[flat_tb]
-                ml += xlogx[c + 1] - xlogx[c]
-                trans[flat_tb] = c + 1
-                flat_c = rep_idx * size_r + code
-                cc = ctxcnt[flat_c]
-                ml -= xlogx[cc + 1] - xlogx[cc]
-                ctxcnt[flat_c] = cc + 1
-                llt += log_t0[ctx % m**r0, sym]
-                if i >= n:
-                    np.maximum(dmax, ml - llt, out=dmax)
+                run.step(ctx % size_r, sym, log_t0[ctx % m**r0, sym], i >= n)
             if i == n or i == length:
                 for d in typ_depths:
                     law = block_laws[d]
@@ -312,7 +282,7 @@ def deviation_tail_mc(
                     good &= dev < eta
         f_count += int(np.count_nonzero(good))
         for j in range(eps.shape[0]):
-            hits[j] += int(np.count_nonzero(good & (dmax >= eps[j])))
+            hits[j] += int(np.count_nonzero(good & (run.best >= eps[j])))
     freqs = hits / replications
     usable = freqs > 10.0 / replications
     slope = intercept = r2 = float("nan")
@@ -390,19 +360,11 @@ def lil_trajectory(
     m = truth.m
     depth = required_depth_cap(cutoff, grid, m)
     path = sample_path(truth, grid[-1], seed)
-    counts = None
-    prev = 0
     points = []
-    for n in grid:
-        if counts is None:
-            counts = build_counts(path.symbols[:n], depth, m)
-        else:
-            counts = extend_counts(counts, path.symbols[prev:n])
-        prev = n
-        kappa = cutoff_value(cutoff, n, m)
-        stat = lil_statistic(counts, r_star, kappa, m)
+    for n, logliks in grid_logliks(path.symbols, m, cutoff, grid, depth):
+        stat = lil_from_logliks(logliks[r_star:], r_star, m)
         norm = stat.value / math.log(math.log(n))
-        points.append(LilPoint(n, kappa, stat.value, norm, stat.empty_range))
+        points.append(LilPoint(n, len(logliks), stat.value, norm, stat.empty_range))
     xs = np.log2([p.n for p in points])
     ys = np.array([p.normalized for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(points) > 1 else 0.0

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .counts import ContextCounts, build_counts, extend_counts
-from .likelihood import lil_statistic, max_loglik
+from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
 from .model import MarkovModel, sample_path, stationary_block_law, true_order
 from .penalty import CutoffSpec, PenaltySpec, cutoff_value, penalty_value
 from .rng import derive_seed
@@ -43,18 +44,23 @@ class EstimateResult:
 
 
 def argmax_score(logliks, penalties) -> tuple[int, bool]:
-    """Index of the largest loglik - penalty; ties go to the smallest index."""
+    """Index of the largest loglik - penalty; ties go to the smallest index.
+
+    The flag reports whether another order scores exactly the winning score.
+    """
     if len(logliks) != len(penalties) or not logliks:
         raise ValueError("score table must be nonempty and aligned")
     scores = [ll - p for ll, p in zip(logliks, penalties)]
-    best = 0
-    tie = False
-    for i in range(1, len(scores)):
-        if scores[i] > scores[best]:
-            best = i
-        elif scores[i] == scores[best]:
-            tie = True
-    return best, tie
+    best = max(range(len(scores)), key=scores.__getitem__)
+    return best, scores.count(scores[best]) > 1
+
+
+def _score_orders(logliks, pen: PenaltySpec, n: int, m: int) -> EstimateResult:
+    """Score the orders 0..len(logliks)-1 under one penalty at sample size n."""
+    pens = [penalty_value(pen, n, r, m) for r in range(len(logliks))]
+    chosen, tie = argmax_score(logliks, pens)
+    table = tuple(OrderScore(r, ll, p) for r, (ll, p) in enumerate(zip(logliks, pens)))
+    return EstimateResult(chosen, len(logliks), tie, table)
 
 
 def estimate_order(
@@ -67,19 +73,7 @@ def estimate_order(
     """Penalized-likelihood order estimate from a count table."""
     if n is None:
         n = counts.n
-    kappa = cutoff_value(cut, n, m)
-    if counts.depth_cap < kappa - 1:
-        raise ValueError(
-            f"depth cap {counts.depth_cap} is too small: cutoff {kappa} "
-            f"requires tracking depth {kappa - 1}"
-        )
-    logliks = [max_loglik(counts, r) for r in range(kappa)]
-    pens = [penalty_value(pen, n, r, m) for r in range(kappa)]
-    chosen, tie = argmax_score(logliks, pens)
-    table = tuple(
-        OrderScore(r, logliks[r], pens[r]) for r in range(kappa)
-    )
-    return EstimateResult(chosen, kappa, tie, table)
+    return _score_orders(max_loglik_vector(counts, cutoff_value(cut, n, m)), pen, n, m)
 
 
 def required_depth_cap(cut: CutoffSpec, n_grid, m: int) -> int:
@@ -89,11 +83,14 @@ def required_depth_cap(cut: CutoffSpec, n_grid, m: int) -> int:
 
 @dataclass(frozen=True)
 class ReplicationRow:
+    """One (replication, n) estimate; ``table`` is its per-order score table."""
+
     n: int
     replication: int
     seed: int
     chosen_order: int
     lil_stat: float
+    table: tuple[OrderScore, ...]
 
 
 @dataclass(frozen=True)
@@ -112,19 +109,12 @@ class ExperimentResult:
     summary: tuple[RecoverySummary, ...]
 
 
-def evaluate_replication(
-    symbols: np.ndarray,
-    m: int,
-    r_star: int,
-    pen: PenaltySpec,
-    cut: CutoffSpec,
-    n_grid,
-    depth_cap: int,
-    replication: int,
-    seed: int,
-) -> list[ReplicationRow]:
-    """Score one path at every grid length, extending counts incrementally."""
-    rows = []
+def grid_logliks(symbols: np.ndarray, m: int, cut: CutoffSpec, n_grid, depth_cap: int):
+    """Yield ``(n, logliks)`` along one growing path, where ``logliks[r]`` is
+    ``max_loglik`` of the prefix x_{1:n} for every order r < kappa(n).
+
+    Counts are extended from one grid length to the next, never rebuilt.
+    """
     counts: ContextCounts | None = None
     prev = 0
     for n in n_grid:
@@ -133,18 +123,67 @@ def evaluate_replication(
         else:
             counts = extend_counts(counts, symbols[prev:n])
         prev = n
-        result = estimate_order(counts, pen, cut, m, n=n)
-        lil = lil_statistic(counts, r_star, result.kappa_used, m)
-        rows.append(ReplicationRow(n, replication, seed, result.chosen_order, lil.value))
+        yield n, max_loglik_vector(counts, cutoff_value(cut, n, m))
+
+
+def evaluate_replication(
+    model: MarkovModel, pens, cut: CutoffSpec, n_grid, depth_cap: int, load, task
+) -> list[list[ReplicationRow]]:
+    """Score one ``(replication, seed, source)`` task at every grid length
+    under every penalty in ``pens``; returns one list of rows per penalty.
+
+    The path is sampled from the seed when the source is None, and read by
+    ``load(source, m, seed, n_max)`` otherwise.  Each length's
+    ``max_loglik`` vector is scored against every penalty and also gives
+    the LIL statistic.
+    """
+    replication, seed, source = task
+    if source is None:
+        symbols = sample_path(model, n_grid[-1], seed).symbols
+    else:
+        symbols = load(source, model.m, seed, n_grid[-1])
+    m, r_star = model.m, true_order(model)
+    rows = [[] for _ in pens]
+    for n, logliks in grid_logliks(symbols, m, cut, n_grid, depth_cap):
+        lil = lil_from_logliks(logliks[r_star:], r_star, m).value
+        for out, pen in zip(rows, pens):
+            result = _score_orders(logliks, pen, n, m)
+            out.append(
+                ReplicationRow(n, replication, seed, result.chosen_order, lil, result.table)
+            )
     return rows
 
 
-def _replication_worker(args):
-    model, pen, cut, n_grid, depth_cap, r_star, replication, seed = args
-    path = sample_path(model, max(n_grid), seed)
-    return evaluate_replication(
-        path.symbols, model.m, r_star, pen, cut, n_grid, depth_cap, replication, seed
-    )
+def evaluate_replications(
+    model: MarkovModel,
+    pens,
+    cut: CutoffSpec,
+    n_grid,
+    tasks,
+    jobs: int = 1,
+    load=None,
+) -> list[list[list[ReplicationRow]]]:
+    """``evaluate_replication`` for every task, in task order whatever
+    ``jobs`` is; workers receive a task, never a symbol array."""
+    n_grid = sorted(int(n) for n in n_grid)
+    depth_cap = required_depth_cap(cut, n_grid, model.m)
+    worker = partial(evaluate_replication, model, tuple(pens), cut, n_grid, depth_cap, load)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(worker, tasks, chunksize=1))
+    return [worker(task) for task in tasks]
+
+
+def recovery_summary(rows, n_grid, r_star: int) -> tuple[RecoverySummary, ...]:
+    """Exact, under- and over-estimates per grid length, from one penalty's rows."""
+    summary = []
+    for n in n_grid:
+        at_n = [row for row in rows if row.n == n]
+        exact = sum(1 for row in at_n if row.chosen_order == r_star)
+        under = sum(1 for row in at_n if row.chosen_order < r_star)
+        over = sum(1 for row in at_n if row.chosen_order > r_star)
+        summary.append(RecoverySummary(n, exact / len(at_n), under, over, exact))
+    return tuple(summary)
 
 
 def consistency_experiment(
@@ -167,25 +206,10 @@ def consistency_experiment(
         raise ValueError("need at least one replication")
     stationary_block_law(model, model.order)  # fail fast on reducible chains
     r_star = true_order(model)
-    depth_cap = required_depth_cap(cut, n_grid, model.m)
-    tasks = [
-        (model, pen, cut, n_grid, depth_cap, r_star, i, derive_seed(seed, i))
-        for i in range(replications)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_rep = list(pool.map(_replication_worker, tasks, chunksize=4))
-    else:
-        per_rep = [_replication_worker(t) for t in tasks]
-    rows = tuple(row for rep_rows in per_rep for row in rep_rows)
-    summary = []
-    for n in n_grid:
-        at_n = [row for row in rows if row.n == n]
-        exact = sum(1 for row in at_n if row.chosen_order == r_star)
-        under = sum(1 for row in at_n if row.chosen_order < r_star)
-        over = sum(1 for row in at_n if row.chosen_order > r_star)
-        summary.append(RecoverySummary(n, exact / len(at_n), under, over, exact))
-    return ExperimentResult(r_star, rows, tuple(summary))
+    tasks = [(i, derive_seed(seed, i), None) for i in range(replications)]
+    per_rep = evaluate_replications(model, (pen,), cut, n_grid, tasks, jobs)
+    rows = tuple(row for (rep_rows,) in per_rep for row in rep_rows)
+    return ExperimentResult(r_star, rows, recovery_summary(rows, n_grid, r_star))
 
 
 def underestimation_gap(model: MarkovModel, r: int) -> float:
@@ -205,9 +229,6 @@ def underestimation_gap(model: MarkovModel, r: int) -> float:
     def mean_log_conditional(k: int) -> float:
         joint = stationary_block_law(model, k + 1).reshape(model.m**k, model.m)
         ctx = joint.sum(axis=1)
-        mask = joint > 0.0
-        ratio = np.ones_like(joint)
-        np.divide(joint, ctx[:, None], out=ratio, where=mask)
-        return float(np.where(mask, joint * np.log(ratio), 0.0).sum())
+        return float((joint * masked_log_ratio(joint, ctx[:, None])).sum())
 
     return max(mean_log_conditional(r_star) - mean_log_conditional(r), 0.0)

@@ -46,6 +46,16 @@ def max_loglik(counts: ContextCounts, r: int) -> float:
     return min(total, 0.0)
 
 
+def max_loglik_vector(counts: ContextCounts, kappa: int) -> list[float]:
+    """``max_loglik`` for every order r < kappa (the orders a cutoff admits)."""
+    if counts.depth_cap < kappa - 1:
+        raise ValueError(
+            f"depth cap {counts.depth_cap} is too small: cutoff {kappa} "
+            f"requires tracking depth {kappa - 1}"
+        )
+    return [max_loglik(counts, r) for r in range(kappa)]
+
+
 def lr_statistic(counts: ContextCounts, r: int, r_star: int) -> float:
     """Gap between the order-r and order-r_star maximized log-likelihoods.
 
@@ -73,19 +83,19 @@ def lil_statistic(counts: ContextCounts, r_star: int, kappa_n: int, m: int) -> L
     Returns a zero value with the empty-range flag set when the interval
     contains no order.
     """
-    if kappa_n > counts.depth_cap + 1:
-        raise ValueError(
-            f"cutoff {kappa_n} needs depth cap >= {kappa_n - 1}, have {counts.depth_cap}"
-        )
-    orders = range(r_star + 1, kappa_n)
-    if not len(orders):
+    return lil_from_logliks(max_loglik_vector(counts, kappa_n)[r_star:], r_star, m)
+
+
+def lil_from_logliks(logliks, r_star: int, m: int) -> LilStatistic:
+    """``lil_statistic`` from ``logliks[j] = max_loglik(r_star + j)`` over
+    the orders r_star <= r < kappa_n."""
+    if len(logliks) < 2:
         return LilStatistic(0.0, True)
-    base = max_loglik(counts, r_star)
     best, best_r = -np.inf, None
-    for r in orders:
-        v = max(max_loglik(counts, r) - base, 0.0) / m**r
+    for j in range(1, len(logliks)):
+        v = max(logliks[j] - logliks[0], 0.0) / m ** (r_star + j)
         if v > best:
-            best, best_r = v, r
+            best, best_r = v, r_star + j
     return LilStatistic(best, False, best_r)
 
 
@@ -102,11 +112,50 @@ def delta_statistic(model: MarkovModel, counts: ContextCounts, path, r: int) -> 
     return max(max_loglik(counts, r) - ll, 0.0)
 
 
+class RunningOvershoot:
+    """Running maximum of the order-r overshoot along a batch of growing paths.
+
+    Each ``step`` appends one transition (order-r context code, symbol) per
+    lane, plus that step's true conditional log-probability.  The maximized
+    log-likelihood ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` moves by the
+    xlogx differences of the two counts the transition touches, so a step
+    costs O(1) per lane.  ``steps`` bounds the number of steps taken.
+    """
+
+    def __init__(self, lanes: int, m: int, r: int, steps: int):
+        self.m = m
+        self.offset = np.arange(lanes, dtype=np.int64) * m**r  # first context slot per lane
+        self.trans = np.zeros(lanes * m**r * m, dtype=np.int32)
+        self.ctx = np.zeros(lanes * m**r, dtype=np.int32)
+        ks = np.arange(1, steps + 2, dtype=np.float64)
+        self.xlogx = np.zeros(steps + 2)
+        self.xlogx[1:] = ks * np.log(ks)
+        self.ml = np.zeros(lanes)
+        self.ll = np.zeros(lanes)
+        self.best = np.full(lanes, -np.inf)
+
+    def step(self, code, sym, log_p, track: bool) -> None:
+        """Add one transition per lane; with ``track`` set, fold the new
+        overshoot ``ml - ll`` into ``best``."""
+        xlogx = self.xlogx
+        ctx_at = self.offset + code
+        trans_at = ctx_at * self.m + sym
+        c = self.trans[trans_at]
+        self.ml += xlogx[c + 1] - xlogx[c]
+        self.trans[trans_at] = c + 1
+        c = self.ctx[ctx_at]
+        self.ml -= xlogx[c + 1] - xlogx[c]
+        self.ctx[ctx_at] = c + 1
+        self.ll += log_p
+        if track:
+            np.maximum(self.best, self.ml - self.ll, out=self.best)
+
+
 def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) -> float:
     """max over i in [i_lo, i_hi] of the order-r overshoot on the prefix x_{1:i}.
 
-    Incremental single-path evaluation; for large replication counts use the
-    batched verifier in diagnostics instead.
+    Runs ``RunningOvershoot`` as a batch of one; for large replication
+    counts use the batched verifier in diagnostics instead.
     """
     symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
     n = symbols.shape[0]
@@ -123,25 +172,10 @@ def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) ->
     if np.any(step_ll <= 0.0):
         raise ValueError("path has zero probability under the model")
     step_ll = np.log(step_ll)
-    trans: dict[int, int] = {}
-    ctx: dict[int, int] = {}
-    ml = 0.0
-    ll = 0.0
-    best = -np.inf
-    for i in range(r + 1, i_hi + 1):
-        t = i - r - 1
-        key = int(codes[t]) * m + int(symbols[r + t])
-        c = trans.get(key, 0)
-        ml += (c + 1) * np.log(c + 1) - (c * np.log(c) if c else 0.0)
-        trans[key] = c + 1
-        ck = int(codes[t])
-        cc = ctx.get(ck, 0)
-        ml -= (cc + 1) * np.log(cc + 1) - (cc * np.log(cc) if cc else 0.0)
-        ctx[ck] = cc + 1
-        ll += step_ll[t]
-        if i >= i_lo:
-            best = max(best, ml - ll)
-    return max(best, 0.0)
+    run = RunningOvershoot(1, m, r, i_hi - r)
+    for t in range(i_hi - r):
+        run.step(codes[t], symbols[r + t], step_ll[t], r + t + 1 >= i_lo)
+    return max(float(run.best[0]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -182,10 +216,38 @@ def mixture_kernel(candidate: MarkovModel, truth: MarkovModel, r: int) -> Mixtur
     return MixtureKernel(r, m, table)
 
 
-def _lifted_truth_rows(truth: MarkovModel, codes: np.ndarray, r: int) -> np.ndarray:
-    """Truth kernel rows for length-r context codes (conditioning reads only
-    the most recent true-order symbols)."""
-    return truth.kernel[codes % truth.n_contexts]
+def masked_log_ratio(numer, denom) -> np.ndarray:
+    """``log(numer / denom)`` entrywise, and 0 wherever either side is 0."""
+    mask = (numer > 0.0) & (denom > 0.0)
+    ratio = np.ones(mask.shape)
+    np.divide(numer, denom, out=ratio, where=mask)
+    return np.log(ratio)
+
+
+def log_ratio_table(truth: MarkovModel, mix: MixtureKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Truth rows lifted to the mixture's order, and ``log(mix / truth)`` per
+    (context, symbol), zero where the truth puts no mass.
+
+    Every log-ratio diagnostic gathers rows of these two tables by context
+    code; only ``order``, ``m`` and ``table`` of ``mix`` are read.
+    """
+    t_rows = lift_kernel(truth.kernel, truth.m, mix.order)
+    return t_rows, masked_log_ratio(mix.table, t_rows)
+
+
+def log_ratio_rows(truth: MarkovModel, mix: MixtureKernel, path, up_to: int | None = None):
+    """Rows of ``log_ratio_table`` gathered at the contexts of the steps
+    i = r+1..up_to of a path (the whole path by default), plus the symbols
+    x_i of those steps."""
+    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    if up_to is None:
+        up_to = symbols.shape[0]
+    if up_to > symbols.shape[0]:
+        raise ValueError(f"up_to {up_to} exceeds path length {symbols.shape[0]}")
+    end = max(up_to, mix.order)
+    codes = context_codes(symbols[:end], mix.order, mix.m)
+    t_rows, log_ratio = log_ratio_table(truth, mix)
+    return t_rows[codes], log_ratio[codes], symbols[mix.order : end]
 
 
 def kl_compensator(truth: MarkovModel, mix: MixtureKernel, path, up_to: int) -> float:
@@ -195,19 +257,8 @@ def kl_compensator(truth: MarkovModel, mix: MixtureKernel, path, up_to: int) -> 
     nonnegative by Gibbs' inequality and at least the count-weighted
     Hellinger distance to the truth.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
-    if up_to > symbols.shape[0]:
-        raise ValueError(f"up_to {up_to} exceeds path length {symbols.shape[0]}")
-    r = mix.order
-    if up_to <= r:
-        return 0.0
-    codes = context_codes(symbols[:up_to], r, mix.m)
-    t_rows = _lifted_truth_rows(truth, codes, r)
-    m_rows = mix.table[codes]
-    mask = t_rows > 0.0
-    ratio = np.ones_like(t_rows)
-    np.divide(m_rows, t_rows, out=ratio, where=mask)
-    terms = -np.where(mask, t_rows * np.log(ratio), 0.0)
+    t_rows, log_ratio, _ = log_ratio_rows(truth, mix, path, up_to)
+    terms = -(t_rows * log_ratio)
     return max(float(terms.sum()), 0.0)
 
 
@@ -226,16 +277,10 @@ def martingale_path(truth: MarkovModel, mix: MixtureKernel, path, r: int | None 
     out = np.zeros(n + 1)
     if n <= r:
         return out
-    codes = context_codes(symbols, r, mix.m)
-    t_rows = _lifted_truth_rows(truth, codes, r)
-    obs_t = t_rows[np.arange(codes.shape[0]), symbols[r:]]
-    if np.any(obs_t <= 0.0):
+    t_rows, log_ratio, nxt = log_ratio_rows(truth, mix, symbols)
+    steps = np.arange(nxt.shape[0])
+    if np.any(t_rows[steps, nxt] <= 0.0):
         raise ValueError("path has zero probability under the model")
-    obs_m = mix.table[codes, symbols[r:]]
-    log_ratio = np.log(obs_m / obs_t)
-    mask = t_rows > 0.0
-    ratio = np.ones_like(t_rows)
-    np.divide(mix.table[codes], t_rows, out=ratio, where=mask)
-    d_steps = -np.where(mask, t_rows * np.log(ratio), 0.0).sum(axis=1)
-    out[r + 1 :] = np.cumsum(log_ratio + d_steps)
+    d_steps = -(t_rows * log_ratio).sum(axis=1)
+    out[r + 1 :] = np.cumsum(log_ratio[steps, nxt] + d_steps)
     return out

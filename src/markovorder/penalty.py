@@ -285,36 +285,50 @@ def corollary_conditions_check(
 # -- spec strings used by config files and CSV columns ----------------------
 
 
-def parse_penalty(text: str) -> PenaltySpec:
-    """Parse a penalty spec string: ``loglog C=5``, ``bic``, ``csiszar c=1``."""
+def _parse_spec(kind: str, text: str) -> tuple[str, dict[str, str]]:
+    """Split ``family name=value ...`` into the family and its parameters."""
     parts = text.strip().split()
     if not parts:
-        raise ValueError("empty penalty spec")
-    name, args = parts[0].lower(), dict(p.split("=", 1) for p in parts[1:])
+        raise ValueError(f"empty {kind} spec")
+    name, args = parts[0].lower(), {}
+    for token in parts[1:]:
+        key, sep, value = token.partition("=")
+        if not (key and sep and value):
+            raise ValueError(f"{name} {kind}: malformed parameter {token!r}, expected name=value")
+        args[key] = value
+    return name, args
+
+
+def _param(kind: str, name: str, args: dict[str, str], key: str, cast):
+    if key not in args:
+        raise ValueError(f"{name} {kind} needs {key}=<value>")
+    try:
+        return cast(args[key])
+    except ValueError:
+        raise ValueError(f"{name} {kind}: expected {cast.__name__} {key}, got {args[key]!r}")
+
+
+def parse_penalty(text: str) -> PenaltySpec:
+    """Parse a penalty spec string: ``loglog C=5``, ``bic``, ``csiszar c=1``."""
+    name, args = _parse_spec("penalty", text)
     if name == "loglog":
-        if "C" not in args:
-            raise ValueError("loglog penalty needs C=<value>")
-        return LogLogPenalty(C=float(args["C"]))
+        return LogLogPenalty(C=_param("penalty", name, args, "C", float))
     if name == "bic":
         return BICPenalty()
     if name == "csiszar":
-        if "c" not in args:
-            raise ValueError("csiszar penalty needs c=<value>")
-        return CsiszarPenalty(c=float(args["c"]))
+        return CsiszarPenalty(c=_param("penalty", name, args, "c", float))
     raise ValueError(f"unknown penalty family: {name!r}")
 
 
 def parse_cutoff(text: str) -> CutoffSpec:
     """Parse a cutoff spec string: ``sublog``, ``constant K=3``, ``alphalog alpha=0.2``."""
-    parts = text.strip().split()
-    if not parts:
-        raise ValueError("empty cutoff spec")
-    name, args = parts[0].lower(), dict(p.split("=", 1) for p in parts[1:])
+    name, args = _parse_spec("cutoff", text)
     hard_cap = args.get("hard_cap", "true").lower() != "false"
     if name == "sublog":
         return SubLogCutoff(hard_cap=hard_cap)
     if name == "constant":
-        return ConstantCutoff(K=int(args["K"]), hard_cap=hard_cap)
+        return ConstantCutoff(K=_param("cutoff", name, args, "K", int), hard_cap=hard_cap)
     if name == "alphalog":
-        return AlphaLogCutoff(alpha=float(args["alpha"]), hard_cap=hard_cap)
+        alpha = _param("cutoff", name, args, "alpha", float)
+        return AlphaLogCutoff(alpha=alpha, hard_cap=hard_cap)
     raise ValueError(f"unknown cutoff family: {name!r}")

@@ -17,7 +17,13 @@ TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
 MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def make_config(tmp_path, out_name="out", extra="", model=TWO_STATE, n_grid="256 1024", reps=3):
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def make_config(
+    tmp_path, out_name="out", extra="", model=TWO_STATE, n_grid="256 1024", reps=3,
+    spec="loglog C=5",
+):
     write_model_file(model, tmp_path / "chain.model")
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -29,7 +35,7 @@ def make_config(tmp_path, out_name="out", extra="", model=TWO_STATE, n_grid="256
         "seed = 4242\n"
         f"out = {tmp_path / out_name}\n"
         "[penalty]\n"
-        "spec = loglog C=5\n"
+        f"spec = {spec}\n"
         "specs = loglog C=5, bic\n"
         "[cutoff]\n"
         "spec = sublog\n" + extra
@@ -106,6 +112,43 @@ class TestEstimate:
         b = read_csv(inline_dir / "estimates.csv")
         assert a == b  # stored paths reproduce the inline sampling exactly
 
+    @pytest.mark.parametrize(
+        "rerun_config, rerun_flags, field",
+        [
+            ({}, ["--seed", "999"], "master_seed"),
+            ({"reps": 4}, [], "replications"),
+            ({"model": MarkovModel([[0.6, 0.4], [0.2, 0.8]])}, [], "model_label"),
+        ],
+    )
+    def test_manifest_from_another_run_rejected(
+        self, tmp_path, capsys, rerun_config, rerun_flags, field
+    ):
+        cfg = make_config(tmp_path, n_grid="128", reps=3)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        make_config(tmp_path, n_grid="128", **{"reps": 3, **rerun_config})
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)] + rerun_flags) == 1
+        err = capsys.readouterr().err
+        assert field in err and "manifest.json" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("symbols:", "tokens:", "symbols"),
+            ("alphabet_size: 2", "alphabet_size: 3", "alphabet_size"),
+        ],
+    )
+    def test_path_file_from_another_run_rejected(self, tmp_path, capsys, old, new, field):
+        cfg = make_config(tmp_path, n_grid="128", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "path_00001.txt"
+        path.write_text(path.read_text().replace(old, new))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "path_00001.txt" in err and "Traceback" not in err
+
     def test_jobs_flag_keeps_output_identical(self, tmp_path):
         cfg = make_config(tmp_path, n_grid="128 512", reps=4)
         cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -136,14 +179,28 @@ class TestEstimate:
 
 class TestSweep:
     def test_rows_match_single_estimates(self, tmp_path):
-        cfg = make_config(tmp_path, n_grid="256", reps=1)
-        cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw")])
-        cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "est")])
-        sweep_rows = read_csv(tmp_path / "sw" / "sweep.csv")[1:]
-        est_rows = read_csv(tmp_path / "est" / "estimates.csv")[1:]
-        loglog_rows = [r for r in sweep_rows if r[0].startswith("loglog")]
-        # sweep rows are penalty-first; estimates are n-first
-        assert [[r[1], r[0]] + r[2:] for r in loglog_rows] == est_rows
+        # the one-pass sweep, from path files with two workers, against one
+        # estimate per penalty over the same path files
+        cfg = make_config(tmp_path, n_grid="256 1024", reps=3)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg), "--jobs", "2"]) == 0
+        out = tmp_path / "out"
+        sweep = {
+            name: read_csv(out / f"sweep{name}.csv")[1:] for name in ("", "_scores", "_recovery")
+        }
+        for spec, label in (("loglog C=5", "loglog(C=5)"), ("bic", "bic")):
+            cfg = make_config(tmp_path, n_grid="256 1024", reps=3, spec=spec)
+            assert cli.main(["estimate", "--config", str(cfg)]) == 0
+            est_rows = read_csv(out / "estimates.csv")[1:]
+            score_rows = read_csv(out / "scores.csv")[1:]
+            recovery_rows = read_csv(out / "recovery.csv")[1:]
+            assert len(est_rows) == 6
+            # sweep rows are penalty-first; estimates are n-first
+            mine = [[r[1], r[0]] + r[2:] for r in sweep[""] if r[0] == label]
+            assert mine == est_rows
+            assert [r[1:] for r in sweep["_scores"] if r[0] == label] == score_rows
+            mine = [[r[1], r[0]] + r[2:] for r in sweep["_recovery"] if r[0] == label]
+            assert mine == recovery_rows
 
     def test_penalty_value_columns_ordered(self, tmp_path):
         cfg = make_config(tmp_path, n_grid="4096", reps=1)
@@ -242,6 +299,13 @@ class TestVerify:
         )
         assert cli.main(["verify", "--config", str(cfg)]) == 0
 
+    def test_demo_config_regenerates_checked_in_outputs(self, tmp_path):
+        demo = os.path.join(ROOT, "configs", "demo.ini")
+        assert cli.main(["verify", "--config", demo, "--out", str(tmp_path)]) == 0
+        for name in ("verification.json", "bernstein.csv", "deviation.csv", "lil.csv"):
+            with open(os.path.join(ROOT, "out", "demo", name), "rb") as fh:
+                assert (tmp_path / name).read_bytes() == fh.read(), name
+
     def test_unknown_check_named_in_error(self, tmp_path, capsys):
         cfg = make_config(tmp_path, extra="[verify]\nchecks = lemmas\n")
         assert cli.main(["verify", "--config", str(cfg)]) == 1
@@ -264,6 +328,25 @@ class TestExitCodesAndDeterminism:
         cfg.write_text("[model]\nfile = chain.model\n[experiment]\nn_grid = 64 32\n")
         assert cli.main(["estimate", "--config", str(cfg)]) == 1
         assert "n_grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, spec, named",
+        [
+            ("cutoff", "constant", "K=<value>"),
+            ("cutoff", "alphalog", "alpha=<value>"),
+            ("penalty", "loglog C", "malformed parameter 'C'"),
+        ],
+    )
+    def test_bad_spec_names_parameter(self, tmp_path, capsys, section, spec, named):
+        write_model_file(TWO_STATE, tmp_path / "chain.model")
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[model]\nfile = chain.model\n[experiment]\nn_grid = 64\n"
+            f"[{section}]\nspec = {spec}\n"
+        )
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.spec" in err and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "verify"])
     def test_byte_identical_across_runs(self, tmp_path, command):

@@ -36,6 +36,9 @@ class TestArgmax:
     def test_tie_breaks_to_smaller(self):
         chosen, tie = argmax_score([5.0, 6.0, 7.0], [1.0, 2.0, 3.0])
         assert chosen == 0 and tie
+        # a tie among losing orders is not a tie for the winner
+        chosen, tie = argmax_score([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
+        assert chosen == 2 and not tie
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
