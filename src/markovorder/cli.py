@@ -120,6 +120,12 @@ def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
             "paths": None,
         },
     )
+    for j, entry in enumerate(manifest["paths"]):
+        _check_run_fields(
+            f"{manifest_file} paths[{j}]",
+            entry if isinstance(entry, dict) else {},
+            {"replication": None, "seed": None, "file": None},
+        )
     return [
         (entry["replication"], entry["seed"], os.path.join(config.out_dir, entry["file"]))
         for entry in manifest["paths"]

@@ -3,11 +3,15 @@
 For depth r the table counts, over window end positions i = r+1..n, how
 often each length-r context precedes each next symbol.  Context counts are
 the row sums of the transition table (every counted window has a next
-symbol inside the path), so only transition tables are stored.
+symbol inside the path).
 
-Tables are dense arrays of shape (m**r, m) while m**(r+1) stays at or
-below ``DENSE_LIMIT`` and dicts of per-context rows above; the cutoff
-functions keep depths logarithmic, so the dense branch is the norm.
+Only the deepest table is stored.  The depth-r table is the depth-(r+1)
+table summed over its oldest symbol, plus the one window that ends at
+position r+1; unrolled, it is the depth-cap table read modulo m**(r+1)
+plus the windows that lie inside the first ``depth_cap`` symbols.  So a
+table is one sorted pair: the distinct window codes ``ctx * m + next``
+(newest symbol least significant) and their positive counts, next to the
+first and the last ``depth_cap`` symbols of the path.
 """
 
 from __future__ import annotations
@@ -16,50 +20,45 @@ import struct
 
 import numpy as np
 
-from ._contexts import context_codes
-
-DENSE_LIMIT = 1 << 20
-
 _MAGIC = b"MKOC"
-_VERSION = 1
+_VERSION = 2
 
 
 class ContextCounts:
     """Counts for all depths 0..depth_cap over a growing path."""
 
-    def __init__(self, m: int, depth_cap: int, n: int, tables, tail: np.ndarray):
+    def __init__(self, m: int, depth_cap: int, n: int, codes, counts, head, tail):
         self.m = int(m)
         self.depth_cap = int(depth_cap)
         self.n = int(n)
-        self._tables = tables  # per depth: ndarray (m**r, m) or {ctx: ndarray (m,)}
-        self._tail = np.asarray(tail, dtype=np.int64)
+        self.codes = np.asarray(codes, dtype=np.int64)  # depth-cap window codes, increasing
+        self.counts = np.asarray(counts, dtype=np.int64)  # their counts, all positive
+        self.head = np.asarray(head, dtype=np.int64)  # first depth_cap symbols
+        self.tail = np.asarray(tail, dtype=np.int64)  # last depth_cap symbols
 
-    def is_dense(self, r: int) -> bool:
-        return isinstance(self._tables[r], np.ndarray)
-
-    def transition_counts(self, r: int):
-        """Transition table at depth r: ndarray (m**r, m), or a dict of rows."""
-        self._check_depth(r)
-        return self._tables[r]
-
-    def context_counts(self, r: int):
-        """Context counts at depth r: ndarray (m**r,), or a dict of ints."""
-        self._check_depth(r)
-        table = self._tables[r]
-        if isinstance(table, np.ndarray):
-            return table.sum(axis=1)
-        return {ctx: int(row.sum()) for ctx, row in table.items()}
-
-    def _check_depth(self, r: int):
+    def window_counts(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct codes ``ctx * m + next`` of the length-(r+1) windows, in
+        increasing order, and their positive counts."""
         if not 0 <= r <= self.depth_cap:
             raise ValueError(f"depth {r} outside tracked range 0..{self.depth_cap}")
+        size = self.m ** (r + 1)
+        inside_head = _window_codes(self.head, r, self.m)
+        return _merge(
+            np.concatenate([self.codes % size, inside_head]),
+            np.concatenate([self.counts, np.ones(inside_head.shape[0], dtype=np.int64)]),
+            size,
+        )
 
-    def copy(self) -> "ContextCounts":
-        tables = [
-            t.copy() if isinstance(t, np.ndarray) else {c: row.copy() for c, row in t.items()}
-            for t in self._tables
-        ]
-        return ContextCounts(self.m, self.depth_cap, self.n, tables, self._tail.copy())
+    def transition_counts(self, r: int) -> np.ndarray:
+        """Transition table at depth r: ndarray (m**r, m)."""
+        codes, counts = self.window_counts(r)
+        table = np.zeros(self.m ** (r + 1), dtype=np.int64)
+        table[codes] = counts
+        return table.reshape(self.m**r, self.m)
+
+    def context_counts(self, r: int) -> np.ndarray:
+        """Context counts at depth r: ndarray (m**r,)."""
+        return self.transition_counts(r).sum(axis=1)
 
     # -- binary checkpoint format (little-endian, layout in the README) ----
 
@@ -68,69 +67,92 @@ class ContextCounts:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<HHIIQ", _VERSION, 0, self.m, self.depth_cap, self.n))
-            tail = self._tail.astype("<u4")
-            fh.write(struct.pack("<I", tail.shape[0]))
-            fh.write(tail.tobytes())
-            for r in range(self.depth_cap + 1):
-                table = self._tables[r]
-                if isinstance(table, np.ndarray):
-                    fh.write(struct.pack("<B", 0))
-                    fh.write(table.astype("<u8").tobytes())
-                else:
-                    fh.write(struct.pack("<BQ", 1, len(table)))
-                    for ctx in sorted(table):
-                        fh.write(struct.pack("<Q", ctx))
-                        fh.write(table[ctx].astype("<u8").tobytes())
+            fh.write(self.head.astype("<u4").tobytes())
+            fh.write(self.tail.astype("<u4").tobytes())
+            fh.write(struct.pack("<Q", self.codes.shape[0]))
+            fh.write(self.codes.astype("<u8").tobytes())
+            fh.write(self.counts.astype("<u8").tobytes())
 
     @classmethod
     def load(cls, path) -> "ContextCounts":
+        """Read a checkpoint of version 2, or of version 1 (one table per depth)."""
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise ValueError("not a counts checkpoint file")
             version, _, m, depth_cap, n = struct.unpack("<HHIIQ", fh.read(20))
+            if version == 1:
+                return _load_v1(fh, m, depth_cap, n)
             if version != _VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            (tail_len,) = struct.unpack("<I", fh.read(4))
-            tail = np.frombuffer(fh.read(4 * tail_len), dtype="<u4").astype(np.int64)
-            tables = []
-            for r in range(depth_cap + 1):
-                (kind,) = struct.unpack("<B", fh.read(1))
-                if kind == 0:
-                    raw = fh.read(8 * m ** (r + 1))
-                    tables.append(
-                        np.frombuffer(raw, dtype="<u8").astype(np.int64).reshape(m**r, m)
-                    )
-                else:
-                    (entries,) = struct.unpack("<Q", fh.read(8))
-                    table = {}
-                    for _ in range(entries):
-                        (ctx,) = struct.unpack("<Q", fh.read(8))
-                        row = np.frombuffer(fh.read(8 * m), dtype="<u8").astype(np.int64)
-                        table[int(ctx)] = row
-                    tables.append(table)
-        return cls(m, depth_cap, n, tables, tail)
+            head = _read_array(fh, "<u4", depth_cap)
+            tail = _read_array(fh, "<u4", depth_cap)
+            entries = _read_array(fh, "<u8", 1)[0]
+            codes = _read_array(fh, "<u8", entries)
+            counts = _read_array(fh, "<u8", entries)
+        bad = (codes < 0) | (codes >= m ** (depth_cap + 1)) | (counts <= 0)
+        if bad.any() or np.any(np.diff(codes) <= 0) or counts.sum() != n - depth_cap:
+            raise ValueError("inconsistent counts checkpoint file")
+        if np.any(head >= m) or np.any(tail >= m):
+            raise ValueError("counts checkpoint holds a symbol outside the alphabet")
+        return cls(m, depth_cap, n, codes, counts, head, tail)
 
 
-def _empty_table(m: int, r: int):
-    if m ** (r + 1) <= DENSE_LIMIT:
-        return np.zeros((m**r, m), dtype=np.int64)
-    return {}
+def _read_array(fh, dtype: str, count: int) -> np.ndarray:
+    size = np.dtype(dtype).itemsize * int(count)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError("truncated counts checkpoint file")
+    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
 
-def _add_windows(table, ctx_codes: np.ndarray, next_syms: np.ndarray, m: int):
-    if isinstance(table, np.ndarray):
-        flat = ctx_codes * m + next_syms
-        table.ravel()[:] += np.bincount(flat, minlength=table.size)
-    else:
-        flat = ctx_codes * m + next_syms
-        uniq, cnt = np.unique(flat, return_counts=True)
-        for f, c in zip(uniq.tolist(), cnt.tolist()):
-            ctx, b = divmod(f, m)
-            row = table.get(ctx)
-            if row is None:
-                row = np.zeros(m, dtype=np.int64)
-                table[ctx] = row
-            row[b] += c
+def _load_v1(fh, m: int, depth_cap: int, n: int) -> ContextCounts:
+    """Version 1 stored every depth, dense (kind 0) or as context rows (kind 1).
+
+    The deepest table becomes the pair.  The depth-r table counts the next
+    symbols x_{r+1..n} and the depth-(r+1) table x_{r+2..n}, so their
+    next-symbol totals differ by x_{r+1}: that is head symbol r.
+    """
+    tail = _read_array(fh, "<u4", _read_array(fh, "<u4", 1)[0])
+    totals = []
+    for r in range(depth_cap + 1):
+        if _read_array(fh, "<u1", 1)[0] == 0:
+            rows = _read_array(fh, "<u8", m ** (r + 1)).reshape(m**r, m)
+            ctx = np.arange(m**r)
+        else:
+            entries = _read_array(fh, "<u8", 1)[0]
+            rows = _read_array(fh, "<u8", entries * (m + 1)).reshape(entries, m + 1)
+            ctx, rows = rows[:, 0], rows[:, 1:]
+        totals.append(rows.sum(axis=0))
+    head = [int(np.argmax(a - b)) for a, b in zip(totals, totals[1:])]
+    codes, counts = (ctx[:, None] * m + np.arange(m)).ravel(), rows.ravel()
+    return ContextCounts(m, depth_cap, n, codes[counts > 0], counts[counts > 0], head, tail)
+
+
+def _window_codes(symbols: np.ndarray, r: int, m: int) -> np.ndarray:
+    """Codes ``ctx * m + next`` of every length-(r+1) window of ``symbols``,
+    by Horner's rule from the oldest symbol, without temporaries."""
+    count = max(symbols.shape[0] - r, 0)
+    codes = symbols[:count].copy()
+    for j in range(1, r + 1):
+        codes *= m
+        codes += symbols[j : j + count]
+    return codes
+
+
+def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes below ``size`` in increasing order, and the summed
+    positive ``counts`` of each (one per code when None).
+
+    Tallies in a length-``size`` array when that is no longer than the
+    input, and sorts otherwise.  Weighted sums run in float64, exact for
+    counts below 2**53.
+    """
+    if size <= codes.shape[0]:
+        tally = np.bincount(codes, counts, minlength=size)
+        keys = np.flatnonzero(tally)
+        return keys, tally[keys].astype(np.int64)
+    keys, inverse = np.unique(codes, return_inverse=True)
+    return keys, np.bincount(inverse, counts).astype(np.int64)
 
 
 def build_counts(path, depth_cap: int, m: int | None = None) -> ContextCounts:
@@ -150,13 +172,9 @@ def build_counts(path, depth_cap: int, m: int | None = None) -> ContextCounts:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= m):
         raise ValueError("path contains a symbol outside the alphabet")
-    tables = []
-    for r in range(depth_cap + 1):
-        table = _empty_table(m, r)
-        _add_windows(table, context_codes(symbols, r, m), symbols[r:], m)
-        tables.append(table)
-    tail = symbols[n - depth_cap :] if depth_cap > 0 else symbols[:0]
-    return ContextCounts(m, depth_cap, n, tables, tail)
+    codes, counts = _merge(_window_codes(symbols, depth_cap, m), None, m ** (depth_cap + 1))
+    head = symbols[:depth_cap].copy()
+    return ContextCounts(m, depth_cap, n, codes, counts, head, symbols[n - depth_cap :].copy())
 
 
 def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
@@ -167,25 +185,14 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
     into the retained tail for their contexts.
     """
     new = np.asarray(getattr(new_symbols, "symbols", new_symbols), dtype=np.int64)
-    if new.size == 0:
-        return counts.copy()
-    if new.min() < 0 or new.max() >= counts.m:
+    m, cap = counts.m, counts.depth_cap
+    if new.size and (new.min() < 0 or new.max() >= m):
         raise ValueError("extension contains a symbol outside the alphabet")
-    out = counts.copy()
-    m, cap, n_old = counts.m, counts.depth_cap, counts.n
-    tail = out._tail
-    spliced = np.concatenate([tail, new])
-    t = tail.shape[0]
-    k = new.shape[0]
-    for r in range(cap + 1):
-        # window end positions (0-based next-symbol index in `spliced`):
-        # all of t..t+k-1, except ends whose context would start before the path
-        start = max(r, t) if n_old < r else t
-        if start >= t + k:
-            continue
-        codes = context_codes(spliced[start - r :], r, m)
-        nxt = spliced[start:]
-        _add_windows(out._tables[r], codes[: t + k - start], nxt, m)
-    out.n = n_old + k
-    out._tail = spliced[max(0, spliced.shape[0] - cap) :] if cap > 0 else spliced[:0]
-    return out
+    size = m ** (cap + 1)
+    spliced = np.concatenate([counts.tail, new])
+    added, added_counts = _merge(_window_codes(spliced, cap, m), None, size)
+    codes, totals = _merge(
+        np.concatenate([counts.codes, added]), np.concatenate([counts.counts, added_counts]), size
+    )
+    tail = spliced[spliced.shape[0] - cap :].copy()
+    return ContextCounts(m, cap, counts.n + new.shape[0], codes, totals, counts.head, tail)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .._contexts import context_codes
-from ..counts import ContextCounts, build_counts
+from ..counts import ContextCounts, build_counts, extend_counts
 from ..likelihood import MixtureKernel, log_ratio_rows
 from ..model import MarkovModel, stationary_block_law
 
@@ -76,8 +76,6 @@ def typicality_check(
     for r in range(rho_n):
         p = stationary_block_law(truth, r)
         freq = counts.context_counts(r)
-        if not isinstance(freq, np.ndarray):
-            raise ValueError("typicality needs dense count tables at this depth")
         supported = p > 0.0
         if not supported.any():
             devs.append(0.0)
@@ -101,11 +99,11 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
     if rho > half // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {half // 2}")
     cap = min(rho, half - 1)
-    first = typicality_check(truth, build_counts(symbols[:half], cap, truth.m), eta, rho)
-    if not first.holds:
+    prefix = build_counts(symbols[:half], cap, truth.m)
+    if not typicality_check(truth, prefix, eta, rho).holds:
         return False
-    full = typicality_check(truth, build_counts(symbols, cap, truth.m), eta, rho)
-    return full.holds
+    full = extend_counts(prefix, symbols[half:])
+    return typicality_check(truth, full, eta, rho).holds
 
 
 def _check_pair(mix_a: MixtureKernel, mix_b: MixtureKernel):
@@ -123,8 +121,6 @@ def hellinger_path_distance(
     """
     _check_pair(mix_a, mix_b)
     weights = counts.context_counts(mix_a.order)
-    if not isinstance(weights, np.ndarray):
-        raise ValueError("path distance needs a dense count table at this depth")
     gap = (np.sqrt(mix_a.table) - np.sqrt(mix_b.table)) ** 2
     return float((weights * gap.sum(axis=1)).sum())
 

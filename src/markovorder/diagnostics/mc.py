@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._contexts import block_digits
-from ..counts import build_counts
+from ..counts import build_counts, extend_counts
 from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
 from ..model import (
     MarkovModel,
@@ -44,6 +44,7 @@ from .core import (
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables
 
 
 def _batch_steps(truth: MarkovModel, n: int, seeds: np.ndarray, depth: int):
@@ -260,7 +261,8 @@ def deviation_tail_mc(
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0
     depth = max(r, rho - 1, r0)
-    for lo, hi in _chunks(replications, chunk):
+    lane_bytes = 4 * (m ** (r + 1) + size_r + sum(m**d for d in typ_depths))  # int32 tables
+    for lo, hi in _chunks(replications, max(1, min(chunk, CHUNK_BYTES // lane_bytes))):
         seeds = np.array([derive_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
         reps = seeds.shape[0]
         rep_idx = np.arange(reps, dtype=np.int64)
@@ -417,12 +419,10 @@ def typicality_trend(
     for i in range(seeds):
         path = sample_path(truth, n_large, derive_seed(seed, i))
         cap = min(rho, n_small - 1)
-        rep_small = typicality_check(
-            truth, build_counts(path.symbols[:n_small], cap, truth.m), eta, rho
-        )
-        rep_large = typicality_check(
-            truth, build_counts(path.symbols, cap, truth.m), eta, rho
-        )
+        counts_small = build_counts(path.symbols[:n_small], cap, truth.m)
+        rep_small = typicality_check(truth, counts_small, eta, rho)
+        counts_large = extend_counts(counts_small, path.symbols[n_small:])
+        rep_large = typicality_check(truth, counts_large, eta, rho)
         small += rep_small.holds
         large += rep_large.holds
     return TypicalityTrendReport(eta, rho, n_small, n_large, seeds, small, large)
@@ -521,7 +521,7 @@ def hellinger_sandwich_battery(
         mix_a = mixture_kernel(p_a, truth, r)
         mix_b = mixture_kernel(p_b, truth, r)
         counts_n = build_counts(path.symbols[:n], r, 2)
-        counts_2n = build_counts(path.symbols, r, 2)
+        counts_2n = extend_counts(counts_n, path.symbols[n:])
         h_n = hellinger_path_distance(counts_n, mix_a, mix_b)
         h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
         h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._contexts import context_codes
-from .counts import ContextCounts
+from .counts import ContextCounts, _merge
 from .model import (
     MarkovModel,
     PathSample,
@@ -36,13 +36,9 @@ def max_loglik(counts: ContextCounts, r: int) -> float:
     """Maximized log-likelihood over chains of order at most r; always <= 0."""
     if r >= counts.n:
         raise ValueError(f"order {r} must be < path length {counts.n}")
-    table = counts.transition_counts(r)
-    if isinstance(table, np.ndarray):
-        total = _xlogx_sum(table.ravel()) - _xlogx_sum(table.sum(axis=1))
-    else:
-        total = 0.0
-        for row in table.values():
-            total += _xlogx_sum(row) - _xlogx_sum(row.sum(keepdims=True))
+    codes, num = counts.window_counts(r)
+    _, ctx_num = _merge(codes // counts.m, num, counts.m**r)
+    total = _xlogx_sum(num) - _xlogx_sum(ctx_num)
     return min(total, 0.0)
 
 

@@ -445,8 +445,8 @@ def write_model_file(model: MarkovModel, path) -> None:
         "kernel:",
     ]
     for row in model.kernel:
-        lines.append("  " + " ".join(format(v, ".12g") for v in row))
-    lines.append("initial: " + " ".join(format(v, ".12g") for v in model.initial))
+        lines.append("  " + " ".join(format(v, ".17g") for v in row))
+    lines.append("initial: " + " ".join(format(v, ".17g") for v in model.initial))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

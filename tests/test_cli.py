@@ -132,6 +132,20 @@ class TestEstimate:
         assert field in err and "manifest.json" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "estimates.csv").exists()
 
+    @pytest.mark.parametrize("key", ["replication", "seed", "file"])
+    def test_manifest_entry_missing_key_rejected(self, tmp_path, capsys, key):
+        cfg = make_config(tmp_path, n_grid="128", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        manifest_file = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        del manifest["paths"][1][key]
+        manifest_file.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"the {key} field is missing" in err and "manifest.json" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "old, new, field",
         [

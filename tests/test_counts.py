@@ -1,11 +1,12 @@
 """Count tables against a brute-force window scanner."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import markovorder.counts as counts_mod
 from markovorder import build_counts, extend_counts
 from markovorder.counts import ContextCounts
 
@@ -131,28 +132,85 @@ def test_invariants_and_incremental_equivalence(data, m, n):
 
 
 class TestSparseFallback:
-    def test_sparse_depth_matches_scanner(self, monkeypatch):
+    """Code spaces larger than the window count take the sort branch."""
+
+    def test_sparse_depth_matches_scanner(self):
         rng = np.random.default_rng(3)
-        symbols = rng.integers(0, 2, 60)
-        extra = rng.integers(0, 2, 20)
-        monkeypatch.setattr(counts_mod, "DENSE_LIMIT", 4)  # dicts beyond depth 1
-        sparse = extend_counts(build_counts(symbols, 3, m=2), extra)
-        assert not sparse.is_dense(2) and not sparse.is_dense(3)
+        symbols = rng.integers(0, 3, 60)
+        extra = rng.integers(0, 3, 20)
+        assert 3**7 > len(symbols) + len(extra)
+        sparse = extend_counts(build_counts(symbols, 6, m=3), extra)
         concat = np.concatenate([symbols, extra])
-        for r in range(4):
-            oracle = scan_windows(concat, r, 2)
-            table = sparse.transition_counts(r)
-            if isinstance(table, np.ndarray):
-                assert np.array_equal(table, oracle)
-            else:
-                rebuilt = np.zeros_like(oracle)
-                for ctx, row in table.items():
-                    rebuilt[ctx] = row
-                assert np.array_equal(rebuilt, oracle)
-        # context counts come back as a dict at sparse depths
-        ctx = sparse.context_counts(2)
-        assert isinstance(ctx, dict)
-        assert sum(ctx.values()) == len(concat) - 2
+        for r in range(7):
+            assert np.array_equal(sparse.transition_counts(r), scan_windows(concat, r, 3))
+        assert sparse.context_counts(2).sum() == len(concat) - 2
+
+    def test_sparse_table_survives_dump_load(self, tmp_path):
+        symbols = np.random.default_rng(4).integers(0, 3, 60)
+        c = build_counts(symbols, 6, m=3)
+        c.dump(tmp_path / "sparse.bin")
+        loaded = ContextCounts.load(tmp_path / "sparse.bin")
+        for r in range(7):
+            assert np.array_equal(loaded.transition_counts(r), scan_windows(symbols, r, 3))
+
+
+@given(
+    data=st.data(),
+    m=st.integers(2, 4),
+    n=st.integers(2, 60),
+)
+@settings(max_examples=120, deadline=None)
+def test_window_pair_invariants(data, m, n):
+    symbols = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    d = data.draw(st.integers(0, min(6, n - 1)))
+    cut = data.draw(st.integers(d + 1, n))
+    built = extend_counts(build_counts(symbols[:cut], d, m=m), symbols[cut:])
+    for r in range(d + 1):
+        codes, counts = built.window_counts(r)
+        assert np.all(np.diff(codes) > 0)
+        assert np.all(counts > 0)
+        assert counts.sum() == n - r
+
+
+def _write_v1(path, symbols, cap, m, dense_limit):
+    """Version-1 checkpoint: every depth stored, dense up to ``dense_limit``
+    cells and as sorted (context, row) records above."""
+    n = len(symbols)
+    tail = np.asarray(symbols[n - cap :] if cap else [], dtype="<u4")
+    with open(path, "wb") as fh:
+        fh.write(b"MKOC" + struct.pack("<HHIIQ", 1, 0, m, cap, n))
+        fh.write(struct.pack("<I", len(tail)) + tail.tobytes())
+        for r in range(cap + 1):
+            table = scan_windows(symbols, r, m)
+            if table.size <= dense_limit:
+                fh.write(struct.pack("<B", 0) + table.astype("<u8").tobytes())
+                continue
+            seen = np.flatnonzero(table.sum(axis=1))
+            fh.write(struct.pack("<BQ", 1, len(seen)))
+            for ctx in seen:
+                fh.write(struct.pack("<Q", ctx) + table[ctx].astype("<u8").tobytes())
+
+
+class TestVersionOneCheckpoint:
+    @pytest.mark.parametrize("dense_limit", [1 << 20, 4])
+    def test_loads_and_extends_like_a_rebuild(self, tmp_path, dense_limit):
+        rng = np.random.default_rng(9)
+        for case in range(12):
+            m = int(rng.integers(2, 4))
+            n = int(rng.integers(8, 80))
+            cap = int(rng.integers(0, 5))
+            symbols = rng.integers(0, m, n)
+            more = rng.integers(0, m, int(rng.integers(0, 30)))
+            target = tmp_path / f"v1_{case}.bin"
+            _write_v1(target, symbols, cap, m, dense_limit)
+            loaded = ContextCounts.load(target)
+            assert (loaded.m, loaded.depth_cap, loaded.n) == (m, cap, n)
+            a = extend_counts(loaded, more)
+            b = build_counts(np.concatenate([symbols, more]), cap, m=m)
+            assert a.n == b.n
+            for r in range(cap + 1):
+                assert np.array_equal(loaded.transition_counts(r), scan_windows(symbols, r, m))
+                assert np.array_equal(a.transition_counts(r), b.transition_counts(r))
 
 
 class TestDumpLoad:
@@ -172,6 +230,25 @@ class TestDumpLoad:
         b = extend_counts(c, more)
         for r in range(3):
             assert np.array_equal(a.transition_counts(r), b.transition_counts(r))
+
+    def test_truncated_or_inconsistent_rejected(self, tmp_path):
+        target = tmp_path / "counts.bin"
+        build_counts(np.array([0, 1, 1, 0, 1, 0]), 2, m=2).dump(target)
+        raw = target.read_bytes()
+        target.write_bytes(raw[:-1])
+        with pytest.raises(ValueError, match="truncated"):
+            ContextCounts.load(target)
+        entries = (len(raw) - 48) // 16  # after the header, head, tail and entry count
+        for bad in (
+            raw[:-8] + struct.pack("<Q", 7),  # last count raised
+            raw[: 48 + 8 * (entries - 1)] + struct.pack("<Q", 99) + raw[48 + 8 * entries :],
+        ):
+            target.write_bytes(bad)
+            with pytest.raises(ValueError, match="inconsistent"):
+                ContextCounts.load(target)
+        target.write_bytes(raw[:24] + struct.pack("<I", 5) + raw[28:])  # head symbol 5
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            ContextCounts.load(target)
 
     def test_bad_magic_rejected(self, tmp_path):
         target = tmp_path / "junk.bin"

@@ -35,6 +35,7 @@ from markovorder.diagnostics import (
     typicality_check,
     typicality_trend,
 )
+from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import lift_kernel, stationary_block_law
 from markovorder.penalty import SubLogCutoff
 from markovorder.rng import derive_seed
@@ -358,6 +359,18 @@ class TestDeviationTail:
         )
         assert report.slope < 0.0
         assert report.r_squared > 0.8
+
+    def test_chunking_invariant(self, monkeypatch):
+        kwargs = dict(eps_grid=[0.0, 1.0, 2.0], replications=3000, eta=0.5, rho=3, seed=8)
+        whole = deviation_tail_mc(TWO_STATE, 2, 32, **kwargs)
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 72 * 700)  # 700 lanes of 72 bytes
+        sizes, chunks = [], mc_mod._chunks
+        monkeypatch.setattr(
+            mc_mod, "_chunks", lambda total, size: sizes.append(size) or chunks(total, size)
+        )
+        chunked = deviation_tail_mc(TWO_STATE, 2, 32, **kwargs)
+        assert sizes == [700] and whole.usable_points >= 2
+        assert chunked == whole
 
     def test_order_must_exceed_truth(self):
         with pytest.raises(ValueError):

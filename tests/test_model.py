@@ -253,6 +253,12 @@ class TestModelFiles:
         assert loaded.m == 3 and loaded.order == 2
         assert np.abs(loaded.kernel - model.kernel).max() < 1e-11
         assert np.abs(loaded.initial - model.initial).max() < 1e-11
+        for seed in range(200):
+            model = random_model(4, 2, seed)
+            write_model_file(model, target)
+            loaded = read_model_file(target)
+            assert np.array_equal(loaded.kernel, model.kernel)
+            assert loaded.label() == model.label()
 
     def test_comments_and_blank_lines(self, tmp_path):
         target = tmp_path / "chain.model"
