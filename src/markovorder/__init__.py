@@ -30,7 +30,6 @@ from .likelihood import (
     mixture_kernel,
 )
 from .model import (
-    Alphabet,
     MarkovModel,
     PathSample,
     ReducibleChainError,

@@ -1,9 +1,11 @@
 """Monte Carlo verifiers for the tail bounds and distance comparisons.
 
-Replication-heavy checks share a batched path engine that evolves many
-seeded trajectories in lockstep, one vectorized step at a time; lane i is
-bit-identical to ``sample_path(truth, n, derive_seed(seed, i))``, so batch
-size and chunking never change a result.
+Replication-heavy checks stream their lanes from the one sampling kernel
+of ``model`` (the stepper behind ``sample_paths``): all lanes of a chunk
+step forward together, one vectorized step per position, and no
+lanes x n array is ever stored.  Lane i is bit-identical to
+``sample_path(truth, n, derive_seed(seed, i))``, so batch size and
+chunking never change a result.
 """
 
 from __future__ import annotations
@@ -13,21 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._contexts import block_digits
 from ..counts import build_counts, extend_counts
 from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
 from ..model import (
     MarkovModel,
+    _lane_symbols,
     lift_kernel,
     random_model,
     sample_path,
+    sample_paths,
     stationary_block_law,
     true_order,
 )
 from ..penalty import CutoffSpec
 from ..estimator import grid_logliks, required_depth_cap
 from ..likelihood import lil_from_logliks
-from ..rng import derive_seed, uniform_block, uniforms_at
+from ..rng import derive_seed, uniform_block
 from .core import (
     BoundParams,
     bernstein_norm,
@@ -53,32 +56,11 @@ def _batch_steps(truth: MarkovModel, n: int, seeds: np.ndarray, depth: int):
     ``ctx`` codes the min(i-1, depth) most recent symbols before position i
     (low digits are the newest), and ``sym`` is the symbol at position i.
     """
-    m, r0 = truth.m, truth.order
-    depth = max(depth, r0)
-    reps = seeds.shape[0]
-    init_cum = np.cumsum(truth.initial)
-    u0 = uniforms_at(seeds, 0)
-    init_code = np.searchsorted(init_cum, u0, side="right").astype(np.int64)
-    np.clip(init_code, 0, m**r0 - 1, out=init_code)
-    digits = block_digits(init_code, r0, m)
-    depth_mod = m ** max(depth - 1, 0)
-    ctx = np.zeros(reps, dtype=np.int64)
-    for j in range(min(r0, n)):
-        sym = np.ascontiguousarray(digits[:, j])
-        yield j + 1, ctx, sym
-        if depth >= 1:
-            ctx = (ctx % depth_mod) * m + sym
-    if n > r0:
-        cum = np.cumsum(truth.kernel, axis=1)
-        samp_mod = m**r0
-        for k in range(1, n - r0 + 1):
-            u = uniforms_at(seeds, k)
-            rows = cum[ctx % samp_mod] if r0 >= 1 else np.broadcast_to(cum[0], (reps, m))
-            sym = (rows <= u[:, None]).sum(axis=1)
-            np.clip(sym, 0, m - 1, out=sym)
-            yield r0 + k, ctx, sym
-            if depth >= 1:
-                ctx = (ctx % depth_mod) * m + sym
+    size = truth.m ** max(depth, truth.order)
+    ctx = np.zeros(seeds.shape[0], dtype=np.int64)
+    for i, sym in enumerate(_lane_symbols(truth, n, seeds), start=1):
+        yield i, ctx, sym
+        ctx = (ctx * truth.m + sym) % size
 
 
 def _chunks(total: int, size: int):
@@ -158,7 +140,7 @@ def bernstein_mc_check(
     sum_final = 0.0
     sumsq_final = 0.0
     for lo, hi in _chunks(replications, chunk):
-        seeds = np.array([derive_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
+        seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
         mval = np.zeros(reps)
         mmax = np.zeros(reps)
@@ -263,7 +245,7 @@ def deviation_tail_mc(
     depth = max(r, rho - 1, r0)
     lane_bytes = 4 * (m ** (r + 1) + size_r + sum(m**d for d in typ_depths))  # int32 tables
     for lo, hi in _chunks(replications, max(1, min(chunk, CHUNK_BYTES // lane_bytes))):
-        seeds = np.array([derive_seed(seed, i) for i in range(lo, hi)], dtype=np.uint64)
+        seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
         rep_idx = np.arange(reps, dtype=np.int64)
         run = RunningOvershoot(reps, m, r, length)
@@ -556,10 +538,7 @@ def bracket_battery(
     supported = weights > 0.0
     gap_cap = np.full_like(weights, np.inf)
     gap_cap[supported] = beta / np.sqrt(weights[supported])
-    paths = [
-        sample_path(truth, path_len, derive_seed(seed, 10_000 + j))
-        for j in range(n_paths)
-    ]
+    paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
     violations = 0
     worst = 0.0
     for i in range(n_kernels):

@@ -10,15 +10,14 @@ integers with the most recent symbol in the least significant digit.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from ._contexts import block_digits, context_codes
-from .rng import uniform_block, uniforms_at
+from .rng import _as_u64, uniform_block
 
 ROW_SUM_TOL = 1e-12
 KERNEL_EQ_TOL = 1e-12
@@ -26,23 +25,18 @@ STATIONARY_TOL = 1e-10
 DENSE_SOLVE_LIMIT = 4096
 POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 10**6
+# sample_paths cuts each lane into as many blocks as keep its first pass
+# within BLOCK_CELLS contexts per numpy step, each at least MIN_BLOCK symbols
+# long; its stepper draws up to UNIFORM_CELLS uniforms per call
+BLOCK_CELLS = 1 << 14
+MIN_BLOCK = 16
+UNIFORM_CELLS = 1 << 16
 
 NEG_INF = float("-inf")
 
 
 class ReducibleChainError(ValueError):
     """The context chain has more than one closed communicating class."""
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbol set {0, .., size-1}; at least two symbols."""
-
-    size: int
-
-    def __post_init__(self):
-        if int(self.size) < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.size}")
 
 
 class MarkovModel:
@@ -98,10 +92,6 @@ class MarkovModel:
         return self._m
 
     @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self._m)
-
-    @property
     def order(self) -> int:
         return self._order
 
@@ -152,11 +142,7 @@ class PathSample:
 def _shift_targets(m: int, order: int) -> np.ndarray:
     """targets[c, b] = context code after seeing symbol b in context c."""
     size = m**order
-    codes = np.arange(size, dtype=np.int64)
-    if order == 0:
-        return np.zeros((1, m), dtype=np.int64)
-    mod = m ** (order - 1)
-    return (codes[:, None] % mod) * m + np.arange(m, dtype=np.int64)[None, :]
+    return (np.arange(size, dtype=np.int64)[:, None] * m + np.arange(m)) % size
 
 
 def _closed_class(model: MarkovModel) -> np.ndarray:
@@ -306,78 +292,114 @@ def kernel_at_true_order(model: MarkovModel) -> np.ndarray:
     return model.kernel.reshape(-1, m**s, m)[0]
 
 
-def sample_path(model: MarkovModel, n: int, seed: int, model_id: str | None = None) -> PathSample:
-    """Sample ``n`` symbols: the first r from the initial law, the rest
-    from the kernel.  Pure function of (model, n, seed).
+def _thresholds(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums of each row of ``probs`` without the last column.
 
-    Stream layout: uniform 0 picks the initial context block, uniform k >= 1
-    picks the symbol at position r + k.
+    A uniform u picks the number of a row's thresholds that are <= u,
+    which is ``bisect_right`` on the cumulative row clipped to m - 1.
+    Thresholds from the row's last positive entry on are +inf, so a u at
+    or above a row sum just short of 1 never picks a zero-probability
+    symbol.
     """
-    if n < 1:
-        raise ValueError("path length must be >= 1")
-    m, r = model.m, model.order
-    init_cum = np.cumsum(model.initial)
-    out = np.empty(n, dtype=np.int64)
-    u0 = uniform_block(seed, 0, 1)[0]
-    init_code = bisect_right(init_cum.tolist(), u0)
-    if init_code >= m**r:
-        init_code = m**r - 1
-    head = block_digits(init_code, r, m)
-    take = min(r, n)
-    out[:take] = head[:take]
-    if n > r:
-        cum_rows = np.cumsum(model.kernel, axis=1).tolist()
-        us = uniform_block(seed, 1, n - r).tolist()
-        ctx = init_code
-        mod = m ** (r - 1) if r >= 1 else 1
-        last = m - 1
-        if r == 0:
-            row = cum_rows[0]
-            for k in range(n):
-                b = bisect_right(row, us[k])
-                out[k] = b if b <= last else last
-        else:
-            for k in range(n - r):
-                b = bisect_right(cum_rows[ctx], us[k])
-                if b > last:
-                    b = last
-                out[r + k] = b
-                ctx = (ctx % mod) * m + b
-    return PathSample(out, seed=seed, model_id=model_id or model.label(), m=m)
+    cum = np.cumsum(probs, axis=-1)[..., :-1]
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    cum[np.arange(cum.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
+    return cum
+
+
+def _initial_codes(model: MarkovModel, seeds: np.ndarray) -> np.ndarray:
+    """Initial context code of every lane, from uniform 0 of its stream."""
+    u0 = uniform_block(seeds, 0, 1)[:, 0]
+    return np.searchsorted(_thresholds(model.initial), u0, side="right")
+
+
+def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
+    """Move a (rows, width) array of contexts ``steps`` symbols forward.
+
+    Row g steps on stream ``seeds[g]`` at positions ``positions[g]``,
+    ``positions[g] + 1``, ..., one numpy step per symbol, and yields
+    ``(ctx, sym)`` after each step.  Columns of one row read the same
+    uniforms, so once they meet they stay together (a grand coupling); when
+    all columns of every row agree the width collapses to one.
+    """
+    columns = _thresholds(model.kernel).T
+    targets = _shift_targets(model.m, model.order).ravel()
+    chunk = max(1, UNIFORM_CELLS // max(seeds.shape[0], 1))
+    for j in range(0, steps, chunk):
+        block = uniform_block(seeds, positions + np.uint64(j), min(chunk, steps - j))
+        for u in block.T[:, :, None]:
+            sym = sum(column[ctx] <= u for column in columns)
+            ctx = targets[ctx * model.m + sym]
+            if ctx.shape[1] > 1 and (ctx == ctx[:, :1]).all():
+                ctx, sym = ctx[:, :1], sym[:, :1]
+            yield ctx, sym
 
 
 def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
-    """Sample one path per seed, vectorized across seeds.
+    """Sample ``n`` symbols per seed: the first r from the initial law, the
+    rest from the kernel.  Row i is a pure function of (model, n, seeds[i]).
 
-    Row ``i`` is bit-identical to ``sample_path(model, n, seeds[i]).symbols``.
+    Stream layout: uniform 0 picks the initial context block, uniform k >= 1
+    picks the symbol at position r + k.
+
+    The n - r kernel steps of each lane are cut into equal blocks.  A first
+    pass steps every block from every start context at once and keeps the
+    context each one ends in; composing these block maps gives every
+    block's start from the lane's initial context, and a second pass
+    replays each block from its start and writes its symbols.  This is a
+    scan over finite-state maps (Blelloch, "Prefix sums and their
+    applications", 1990).
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    reps = seeds.shape[0]
-    m, r = model.m, model.order
-    out = np.empty((reps, n), dtype=np.int64)
-    init_cum = np.cumsum(model.initial)
-    u0 = uniforms_at(seeds, 0)
-    init_code = np.searchsorted(init_cum, u0, side="right")
-    np.clip(init_code, 0, m**r - 1, out=init_code)
-    head = block_digits(init_code, r, m)
-    take = min(r, n)
-    if take:
-        out[:, :take] = head[:, :take]
-    if n > r:
-        cum = np.cumsum(model.kernel, axis=1)
-        ctx = init_code.astype(np.int64)
-        mod = m ** (r - 1) if r >= 1 else 1
-        for k in range(n - r):
-            u = uniforms_at(seeds, k + 1)
-            rows = cum[ctx]
-            b = (rows <= u[:, None]).sum(axis=1)
-            np.clip(b, 0, m - 1, out=b)
-            out[:, r + k] = b
-            if r >= 1:
-                ctx = (ctx % mod) * m + b
-    return out
+    seeds = np.atleast_1d(_as_u64(seeds))
+    lanes = seeds.shape[0]
+    m, r, size = model.m, model.order, model.n_contexts
+    init = _initial_codes(model, seeds)
+    steps = max(n - r, 0)
+    blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
+    length = -(-steps // blocks)
+    firsts = np.uint64(1) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
+    rows = (np.repeat(seeds, blocks), np.tile(firsts, lanes))
+    starts = np.repeat(init, blocks).reshape(lanes, blocks)
+    if blocks > 1:
+        every = np.broadcast_to(np.arange(size), (lanes * blocks, size))
+        for ends, _ in _advance(model, *rows, every, length):
+            pass
+        # compose the block maps by doubling (each right-hand side is read
+        # whole before it is stored); afterwards maps[:, b] sends a start
+        # context of block 0 to the end context of block b
+        maps = np.broadcast_to(ends, every.shape).reshape(lanes, blocks, size).copy()
+        shift = 1
+        while shift < blocks:
+            maps[:, shift:] = np.take_along_axis(maps[:, shift:], maps[:, :-shift], axis=2)
+            shift *= 2
+        starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
+    out = np.empty((lanes, r + blocks * length), dtype=np.int64)
+    out[:, :r] = block_digits(init, r, m)
+    body = out[:, r:].reshape(lanes, blocks, length)
+    for j, (_, sym) in enumerate(_advance(model, *rows, starts.reshape(-1, 1), length)):
+        body[:, :, j] = sym.reshape(lanes, blocks)
+    return out[:, :n]
+
+
+def sample_path(model: MarkovModel, n: int, seed: int, model_id: str | None = None) -> PathSample:
+    """One path as a ``PathSample``: the one-lane case of ``sample_paths``."""
+    symbols = sample_paths(model, n, [seed])[0]
+    return PathSample(symbols, seed=seed, model_id=model_id or model.label(), m=model.m)
+
+
+def _lane_symbols(model: MarkovModel, n: int, seeds: np.ndarray):
+    """Yield the symbols at positions 1..n of every lane, one position at a
+    time; lane i yields ``sample_path(model, n, seeds[i])`` without any
+    lanes x n array being stored."""
+    r = model.order
+    init = _initial_codes(model, seeds)
+    digits = block_digits(init, r, model.m)
+    for j in range(min(r, n)):
+        yield digits[:, j]
+    for _, sym in _advance(model, seeds, np.ones_like(seeds), init[:, None], n - r):
+        yield sym[:, 0]
 
 
 def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:

@@ -5,8 +5,9 @@ counter generator: the value at stream position ``k`` for a given 64-bit
 seed is obtained by applying the splitmix64 finalizer to
 ``seed + (k + 1) * PHI64`` (all arithmetic mod 2**64).  Because positions
 are addressed directly, any block of the stream can be generated in one
-vectorized call and batch simulation over many seeds produces bit-identical
-values to one-at-a-time generation.
+vectorized call, and ``raw_at``/``uniform_block`` broadcast an array of
+seeds against an array of positions, so batch simulation over many seeds
+produces bit-identical values to one-at-a-time generation.
 
 Replication seeds are derived as ``master XOR scramble(i)`` where
 ``scramble`` is the same finalizer applied to ``(i + 1) * PHI64``, so
@@ -30,54 +31,51 @@ _TO_UNIT = 2.0 ** -53
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    # splitmix64 output function; z must be a uint64 ndarray (wraps silently)
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MUL1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
+    # splitmix64 output function, in place; z must be a fresh uint64 ndarray
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _as_u64(values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype == np.uint64:
-        return arr
-    # go through Python ints so values in [2**63, 2**64) convert exactly
+    if isinstance(values, int):
+        values &= _MASK  # a Python int wraps mod 2**64
+    # the dtype is given up front, so Python ints in [2**63, 2**64) convert
+    # exactly even when mixed with smaller ones (np.asarray alone: float64)
     return np.asarray(values, dtype=np.uint64)
 
 
-def raw_at(seed: int, positions) -> np.ndarray:
-    """64-bit outputs of the stream ``seed`` at the given positions."""
-    pos = _as_u64(positions)
-    counter = (pos + np.uint64(1)) * np.uint64(PHI64)
-    return _finalize(counter + np.uint64(seed & _MASK))
+def raw_at(seed, positions) -> np.ndarray:
+    """64-bit outputs of the stream ``seed`` at the given positions.
 
-
-def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """``count`` uniforms on [0, 1) at stream positions start..start+count-1."""
-    pos = np.arange(start, start + count, dtype=np.uint64)
-    z = raw_at(seed, pos)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
-
-
-def uniforms_at(seeds, position: int) -> np.ndarray:
-    """One uniform per seed, all at the same stream position.
-
-    Used by batched simulation: lane ``i`` of the result equals
-    ``uniform_block(seeds[i], position, 1)[0]`` exactly.
+    An array of seeds broadcasts against the positions, so row ``g`` of
+    ``raw_at(seeds[:, None], positions)`` reads stream ``seeds[g]``.
     """
-    s = _as_u64(seeds)
-    counter = np.uint64((int(position) + 1) * PHI64 & _MASK)
-    z = _finalize(s + counter)
+    pos = np.atleast_1d(_as_u64(positions))
+    counter = (pos + np.uint64(1)) * np.uint64(PHI64)
+    return _finalize(counter + _as_u64(seed))
+
+
+def uniform_block(seed, start, count: int) -> np.ndarray:
+    """``count`` uniforms on [0, 1) at stream positions start..start+count-1.
+
+    ``seed`` and ``start`` may be arrays that broadcast together; the
+    result then has their shape plus a trailing axis of length ``count``.
+    """
+    pos = _as_u64(start)[..., None] + np.arange(count, dtype=np.uint64)
+    z = raw_at(_as_u64(seed)[..., None], pos)
     return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
 
 
-def scramble(index: int) -> int:
-    """splitmix64 finalizer of ``(index + 1) * PHI64``, as a Python int."""
-    z = _finalize(_as_u64([((index + 1) * PHI64) & _MASK]))
-    return int(z[0])
+def derive_seed(master: int, index):
+    """Seed for replication ``index``: ``master XOR scramble(index)``, where
+    ``scramble(i)``, the finalizer of ``(i + 1) * PHI64``, is ``raw_at(0, i)``.
 
-
-def derive_seed(master: int, index: int) -> int:
-    """Seed for replication ``index``: ``master XOR scramble(index)``."""
-    return (master & _MASK) ^ scramble(index)
+    An index array gives a uint64 array of seeds, equal element by element
+    to the scalar calls, which return Python ints.
+    """
+    z = raw_at(0, index) ^ np.uint64(master & _MASK)
+    return int(z[0]) if np.ndim(index) == 0 else z

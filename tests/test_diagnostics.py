@@ -299,6 +299,29 @@ class TestClosedFormBounds:
             BoundParams(1.0)
 
 
+class TestBatchSteps:
+    @pytest.mark.parametrize("order, depth", [(0, 0), (0, 2), (2, 1), (2, 4)])
+    def test_lanes_match_sample_path_and_contexts(self, order, depth):
+        truth = random_model(3, order, seed=17)
+        n, seed = 300, 41
+        seeds = derive_seed(seed, np.arange(7))
+        syms, ctxs = [], []
+        for i, ctx, sym in mc_mod._batch_steps(truth, n, seeds, depth):
+            assert i == len(syms) + 1
+            syms.append(sym.copy())
+            ctxs.append(ctx.copy())
+        paths = np.stack(syms, axis=1)
+        ctxs = np.stack(ctxs, axis=1)
+        depth = max(depth, order)
+        for lane in range(7):
+            path = sample_path(truth, n, derive_seed(seed, lane)).symbols
+            assert np.array_equal(paths[lane], path)
+            for i in range(1, n + 1):
+                window = path[max(i - 1 - depth, 0) : i - 1]
+                code = int(np.dot(window, 3 ** np.arange(len(window))[::-1]))
+                assert ctxs[lane, i - 1] == code
+
+
 class TestBernsteinMc:
     CAND = MarkovModel([[0.55, 0.45], [0.35, 0.65]])
 

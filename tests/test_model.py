@@ -1,12 +1,14 @@
 """Chain construction, stationary laws, sampling, and true-law likelihoods."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovorder import (
-    Alphabet,
     MarkovModel,
     ReducibleChainError,
     log_true_conditional_likelihood,
@@ -20,10 +22,47 @@ from markovorder import (
     true_order,
     write_model_file,
 )
+from markovorder import model as model_mod
+from markovorder._contexts import block_digits
 from markovorder.model import lift_kernel
-from markovorder.rng import derive_seed
+from markovorder.rng import derive_seed, uniform_block
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])  # P(1|0)=0.3, P(1|1)=0.8
+
+
+def reference_path(model, n, seed):
+    """Scalar reference sampler: one ``bisect`` per symbol on Python floats,
+    reading the documented stream layout (uniform 0 picks the initial
+    context, uniform k >= 1 the symbol at position r + k)."""
+    m, r = model.m, model.order
+    init_cum = np.cumsum(model.initial)
+    out = np.empty(n, dtype=np.int64)
+    u0 = uniform_block(seed, 0, 1)[0]
+    init_code = bisect_right(init_cum.tolist(), u0)
+    if init_code >= m**r:
+        init_code = m**r - 1
+    head = block_digits(init_code, r, m)
+    take = min(r, n)
+    out[:take] = head[:take]
+    if n > r:
+        cum_rows = np.cumsum(model.kernel, axis=1).tolist()
+        us = uniform_block(seed, 1, n - r).tolist()
+        ctx = init_code
+        mod = m ** (r - 1) if r >= 1 else 1
+        last = m - 1
+        if r == 0:
+            row = cum_rows[0]
+            for k in range(n):
+                b = bisect_right(row, us[k])
+                out[k] = b if b <= last else last
+        else:
+            for k in range(n - r):
+                b = bisect_right(cum_rows[ctx], us[k])
+                if b > last:
+                    b = last
+                out[r + k] = b
+                ctx = (ctx % mod) * m + b
+    return out
 
 
 def power_iteration_oracle(kernel, m, order, iters=200_000, tol=1e-13):
@@ -173,6 +212,53 @@ class TestSamplePath:
             batch = sample_paths(model, 40, seeds)
             for i, s in enumerate(seeds):
                 assert np.array_equal(batch[i], sample_path(model, 40, s).symbols)
+            assert sample_paths(model, 40, []).shape == (0, 40)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        order=st.integers(0, 3),
+        n=st.integers(1, 5000),
+        model_seed=st.integers(0, 2**32),
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+        zeros=st.integers(0, 2**16),
+    )
+    def test_every_lane_matches_reference(self, m, order, n, model_seed, seeds, zeros):
+        # some kernels get zero entries (never a whole row), with a uniform
+        # initial law since such chains may be reducible
+        kernel = random_model(m, order, model_seed).kernel.copy()
+        if zeros % 2:
+            mask = (np.arange(kernel.size).reshape(kernel.shape) * zeros) % 3 == 0
+            mask[:, 0] = False
+            kernel[mask] = 0.0
+            kernel /= kernel.sum(axis=1, keepdims=True)
+        model = MarkovModel(kernel, initial=np.full(m**order, 1.0 / m**order))
+        batch = sample_paths(model, n, seeds)
+        assert batch.shape == (len(seeds), n)
+        for i, s in enumerate(seeds):
+            assert np.array_equal(batch[i], reference_path(model, n, s))
+
+    def test_never_emits_a_zero_probability_symbol(self, monkeypatch):
+        # the row sums to 1 - 1e-13, inside the tolerance, so the largest
+        # uniform 1 - 2**-53 lies above it; clipping it to the last symbol
+        # would emit a symbol (and an initial context) of probability 0
+        row = [0.5, 0.4999999999999, 0.0]
+        model = MarkovModel([row] * 3, initial=row)
+        monkeypatch.setattr(
+            model_mod,
+            "uniform_block",
+            lambda seed, start, count: np.full(
+                np.broadcast(np.asarray(seed), np.asarray(start)).shape + (count,),
+                1.0 - 2.0**-53,
+            ),
+        )
+        path = sample_path(model, 200, seed=1)
+        assert path.symbols[0] != 2
+        assert math.isfinite(log_true_conditional_likelihood(model, path, 1))
 
     def test_path_shorter_than_order(self):
         model = random_model(2, 3, seed=15)
@@ -222,9 +308,8 @@ class TestMinPositiveTransition:
 
 class TestValidation:
     def test_alphabet_size_bound(self):
-        with pytest.raises(ValueError):
-            Alphabet(1)
-        assert Alphabet(2).size == 2
+        with pytest.raises(ValueError, match="alphabet size"):
+            MarkovModel([[1.0]])
 
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValueError):

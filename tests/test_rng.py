@@ -24,6 +24,15 @@ def test_raw_matches_reference(seed):
     assert [int(v) for v in got] == expected
 
 
+def test_seeds_wrap_mod_2_64():
+    positions = [0, 5, 2**40]
+    for seed in (-1, -(2**63), 2**64 + 5, 2**70 - 1):
+        assert [int(v) for v in rng.raw_at(seed, positions)] == [
+            reference_value(seed & MASK, p) for p in positions
+        ]
+        assert np.array_equal(rng.uniform_block(seed, 3, 4), rng.uniform_block(seed & MASK, 3, 4))
+
+
 def test_uniform_block_values_and_range():
     us = rng.uniform_block(123, 0, 10_000)
     assert us.shape == (10_000,)
@@ -33,12 +42,16 @@ def test_uniform_block_values_and_range():
     assert np.array_equal(tail, us[100:150])
 
 
-def test_uniforms_at_matches_block_per_seed():
+def test_uniform_block_broadcasts_seeds_against_positions():
     seeds = [rng.derive_seed(7, i) for i in range(20)]
+    starts = np.arange(20, dtype=np.uint64) * np.uint64(5)
+    rows = rng.uniform_block(np.array(seeds, dtype=np.uint64), starts, 3)
+    assert rows.shape == (20, 3)
     for pos in (0, 3, 99):
-        lane = rng.uniforms_at(seeds, pos)
+        lane = rng.uniform_block(seeds, pos, 1)[:, 0]
         for i, s in enumerate(seeds):
             assert lane[i] == rng.uniform_block(s, pos, 1)[0]
+            assert np.array_equal(rows[i], rng.uniform_block(s, 5 * i, 3))
 
 
 def test_derive_seed_is_scramble_xor():
@@ -46,6 +59,15 @@ def test_derive_seed_is_scramble_xor():
     for i in range(5):
         expected = master ^ reference_value(0, i)  # scramble(i) = finalize((i+1)*PHI)
         assert rng.derive_seed(master, i) == expected
+
+
+def test_derive_seed_index_array_matches_scalar_calls():
+    master = 2**64 - 12345
+    index = np.arange(3, 500)
+    seeds = rng.derive_seed(master, index)
+    assert seeds.dtype == np.uint64
+    assert [int(s) for s in seeds] == [rng.derive_seed(master, int(i)) for i in index]
+    assert type(rng.derive_seed(master, 3)) is int
 
 
 def test_derived_seeds_distinct():
