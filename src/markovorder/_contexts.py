@@ -10,6 +10,22 @@ from __future__ import annotations
 import numpy as np
 
 
+def window_codes(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
+    """Codes of every length-``length`` window of ``symbols``.
+
+    Entry ``t`` encodes ``symbols[t:t+length]``; the result has
+    ``n - length + 1`` entries (none when ``length > n``).  Computed by
+    Horner's rule from the oldest symbol, in place.
+    """
+    x = np.asarray(symbols, dtype=np.int64)
+    count = max(x.shape[0] - length + 1, 0)
+    codes = np.zeros(count, dtype=np.int64)
+    for j in range(length):
+        codes *= m
+        codes += x[j : j + count]
+    return codes
+
+
 def context_codes(symbols: np.ndarray, r: int, m: int) -> np.ndarray:
     """Codes of the r-symbol windows preceding positions r..n-1 (0-based).
 
@@ -18,17 +34,9 @@ def context_codes(symbols: np.ndarray, r: int, m: int) -> np.ndarray:
     for r = 0, where every position has the empty context).
     """
     x = np.asarray(symbols, dtype=np.int64)
-    n = x.shape[0]
-    if r == 0:
-        return np.zeros(n, dtype=np.int64)
-    if r > n:
+    if not x.shape[0]:
         return np.zeros(0, dtype=np.int64)
-    codes = np.zeros(n - r, dtype=np.int64)
-    weight = 1
-    for j in range(1, r + 1):
-        codes += x[r - j : n - j] * weight
-        weight *= m
-    return codes
+    return window_codes(x[:-1], r, m)
 
 
 def block_digits(code, r: int, m: int) -> np.ndarray:

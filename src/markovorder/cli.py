@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -245,7 +246,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
     for name in settings.checks:
         if name == "norm-bound":
             report = dg.norm_bound_battery(settings.instances, derive_seed(seed, 101))
-            checks.append(_check_entry(name, True, report.passed, report.to_dict()))
+            checks.append(_check_entry(name, True, report.passed, _detail(report, "passed")))
         elif name == "hellinger-sandwich":
             report = dg.hellinger_sandwich_battery(
                 settings.instances,
@@ -254,7 +255,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 settings.rho,
                 derive_seed(seed, 102),
             )
-            checks.append(_check_entry(name, True, report.passed, report.to_dict()))
+            checks.append(_check_entry(name, True, report.passed, _detail(report, "passed")))
         elif name == "bernstein":
             candidate = (
                 read_model_file(settings.candidate_file)
@@ -281,7 +282,9 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 settings.bernstein_replications,
                 derive_seed(seed, 103),
             )
-            checks.append(_check_entry(name, True, report.all_passed, report.to_dict()))
+            checks.append(
+                _check_entry(name, True, report.all_passed, _detail(report, "all_passed"))
+            )
             grids["bernstein.csv"] = (
                 ("alpha", "empirical", "bound", "margin", "passed"),
                 [(row.alpha, row.empirical, row.bound, row.margin, row.passed) for row in report.rows],
@@ -309,7 +312,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
             checks.append(
                 _check_entry(
                     name, True, passed,
-                    {"battery": battery.to_dict(), "count": count.to_dict()},
+                    {"battery": _detail(battery, "passed"), "count": _detail(count, "passed")},
                 )
             )
         elif name == "deviation":
@@ -325,7 +328,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 derive_seed(seed, 106),
             )
             shape_ok = bool(report.slope < 0.0)
-            checks.append(_check_entry(name, False, shape_ok, report.to_dict()))
+            checks.append(_check_entry(name, False, shape_ok, _detail(report)))
             grids["deviation.csv"] = (
                 ("eps", "frequency"),
                 [(row.eps, row.frequency) for row in report.rows],
@@ -366,7 +369,9 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 settings.typicality_seeds,
                 derive_seed(seed, 107),
             )
-            checks.append(_check_entry(name, False, report.improving, report.to_dict()))
+            checks.append(
+                _check_entry(name, False, report.improving, _detail(report, "improving"))
+            )
 
     all_gating = all(c["passed"] for c in checks if c["gating"])
     _write_json(
@@ -380,6 +385,15 @@ def cmd_verify(config: ExperimentConfig) -> int:
 
 def _check_entry(name, gating, passed, detail) -> dict:
     return {"name": name, "gating": gating, "passed": bool(passed), "detail": detail}
+
+
+def _detail(report, verdict: str | None = None) -> dict:
+    """A check's detail: the report's fields, plus the verdict property of
+    the report named by ``verdict``."""
+    detail = dataclasses.asdict(report)
+    if verdict:
+        detail[verdict] = getattr(report, verdict)
+    return detail
 
 
 def main(argv=None) -> int:

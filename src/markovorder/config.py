@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import partial
 
 from .penalty import CutoffSpec, PenaltySpec, parse_cutoff, parse_penalty
 
@@ -20,6 +21,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class VerifySettings:
+    """The ``[verify]`` section.  Every key other than ``checks`` and
+    ``candidate_file`` is parsed by the type of its default here."""
+
     checks: tuple[str, ...] = ()
     eta: float = 0.5
     rho: int = 3
@@ -110,6 +114,15 @@ def _parse_int_list(section, key, raw, increasing=False):
     return values
 
 
+# parser per type of a VerifySettings default: floats, integers of at least
+# 1, and strictly increasing integer lists
+_VERIFY_PARSERS = {
+    float: _parse_float,
+    int: partial(_parse_int, minimum=1),
+    tuple: partial(_parse_int_list, increasing=True),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -160,33 +173,11 @@ def load_config(path: str) -> ExperimentConfig:
                     f"verify.checks: unknown check {check!r}; known: {', '.join(KNOWN_CHECKS)}"
                 )
         verify.checks = checks
-        for name, caster in (
-            ("eta", _parse_float),
-            ("bracket_beta", _parse_float),
-            ("bracket_sigma", _parse_float),
-            ("deviation_eps_max", _parse_float),
-        ):
-            raw = _get(parser, "verify", name)
-            if raw is not None:
-                setattr(verify, name, caster("verify", name, raw))
-        for name in (
-            "rho", "instances", "sandwich_n",
-            "bernstein_replications", "bernstein_n", "bernstein_r",
-            "bernstein_alpha_count",
-            "deviation_replications", "deviation_n", "deviation_r",
-            "deviation_eps_count",
-            "lil_seeds", "typicality_n_small", "typicality_n_large",
-            "typicality_seeds", "bracket_kernels", "bracket_paths",
-            "bracket_path_len", "bracket_samples",
-        ):
-            raw = _get(parser, "verify", name)
-            if raw is not None:
-                setattr(verify, name, _parse_int("verify", name, raw, minimum=1))
-        raw = _get(parser, "verify", "lil_checkpoints")
-        if raw is not None:
-            verify.lil_checkpoints = _parse_int_list(
-                "verify", "lil_checkpoints", raw, increasing=True
-            )
+        for setting in fields(VerifySettings):
+            raw = _get(parser, "verify", setting.name)
+            if raw is not None and setting.name not in ("checks", "candidate_file"):
+                parse = _VERIFY_PARSERS[type(setting.default)]
+                setattr(verify, setting.name, parse("verify", setting.name, raw))
         raw = _get(parser, "verify", "candidate_file")
         if raw is not None:
             candidate = raw

@@ -20,6 +20,8 @@ import struct
 
 import numpy as np
 
+from ._contexts import window_codes
+
 _MAGIC = b"MKOC"
 _VERSION = 2
 
@@ -42,7 +44,7 @@ class ContextCounts:
         if not 0 <= r <= self.depth_cap:
             raise ValueError(f"depth {r} outside tracked range 0..{self.depth_cap}")
         size = self.m ** (r + 1)
-        inside_head = _window_codes(self.head, r, self.m)
+        inside_head = window_codes(self.head, r + 1, self.m)
         return _merge(
             np.concatenate([self.codes % size, inside_head]),
             np.concatenate([self.counts, np.ones(inside_head.shape[0], dtype=np.int64)]),
@@ -128,17 +130,6 @@ def _load_v1(fh, m: int, depth_cap: int, n: int) -> ContextCounts:
     return ContextCounts(m, depth_cap, n, codes[counts > 0], counts[counts > 0], head, tail)
 
 
-def _window_codes(symbols: np.ndarray, r: int, m: int) -> np.ndarray:
-    """Codes ``ctx * m + next`` of every length-(r+1) window of ``symbols``,
-    by Horner's rule from the oldest symbol, without temporaries."""
-    count = max(symbols.shape[0] - r, 0)
-    codes = symbols[:count].copy()
-    for j in range(1, r + 1):
-        codes *= m
-        codes += symbols[j : j + count]
-    return codes
-
-
 def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct codes below ``size`` in increasing order, and the summed
     positive ``counts`` of each (one per code when None).
@@ -172,7 +163,7 @@ def build_counts(path, depth_cap: int, m: int | None = None) -> ContextCounts:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= m):
         raise ValueError("path contains a symbol outside the alphabet")
-    codes, counts = _merge(_window_codes(symbols, depth_cap, m), None, m ** (depth_cap + 1))
+    codes, counts = _merge(window_codes(symbols, depth_cap + 1, m), None, m ** (depth_cap + 1))
     head = symbols[:depth_cap].copy()
     return ContextCounts(m, depth_cap, n, codes, counts, head, symbols[n - depth_cap :].copy())
 
@@ -190,7 +181,7 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
         raise ValueError("extension contains a symbol outside the alphabet")
     size = m ** (cap + 1)
     spliced = np.concatenate([counts.tail, new])
-    added, added_counts = _merge(_window_codes(spliced, cap, m), None, size)
+    added, added_counts = _merge(window_codes(spliced, cap + 1, m), None, size)
     codes, totals = _merge(
         np.concatenate([counts.codes, added]), np.concatenate([counts.counts, added_counts]), size
     )

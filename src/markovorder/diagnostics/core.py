@@ -50,14 +50,6 @@ class TypicalityReport:
     deviations: tuple[float, ...]  # index r: max over supported contexts
     holds: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "rho_n": self.rho_n,
-            "deviations": list(self.deviations),
-            "holds": self.holds,
-        }
-
 
 def typicality_check(
     truth: MarkovModel, counts: ContextCounts, eta: float, rho_n: int
@@ -318,23 +310,3 @@ class BoundParams:
     def C1_prime(self, m: int) -> float:
         """Prefactor of the exponential deviation tail."""
         return 2.0 / (1.0 - math.exp(-self.C2(m) / self.C1))
-
-    def to_dict(self) -> dict:
-        out = {
-            "eta": self.eta,
-            "K": self.K,
-            "C_universal": self.C_universal,
-            "C3": self.C3,
-            "C4": self.C4,
-            "c": self.c,
-            "c0": self.c0,
-            "c1": self.c1,
-            "C1": self.C1,
-            "C5": self.C5,
-            "C6": self.C6,
-        }
-        for name in ("C0", "C_star", "alpha_star"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out

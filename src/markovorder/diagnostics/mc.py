@@ -3,9 +3,11 @@
 Replication-heavy checks stream their lanes from the one sampling kernel
 of ``model`` (the stepper behind ``sample_paths``): all lanes of a chunk
 step forward together, one vectorized step per position, and no
-lanes x n array is ever stored.  Lane i is bit-identical to
-``sample_path(truth, n, derive_seed(seed, i))``, so batch size and
-chunking never change a result.
+lanes x n array is ever stored.  A chunk holds at most ``MAX_LANES``
+lanes (fewer when its count tables would pass ``CHUNK_BYTES``).  Lane i
+is bit-identical to ``sample_path(truth, n, derive_seed(seed, i))``, and
+a report is reduced from per-lane values or exact integer counts once
+all chunks are done, so chunking never changes a result.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .core import (
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+MAX_LANES = 1 << 16  # lanes stepped together in one chunk
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables
 
 
@@ -97,19 +100,6 @@ class BernsteinMcReport:
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "replications": self.replications,
-            "R": self.R,
-            "K": self.K,
-            "mean_final": self.mean_final,
-            "sd_final": self.sd_final,
-            "rows": [vars(row) for row in self.rows],
-            "all_passed": self.all_passed,
-        }
-
 
 def bernstein_mc_check(
     truth: MarkovModel,
@@ -120,7 +110,6 @@ def bernstein_mc_check(
     R: float,
     replications: int,
     seed: int,
-    chunk: int = 1 << 16,
 ) -> BernsteinMcReport:
     """Empirical frequency of {max_j M_j >= alpha and R_n <= R} per alpha,
     against ``exp(-alpha^2 / (2 (K alpha + R)))`` with K = 2.
@@ -137,12 +126,11 @@ def bernstein_mc_check(
     r_step = 8.0 * (table_t * phi(0.5 * np.abs(log_ratio))).sum(axis=1)
     alphas = [float(a) for a in alpha_grid]
     hits = np.zeros(len(alphas), dtype=np.int64)
-    sum_final = 0.0
-    sumsq_final = 0.0
-    for lo, hi in _chunks(replications, chunk):
+    finals = np.zeros(replications)
+    for lo, hi in _chunks(replications, MAX_LANES):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
-        mval = np.zeros(reps)
+        mval = finals[lo:hi]  # a view: each lane's final value lands in finals
         mmax = np.zeros(reps)
         rnorm = np.zeros(reps)
         for i, ctx, sym in _batch_steps(truth, n, seeds, depth=r):
@@ -155,16 +143,14 @@ def bernstein_mc_check(
         ok = rnorm <= R
         for j, alpha in enumerate(alphas):
             hits[j] += int(np.count_nonzero(ok & (mmax >= alpha)))
-        sum_final += float(mval.sum())
-        sumsq_final += float((mval**2).sum())
     rows = []
     for j, alpha in enumerate(alphas):
         emp = float(hits[j] / replications)
         bound = bernstein_tail_bound(alpha, 2.0, R)
         margin = 3.0 * math.sqrt(bound * (1.0 - bound) / replications)
         rows.append(BernsteinRow(alpha, emp, bound, margin, bool(emp <= bound + margin)))
-    mean = sum_final / replications
-    var = max(sumsq_final / replications - mean**2, 0.0)
+    mean = float(finals.sum()) / replications
+    var = max(float((finals**2).sum()) / replications - mean**2, 0.0)
     return BernsteinMcReport(
         n, r, replications, float(R), 2.0, mean, math.sqrt(var), tuple(rows)
     )
@@ -193,21 +179,6 @@ class DeviationTailReport:
     r_squared: float
     usable_points: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "replications": self.replications,
-            "eta": self.eta,
-            "rho": self.rho,
-            "event_rate": self.event_rate,
-            "rows": [vars(row) for row in self.rows],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "usable_points": self.usable_points,
-        }
-
 
 def deviation_tail_mc(
     truth: MarkovModel,
@@ -218,7 +189,6 @@ def deviation_tail_mc(
     eta: float,
     rho: int,
     seed: int,
-    chunk: int = 1 << 16,
 ) -> DeviationTailReport:
     """Tail of {typicality event and max_{i=n..2n} overshoot >= eps}.
 
@@ -244,7 +214,7 @@ def deviation_tail_mc(
     f_count = 0
     depth = max(r, rho - 1, r0)
     lane_bytes = 4 * (m ** (r + 1) + size_r + sum(m**d for d in typ_depths))  # int32 tables
-    for lo, hi in _chunks(replications, max(1, min(chunk, CHUNK_BYTES // lane_bytes))):
+    for lo, hi in _chunks(replications, max(1, min(MAX_LANES, CHUNK_BYTES // lane_bytes))):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
         rep_idx = np.arange(reps, dtype=np.int64)
@@ -314,15 +284,6 @@ class LilTrajectoryReport:
     max_normalized: float
     slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "r_star": self.r_star,
-            "seed": self.seed,
-            "points": [vars(p) for p in self.points],
-            "max_normalized": self.max_normalized,
-            "slope": self.slope,
-        }
-
 
 def lil_trajectory(
     truth: MarkovModel,
@@ -374,18 +335,6 @@ class TypicalityTrendReport:
     def improving(self) -> bool:
         return self.holds_large >= self.holds_small
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "rho": self.rho,
-            "n_small": self.n_small,
-            "n_large": self.n_large,
-            "seeds": self.seeds,
-            "holds_small": self.holds_small,
-            "holds_large": self.holds_large,
-            "improving": self.improving,
-        }
-
 
 def typicality_trend(
     truth: MarkovModel,
@@ -425,36 +374,24 @@ class InstanceBatteryReport:
     def passed(self) -> bool:
         return self.violations == 0 and self.instances > 0
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instances": self.instances,
-            "attempted": self.attempted,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "passed": self.passed,
-        }
 
-
-def norm_bound_battery(
-    instances: int,
-    seed: int,
-    m_choices=(2, 3),
-    r_max: int = 3,
-    n_max: int = 512,
-) -> InstanceBatteryReport:
+def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
     """Bernstein norm against eight times the count-weighted Hellinger
     distance on random (truth, candidate, path) triples; the inequality is
-    exact, so any violation beyond 1e-9 relative slack counts."""
+    exact, so any violation beyond 1e-9 relative slack counts.
+
+    Each triple draws an alphabet of 2 or 3 symbols, a truth of order 0 or
+    1, a candidate of higher order up to 3 and a path of 64..511 symbols.
+    """
     violations = 0
     worst = 0.0
     for i in range(instances):
         base = derive_seed(seed, i)
         u = uniform_block(base, 0, 4)
-        m = m_choices[int(u[0] * len(m_choices)) % len(m_choices)]
+        m = 2 + int(u[0] * 2) % 2
         r_star = int(u[1] * 2) % 2
-        r = r_star + 1 + int(u[2] * (r_max - r_star)) % (r_max - r_star)
-        n = 64 + int(u[3] * (n_max - 64))
+        r = r_star + 1 + int(u[2] * (3 - r_star)) % (3 - r_star)
+        n = 64 + int(u[3] * 448)
         truth = random_model(m, r_star, derive_seed(base, 1))
         candidate = random_model(m, r, derive_seed(base, 2))
         path = sample_path(truth, n, derive_seed(base, 3))
@@ -477,20 +414,19 @@ def hellinger_sandwich_battery(
     n: int,
     rho: int,
     seed: int,
-    r: int = 2,
-    max_attempts: int | None = None,
 ) -> InstanceBatteryReport:
     """Count-weighted vs stationary Hellinger distances on the typicality
     event: doubling the path multiplies the distance by at most
     4(1+eta)/(1-eta), and the per-window distance stays within a factor
     1/(1-eta) of the stationary one.  Instances without the event are
-    skipped (the comparison presumes it)."""
+    skipped (the comparison presumes it), up to 20 attempts per instance;
+    the compared kernels have order 2."""
+    r = 2
     c3 = 4.0 * (1.0 + eta) / (1.0 - eta)
     c4 = 1.0 / (1.0 - eta)
     accepted = attempts = violations = 0
     worst = 0.0
-    cap = max_attempts or instances * 20
-    while accepted < instances and attempts < cap:
+    while accepted < instances and attempts < instances * 20:
         base = derive_seed(seed, attempts)
         attempts += 1
         truth = random_model(2, 1, derive_seed(base, 1), floor=0.15)
@@ -573,17 +509,6 @@ class BracketCountReport:
     def passed(self) -> bool:
         return math.log(max(self.distinct, 1)) <= self.log_bound
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "distinct": self.distinct,
-            "log_bound": self.log_bound,
-            "beta": self.beta,
-            "sigma": self.sigma,
-            "delta": self.delta,
-            "passed": self.passed,
-        }
-
 
 def bracket_count_check(
     truth: MarkovModel,
@@ -593,19 +518,18 @@ def bracket_count_check(
     samples: int,
     seed: int,
     eta: float = 0.5,
-    delta_frac: float = 1.0,
 ) -> BracketCountReport:
     """Count distinct brackets over kernels sampled from the Hellinger ball
     of radius sigma around the truth, against the entropy bound.
 
     beta is the grid pitch the entropy estimate prescribes for tolerance
-    delta = delta_frac * c * sqrt((2n-r) sigma); the count of distinct
+    delta = c * sqrt((2n-r) sigma); the count of distinct
     (lower, upper) pairs hit by the sample must stay below
     exp(entropy_bound).
     """
     params = BoundParams(eta)
     m = truth.m
-    delta = delta_frac * params.c * math.sqrt((2 * n - r) * sigma)
+    delta = params.c * math.sqrt((2 * n - r) * sigma)
     log_bound = entropy_bound(n, r, sigma, delta, m, params.C5, c=params.c)
     beta = delta / math.sqrt(4.0 * params.C4 * (2 * n - r) * m ** (r + 1))
     table_t = lift_kernel(truth.kernel, m, r)

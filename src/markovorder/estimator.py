@@ -68,11 +68,10 @@ def estimate_order(
     pen: PenaltySpec,
     cut: CutoffSpec,
     m: int,
-    n: int | None = None,
 ) -> EstimateResult:
-    """Penalized-likelihood order estimate from a count table."""
-    if n is None:
-        n = counts.n
+    """Penalized-likelihood order estimate from a count table, at its path
+    length ``counts.n``."""
+    n = counts.n
     return _score_orders(max_loglik_vector(counts, cutoff_value(cut, n, m)), pen, n, m)
 
 

@@ -258,18 +258,16 @@ def kl_compensator(truth: MarkovModel, mix: MixtureKernel, path, up_to: int) -> 
     return max(float(terms.sum()), 0.0)
 
 
-def martingale_path(truth: MarkovModel, mix: MixtureKernel, path, r: int | None = None) -> np.ndarray:
+def martingale_path(truth: MarkovModel, mix: MixtureKernel, path) -> np.ndarray:
     """Compensated log-ratio partial sums M_0..M_n (zero mean under the truth).
 
-    ``M_i = sum_{l=r+1}^i log(mix(x_l|ctx_l)/P*(x_l|ctx_l)) + D_i`` with the
-    compensator D from ``kl_compensator``; M_i = 0 for i <= r.
+    ``M_i = sum_{l=r+1}^i log(mix(x_l|ctx_l)/P*(x_l|ctx_l)) + D_i`` with r
+    the mixture order and the compensator D from ``kl_compensator``;
+    M_i = 0 for i <= r.
     """
     symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
     n = symbols.shape[0]
-    if r is None:
-        r = mix.order
-    elif r != mix.order:
-        raise ValueError(f"order {r} does not match the mixture order {mix.order}")
+    r = mix.order
     out = np.zeros(n + 1)
     if n <= r:
         return out

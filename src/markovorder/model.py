@@ -21,7 +21,6 @@ from .rng import _as_u64, uniform_block
 
 ROW_SUM_TOL = 1e-12
 KERNEL_EQ_TOL = 1e-12
-STATIONARY_TOL = 1e-10
 DENSE_SOLVE_LIMIT = 4096
 POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 10**6
@@ -125,7 +124,6 @@ class PathSample:
 
     symbols: np.ndarray
     seed: int
-    model_id: str = ""
     m: int = 0
 
     def __post_init__(self):
@@ -383,10 +381,10 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     return out[:, :n]
 
 
-def sample_path(model: MarkovModel, n: int, seed: int, model_id: str | None = None) -> PathSample:
+def sample_path(model: MarkovModel, n: int, seed: int) -> PathSample:
     """One path as a ``PathSample``: the one-lane case of ``sample_paths``."""
     symbols = sample_paths(model, n, [seed])[0]
-    return PathSample(symbols, seed=seed, model_id=model_id or model.label(), m=model.m)
+    return PathSample(symbols, seed=seed, m=model.m)
 
 
 def _lane_symbols(model: MarkovModel, n: int, seeds: np.ndarray):

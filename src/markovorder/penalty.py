@@ -199,11 +199,6 @@ def cutoff_value(spec: CutoffSpec, n: float, m: int) -> int:
     return max(value, 1)
 
 
-def default_alpha_star(m: int) -> float:
-    """Default slope for the kappa(n) <= alpha* log n condition check."""
-    return 0.2 / math.log(m)
-
-
 @dataclass(frozen=True)
 class CorollaryReport:
     """Numeric check of the consistency conditions on a finite grid."""
@@ -226,19 +221,6 @@ class CorollaryReport:
             and self.kappa_bound_ok
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "f_values": list(self.f_values),
-            "ratio_values": list(self.ratio_values),
-            "kappa_values": list(self.kappa_values),
-            "liminf_ok": self.liminf_ok,
-            "ratio_ok": self.ratio_ok,
-            "kappa_nondecreasing": self.kappa_nondecreasing,
-            "kappa_bound_ok": self.kappa_bound_ok,
-            "passed": self.passed,
-        }
-
 
 def corollary_conditions_check(
     pen: PenaltySpec,
@@ -247,13 +229,12 @@ def corollary_conditions_check(
     alpha_star: float,
     n_grid,
     m: int,
-    ratio_limit: float = 1e-3,
 ) -> CorollaryReport:
     """Evaluate the penalty/cutoff consistency conditions on an n grid.
 
     Checks, numerically: the implied f(n) stays at or above C_star on the
     upper half of the grid; f(n) log log n / n decreases along the grid and
-    falls below ``ratio_limit`` at the top; kappa is nondecreasing; and
+    falls below 1e-3 at the top; kappa is nondecreasing; and
     kappa(n) <= alpha_star * log n everywhere.
     """
     grid = [int(n) for n in n_grid]
@@ -266,7 +247,7 @@ def corollary_conditions_check(
     liminf_ok = all(f >= C_star - 1e-12 for f in tail)
     ratio_ok = (
         all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:]))
-        and ratios[-1] < ratio_limit
+        and ratios[-1] < 1e-3
     )
     nondec = all(b >= a for a, b in zip(kappas, kappas[1:]))
     bound_ok = all(k <= alpha_star * math.log(n) for k, n in zip(kappas, grid))

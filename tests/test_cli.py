@@ -325,6 +325,22 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(cfg)]) == 1
         assert "verify.checks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rho", "0"),
+            ("instances", "2.5"),
+            ("eta", "abc"),
+            ("eta", "1.5"),
+            ("bracket_beta", "x"),
+            ("lil_checkpoints", "4096 1024"),
+        ],
+    )
+    def test_bad_setting_named_in_error(self, tmp_path, capsys, key, value):
+        cfg = make_config(tmp_path, extra=f"[verify]\nchecks = norm-bound\n{key} = {value}\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        assert f"verify.{key}" in capsys.readouterr().err
+
 
 class TestExitCodesAndDeterminism:
     def test_missing_config_is_io_failure(self, tmp_path):

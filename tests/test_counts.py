@@ -4,10 +4,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovorder import build_counts, extend_counts
+from markovorder._contexts import context_codes, window_codes
 from markovorder.counts import ContextCounts
 
 
@@ -170,6 +171,32 @@ def test_window_pair_invariants(data, m, n):
         assert np.all(np.diff(codes) > 0)
         assert np.all(counts > 0)
         assert counts.sum() == n - r
+
+
+@given(
+    symbols=st.lists(st.integers(0, 3), max_size=30),
+    m=st.integers(2, 4),
+    r=st.integers(0, 12),
+)
+@example(symbols=[], m=2, r=0)
+@example(symbols=[], m=3, r=2)
+@example(symbols=[1, 0, 1], m=2, r=3)
+@example(symbols=[1, 0, 1], m=2, r=4)
+@settings(max_examples=200, deadline=None)
+def test_window_and_context_codes_match_slicing(symbols, m, r):
+    symbols = np.array(symbols, dtype=np.int64) % m
+    n = len(symbols)
+
+    def code(window):  # oldest symbol first; newest ends least significant
+        value = 0
+        for s in window:
+            value = value * m + int(s)
+        return value
+
+    windows = [code(symbols[t : t + r]) for t in range(n - r + 1)]
+    assert window_codes(symbols, r, m).tolist() == windows
+    contexts = [code(symbols[t : t + r]) for t in range(n - r)]
+    assert context_codes(symbols, r, m).tolist() == contexts
 
 
 def _write_v1(path, symbols, cap, m, dense_limit):

@@ -353,13 +353,13 @@ class TestBernsteinMc:
         with pytest.raises(ValueError):
             bernstein_mc_check(TWO_STATE, self.CAND, 1, 64, [1.0], 10.0, 100, seed=1)
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         kwargs = dict(alpha_grid=[0.5, 2.0], R=15.0, replications=10**4, seed=9)
-        a = bernstein_mc_check(TWO_STATE, self.CAND, 1, 64, chunk=10**4, **kwargs)
-        b = bernstein_mc_check(TWO_STATE, self.CAND, 1, 64, chunk=1111, **kwargs)
-        assert a.rows == b.rows  # event counts are exact integers
-        assert a.mean_final == pytest.approx(b.mean_final, abs=1e-12)
-        assert a.sd_final == pytest.approx(b.sd_final, abs=1e-12)
+        a = bernstein_mc_check(TWO_STATE, self.CAND, 1, 64, **kwargs)
+        monkeypatch.setattr(mc_mod, "MAX_LANES", 1111)
+        b = bernstein_mc_check(TWO_STATE, self.CAND, 1, 64, **kwargs)
+        # event counts are exact integers, and the finals are reduced once
+        assert a == b
 
 
 class TestDeviationTail:

@@ -21,6 +21,7 @@ from markovorder import (
     mixture_kernel,
     random_model,
     sample_path,
+    sample_paths,
 )
 from markovorder.diagnostics import hellinger_path_distance
 from markovorder.model import lift_kernel
@@ -296,11 +297,7 @@ class TestMartingalePath:
         truth = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
         cand = MarkovModel([[0.5, 0.5], [0.4, 0.6]])
         mix = mixture_kernel(cand, truth, 1)
-        finals = np.array(
-            [
-                martingale_path(truth, mix, sample_path(truth, 48, derive_seed(80, i)))[-1]
-                for i in range(4000)
-            ]
-        )
+        paths = sample_paths(truth, 48, derive_seed(80, np.arange(4000)))
+        finals = np.array([martingale_path(truth, mix, path)[-1] for path in paths])
         sem = finals.std() / math.sqrt(len(finals))
         assert abs(finals.mean()) <= 4 * sem
