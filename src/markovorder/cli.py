@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 config/validation/check failure, 2 IO failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -38,8 +40,10 @@ def _fmt(value) -> str:
 
 
 def _round_floats(obj):
+    """Floats to 12 significant digits; non-finite floats, which JSON cannot
+    hold, to None (written as null)."""
     if isinstance(obj, float):
-        return float(format(obj, ".12g"))
+        return float(format(obj, ".12g")) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -47,30 +51,99 @@ def _round_floats(obj):
     return obj
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` and rename it into place,
+    so ``path`` never holds a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(_round_floats(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(path, (text + "\n").encode())
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    _write_atomic(path, buf.getvalue().encode())
 
 
 def _path_filename(replication: int) -> str:
     return f"path_{replication:05d}.txt"
 
 
+# Path files hold the symbols on one line, in decimal, separated by single
+# spaces.  Symbol s takes widths[s] digits; its digit k, counted from 0 at
+# the right, sits k + 1 bytes before the space (or line end) that follows
+# it.  One routine each way covers every alphabet size.
+def _widths(m: int) -> np.ndarray:
+    return np.array([len(str(s)) for s in range(m)])
+
+
+def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
+    """The symbols as ``" ".join(str(s) for s in symbols)``, in bytes."""
+    widths = _widths(m)
+    digits = np.arange(m) // 10 ** np.arange(widths[-1])[:, None] % 10 + ord("0")
+    width = widths[symbols]
+    ends = np.cumsum(width + 1) - 1
+    buf = np.full(width.sum() + width.size, ord(" "), dtype=np.uint8)
+    for k in range(widths[-1]):
+        at = width > k
+        buf[ends[at] - k - 1] = digits[k, symbols[at]]
+    return buf[:-1].tobytes()
+
+
+def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
+    """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
+    that encoding a path over ``m`` symbols cannot produce."""
+    if not text:
+        return np.zeros(0, dtype=np.int64)
+    raw = np.frombuffer(text, dtype=np.uint8)
+    code = raw - np.uint8(ord("0"))
+    space = raw == ord(" ")
+    bad = (code > 9) & ~space
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ConfigError(
+            f"{source}: symbols: byte {text[at:at + 1]!r} at offset {at} "
+            "is not a digit or a space"
+        )
+    ends = np.append(np.flatnonzero(space), raw.size)
+    width = np.diff(ends, prepend=-1) - 1
+    if not width.all():
+        raise ConfigError(
+            f"{source}: symbols: symbol {int(np.argmin(width))} is empty "
+            "(a leading, trailing or repeated space)"
+        )
+    widths = _widths(m)
+    symbols = code[ends - 1].astype(np.int64)
+    for k in range(1, widths[-1]):
+        symbols += np.where(width > k, code[ends - k - 1], 0).astype(np.int64) * 10**k
+    bad = (symbols >= m) | (widths[np.minimum(symbols, m - 1)] != width)
+    if bad.any():
+        at = int(np.argmax(bad))
+        token = text[ends[at] - width[at]:ends[at]].decode()
+        raise ConfigError(
+            f"{source}: symbol {at} is {token!r}, not one of 0..{m - 1} in decimal"
+        )
+    return symbols
+
+
 def _write_path_file(path, symbols, m: int, seed: int) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"alphabet_size: {m}\n")
-        fh.write(f"n: {len(symbols)}\n")
-        fh.write(f"seed: {seed}\n")
-        fh.write("symbols: " + " ".join(str(int(s)) for s in symbols) + "\n")
+    symbols = np.asarray(symbols, dtype=np.int64)
+    header = f"alphabet_size: {m}\nn: {symbols.shape[0]}\nseed: {seed}\nsymbols: "
+    _write_atomic(path, header.encode() + _encode_symbols(symbols, m) + b"\n")
 
 
 def _check_run_fields(source, fields: dict, expected: dict) -> None:
@@ -85,15 +158,24 @@ def _check_run_fields(source, fields: dict, expected: dict) -> None:
 
 def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
     """Symbols of a path file, checked against the run that reads it."""
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
-            key, _, rest = line.partition(":")
-            fields[key.strip()] = rest.strip()
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    fields, raw = {}, {}
+    for line in lines:
+        key, _, rest = line.partition(b":")
+        key = key.strip().decode("latin-1")
+        fields[key], raw[key] = rest.strip().decode("latin-1"), rest
     _check_run_fields(
-        path, fields, {"alphabet_size": str(m), "seed": str(seed), "symbols": None}
+        path, fields,
+        {"alphabet_size": str(m), "n": None, "seed": str(seed), "symbols": None},
     )
-    symbols = np.array(fields["symbols"].split(), dtype=np.int64)
+    if not raw["symbols"].startswith(b" "):
+        raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
+    symbols = _decode_symbols(path, raw["symbols"][1:], m)
+    if fields["n"] != str(symbols.shape[0]):
+        raise ConfigError(
+            f"{path}: n is {fields['n']!r}, the symbols line holds {symbols.shape[0]}"
+        )
     if symbols.shape[0] < n_max:
         raise ConfigError(
             f"experiment.n_grid: stored path {path} has "
@@ -136,6 +218,11 @@ def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
 def cmd_simulate(config: ExperimentConfig) -> int:
     model = read_model_file(config.model_file)
     os.makedirs(config.out_dir, exist_ok=True)
+    # the manifest is removed first and written last, so a run cut short
+    # never leaves one naming missing path files or those of another run
+    manifest_file = os.path.join(config.out_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_file)
     n_max = max(config.n_grid)
     entries = []
     for i in range(config.replications):
@@ -145,7 +232,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         _write_path_file(os.path.join(config.out_dir, filename), path.symbols, model.m, seed)
         entries.append({"replication": i, "seed": seed, "file": filename})
     _write_json(
-        os.path.join(config.out_dir, "manifest.json"),
+        manifest_file,
         {
             "command": "simulate",
             "master_seed": config.seed,

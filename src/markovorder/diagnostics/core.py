@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .._contexts import context_codes
 from ..counts import ContextCounts, build_counts, extend_counts
@@ -289,11 +288,11 @@ class BoundParams:
         c0 = C * math.sqrt(c1 + 1.0)
         c5 = (8.0 * math.sqrt(c4) + c) * math.sqrt(2.0 * math.pi * math.e)
         amp = math.sqrt(4.0 * c4) * c5
-
-        def integrand(v):
-            return math.sqrt(math.log(amp / v))
-
-        c6, _ = quad(integrand, 0.0, math.sqrt(8.0 * c3), limit=200)
+        # C6 = integral of sqrt(log(amp / v)) over [0, b]; with v = amp e^(-t^2)
+        # it is b s + (amp sqrt(pi) / 2) erfc(s), where b = amp e^(-s^2)
+        b = math.sqrt(8.0 * c3)
+        s = math.sqrt(math.log(amp / b))
+        c6 = b * s + amp * math.sqrt(math.pi) / 2.0 * math.erfc(s)
         object.__setattr__(self, "C3", c3)
         object.__setattr__(self, "C4", c4)
         object.__setattr__(self, "c", c)

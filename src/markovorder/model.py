@@ -13,8 +13,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._contexts import block_digits, context_codes
 from .rng import _as_u64, uniform_block
@@ -143,33 +141,52 @@ def _shift_targets(m: int, order: int) -> np.ndarray:
     return (np.arange(size, dtype=np.int64)[:, None] * m + np.arange(m)) % size
 
 
+def _reach(step: np.ndarray, ok: np.ndarray, starts) -> np.ndarray:
+    """Mask of the contexts reachable from ``starts``, where context c leads
+    to ``step[c, j]`` for each j with ``ok[c, j]``."""
+    seen = np.zeros(step.shape[0], dtype=bool)
+    seen[starts] = True
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        nxt = step[frontier][ok[frontier]]
+        frontier = np.unique(nxt[~seen[nxt]])
+        seen[frontier] = True
+    return seen
+
+
 def _closed_class(model: MarkovModel) -> np.ndarray:
     """Context codes of the unique closed communicating class.
 
     Raises ReducibleChainError if the positive-transition digraph has more
     than one closed strongly connected component (no unique stationary law).
+
+    From a context x, take the contexts ahead of it (reachable) and behind
+    it (reaching it).  If every context ahead is also behind, they form the
+    closed class of x; otherwise x moves to a context ahead but not behind,
+    whose set ahead is strictly smaller.  The class is unique exactly when
+    every context lies behind it.
     """
     m, order = model.m, model.order
     size = m**order
     if size == 1:
         return np.zeros(1, dtype=np.int64)
-    targets = _shift_targets(m, order)
-    src, dst = np.nonzero(model.kernel > 0.0)
-    graph = csr_matrix(
-        (np.ones(src.shape[0], dtype=np.int8), (src, targets[src, dst])),
-        shape=(size, size),
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    # a component is closed iff no positive transition leaves it
-    leaves = labels[src] != labels[targets[src, dst]]
-    open_comps = np.unique(labels[src[leaves]])
-    closed = np.setdiff1d(np.arange(n_comp), open_comps)
-    if closed.shape[0] != 1:
+    ahead_step = _shift_targets(m, order)
+    ahead_ok = model.kernel > 0.0
+    # context c is entered from a * m**(order-1) + c // m on symbol c % m
+    codes = np.arange(size)[:, None]
+    behind_step = np.arange(m) * (size // m) + codes // m
+    behind_ok = ahead_ok[behind_step, codes % m]
+    escapes = [0]
+    while escapes:
+        x = escapes[0]
+        ahead = _reach(ahead_step, ahead_ok, x)
+        escapes = np.flatnonzero(ahead & ~_reach(behind_step, behind_ok, x)).tolist()
+    closed = np.flatnonzero(ahead)
+    if not _reach(behind_step, behind_ok, closed).all():
         raise ReducibleChainError(
-            f"{closed.shape[0]} closed communicating classes; "
-            "no unique stationary law"
+            "more than one closed communicating class; no unique stationary law"
         )
-    return np.nonzero(labels == closed[0])[0]
+    return closed
 
 
 def stationary_distribution(model: MarkovModel) -> np.ndarray:

@@ -3,10 +3,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovorder import MarkovModel, cli, sample_path
 from markovorder.diagnostics import mc as mc_mod
@@ -91,6 +95,80 @@ class TestSimulate:
             stored = np.array(text.splitlines()[-1].split(":")[1].split(), dtype=int)
             direct = sample_path(TWO_STATE, 80, entry["seed"]).symbols
             assert np.array_equal(stored, direct)
+
+
+    @pytest.mark.parametrize("stage", ["encode", "rename"])
+    def test_interrupted_run_leaves_no_manifest_or_partial_file(
+        self, tmp_path, monkeypatch, stage
+    ):
+        # a manifest from an earlier run, then a run whose third path file fails
+        # before its temp file is written (encode) or after (rename)
+        cfg = make_config(tmp_path, reps=4, n_grid="64")
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "1"]) == 0
+        calls = []
+        target, name = (cli, "_encode_symbols") if stage == "encode" else (os, "replace")
+        real = getattr(target, name)
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(target, name, flaky)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        monkeypatch.undo()
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == [cli._path_filename(i) for i in range(4)]
+        for i in range(2):  # the two files written before the failure are whole
+            seed = derive_seed(4242, i)
+            assert np.array_equal(
+                cli._read_path_file(out / cli._path_filename(i), 2, seed, 64),
+                sample_path(TWO_STATE, 64, seed).symbols,
+            )
+
+
+class TestPathFileCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 40),
+        n=st.integers(0, 2000),
+        symbol_seed=st.integers(0, 2**32),
+    )
+    @example(m=1000, n=2000, symbol_seed=0)  # three-digit symbols
+    def test_round_trip_matches_joined_text(self, tmp_path_factory, m, n, symbol_seed):
+        symbols = np.random.default_rng(symbol_seed).integers(0, m, n)
+        path = tmp_path_factory.mktemp("codec") / "path.txt"
+        cli._write_path_file(path, symbols, m, 99)
+        expected = (
+            f"alphabet_size: {m}\nn: {n}\nseed: 99\n"
+            "symbols: " + " ".join(str(int(s)) for s in symbols) + "\n"
+        )
+        assert path.read_bytes() == expected.encode()
+        assert np.array_equal(cli._read_path_file(path, m, 99, n), symbols)
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda h, s: (h, s.replace(b" ", b"  ", 1)), "repeated space"),
+            (lambda h, s: (h, s.replace(b" ", b"\t", 1)), "b'\\t'"),
+            (lambda h, s: (h, b"0x" + s[2:]), "b'x'"),
+            (lambda h, s: (h, b"2" + s[1:]), "'2', not one of 0..1"),
+            (lambda h, s: (h.replace(b"n: 128", b"n: 127"), s), "n is '127'"),
+        ],
+        ids=["double-space", "tab", "letter", "symbol-equal-to-m", "n-mismatch"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, capsys, corrupt, named):
+        cfg = make_config(tmp_path, n_grid="128", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "path_00001.txt"
+        head, symbols = path.read_bytes().split(b"symbols: ")
+        head, symbols = corrupt(head, symbols)
+        path.write_bytes(head + b"symbols: " + symbols)
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "path_00001.txt" in err and named in err and "Traceback" not in err
 
 
 class TestEstimate:
@@ -320,6 +398,24 @@ class TestVerify:
             with open(os.path.join(ROOT, "out", "demo", name), "rb") as fh:
                 assert (tmp_path / name).read_bytes() == fh.read(), name
 
+    def test_undefined_fit_written_as_null(self, tmp_path):
+        # too few usable grid points: the deviation fit is undefined
+        cfg = make_config(
+            tmp_path,
+            extra=(
+                "[verify]\nchecks = deviation\ndeviation_replications = 50\n"
+                "deviation_n = 32\ndeviation_eps_max = 50\ndeviation_eps_count = 3\n"
+            ),
+        )
+        cli.main(["verify", "--config", str(cfg)])
+
+        def reject(name):
+            raise ValueError(f"bare {name} in verification.json")
+
+        text = (tmp_path / "out" / "verification.json").read_text()
+        detail = json.loads(text, parse_constant=reject)["checks"][0]["detail"]
+        assert detail["slope"] is None
+
     def test_unknown_check_named_in_error(self, tmp_path, capsys):
         cfg = make_config(tmp_path, extra="[verify]\nchecks = lemmas\n")
         assert cli.main(["verify", "--config", str(cfg)]) == 1
@@ -391,3 +487,21 @@ class TestExitCodesAndDeterminism:
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s1")])
         cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s2"), "--seed", "7"])
         assert tree_bytes(tmp_path / "s1") != tree_bytes(tmp_path / "s2")
+
+
+def test_runs_without_scipy():
+    # an import of scipy anywhere in the package fails this test
+    script = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import markovorder.cli as cli\n"
+        "from markovorder.diagnostics import BoundParams\n"
+        "from markovorder.model import stationary_distribution\n"
+        f"config = cli.load_config({os.path.join(ROOT, 'configs', 'demo.ini')!r})\n"
+        "stationary_distribution(cli.read_model_file(config.model_file))\n"
+        "BoundParams(0.5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -298,6 +298,19 @@ class TestClosedFormBounds:
         with pytest.raises(ValueError):
             BoundParams(1.0)
 
+    @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+    def test_c6_matches_numeric_integral(self, eta):
+        # C6 = integral of sqrt(log(amp / v)) over [0, sqrt(8 C3)]; with
+        # v = amp exp(-t^2) it is the integral of 2 amp t^2 exp(-t^2) over
+        # [s, inf), s = sqrt(log(amp / sqrt(8 C3))), taken by the trapezoid rule
+        params = BoundParams(eta)
+        amp = math.sqrt(4.0 * params.C4) * params.C5
+        s = math.sqrt(math.log(amp / math.sqrt(8.0 * params.C3)))
+        t, h = np.linspace(s, s + 8.0, 1_000_001, retstep=True)
+        y = 2.0 * amp * t**2 * np.exp(-(t**2))
+        integral = h * (y.sum() - 0.5 * (y[0] + y[-1]))
+        assert params.C6 == pytest.approx(integral, rel=1e-9)
+
 
 class TestBatchSteps:
     @pytest.mark.parametrize("order, depth", [(0, 0), (0, 2), (2, 1), (2, 4)])

@@ -133,6 +133,47 @@ class TestStationary:
             oracle = oracle * base.kernel[digits[:, j - 1], digits[:, j]]
         assert np.abs(pi - oracle).max() < 1e-10
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        order=st.integers(1, 3),
+        kernel_seed=st.integers(0, 2**32),
+        zero_share=st.sampled_from([0.2, 0.5, 0.7, 0.9]),
+    )
+    def test_closed_class_matches_reachability_closure(
+        self, m, order, kernel_seed, zero_share
+    ):
+        # kernels with zeroed entries (never a whole row); the oracle takes the
+        # transitive closure of the positive-transition digraph by squaring
+        rng = np.random.default_rng(kernel_seed)
+        size = m**order
+        kernel = rng.random((size, m))
+        kernel[rng.random((size, m)) < zero_share] = 0.0
+        empty = kernel.sum(axis=1) == 0.0
+        kernel[empty, rng.integers(0, m, int(empty.sum()))] = 1.0
+        model = MarkovModel(kernel / kernel.sum(axis=1, keepdims=True))
+
+        step = np.zeros((size, size), dtype=bool)
+        for c in range(size):
+            for b in range(m):
+                if model.kernel[c, b] > 0.0:
+                    step[c, (c * m + b) % size] = True
+        reach = step | np.eye(size, dtype=bool)
+        for _ in range(size.bit_length()):
+            reach = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        mutual = reach & reach.T
+        # a class is closed when everything it reaches reaches back into it
+        closed = {
+            tuple(np.flatnonzero(mutual[c]))
+            for c in range(size)
+            if not (reach[c] & ~mutual[c]).any()
+        }
+        if len(closed) == 1:
+            assert model_mod._closed_class(model).tolist() == list(closed.pop())
+        else:
+            with pytest.raises(ReducibleChainError):
+                model_mod._closed_class(model)
+
 
 class TestBlockLaw:
     def test_marginal_consistency(self):
