@@ -148,11 +148,15 @@ def _write_path_file(path, symbols, m: int, seed: int) -> None:
 
 def _check_run_fields(source, fields: dict, expected: dict) -> None:
     """Reject a manifest or path file written by another run, naming the
-    field; an expected value of None only requires the field."""
+    field; an expected type (say ``str``) only requires a value of that type,
+    and an expected value requires that value, of its type."""
     for key, value in expected.items():
         if key not in fields:
             raise ConfigError(f"{source}: the {key} field is missing")
-        if value is not None and fields[key] != value:
+        if isinstance(value, type):
+            if not isinstance(fields[key], value):
+                raise ConfigError(f"{source}: {key} is {fields[key]!r}, not a {value.__name__}")
+        elif type(fields[key]) is not type(value) or fields[key] != value:
             raise ConfigError(f"{source}: {key} is {fields[key]!r}, this run has {value!r}")
 
 
@@ -167,7 +171,7 @@ def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
         fields[key], raw[key] = rest.strip().decode("latin-1"), rest
     _check_run_fields(
         path, fields,
-        {"alphabet_size": str(m), "n": None, "seed": str(seed), "symbols": None},
+        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": str},
     )
     if not raw["symbols"].startswith(b" "):
         raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
@@ -192,22 +196,30 @@ def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
     if not os.path.exists(manifest_file):
         return [(i, derive_seed(config.seed, i), None) for i in range(config.replications)]
     with open(manifest_file) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{manifest_file}: not a JSON file: {exc}")
     _check_run_fields(
         manifest_file,
-        manifest,
+        manifest if isinstance(manifest, dict) else {},
         {
             "master_seed": config.seed,
             "model_label": model.label(),
             "replications": config.replications,
-            "paths": None,
+            "paths": list,
         },
     )
+    if len(manifest["paths"]) != config.replications:
+        raise ConfigError(
+            f"{manifest_file}: paths holds {len(manifest['paths'])} entries, "
+            f"this run has {config.replications} replications"
+        )
     for j, entry in enumerate(manifest["paths"]):
         _check_run_fields(
             f"{manifest_file} paths[{j}]",
             entry if isinstance(entry, dict) else {},
-            {"replication": None, "seed": None, "file": None},
+            {"replication": j, "seed": derive_seed(config.seed, j), "file": str},
         )
     return [
         (entry["replication"], entry["seed"], os.path.join(config.out_dir, entry["file"]))

@@ -188,6 +188,11 @@ def load_config(path: str) -> ExperimentConfig:
             verify.candidate_file = candidate
         if not 0.0 < verify.eta < 1.0:
             raise ConfigError("verify.eta: must lie in (0, 1)")
+        if verify.typicality_n_small >= verify.typicality_n_large:
+            raise ConfigError(
+                f"verify.typicality_n_small ({verify.typicality_n_small}) must be below "
+                f"verify.typicality_n_large ({verify.typicality_n_large})"
+            )
 
     return ExperimentConfig(
         model_file=model_file,

@@ -187,3 +187,13 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
     )
     tail = spliced[spliced.shape[0] - cap :].copy()
     return ContextCounts(m, cap, counts.n + new.shape[0], codes, totals, counts.head, tail)
+
+
+def prefix_counts(symbols, lengths, depth_cap: int, m: int):
+    """Yield the counts of the prefixes x_{1:n} for the increasing
+    ``lengths``: built at the first, then extended, never rebuilt."""
+    counts = build_counts(symbols[: lengths[0]], depth_cap, m)
+    yield counts
+    for n in lengths[1:]:
+        counts = extend_counts(counts, symbols[counts.n : n])
+        yield counts

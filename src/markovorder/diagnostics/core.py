@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._contexts import context_codes
-from ..counts import ContextCounts, build_counts, extend_counts
+from ..counts import ContextCounts, prefix_counts
 from ..likelihood import MixtureKernel, log_ratio_rows
 from ..model import MarkovModel, stationary_block_law
 
@@ -50,6 +50,22 @@ class TypicalityReport:
     holds: bool
 
 
+def typicality_deviations(truth: MarkovModel, context_counts, n: int) -> list:
+    """Worst relative deviation ``|N(a) / ((n-d) P*(a)) - 1|`` over the
+    supported depth-d contexts a, for each depth d.
+
+    ``context_counts[d]`` holds the depth-d counts of an n-symbol path, with
+    any leading lane axes; the result holds one array (or scalar) per depth.
+    """
+    devs = []
+    for d, freq in enumerate(context_counts):
+        p = stationary_block_law(truth, d)
+        supported = p > 0.0
+        ratio = freq[..., supported] / ((n - d) * p[supported])
+        devs.append(np.abs(ratio - 1.0).max(axis=-1, initial=0.0))
+    return devs
+
+
 def typicality_check(
     truth: MarkovModel, counts: ContextCounts, eta: float, rho_n: int
 ) -> TypicalityReport:
@@ -62,19 +78,9 @@ def typicality_check(
         raise ValueError("eta must lie in (0, 1)")
     if rho_n > counts.depth_cap:
         raise ValueError(f"rho {rho_n} exceeds the depth cap {counts.depth_cap}")
-    n = counts.n
-    devs = []
-    for r in range(rho_n):
-        p = stationary_block_law(truth, r)
-        freq = counts.context_counts(r)
-        supported = p > 0.0
-        if not supported.any():
-            devs.append(0.0)
-            continue
-        ratio = freq[supported] / ((n - r) * p[supported])
-        devs.append(float(np.abs(ratio - 1.0).max()))
-    holds = all(d < eta for d in devs)
-    return TypicalityReport(eta, rho_n, tuple(devs), holds)
+    by_depth = [counts.context_counts(r) for r in range(rho_n)]
+    devs = tuple(float(d) for d in typicality_deviations(truth, by_depth, counts.n))
+    return TypicalityReport(eta, rho_n, devs, all(d < eta for d in devs))
 
 
 def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
@@ -89,17 +95,18 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
     half = length // 2
     if rho > half // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {half // 2}")
-    cap = min(rho, half - 1)
-    prefix = build_counts(symbols[:half], cap, truth.m)
-    if not typicality_check(truth, prefix, eta, rho).holds:
-        return False
-    full = extend_counts(prefix, symbols[half:])
-    return typicality_check(truth, full, eta, rho).holds
+    # the prefix table is extended only when the prefix is typical
+    tables = prefix_counts(symbols, (half, length), min(rho, half - 1), truth.m)
+    return all(typicality_check(truth, counts, eta, rho).holds for counts in tables)
 
 
-def _check_pair(mix_a: MixtureKernel, mix_b: MixtureKernel):
+def _weighted_hellinger(weights, mix_a: MixtureKernel, mix_b: MixtureKernel) -> float:
+    """``sum_a w(a) sum_b (sqrt A(b|a) - sqrt B(b|a))**2`` over the contexts
+    a of the kernels' common order."""
     if mix_a.order != mix_b.order or mix_a.m != mix_b.m:
         raise ValueError("kernels must share one order and alphabet")
+    gap = (np.sqrt(mix_a.table) - np.sqrt(mix_b.table)) ** 2
+    return float((weights * gap.sum(axis=1)).sum())
 
 
 def hellinger_path_distance(
@@ -110,20 +117,14 @@ def hellinger_path_distance(
     ``sum_a N(a) sum_b (sqrt A(b|a) - sqrt B(b|a))**2`` at the kernels'
     common order.
     """
-    _check_pair(mix_a, mix_b)
-    weights = counts.context_counts(mix_a.order)
-    gap = (np.sqrt(mix_a.table) - np.sqrt(mix_b.table)) ** 2
-    return float((weights * gap.sum(axis=1)).sum())
+    return _weighted_hellinger(counts.context_counts(mix_a.order), mix_a, mix_b)
 
 
 def hellinger_stationary_distance(
     truth: MarkovModel, mix_a: MixtureKernel, mix_b: MixtureKernel
 ) -> float:
     """Stationary-weighted squared Hellinger distance between two kernels."""
-    _check_pair(mix_a, mix_b)
-    weights = stationary_block_law(truth, mix_a.order)
-    gap = (np.sqrt(mix_a.table) - np.sqrt(mix_b.table)) ** 2
-    return float((weights * gap.sum(axis=1)).sum())
+    return _weighted_hellinger(stationary_block_law(truth, mix_a.order), mix_a, mix_b)
 
 
 def bernstein_norm(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..counts import build_counts, extend_counts
+from ..counts import build_counts, prefix_counts
 from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
 from ..model import (
     MarkovModel,
@@ -40,17 +40,17 @@ from .core import (
     bracket_grid,
     bracket_log_envelopes,
     entropy_bound,
-    event_F,
     hellinger_path_distance,
     hellinger_stationary_distance,
     phi,
     typicality_check,
+    typicality_deviations,
 )
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_LANES = 1 << 16  # lanes stepped together in one chunk
-CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables
+CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
 
 
 def _batch_steps(truth: MarkovModel, n: int, seeds: np.ndarray, depth: int):
@@ -71,6 +71,29 @@ def _chunks(total: int, size: int):
     while start < total:
         yield start, min(start + size, total)
         start += size
+
+
+def _lane_context_counts(windows, head, recent, i: int, m: int, length: int, rho: int):
+    """Each lane's depth-d context counts on its first i symbols, d < rho.
+
+    ``windows`` tallies each lane's length-``length`` windows ending at
+    positions length..i (newest symbol least significant), ``head`` codes its
+    first min(length - 1, i) symbols and ``recent`` its newest ones.  As in
+    ``ContextCounts.window_counts``, the depth-d counts are the windows read
+    modulo m**d, plus the d-blocks inside the head, minus the d-block that
+    ends at position i (no next symbol follows it yet).
+    """
+    lanes = head.shape[0]
+    rows = np.arange(lanes)
+    h = min(length - 1, i)
+    out = []
+    for d in range(rho):
+        freq = windows.reshape(lanes, m ** (length - d), m**d).sum(axis=1, dtype=np.int64)
+        for s in range(h - d + 1):
+            freq[rows, head // m ** (h - d - s) % m**d] += 1
+        freq[rows, recent % m**d] -= 1
+        out.append(freq)
+    return out
 
 
 # -- martingale maximum vs the closed-form tail ------------------------------
@@ -206,33 +229,34 @@ def deviation_tail_mc(
     m, r0 = truth.m, truth.order
     length = 2 * n
     size_r = m**r
+    # a lane's typicality counts come from one table of its windows of this
+    # length; at length r + 1 that is the overshoot's own transition table
+    window = max(r + 1, rho - 1)
+    extra = m**window if window > r + 1 else 0
     log_t0 = np.where(truth.kernel > 0.0, np.log(np.where(truth.kernel > 0.0, truth.kernel, 1.0)), 0.0)
-    typ_depths = [d for d in range(1, rho)]
-    block_laws = {d: stationary_block_law(truth, d) for d in typ_depths}
     eps = np.array([float(e) for e in eps_grid])
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0
     depth = max(r, rho - 1, r0)
-    lane_bytes = 4 * (m ** (r + 1) + size_r + sum(m**d for d in typ_depths))  # int32 tables
+    lane_bytes = 4 * (m ** (r + 1) + size_r + extra)  # int32 tables
     for lo, hi in _chunks(replications, max(1, min(MAX_LANES, CHUNK_BYTES // lane_bytes))):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
-        rep_idx = np.arange(reps, dtype=np.int64)
         run = RunningOvershoot(reps, m, r, length)
-        typ = {d: np.zeros(reps * m**d, dtype=np.int32) for d in typ_depths}
+        windows = np.zeros(reps * extra, dtype=np.int32) if extra else run.trans
+        lane_at = np.arange(reps, dtype=np.int64) * extra
+        head = np.zeros(reps, dtype=np.int64)
         good = np.ones(reps, dtype=bool)
         for i, ctx, sym in _batch_steps(truth, length, seeds, depth):
-            for d in typ_depths:
-                if i > d:
-                    typ[d][rep_idx * m**d + ctx % m**d] += 1
+            if i < window:
+                head = ctx * m + sym  # the first i symbols
+            elif extra:
+                windows[lane_at + (ctx * m + sym) % extra] += 1
             if i > r:
                 run.step(ctx % size_r, sym, log_t0[ctx % m**r0, sym], i >= n)
             if i == n or i == length:
-                for d in typ_depths:
-                    law = block_laws[d]
-                    supported = law > 0.0
-                    freq = typ[d].reshape(reps, m**d)[:, supported].astype(np.float64)
-                    dev = np.abs(freq / ((i - d) * law[supported]) - 1.0).max(axis=1)
+                counts = _lane_context_counts(windows, head, ctx * m + sym, i, m, window, rho)
+                for dev in typicality_deviations(truth, counts, i):
                     good &= dev < eta
         f_count += int(np.count_nonzero(good))
         for j in range(eps.shape[0]):
@@ -346,17 +370,15 @@ def typicality_trend(
     seed: int,
 ) -> TypicalityTrendReport:
     """How often the typicality event holds at two path lengths."""
-    small = large = 0
-    for i in range(seeds):
-        path = sample_path(truth, n_large, derive_seed(seed, i))
-        cap = min(rho, n_small - 1)
-        counts_small = build_counts(path.symbols[:n_small], cap, truth.m)
-        rep_small = typicality_check(truth, counts_small, eta, rho)
-        counts_large = extend_counts(counts_small, path.symbols[n_small:])
-        rep_large = typicality_check(truth, counts_large, eta, rho)
-        small += rep_small.holds
-        large += rep_large.holds
-    return TypicalityTrendReport(eta, rho, n_small, n_large, seeds, small, large)
+    if n_small >= n_large:
+        raise ValueError(f"n_small {n_small} must be below n_large {n_large}")
+    holds = [0, 0]
+    for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // (8 * n_large))):  # int64 paths
+        for path in sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi))):
+            tables = prefix_counts(path, (n_small, n_large), min(rho, n_small - 1), truth.m)
+            for k, counts in enumerate(tables):
+                holds[k] += typicality_check(truth, counts, eta, rho).holds
+    return TypicalityTrendReport(eta, rho, n_small, n_large, seeds, *holds)
 
 
 # -- instance batteries for the distance and norm comparisons ----------------
@@ -422,6 +444,8 @@ def hellinger_sandwich_battery(
     skipped (the comparison presumes it), up to 20 attempts per instance;
     the compared kernels have order 2."""
     r = 2
+    if rho > n // 2:
+        raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
     c3 = 4.0 * (1.0 + eta) / (1.0 - eta)
     c4 = 1.0 / (1.0 - eta)
     accepted = attempts = violations = 0
@@ -431,15 +455,15 @@ def hellinger_sandwich_battery(
         attempts += 1
         truth = random_model(2, 1, derive_seed(base, 1), floor=0.15)
         path = sample_path(truth, 2 * n, derive_seed(base, 2))
-        if not event_F(truth, path, eta, rho):
+        # one table serves the typicality event and all three distances
+        counts_n, counts_2n = prefix_counts(path.symbols, (n, 2 * n), max(rho, r), 2)
+        if not all(typicality_check(truth, c, eta, rho).holds for c in (counts_n, counts_2n)):
             continue
         accepted += 1
         p_a = random_model(2, r, derive_seed(base, 3))
         p_b = random_model(2, r, derive_seed(base, 4))
         mix_a = mixture_kernel(p_a, truth, r)
         mix_b = mixture_kernel(p_b, truth, r)
-        counts_n = build_counts(path.symbols[:n], r, 2)
-        counts_2n = extend_counts(counts_n, path.symbols[n:])
         h_n = hellinger_path_distance(counts_n, mix_a, mix_b)
         h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
         h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .counts import ContextCounts, build_counts, extend_counts
+from .counts import ContextCounts, prefix_counts
 from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
 from .model import MarkovModel, sample_path, stationary_block_law, true_order
 from .penalty import CutoffSpec, PenaltySpec, cutoff_value, penalty_value
@@ -114,14 +114,7 @@ def grid_logliks(symbols: np.ndarray, m: int, cut: CutoffSpec, n_grid, depth_cap
 
     Counts are extended from one grid length to the next, never rebuilt.
     """
-    counts: ContextCounts | None = None
-    prev = 0
-    for n in n_grid:
-        if counts is None:
-            counts = build_counts(symbols[:n], depth_cap, m)
-        else:
-            counts = extend_counts(counts, symbols[prev:n])
-        prev = n
+    for n, counts in zip(n_grid, prefix_counts(symbols, n_grid, depth_cap, m)):
         yield n, max_loglik_vector(counts, cutoff_value(cut, n, m))
 
 

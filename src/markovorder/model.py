@@ -62,7 +62,7 @@ class MarkovModel:
             order += 1
         if m**order != rows:
             raise ValueError(f"kernel has {rows} rows, expected a power of {m}")
-        if np.any(kernel < 0) or np.any(kernel > 1):
+        if not np.all((kernel >= 0) & (kernel <= 1)):  # NaN fails too
             raise ValueError("kernel entries must lie in [0, 1]")
         row_sums = kernel.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
@@ -79,7 +79,7 @@ class MarkovModel:
             initial = np.array(initial, dtype=np.float64)
             if initial.shape != (rows,):
                 raise ValueError(f"initial law must have shape ({rows},)")
-            if np.any(initial < 0) or abs(initial.sum() - 1.0) > ROW_SUM_TOL:
+            if not (np.all(initial >= 0) and abs(initial.sum() - 1.0) <= ROW_SUM_TOL):
                 raise ValueError("initial law must be a probability vector")
             initial.setflags(write=False)
             self._initial = initial
@@ -500,37 +500,41 @@ def read_model_file(path) -> MarkovModel:
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
-        if key == "alphabet_size":
-            fields["m"] = int(rest)
+        if key in ("alphabet_size", "order"):
+            least = 2 if key == "alphabet_size" else 0
+            if not rest.isdecimal() or int(rest) < least:
+                raise ValueError(f"model file {key}: expected an integer >= {least}, got {rest!r}")
+            fields[key] = int(rest)
             i += 1
-        elif key == "order":
-            fields["order"] = int(rest)
-            i += 1
-        elif key == "kernel":
-            if "m" not in fields or "order" not in fields:
-                raise ValueError("kernel section must follow alphabet_size and order")
-            m, order = int(fields["m"]), int(fields["order"])
-            rows = []
-            i += 1
-            for _ in range(m**order):
-                if i >= len(lines):
-                    raise ValueError("kernel section is truncated")
-                rows.append([float(v) for v in lines[i].split()])
-                i += 1
-            fields["kernel"] = rows
-        elif key == "initial":
-            m, order = int(fields["m"]), int(fields["order"])
+        elif key in ("kernel", "initial"):
+            if "alphabet_size" not in fields or "order" not in fields:
+                raise ValueError(f"model file {key}: must follow alphabet_size and order")
+            m, order = fields["alphabet_size"], fields["order"]
+            # context codes are int64; an order past that fits no kernel
+            if order >= 63 or m**order >= 2**63:
+                raise ValueError(f"model file order: {m}**{order} contexts overflow int64 codes")
             needed = m**order
-            values = [float(v) for v in rest.split()]
             i += 1
-            while len(values) < needed and i < len(lines) and ":" not in lines[i]:
-                values.extend(float(v) for v in lines[i].split())
-                i += 1
-            if len(values) != needed:
-                raise ValueError(
-                    f"initial law has {len(values)} entries, expected {needed}"
-                )
-            fields["initial"] = values
+            if key == "kernel":
+                rows = []
+                for k in range(needed):
+                    if i >= len(lines):
+                        raise ValueError("kernel section is truncated")
+                    rows.append([float(v) for v in lines[i].split()])
+                    if len(rows[k]) != m:
+                        raise ValueError(f"kernel row {k} has {len(rows[k])} entries, not {m}")
+                    i += 1
+                fields["kernel"] = rows
+            else:
+                values = [float(v) for v in rest.split()]
+                while len(values) < needed and i < len(lines) and ":" not in lines[i]:
+                    values.extend(float(v) for v in lines[i].split())
+                    i += 1
+                if len(values) != needed:
+                    raise ValueError(
+                        f"initial law has {len(values)} entries, expected {needed}"
+                    )
+                fields["initial"] = values
         else:
             raise ValueError(f"unknown model file key: {key!r}")
     if "kernel" not in fields:

@@ -128,6 +128,32 @@ class TestSimulate:
             )
 
 
+class TestModelFile:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (
+                "initial: 0.5 0.5\nalphabet_size: 2\norder: 1\nkernel:\n0.5 0.5\n0.5 0.5\n",
+                "model file initial: must follow alphabet_size and order",
+            ),
+            ("alphabet_size: 2\norder: -1\nkernel:\n0.5 0.5\n", "model file order"),
+            ("alphabet_size: 2\norder: 99\nkernel:\n0.5 0.5\n", "model file order"),
+            ("alphabet_size: 2\norder: 1\nkernel:\nnan nan\n0.5 0.5\n", "kernel entries"),
+            (
+                "alphabet_size: 2\norder: 2\nkernel:\n" + "0.25 0.25 0.25 0.25\n" * 4,
+                "kernel row 0 has 4 entries, not 2",
+            ),
+        ],
+        ids=["initial-first", "negative-order", "order-past-int64", "nan-kernel", "row-width"],
+    )
+    def test_bad_model_file_named(self, tmp_path, capsys, text, named):
+        cfg = make_config(tmp_path, n_grid="64")
+        (tmp_path / "chain.model").write_text(text)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
 class TestPathFileCodec:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -223,6 +249,31 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert f"the {key} field is missing" in err and "manifest.json" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda m: m.update(paths=5), "manifest.json: paths is 5, not a list"),
+            (lambda m: m["paths"][0].update(file=3), "manifest.json paths[0]: file is 3, not a str"),
+            (lambda m: m["paths"][1].update(replication=[1]), "paths[1]: replication is [1]"),
+            (lambda m: m["paths"][1].update(seed=1.5), "paths[1]: seed is 1.5"),
+            (lambda m: m.update(paths=[]), "paths holds 0 entries"),
+            (lambda m: m.update(paths=m["paths"][:1]), "paths holds 1 entries"),
+        ],
+        ids=["paths-int", "file-int", "replication-list", "seed-float", "no-paths", "short-paths"],
+    )
+    def test_manifest_field_of_wrong_type_rejected(self, tmp_path, capsys, mutate, named):
+        cfg = make_config(tmp_path, n_grid="128", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        manifest_file = tmp_path / "out" / "manifest.json"
+        manifest = json.loads(manifest_file.read_text())
+        mutate(manifest)
+        manifest_file.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "estimates.csv").exists()
 
     @pytest.mark.parametrize(
         "old, new, field",
@@ -416,6 +467,19 @@ class TestVerify:
         detail = json.loads(text, parse_constant=reject)["checks"][0]["detail"]
         assert detail["slope"] is None
 
+    def test_typicality_lengths_must_increase(self, tmp_path, capsys):
+        cfg = make_config(
+            tmp_path,
+            extra=(
+                "[verify]\nchecks = typicality\n"
+                "typicality_n_small = 20000\ntypicality_n_large = 1024\n"
+            ),
+        )
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "verify.typicality_n_small" in err and "verify.typicality_n_large" in err
+        assert not (tmp_path / "out" / "verification.json").exists()
+
     def test_unknown_check_named_in_error(self, tmp_path, capsys):
         cfg = make_config(tmp_path, extra="[verify]\nchecks = lemmas\n")
         assert cli.main(["verify", "--config", str(cfg)]) == 1
@@ -505,3 +569,76 @@ def test_runs_without_scipy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+# -- fuzzed model files and manifests: a named failure, never a traceback -----
+
+# names without "/", "\" or ".", so a fuzzed path-file name stays inside the
+# output directory
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(blacklist_characters="/\\."), max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+NUMBERS = st.lists(
+    st.sampled_from(["0", "0.5", "1", "0.25", "0.75", "-1", "2", "nan", "inf", "x"]), max_size=4
+).map(" ".join)
+MODEL_LINES = st.lists(
+    st.one_of(
+        st.builds("alphabet_size: {}".format, st.integers(-2, 4) | st.text(max_size=3)),
+        st.builds("order: {}".format, st.integers(-2, 3) | st.sampled_from([63, 10**30])),
+        st.just("kernel:"),
+        st.builds("initial: {}".format, NUMBERS),
+        NUMBERS,
+        st.text(max_size=10),
+    ),
+    max_size=8,
+)
+
+
+def _fuzz_config(root) -> str:
+    cfg = root / "exp.ini"
+    cfg.write_text(
+        "[model]\nfile = chain.model\n[experiment]\nn_grid = 16 24\nreplications = 2\n"
+        f"seed = 5\nout = {root / 'out'}\n"
+    )
+    return str(cfg)
+
+
+def _maybe_replace(data, value):
+    """``value`` with some of its parts, or all of it, replaced by arbitrary JSON."""
+    if data.draw(st.integers(0, 4)) == 0:
+        return data.draw(JSON)
+    if isinstance(value, dict):
+        return {key: _maybe_replace(data, item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_maybe_replace(data, item) for item in value]
+    return value
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=60, deadline=None)
+    @given(lines=MODEL_LINES)
+    @example(lines=["alphabet_size: 2", "order: 1", "kernel:", "0.5 0.5", "0.25 0.75"])
+    def test_model_file_text(self, tmp_path_factory, lines):
+        root = tmp_path_factory.mktemp("model")
+        (root / "chain.model").write_text("\n".join(lines) + "\n")
+        cfg = _fuzz_config(root)
+        for command in ("simulate", "estimate"):
+            assert cli.main([command, "--config", cfg]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_manifest_json(self, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("manifest")
+        write_model_file(TWO_STATE, root / "chain.model")
+        cfg = _fuzz_config(root)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        manifest_file = root / "out" / "manifest.json"
+        manifest = _maybe_replace(data, json.loads(manifest_file.read_text()))
+        manifest_file.write_text(json.dumps(manifest))
+        assert cli.main(["estimate", "--config", cfg]) in (0, 1, 2)

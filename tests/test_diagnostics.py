@@ -1,14 +1,18 @@
 """Typicality, distances, norms, brackets, bounds, and the MC verifiers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from markovorder import (
     MarkovModel,
     MixtureKernel,
     build_counts,
+    delta_running_max,
     mixture_kernel,
     random_model,
     sample_path,
@@ -35,6 +39,8 @@ from markovorder.diagnostics import (
     typicality_check,
     typicality_trend,
 )
+from markovorder._contexts import context_codes
+from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import lift_kernel, stationary_block_law
 from markovorder.penalty import SubLogCutoff
@@ -124,6 +130,23 @@ class TestEventF:
         report = typicality_trend(TWO_STATE, 0.5, 3, 2**10, 2**14, 20, seed=5)
         assert report.improving
         assert 0 <= report.holds_small <= 20 and report.holds_large <= 20
+
+    def test_typicality_trend_matches_event_per_path(self, monkeypatch):
+        report = typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9)
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 8 * 512 * 7)  # 7 paths per chunk
+        assert typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9) == report
+        small = large = 0
+        for i in range(30):
+            path = sample_path(TWO_STATE, 512, derive_seed(9, i)).symbols
+            small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3).holds
+            large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3).holds
+        assert (report.holds_small, report.holds_large) == (small, large)
+        assert 0 < small < 30  # the comparison is not between two constants
+
+    @pytest.mark.parametrize("n_small, n_large", [(2**14, 2**10), (1024, 1024)])
+    def test_typicality_trend_needs_growing_paths(self, n_small, n_large):
+        with pytest.raises(ValueError, match="n_small"):
+            typicality_trend(TWO_STATE, 0.5, 3, n_small, n_large, 4, seed=5)
 
 
 class TestHellingerDistances:
@@ -399,7 +422,7 @@ class TestDeviationTail:
     def test_chunking_invariant(self, monkeypatch):
         kwargs = dict(eps_grid=[0.0, 1.0, 2.0], replications=3000, eta=0.5, rho=3, seed=8)
         whole = deviation_tail_mc(TWO_STATE, 2, 32, **kwargs)
-        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 72 * 700)  # 700 lanes of 72 bytes
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 48 * 700)  # 700 lanes of 48 bytes
         sizes, chunks = [], mc_mod._chunks
         monkeypatch.setattr(
             mc_mod, "_chunks", lambda total, size: sizes.append(size) or chunks(total, size)
@@ -411,6 +434,50 @@ class TestDeviationTail:
     def test_order_must_exceed_truth(self):
         with pytest.raises(ValueError):
             deviation_tail_mc(TWO_STATE, 1, 64, [0.0], 10**4, eta=0.5, rho=3, seed=1)
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        r_true=st.integers(0, 1),
+        gap=st.integers(1, 2),
+        rho=st.integers(1, 5),
+        n=st.integers(8, 64),
+        eta=st.sampled_from([0.5, 0.9, 0.99]),
+        seed=st.integers(0, 2**32),
+    )
+    # the window table is the overshoot's (rho - 1 <= r + 1) or one of its own
+    @example(m=2, r_true=1, gap=1, rho=3, n=64, eta=0.5, seed=1)
+    @example(m=3, r_true=0, gap=2, rho=3, n=48, eta=0.9, seed=2)
+    @example(m=2, r_true=0, gap=1, rho=4, n=64, eta=0.99, seed=3)
+    @example(m=2, r_true=1, gap=1, rho=5, n=64, eta=0.99, seed=4)
+    def test_matches_per_lane_reference(self, m, r_true, gap, rho, n, eta, seed):
+        r = r_true + gap
+        assume(rho <= n // 2 and r < n)
+        truth = random_model(m, r_true, seed, floor=0.8 / m)  # typical paths are common
+        eps = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+        lanes = 200
+        seen = []  # (i, per-depth lane counts) at each typicality check
+
+        def recording(truth_, counts, i):
+            seen.append((i, [c.copy() for c in counts]))
+            return core_mod.typicality_deviations(truth_, counts, i)
+
+        with mock.patch.object(mc_mod, "typicality_deviations", recording):
+            report = deviation_tail_mc(truth, r, n, eps, lanes, eta, rho, seed)
+        assert [i for i, _ in seen] == [n, 2 * n]
+        events, hits = 0, [0] * len(eps)
+        for lane in range(lanes):
+            path = sample_path(truth, 2 * n, derive_seed(seed, lane))
+            for i, counts in seen:
+                for d, freq in enumerate(counts):
+                    ref = np.bincount(context_codes(path.symbols[:i], d, m), minlength=m**d)
+                    assert freq[lane].tolist() == ref.tolist()
+            if event_F(truth, path, eta, rho):
+                events += 1
+                delta = delta_running_max(truth, path, r, n, 2 * n)
+                hits = [h + (delta >= e) for h, e in zip(hits, eps)]
+        assert round(report.event_rate * lanes) == events
+        assert [round(row.frequency * lanes) for row in report.rows][1:] == hits[1:]
 
 
 class TestLilTrajectory:
