@@ -9,20 +9,30 @@ from __future__ import annotations
 
 import numpy as np
 
+# window_codes runs its Horner passes over this many codes at a time, so
+# that each pass reads and writes a chunk still in cache
+CODE_CHUNK = 1 << 15
+
 
 def window_codes(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
     """Codes of every length-``length`` window of ``symbols``.
 
     Entry ``t`` encodes ``symbols[t:t+length]``; the result has
     ``n - length + 1`` entries (none when ``length > n``).  Computed by
-    Horner's rule from the oldest symbol, in place.
+    Horner's rule from the oldest symbol, in place, one chunk of
+    ``CODE_CHUNK`` entries at a time.
     """
     x = np.asarray(symbols, dtype=np.int64)
     count = max(x.shape[0] - length + 1, 0)
-    codes = np.zeros(count, dtype=np.int64)
-    for j in range(length):
-        codes *= m
-        codes += x[j : j + count]
+    if not length:
+        return np.zeros(count, dtype=np.int64)
+    codes = np.empty(count, dtype=np.int64)
+    for start in range(0, count, CODE_CHUNK):
+        chunk = codes[start : start + CODE_CHUNK]
+        chunk[:] = x[start : start + chunk.shape[0]]
+        for j in range(start + 1, start + length):
+            chunk *= m
+            chunk += x[j : j + chunk.shape[0]]
     return codes
 
 

@@ -221,6 +221,13 @@ def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
             entry if isinstance(entry, dict) else {},
             {"replication": j, "seed": derive_seed(config.seed, j), "file": str},
         )
+        name = entry["file"]
+        # a path file lies in the output directory: a plain file name only
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ConfigError(
+                f"{manifest_file} paths[{j}]: file is {name!r}, not a file name "
+                "in the output directory"
+            )
     return [
         (entry["replication"], entry["seed"], os.path.join(config.out_dir, entry["file"]))
         for entry in manifest["paths"]

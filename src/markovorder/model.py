@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._contexts import block_digits, context_codes
-from .rng import _as_u64, uniform_block
+from .rng import _as_u64, raw53_block, uniform_block
 
 ROW_SUM_TOL = 1e-12
 KERNEL_EQ_TOL = 1e-12
@@ -28,6 +28,9 @@ POWER_ITER_MAX = 10**6
 BLOCK_CELLS = 1 << 14
 MIN_BLOCK = 16
 UNIFORM_CELLS = 1 << 16
+# a draw k = raw53_block(...) is the uniform k * 2**-53; no draw reaches
+# the threshold NEVER
+NEVER = 1 << 53
 
 NEG_INF = float("-inf")
 
@@ -308,24 +311,28 @@ def kernel_at_true_order(model: MarkovModel) -> np.ndarray:
 
 
 def _thresholds(probs: np.ndarray) -> np.ndarray:
-    """Cumulative sums of each row of ``probs`` without the last column.
+    """Cumulative sums t of each row of ``probs`` without the last column,
+    as the uint64 integers ``ceil(t * 2**53)``.
 
-    A uniform u picks the number of a row's thresholds that are <= u,
-    which is ``bisect_right`` on the cumulative row clipped to m - 1.
-    Thresholds from the row's last positive entry on are +inf, so a u at
-    or above a row sum just short of 1 never picks a zero-probability
-    symbol.
+    A uniform u picks the number of a row's thresholds t <= u, which is
+    ``bisect_right`` on the cumulative row clipped to m - 1.  The sampler
+    reads u as the draw k of ``raw53_block``, u = k * 2**-53 exactly, and
+    for an integer k, t <= u exactly when ceil(t * 2**53) <= k (scaling by
+    2**53 is exact).  Thresholds from the row's last positive entry on are
+    NEVER, so a u at or above a row sum just short of 1 never picks a
+    zero-probability symbol.
     """
     cum = np.cumsum(probs, axis=-1)[..., :-1]
     last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
-    cum[np.arange(cum.shape[-1]) >= np.expand_dims(last, -1)] = np.inf
-    return cum
+    ticks = np.ceil(cum * 2.0**53).astype(np.uint64)
+    ticks[np.arange(cum.shape[-1]) >= np.expand_dims(last, -1)] = NEVER
+    return ticks
 
 
 def _initial_codes(model: MarkovModel, seeds: np.ndarray) -> np.ndarray:
-    """Initial context code of every lane, from uniform 0 of its stream."""
-    u0 = uniform_block(seeds, 0, 1)[:, 0]
-    return np.searchsorted(_thresholds(model.initial), u0, side="right")
+    """Initial context code of every lane, from draw 0 of its stream."""
+    k0 = raw53_block(seeds, 0, 1)[:, 0]
+    return np.searchsorted(_thresholds(model.initial), k0, side="right")
 
 
 def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
@@ -334,16 +341,16 @@ def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
     Row g steps on stream ``seeds[g]`` at positions ``positions[g]``,
     ``positions[g] + 1``, ..., one numpy step per symbol, and yields
     ``(ctx, sym)`` after each step.  Columns of one row read the same
-    uniforms, so once they meet they stay together (a grand coupling); when
+    draws, so once they meet they stay together (a grand coupling); when
     all columns of every row agree the width collapses to one.
     """
     columns = _thresholds(model.kernel).T
     targets = _shift_targets(model.m, model.order).ravel()
     chunk = max(1, UNIFORM_CELLS // max(seeds.shape[0], 1))
     for j in range(0, steps, chunk):
-        block = uniform_block(seeds, positions + np.uint64(j), min(chunk, steps - j))
-        for u in block.T[:, :, None]:
-            sym = sum(column[ctx] <= u for column in columns)
+        block = raw53_block(seeds, positions + np.uint64(j), min(chunk, steps - j))
+        for k in block.T[:, :, None]:
+            sym = sum(column[ctx] <= k for column in columns)
             ctx = targets[ctx * model.m + sym]
             if ctx.shape[1] > 1 and (ctx == ctx[:, :1]).all():
                 ctx, sym = ctx[:, :1], sym[:, :1]
@@ -360,10 +367,11 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     The n - r kernel steps of each lane are cut into equal blocks.  A first
     pass steps every block from every start context at once and keeps the
     context each one ends in; composing these block maps gives every
-    block's start from the lane's initial context, and a second pass
-    replays each block from its start and writes its symbols.  This is a
-    scan over finite-state maps (Blelloch, "Prefix sums and their
-    applications", 1990).
+    block's start from the lane's initial context.  This is a scan over
+    finite-state maps (Blelloch, "Prefix sums and their applications",
+    1990).  Once all start columns have coalesced, a block's symbols no
+    longer depend on its start, so the first pass writes them; a second
+    pass replays each block from its start only up to that step.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
@@ -373,14 +381,22 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     init = _initial_codes(model, seeds)
     steps = max(n - r, 0)
     blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
-    length = -(-steps // blocks)
+    # an odd block length keeps the column stores body[:, :, j] off a
+    # power-of-two row stride, whose blocks all land on the same cache sets
+    length = (-(-steps // blocks) | 1) if blocks > 1 else steps
     firsts = np.uint64(1) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
     rows = (np.repeat(seeds, blocks), np.tile(firsts, lanes))
     starts = np.repeat(init, blocks).reshape(lanes, blocks)
+    out = np.empty((lanes, r + blocks * length), dtype=np.int64)
+    out[:, :r] = block_digits(init, r, m)
+    body = out[:, r:].reshape(lanes, blocks, length)
+    replay = length  # the steps before the start columns coalesce
     if blocks > 1:
         every = np.broadcast_to(np.arange(size), (lanes * blocks, size))
-        for ends, _ in _advance(model, *rows, every, length):
-            pass
+        for j, (ends, sym) in enumerate(_advance(model, *rows, every, length)):
+            if ends.shape[1] == 1:  # coalesced, and it stays so
+                body[:, :, j] = sym.reshape(lanes, blocks)
+                replay = min(replay, j)
         # compose the block maps by doubling (each right-hand side is read
         # whole before it is stored); afterwards maps[:, b] sends a start
         # context of block 0 to the end context of block b
@@ -390,10 +406,7 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
             maps[:, shift:] = np.take_along_axis(maps[:, shift:], maps[:, :-shift], axis=2)
             shift *= 2
         starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
-    out = np.empty((lanes, r + blocks * length), dtype=np.int64)
-    out[:, :r] = block_digits(init, r, m)
-    body = out[:, r:].reshape(lanes, blocks, length)
-    for j, (_, sym) in enumerate(_advance(model, *rows, starts.reshape(-1, 1), length)):
+    for j, (_, sym) in enumerate(_advance(model, *rows, starts.reshape(-1, 1), replay)):
         body[:, :, j] = sym.reshape(lanes, blocks)
     return out[:, :n]
 

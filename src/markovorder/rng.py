@@ -5,9 +5,10 @@ counter generator: the value at stream position ``k`` for a given 64-bit
 seed is obtained by applying the splitmix64 finalizer to
 ``seed + (k + 1) * PHI64`` (all arithmetic mod 2**64).  Because positions
 are addressed directly, any block of the stream can be generated in one
-vectorized call, and ``raw_at``/``uniform_block`` broadcast an array of
-seeds against an array of positions, so batch simulation over many seeds
-produces bit-identical values to one-at-a-time generation.
+vectorized call, and ``raw_at``, ``raw53_block`` and ``uniform_block``
+broadcast an array of seeds against an array of positions, so batch
+simulation over many seeds produces bit-identical values to one-at-a-time
+generation.
 
 Replication seeds are derived as ``master XOR scramble(i)`` where
 ``scramble`` is the same finalizer applied to ``(i + 1) * PHI64``, so
@@ -59,15 +60,27 @@ def raw_at(seed, positions) -> np.ndarray:
     return _finalize(counter + _as_u64(seed))
 
 
-def uniform_block(seed, start, count: int) -> np.ndarray:
-    """``count`` uniforms on [0, 1) at stream positions start..start+count-1.
+def raw53_block(seed, start, count: int) -> np.ndarray:
+    """``count`` 53-bit integers ``raw_at(seed, pos) >> 11`` at stream
+    positions start..start+count-1, as uint64; ``k * 2**-53`` is the
+    uniform of ``uniform_block`` at the same position.
 
     ``seed`` and ``start`` may be arrays that broadcast together; the
     result then has their shape plus a trailing axis of length ``count``.
+    Each row's counter is one base ``(start + 1) * PHI64 + seed`` plus
+    ``i * PHI64``, which is exact mod 2**64.
     """
-    pos = _as_u64(start)[..., None] + np.arange(count, dtype=np.uint64)
-    z = raw_at(_as_u64(seed)[..., None], pos)
-    return (z >> np.uint64(11)).astype(np.float64) * _TO_UNIT
+    base = (_as_u64(start)[..., None] + np.uint64(1)) * np.uint64(PHI64)
+    base = base + _as_u64(seed)[..., None]
+    z = _finalize(base + np.arange(count, dtype=np.uint64) * np.uint64(PHI64))
+    z >>= np.uint64(11)
+    return z
+
+
+def uniform_block(seed, start, count: int) -> np.ndarray:
+    """``count`` uniforms on [0, 1) at stream positions start..start+count-1,
+    broadcast like ``raw53_block``."""
+    return raw53_block(seed, start, count).astype(np.float64) * _TO_UNIT
 
 
 def derive_seed(master: int, index):

@@ -259,8 +259,13 @@ class TestEstimate:
             (lambda m: m["paths"][1].update(seed=1.5), "paths[1]: seed is 1.5"),
             (lambda m: m.update(paths=[]), "paths holds 0 entries"),
             (lambda m: m.update(paths=m["paths"][:1]), "paths holds 1 entries"),
+            *(
+                (lambda m, f=f: m["paths"][1].update(file=f), f"manifest.json paths[1]: file is {f!r}")
+                for f in ("/etc/hostname", "../x.txt", "sub/x.txt", "")
+            ),
         ],
-        ids=["paths-int", "file-int", "replication-list", "seed-float", "no-paths", "short-paths"],
+        ids=["paths-int", "file-int", "replication-list", "seed-float", "no-paths", "short-paths",
+             "file-absolute", "file-parent", "file-subdir", "file-empty"],
     )
     def test_manifest_field_of_wrong_type_rejected(self, tmp_path, capsys, mutate, named):
         cfg = make_config(tmp_path, n_grid="128", reps=2)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovorder import build_counts, extend_counts
-from markovorder._contexts import context_codes, window_codes
+from markovorder._contexts import CODE_CHUNK, context_codes, window_codes
 from markovorder.counts import ContextCounts
 
 
@@ -197,6 +197,33 @@ def test_window_and_context_codes_match_slicing(symbols, m, r):
     assert window_codes(symbols, r, m).tolist() == windows
     contexts = [code(symbols[t : t + r]) for t in range(n - r)]
     assert context_codes(symbols, r, m).tolist() == contexts
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("extra", [-1, 0, "L", CODE_CHUNK + 3])
+def test_window_codes_across_chunk_edges(m, extra):
+    # paths ending just before, at and just past a chunk edge, and past two
+    rng = np.random.default_rng(m)
+    for length in range(13):
+        n = CODE_CHUNK + (length if extra == "L" else extra)
+        x = rng.integers(0, m, n)
+        weights = m ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        expected = np.zeros(n - length + 1, dtype=np.int64)
+        for i in range(length):  # sum of x[t + i] * m**(length - 1 - i)
+            expected += x[i : i + n - length + 1] * weights[i]
+        assert np.array_equal(window_codes(x, length, m), expected)
+
+
+def test_extend_split_mid_chunk_equals_build():
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 3, 2 * CODE_CHUNK + 3)
+    whole = build_counts(x, 5, m=3)
+    for cut in (CODE_CHUNK // 2, CODE_CHUNK + 1000):
+        split = extend_counts(build_counts(x[:cut], 5, m=3), x[cut:])
+        assert split.n == whole.n
+        assert np.array_equal(split.codes, whole.codes)
+        assert np.array_equal(split.counts, whole.counts)
+        assert np.array_equal(split.tail, whole.tail)
 
 
 def _write_v1(path, symbols, cap, m, dense_limit):

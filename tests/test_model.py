@@ -291,10 +291,11 @@ class TestSamplePath:
         model = MarkovModel([row] * 3, initial=row)
         monkeypatch.setattr(
             model_mod,
-            "uniform_block",
+            "raw53_block",
             lambda seed, start, count: np.full(
                 np.broadcast(np.asarray(seed), np.asarray(start)).shape + (count,),
-                1.0 - 2.0**-53,
+                2**53 - 1,
+                dtype=np.uint64,
             ),
         )
         path = sample_path(model, 200, seed=1)
@@ -305,6 +306,68 @@ class TestSamplePath:
         model = random_model(2, 3, seed=15)
         path = sample_path(model, 2, seed=3)
         assert len(path) == 2
+
+    @pytest.mark.parametrize("lanes", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "case", ["never-coalesces", "identical-rows", "order-0", "one-block"]
+    )
+    def test_coalescence_edge_cases_match_reference(self, case, lanes):
+        if case == "never-coalesces":  # the start columns swap places forever
+            model = MarkovModel([[0.0, 1.0], [1.0, 0.0]], initial=[0.5, 0.5])
+        elif case == "identical-rows":  # every start column meets by step 2
+            model = MarkovModel(lift_kernel(np.array([[0.3, 0.7]]), 2, 2))
+        elif case == "order-0":  # one column from the start: nothing to replay
+            model = MarkovModel([[0.2, 0.5, 0.3]])
+        else:
+            model = MarkovModel(
+                random_model(2, 13, seed=4).kernel, initial=np.full(2**13, 2.0**-13)
+            )
+            assert lanes * model.n_contexts >= model_mod.BLOCK_CELLS  # so blocks == 1
+        # seeds on both sides of 2**63
+        seeds = [2**63 + (-1) ** i * (1 + 7919 * i) for i in range(lanes)]
+        n = 300 if case == "one-block" else 1500
+        batch = sample_paths(model, n, seeds)
+        for i, s in enumerate(seeds):
+            assert np.array_equal(batch[i], reference_path(model, n, s))
+
+
+# thresholds t where the integer rule is easiest to get wrong, each with
+# its two floating-point neighbours
+EDGE_THRESHOLDS = [
+    v
+    for t in (0.5, 0.25, 1.0 - 2.0**-53, 0.5 + 0.4999999999999)
+    for v in (np.nextafter(t, 0.0), t, np.nextafter(t, 2.0))
+]
+
+
+class TestIntegerThresholds:
+    """The sampler compares a draw k with ceil(t * 2**53) in place of its
+    uniform k * 2**-53 with t; the two must agree for every k."""
+
+    @staticmethod
+    def check(t, tick):
+        for k in (tick - 1, tick, tick + 1):
+            if 0 <= k < 2**53:
+                assert (k >= tick) == (t <= k * 2.0**-53)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 1.0))
+    def test_rule_is_exact(self, t):
+        self.check(t, int(model_mod._thresholds(np.array([t, 1.0]))[0]))
+
+    @pytest.mark.parametrize("t", [0.0, 1.0] + EDGE_THRESHOLDS)
+    def test_rule_is_exact_at_edges(self, t):
+        self.check(t, int(model_mod._thresholds(np.array([t, 1.0]))[0]))
+
+    def test_row_short_of_one(self):
+        row = np.array([0.5, 0.4999999999999, 0.0])
+        ticks = model_mod._thresholds(row)
+        self.check(0.5, int(ticks[0]))
+        # the threshold from the last positive entry on is the sentinel,
+        # which no draw reaches
+        assert ticks[1] == model_mod.NEVER
+        assert not ticks[1] <= 2**53 - 1
+        assert not model_mod._thresholds(np.array([1.0, 0.0]))[0] <= 2**53 - 1
 
 
 class TestTrueConditionalLikelihood:

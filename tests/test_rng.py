@@ -73,3 +73,33 @@ def test_derive_seed_index_array_matches_scalar_calls():
 def test_derived_seeds_distinct():
     seeds = {rng.derive_seed(1234, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+BIG = 2**63 + 12345
+
+
+@pytest.mark.parametrize(
+    "seed, start",
+    [
+        (BIG, 0),
+        (0, BIG),
+        (MASK, MASK - 1),
+        (np.array([1, BIG, MASK], dtype=np.uint64), BIG),
+        ([BIG, 3], np.array([BIG, 7], dtype=np.uint64)),
+        (np.array([[5], [BIG]], dtype=np.uint64), [0, BIG]),
+    ],
+)
+def test_raw53_block_stays_uint64(seed, start):
+    # numpy 1.x promotes uint64 mixed with int64 (or with a Python int
+    # scalar) to float64, which would drop the low bits of the counter
+    got = rng.raw53_block(seed, start, 3)
+    assert got.dtype == np.uint64
+    seeds, starts = np.broadcast_arrays(
+        np.asarray(seed, dtype=np.uint64), np.asarray(start, dtype=np.uint64)
+    )
+    assert got.shape == seeds.shape + (3,)
+    for idx in np.ndindex(seeds.shape):
+        s, p = int(seeds[idx]), int(starts[idx])
+        expected = [reference_value(s, (p + i) & MASK) >> 11 for i in range(3)]
+        assert [int(v) for v in got[idx]] == expected
+    assert np.array_equal(rng.uniform_block(seed, start, 3), got * 2.0**-53)
