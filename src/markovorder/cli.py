@@ -25,12 +25,17 @@ from . import diagnostics as dg
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimator import evaluate_replications, recovery_summary
 from .likelihood import mixture_kernel
-from .model import MarkovModel, read_model_file, sample_path, true_order
+from .model import MarkovModel, read_model_file, sample_paths, true_order
 from .rng import derive_seed
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
+# simulate samples its replications together, as many per sample_paths
+# call as this many bytes of int64 symbols hold (at least one): a lone
+# lane's blocks are short, and each runs at full width until its start
+# columns couple
+SIMULATE_BATCH_BYTES = 2 << 20
 
 
 def _fmt(value) -> str:
@@ -84,24 +89,20 @@ def _path_filename(replication: int) -> str:
 
 
 # Path files hold the symbols on one line, in decimal, separated by single
-# spaces.  Symbol s takes widths[s] digits; its digit k, counted from 0 at
-# the right, sits k + 1 bytes before the space (or line end) that follows
-# it.  One routine each way covers every alphabet size.
-def _widths(m: int) -> np.ndarray:
-    return np.array([len(str(s)) for s in range(m)])
-
-
+# spaces.  One routine each way covers every alphabet size; neither builds
+# an array of byte positions, and every temporary the size of the line is
+# one byte per byte.
 def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
-    """The symbols as ``" ".join(str(s) for s in symbols)``, in bytes."""
-    widths = _widths(m)
-    digits = np.arange(m) // 10 ** np.arange(widths[-1])[:, None] % 10 + ord("0")
-    width = widths[symbols]
-    ends = np.cumsum(width + 1) - 1
-    buf = np.full(width.sum() + width.size, ord(" "), dtype=np.uint8)
-    for k in range(widths[-1]):
-        at = width > k
-        buf[ends[at] - k - 1] = digits[k, symbols[at]]
-    return buf[:-1].tobytes()
+    """The symbols as ``" ".join(str(s) for s in symbols)``, in bytes.
+
+    Each symbol becomes its record of ``w + 1`` bytes, w the width of m - 1:
+    NUL padding, its digits and a space; dropping the NULs and the last
+    space leaves the line.
+    """
+    w = len(str(m - 1))
+    records = "".join(str(s).rjust(w, "\0") + " " for s in range(m)).encode()
+    flat = np.take(np.frombuffer(records, np.uint8).reshape(m, w + 1), symbols, axis=0).ravel()
+    return flat[flat != 0][:-1].tobytes()
 
 
 def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
@@ -112,30 +113,48 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
     raw = np.frombuffer(text, dtype=np.uint8)
     code = raw - np.uint8(ord("0"))
     space = raw == ord(" ")
-    bad = (code > 9) & ~space
-    if bad.any():
-        at = int(np.argmax(bad))
+    digits = np.count_nonzero(code <= 9)
+    if digits + np.count_nonzero(space) != raw.size:
+        at = int(np.argmax((code > 9) & ~space))
         raise ConfigError(
             f"{source}: symbols: byte {text[at:at + 1]!r} at offset {at} "
             "is not a digit or a space"
         )
-    ends = np.append(np.flatnonzero(space), raw.size)
-    width = np.diff(ends, prepend=-1) - 1
-    if not width.all():
+    # last: the byte ends a symbol (it precedes a space or ends the line);
+    # a symbol is empty where a space leads the line or ends a symbol
+    last = np.empty_like(space)
+    last[:-1] = space[1:]
+    last[-1] = True
+    empty = space & last
+    if space[0] or empty.any():
+        at = 0 if space[0] else np.count_nonzero(space[:np.argmax(empty) + 1])
         raise ConfigError(
-            f"{source}: symbols: symbol {int(np.argmin(width))} is empty "
+            f"{source}: symbols: symbol {at} is empty "
             "(a leading, trailing or repeated space)"
         )
-    widths = _widths(m)
-    symbols = code[ends - 1].astype(np.int64)
-    for k in range(1, widths[-1]):
-        symbols += np.where(width > k, code[ends - k - 1], 0).astype(np.int64) * 10**k
-    bad = (symbols >= m) | (widths[np.minimum(symbols, m - 1)] != width)
-    if bad.any():
-        at = int(np.argmax(bad))
-        token = text[ends[at] - width[at]:ends[at]].decode()
+    # digit k of a symbol lies k bytes before its last byte, if the bytes
+    # between are digits too; w digits hold every symbol below m
+    w = len(str(m - 1))
+    symbols = np.compress(last, code).astype(np.int64)
+    more = True
+    for k in range(1, w):
+        # the first `head` symbols end before byte k: no digit k
+        head = np.count_nonzero(last[:k])
+        digit = np.append(np.full(head, 255, np.uint8), np.compress(last[k:], code[:-k]))
+        more &= digit <= 9
+        symbols += np.where(more, digit, 0).astype(np.int64) * 10**k
+    # a symbol takes at least as many digits on the line as its decimal
+    # form, and more with a leading zero or a digit past the w-th; so all
+    # are written in that form exactly when the form widths (1 plus the
+    # number of k >= 1 with 10**k <= s) add up to the digits on the line
+    width_sum = symbols.size + sum(np.count_nonzero(symbols >= 10**k) for k in range(1, w))
+    if symbols.max() >= m or width_sum != digits:
+        at, token = next(
+            (i, t) for i, t in enumerate(text.split(b" "))
+            if len(t) > w or int(t) >= m or t != b"%d" % int(t)
+        )
         raise ConfigError(
-            f"{source}: symbol {at} is {token!r}, not one of 0..{m - 1} in decimal"
+            f"{source}: symbol {at} is {token.decode()!r}, not one of 0..{m - 1} in decimal"
         )
     return symbols
 
@@ -143,7 +162,7 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
 def _write_path_file(path, symbols, m: int, seed: int) -> None:
     symbols = np.asarray(symbols, dtype=np.int64)
     header = f"alphabet_size: {m}\nn: {symbols.shape[0]}\nseed: {seed}\nsymbols: "
-    _write_atomic(path, header.encode() + _encode_symbols(symbols, m) + b"\n")
+    _write_atomic(path, b"".join((header.encode(), _encode_symbols(symbols, m), b"\n")))
 
 
 def _check_run_fields(source, fields: dict, expected: dict) -> None:
@@ -164,18 +183,19 @@ def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
     """Symbols of a path file, checked against the run that reads it."""
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
-    fields, raw = {}, {}
+    fields = {}
     for line in lines:
         key, _, rest = line.partition(b":")
         key = key.strip().decode("latin-1")
-        fields[key], raw[key] = rest.strip().decode("latin-1"), rest
+        # the symbols payload stays bytes, as _decode_symbols reads it
+        fields[key] = rest if key == "symbols" else rest.strip().decode("latin-1")
     _check_run_fields(
         path, fields,
-        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": str},
+        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": bytes},
     )
-    if not raw["symbols"].startswith(b" "):
+    if not fields["symbols"].startswith(b" "):
         raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
-    symbols = _decode_symbols(path, raw["symbols"][1:], m)
+    symbols = _decode_symbols(path, fields["symbols"][1:], m)
     if fields["n"] != str(symbols.shape[0]):
         raise ConfigError(
             f"{path}: n is {fields['n']!r}, the symbols line holds {symbols.shape[0]}"
@@ -243,13 +263,16 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_file)
     n_max = max(config.n_grid)
+    seeds = derive_seed(config.seed, np.arange(config.replications))
+    batch = max(1, SIMULATE_BATCH_BYTES // (8 * n_max))
     entries = []
-    for i in range(config.replications):
-        seed = derive_seed(config.seed, i)
-        path = sample_path(model, n_max, seed)
-        filename = _path_filename(i)
-        _write_path_file(os.path.join(config.out_dir, filename), path.symbols, model.m, seed)
-        entries.append({"replication": i, "seed": seed, "file": filename})
+    for first in range(0, config.replications, batch):
+        paths = sample_paths(model, n_max, seeds[first:first + batch])
+        for i, symbols in enumerate(paths, start=first):
+            seed, filename = int(seeds[i]), _path_filename(i)
+            _write_path_file(os.path.join(config.out_dir, filename), symbols, model.m, seed)
+            entries.append({"replication": i, "seed": seed, "file": filename})
+        del paths, symbols  # free this batch before sampling the next
     _write_json(
         manifest_file,
         {
@@ -521,6 +544,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seed = args.seed
         if args.jobs is not None:
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
             config.jobs = args.jobs
         if args.out is not None:
             config.out_dir = args.out

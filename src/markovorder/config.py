@@ -139,6 +139,8 @@ def load_config(path: str) -> ExperimentConfig:
         "experiment", "n_grid", _get(parser, "experiment", "n_grid", required=True),
         increasing=True,
     )
+    if n_grid[0] < 1:
+        raise ConfigError(f"experiment.n_grid: path lengths must be >= 1, got {n_grid[0]}")
     replications = _parse_int(
         "experiment", "replications",
         _get(parser, "experiment", "replications", "1"), minimum=1,

@@ -156,12 +156,15 @@ def evaluate_replications(
     load=None,
 ) -> list[list[list[ReplicationRow]]]:
     """``evaluate_replication`` for every task, in task order whatever
-    ``jobs`` is; workers receive a task, never a symbol array."""
+    ``jobs`` is; workers receive a task, never a symbol array.  The pool
+    starts no more workers than there are tasks."""
     n_grid = sorted(int(n) for n in n_grid)
     depth_cap = required_depth_cap(cut, n_grid, model.m)
     worker = partial(evaluate_replication, model, tuple(pens), cut, n_grid, depth_cap, load)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    tasks = list(tasks)
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(task) for task in tasks]
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovorder import MarkovModel, cli, sample_path
+from markovorder import MarkovModel, cli, random_model, sample_path
+from markovorder import estimator as estimator_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import write_model_file
 from markovorder.rng import PHI64, derive_seed
@@ -96,6 +97,25 @@ class TestSimulate:
             direct = sample_path(TWO_STATE, 80, entry["seed"]).symbols
             assert np.array_equal(stored, direct)
 
+    def test_batches_leave_files_unchanged(self, tmp_path, monkeypatch):
+        # batches of 3 paths over 7 replications (the last batch holds one)
+        # against one path per batch
+        cfg = make_config(tmp_path, reps=7, n_grid="64 100")
+        trees = {}
+        for paths in (3, 1):
+            monkeypatch.setattr(cli, "SIMULATE_BATCH_BYTES", paths * 8 * 100)
+            out = tmp_path / f"batch{paths}"
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            trees[paths] = tree_bytes(out)
+        assert trees[3] == trees[1]
+        assert len(trees[3]) == 8
+        for i in range(7):
+            seed = derive_seed(4242, i)
+            assert np.array_equal(
+                cli._read_path_file(tmp_path / "batch3" / cli._path_filename(i), 2, seed, 100),
+                sample_path(TWO_STATE, 100, seed).symbols,
+            )
+
 
     @pytest.mark.parametrize("stage", ["encode", "rename"])
     def test_interrupted_run_leaves_no_manifest_or_partial_file(
@@ -172,6 +192,12 @@ class TestPathFileCodec:
         )
         assert path.read_bytes() == expected.encode()
         assert np.array_equal(cli._read_path_file(path, m, 99, n), symbols)
+
+    @pytest.mark.parametrize("m", [11, 101, 1001])
+    @pytest.mark.parametrize("text", [b"0", b"7 10", b"3 5 10", b"10 3 5"])
+    def test_short_symbols_at_line_start(self, m, text):
+        # the higher digits of the first symbols would lie before the line
+        assert cli._decode_symbols("p", text, m).tolist() == [int(t) for t in text.split()]
 
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -302,6 +328,35 @@ class TestEstimate:
         cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "a")])
         cli.main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "2"])
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    @pytest.mark.parametrize("jobs, workers", [(64, [3]), (2, [2]), (1, []), (0, None), (-3, None)])
+    def test_jobs_bound_the_pool(self, tmp_path, monkeypatch, capsys, jobs, workers):
+        # a stand-in executor records its size and runs the tasks here, so
+        # no worker process is ever started
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(estimator_mod, "ProcessPoolExecutor", RecordingExecutor)
+        cfg = make_config(tmp_path, n_grid="128", reps=3)
+        code = cli.main(["estimate", "--config", str(cfg), "--jobs", str(jobs)])
+        err = capsys.readouterr().err
+        if workers is None:
+            assert code == 1 and "--jobs" in err and "Traceback" not in err
+            assert started == [] and not (tmp_path / "out").exists()
+        else:
+            assert code == 0 and started == workers
 
     def test_reproduces_library_experiment(self, tmp_path):
         from markovorder import LogLogPenalty, SubLogCutoff, consistency_experiment
@@ -517,12 +572,19 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["estimate", "--config", str(cfg)]) == 1
         assert "model.file" in capsys.readouterr().err
 
-    def test_bad_grid_names_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("grid", ["64 32", "0", "-4"])
+    def test_bad_grid_names_field(self, tmp_path, capsys, grid, command):
         write_model_file(TWO_STATE, tmp_path / "chain.model")
         cfg = tmp_path / "exp.ini"
-        cfg.write_text("[model]\nfile = chain.model\n[experiment]\nn_grid = 64 32\n")
-        assert cli.main(["estimate", "--config", str(cfg)]) == 1
-        assert "n_grid" in capsys.readouterr().err
+        cfg.write_text(
+            "[model]\nfile = chain.model\n[experiment]\n"
+            f"n_grid = {grid}\nout = {tmp_path / 'out'}\n"
+        )
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "experiment.n_grid" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "section, spec, named",
@@ -635,6 +697,45 @@ class TestFuzzedInputs:
         cfg = _fuzz_config(root)
         for command in ("simulate", "estimate"):
             assert cli.main([command, "--config", cfg]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_path_file_bytes(self, tmp_path_factory, data):
+        # a path file over twelve symbols, so one and two digits, with one
+        # byte flipped, a space inserted or dropped, or its n: edited
+        root = tmp_path_factory.mktemp("pathfile")
+        write_model_file(random_model(12, 1, seed=3), root / "chain.model")
+        cfg = _fuzz_config(root)
+        assert cli.main(["simulate", "--config", cfg]) == 0
+        path = root / "out" / "path_00001.txt"
+        text = path.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            kind = data.draw(st.sampled_from(["flip", "space", "drop", "n"]))
+            at = data.draw(st.integers(0, len(text) - 1))
+            if kind == "flip":
+                byte = data.draw(st.sampled_from(b"0123456789 \n:") | st.integers(0, 255))
+                text = text[:at] + bytes([byte]) + text[at + 1:]
+            elif kind == "space":
+                text = text[:at] + b" " + text[at:]
+            elif kind == "drop" and b" " in text[at:]:
+                at = text.index(b" ", at)
+                text = text[:at] + text[at + 1:]
+            elif kind == "n":
+                n = data.draw(st.sampled_from(["23", "24", "25", "", "-1", "024", "x"]))
+                text = b"\n".join(
+                    b"n: " + n.encode() if line.startswith(b"n:") else line
+                    for line in text.split(b"\n")
+                )
+        path.write_bytes(text)
+        code = cli.main(["estimate", "--config", cfg])
+        assert code in (0, 1, 2)
+        if code == 0:  # only a line that encoding a path writes is read
+            fields = {}
+            for line in text.split(b"\n"):
+                key, _, rest = line.partition(b":")
+                fields[key.strip()] = rest
+            line = fields[b"symbols"][1:]
+            assert cli._encode_symbols(cli._decode_symbols(path, line, 12), 12) == line
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
