@@ -398,9 +398,7 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 mixture_kernel(model, model, r),
             )
             cap = 12.0 * (settings.bernstein_n - r) * max(h_stat, 1e-12)
-            alphas = np.linspace(
-                0.5 * math.sqrt(cap), 3.0 * math.sqrt(cap), settings.bernstein_alpha_count
-            )
+            alphas = np.linspace(0.5 * math.sqrt(cap), 3.0 * math.sqrt(cap), 10)
             report = dg.bernstein_mc_check(
                 model,
                 candidate,

@@ -8,6 +8,7 @@ ConfigError naming the offending section.key.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields
 from functools import partial
@@ -32,7 +33,6 @@ class VerifySettings:
     bernstein_replications: int = 10**4
     bernstein_n: int = 128
     bernstein_r: int = 1
-    bernstein_alpha_count: int = 10
     deviation_replications: int = 10**4
     deviation_n: int = 64
     deviation_r: int = 2
@@ -97,9 +97,12 @@ def _parse_int(section, key, raw, minimum=None):
 
 def _parse_float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int_list(section, key, raw, increasing=False):
@@ -123,11 +126,36 @@ _VERIFY_PARSERS = {
 }
 
 
+# every key load_config reads, by section
+KNOWN_KEYS = {
+    "model": ("file",),
+    "experiment": ("n_grid", "replications", "seed", "jobs", "out"),
+    "penalty": ("spec", "specs"),
+    "cutoff": ("spec",),
+    "verify": tuple(setting.name for setting in fields(VerifySettings)),
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Read and validate an experiment config file; a section or key that is
+    not read here is rejected."""
+    # no interpolation, so a "%" is taken as written; no default section, so
+    # "[DEFAULT]" is an unknown section like any other ("[]" is no header)
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None, default_section=""
+    )
     with open(path) as fh:  # OSError propagates to the CLI as an IO failure
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:  # a duplicate, a line outside a section
+            raise ConfigError(str(exc))
+    for section in parser.sections():
+        known = KNOWN_KEYS.get(section)
+        if known is None:
+            raise ConfigError(f"[{section}]: unknown section; known: {', '.join(KNOWN_KEYS)}")
+        for key in parser.options(section):
+            if key not in known:
+                raise ConfigError(f"{section}.{key}: unknown key; known: {', '.join(known)}")
 
     model_file = _get(parser, "model", "file", required=True)
     if not os.path.isabs(model_file):

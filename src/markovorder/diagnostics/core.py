@@ -11,7 +11,7 @@ behind every Bernstein-type bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,7 @@ def phi(x):
 class TypicalityReport:
     """Per-depth worst relative deviation of context frequencies."""
 
-    eta: float
-    rho_n: int
-    deviations: tuple[float, ...]  # index r: max over supported contexts
+    deviations: tuple[float, ...]  # index r: max over supported contexts, r < rho_n
     holds: bool
 
 
@@ -80,7 +78,7 @@ def typicality_check(
         raise ValueError(f"rho {rho_n} exceeds the depth cap {counts.depth_cap}")
     by_depth = [counts.context_counts(r) for r in range(rho_n)]
     devs = tuple(float(d) for d in typicality_deviations(truth, by_depth, counts.n))
-    return TypicalityReport(eta, rho_n, devs, all(d < eta for d in devs))
+    return TypicalityReport(devs, all(d < eta for d in devs))
 
 
 def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
@@ -251,61 +249,37 @@ def maximal_bound(alpha: float, C_universal: float, c1: float, R: float) -> floa
 # -- named constants ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+C_UNIVERSAL = 100.0  # the universal constant of the maximal inequality
+
+
 class BoundParams:
     """The constants used by the bound evaluators and Monte Carlo verifiers.
 
     C3 and C4 are the explicit values the count/stationary Hellinger
-    comparison yields at a given eta; C5, C6, c, c0, c1 and C1 follow from
-    them.  C0, C2 (via ``self.C2(m)``), C_star and alpha_star have no
-    constructive form and stay user-settable.
+    comparison yields at a given eta; C5, C6, c, c1 and C1 follow from
+    them, and C2 (via ``self.C2(m)``) from those and the alphabet size.
     """
 
-    eta: float
-    K: float = 2.0
-    C_universal: float = 100.0
-    C0: float | None = None
-    C_star: float | None = None
-    alpha_star: float | None = None
-    C3: float = field(init=False)
-    C4: float = field(init=False)
-    c: float = field(init=False)
-    c0: float = field(init=False)
-    c1: float = field(init=False)
-    C1: float = field(init=False)
-    C5: float = field(init=False)
-    C6: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
+    def __init__(self, eta: float):
+        if not 0.0 < eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        if self.K <= 0 or self.C_universal <= 0:
-            raise ValueError("K and the universal constant must be > 0")
-        eta, C = self.eta, self.C_universal
-        c3 = 4.0 * (1.0 + eta) / (1.0 - eta)
-        c4 = 1.0 / (1.0 - eta)
-        c = math.sqrt(8.0 * c3 / c4)
-        c1 = 1.0 / (8.0 * c3)
-        c0 = C * math.sqrt(c1 + 1.0)
-        c5 = (8.0 * math.sqrt(c4) + c) * math.sqrt(2.0 * math.pi * math.e)
-        amp = math.sqrt(4.0 * c4) * c5
+        self.eta = eta
+        self.C3 = 4.0 * (1.0 + eta) / (1.0 - eta)
+        self.C4 = 1.0 / (1.0 - eta)
+        self.c = math.sqrt(8.0 * self.C3 / self.C4)
+        self.c1 = 1.0 / (8.0 * self.C3)
+        self.C1 = 32.0 * C_UNIVERSAL**2 * (self.C3 + 0.125)
+        self.C5 = (8.0 * math.sqrt(self.C4) + self.c) * math.sqrt(2.0 * math.pi * math.e)
+        amp = math.sqrt(4.0 * self.C4) * self.C5
         # C6 = integral of sqrt(log(amp / v)) over [0, b]; with v = amp e^(-t^2)
         # it is b s + (amp sqrt(pi) / 2) erfc(s), where b = amp e^(-s^2)
-        b = math.sqrt(8.0 * c3)
+        b = math.sqrt(8.0 * self.C3)
         s = math.sqrt(math.log(amp / b))
-        c6 = b * s + amp * math.sqrt(math.pi) / 2.0 * math.erfc(s)
-        object.__setattr__(self, "C3", c3)
-        object.__setattr__(self, "C4", c4)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "C1", 32.0 * C**2 * (c3 + 0.125))
-        object.__setattr__(self, "C5", c5)
-        object.__setattr__(self, "C6", c6)
+        self.C6 = b * s + amp * math.sqrt(math.pi) / 2.0 * math.erfc(s)
 
     def C2(self, m: int) -> float:
         """Smallest deviation level the maximal bound covers, per alphabet."""
-        return 4.0 * self.C6**2 * self.C_universal**2 * (self.c1 + 1.0) * m
+        return 4.0 * self.C6**2 * C_UNIVERSAL**2 * (self.c1 + 1.0) * m
 
     def C1_prime(self, m: int) -> float:
         """Prefactor of the exponential deviation tail."""

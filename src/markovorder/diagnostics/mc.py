@@ -446,8 +446,7 @@ def hellinger_sandwich_battery(
     r = 2
     if rho > n // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
-    c3 = 4.0 * (1.0 + eta) / (1.0 - eta)
-    c4 = 1.0 / (1.0 - eta)
+    params = BoundParams(eta)
     accepted = attempts = violations = 0
     worst = 0.0
     while accepted < instances and attempts < instances * 20:
@@ -468,9 +467,9 @@ def hellinger_sandwich_battery(
         h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
         h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)
         checks = [
-            (h_2n, c3 * h_n),
-            ((n - r) / c4 * h_stat, h_n),
-            (h_n, (n - r) * c4 * h_stat),
+            (h_2n, params.C3 * h_n),
+            ((n - r) / params.C4 * h_stat, h_n),
+            (h_n, (n - r) * params.C4 * h_stat),
         ]
         for small, big in checks:
             ratio = small / big if big > 0 else (1.0 if small <= ABS_TOL else np.inf)

@@ -98,7 +98,6 @@ class RecoverySummary:
     recovery: float
     under: int
     over: int
-    exact: int
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def recovery_summary(rows, n_grid, r_star: int) -> tuple[RecoverySummary, ...]:
         exact = sum(1 for row in at_n if row.chosen_order == r_star)
         under = sum(1 for row in at_n if row.chosen_order < r_star)
         over = sum(1 for row in at_n if row.chosen_order > r_star)
-        summary.append(RecoverySummary(n, exact / len(at_n), under, over, exact))
+        summary.append(RecoverySummary(n, exact / len(at_n), under, over))
     return tuple(summary)
 
 

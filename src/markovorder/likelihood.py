@@ -17,7 +17,6 @@ from ._contexts import context_codes
 from .counts import ContextCounts, _merge
 from .model import (
     MarkovModel,
-    PathSample,
     kernel_at_true_order,
     lift_kernel,
     log_true_conditional_likelihood,
@@ -70,7 +69,6 @@ class LilStatistic:
 
     value: float
     empty_range: bool
-    best_order: int | None = None
 
 
 def lil_statistic(counts: ContextCounts, r_star: int, kappa_n: int, m: int) -> LilStatistic:
@@ -87,12 +85,10 @@ def lil_from_logliks(logliks, r_star: int, m: int) -> LilStatistic:
     the orders r_star <= r < kappa_n."""
     if len(logliks) < 2:
         return LilStatistic(0.0, True)
-    best, best_r = -np.inf, None
-    for j in range(1, len(logliks)):
-        v = max(logliks[j] - logliks[0], 0.0) / m ** (r_star + j)
-        if v > best:
-            best, best_r = v, r_star + j
-    return LilStatistic(best, False, best_r)
+    best = max(
+        max(logliks[j] - logliks[0], 0.0) / m ** (r_star + j) for j in range(1, len(logliks))
+    )
+    return LilStatistic(best, False)
 
 
 def delta_statistic(model: MarkovModel, counts: ContextCounts, path, r: int) -> float:

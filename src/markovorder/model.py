@@ -355,6 +355,7 @@ def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
             if ctx.shape[1] > 1 and (ctx == ctx[:, :1]).all():
                 ctx, sym = ctx[:, :1], sym[:, :1]
             yield ctx, sym
+        del block, k  # free this chunk before the next one is drawn
 
 
 def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:

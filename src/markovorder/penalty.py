@@ -18,7 +18,7 @@ anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 N_MIN = 3
@@ -225,17 +225,17 @@ class CorollaryReport:
 def corollary_conditions_check(
     pen: PenaltySpec,
     cut: CutoffSpec,
-    C_star: float,
-    alpha_star: float,
+    f_floor: float,
+    kappa_slope: float,
     n_grid,
     m: int,
 ) -> CorollaryReport:
     """Evaluate the penalty/cutoff consistency conditions on an n grid.
 
-    Checks, numerically: the implied f(n) stays at or above C_star on the
-    upper half of the grid; f(n) log log n / n decreases along the grid and
-    falls below 1e-3 at the top; kappa is nondecreasing; and
-    kappa(n) <= alpha_star * log n everywhere.
+    Checks, numerically: the implied f(n) stays at or above f_floor (the
+    corollary's C*) on the upper half of the grid; f(n) log log n / n
+    decreases along the grid and falls below 1e-3 at the top; kappa is
+    nondecreasing; and kappa(n) <= kappa_slope * log n (its alpha*) everywhere.
     """
     grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -244,13 +244,13 @@ def corollary_conditions_check(
     ratios = [f * _loglog(n) / n for f, n in zip(f_vals, grid)]
     kappas = [cutoff_value(cut, n, m) for n in grid]
     tail = f_vals[len(f_vals) // 2 :]
-    liminf_ok = all(f >= C_star - 1e-12 for f in tail)
+    liminf_ok = all(f >= f_floor - 1e-12 for f in tail)
     ratio_ok = (
         all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:]))
         and ratios[-1] < 1e-3
     )
     nondec = all(b >= a for a, b in zip(kappas, kappas[1:]))
-    bound_ok = all(k <= alpha_star * math.log(n) for k, n in zip(kappas, grid))
+    bound_ok = all(k <= kappa_slope * math.log(n) for k, n in zip(kappas, grid))
     return CorollaryReport(
         tuple(grid),
         tuple(f_vals),
@@ -284,9 +284,12 @@ def _param(kind: str, name: str, args: dict[str, str], key: str, cast):
     if key not in args:
         raise ValueError(f"{name} {kind} needs {key}=<value>")
     try:
-        return cast(args[key])
+        value = cast(args[key])
     except ValueError:
         raise ValueError(f"{name} {kind}: expected {cast.__name__} {key}, got {args[key]!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {kind}: {key} must be finite, got {args[key]!r}")
+    return value
 
 
 def parse_penalty(text: str) -> PenaltySpec:

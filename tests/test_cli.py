@@ -605,6 +605,29 @@ class TestExitCodesAndDeterminism:
         err = capsys.readouterr().err
         assert f"{section}.spec" in err and named in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, line, named",
+        [
+            ("model", "fiel = chain.model", "model.fiel"),
+            ("experiment", "replicatons = 5", "experiment.replicatons"),
+            ("penalty", "spce = bic", "penalty.spce"),
+            ("cutoff", "hard_cap = false", "cutoff.hard_cap"),
+            ("verify", "instanses = 5", "verify.instanses"),
+            ("experimnt", "replications = 5", "[experimnt]"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, section, line, named):
+        cfg = make_config(tmp_path, extra="[verify]\nchecks = norm-bound\n")
+        text, header = cfg.read_text(), f"[{section}]\n"
+        if header in text:
+            cfg.write_text(text.replace(header, header + line + "\n"))
+        else:
+            cfg.write_text(text + header + line + "\n")
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "unknown" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "verify"])
     def test_byte_identical_across_runs(self, tmp_path, command):
         extra = VERIFY_EXTRA if command == "verify" else ""
@@ -665,6 +688,29 @@ MODEL_LINES = st.lists(
     ),
     max_size=8,
 )
+
+
+# a small demo-like config; fuzzed values hold no decimal digits except
+# small integers, so no fuzzed size can grow a run past a few milliseconds
+CONFIG_BASE = {
+    "model": {"file": "chain.model"},
+    "experiment": {"n_grid": "16 24", "replications": "2", "seed": "5", "jobs": "1",
+                   "out": "out"},
+    "penalty": {"spec": "loglog C=5", "specs": "loglog C=5, bic"},
+    "cutoff": {"spec": "sublog"},
+    "verify": {"checks": "norm-bound", "eta": "0.5", "rho": "3", "instances": "3"},
+}
+CONFIG_VALUES = (
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+    | st.integers(-2, 40).map(str)
+    | st.sampled_from([
+        "nan", "inf", "1e400", "0.5", "24 16", "%", "%(x)s", "loglog C=nan", "bic",
+        "csiszar c=-1", "alphalog alpha=inf", "constant K=3 hard_cap=false",
+    ])
+)
+CONFIG_KEYS = st.sampled_from(
+    sorted({key for keys in CONFIG_BASE.values() for key in keys} | {"candidate_file"})
+) | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
 
 
 def _fuzz_config(root) -> str:
@@ -748,3 +794,34 @@ class TestFuzzedInputs:
         manifest = _maybe_replace(data, json.loads(manifest_file.read_text()))
         manifest_file.write_text(json.dumps(manifest))
         assert cli.main(["estimate", "--config", cfg]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_config_text(self, tmp_path_factory, data):
+        # keys dropped, values replaced and stray keys or lines added; the
+        # output directory and --jobs come from the command line
+        root = tmp_path_factory.mktemp("config")
+        write_model_file(TWO_STATE, root / "chain.model")
+        sections = {}
+        for section, keys in CONFIG_BASE.items():
+            sections[section] = []
+            for key, value in keys.items():
+                action = data.draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+                if action == "replace":
+                    value = data.draw(CONFIG_VALUES)
+                if action != "drop":
+                    sections[section].append(f"{key} = {value}")
+        for _ in range(data.draw(st.integers(0, 2))):
+            section = data.draw(st.sampled_from([*CONFIG_BASE, "DEFAULT", "experimnt"]))
+            line = data.draw(
+                st.builds("{} = {}".format, CONFIG_KEYS, CONFIG_VALUES) | st.text(max_size=10)
+            )
+            sections.setdefault(section, []).append(line)
+        cfg = root / "exp.ini"
+        cfg.write_text("".join(
+            f"[{section}]\n" + "".join(line + "\n" for line in lines)
+            for section, lines in sections.items()
+        ))
+        command = data.draw(st.sampled_from(["simulate", "estimate", "sweep", "verify"]))
+        argv = [command, "--config", str(cfg), "--out", str(root / "out"), "--jobs", "1"]
+        assert cli.main(argv) in (0, 1, 2)

@@ -1,6 +1,7 @@
 """Chain construction, stationary laws, sampling, and true-law likelihoods."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -329,6 +330,20 @@ class TestSamplePath:
         batch = sample_paths(model, n, seeds)
         for i, s in enumerate(seeds):
             assert np.array_equal(batch[i], reference_path(model, n, s))
+
+    def test_one_chunk_of_draws_alive_at_a_time(self):
+        # one 131072-symbol lane of an m = 4, order-2 chain: the first pass
+        # steps 1024 rows and draws 64 steps (512 KB) per chunk; holding the
+        # previous chunk while the next is drawn costs another 512 KB
+        model = random_model(4, 2, seed=7)
+        sample_paths(model, 1000, [1])
+        tracemalloc.start()
+        try:
+            out = sample_paths(model, 131072, [12345])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 1_400_000
 
 
 # thresholds t where the integer rule is easiest to get wrong, each with
