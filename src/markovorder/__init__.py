@@ -8,7 +8,8 @@ and verifies their inequalities by Monte Carlo (``diagnostics``).  The
 ``cli`` module wires everything to config-driven commands.
 """
 
-from . import diagnostics
+import importlib
+
 from .counts import ContextCounts, build_counts, extend_counts
 from .estimator import (
     EstimateResult,
@@ -31,13 +32,11 @@ from .likelihood import (
 )
 from .model import (
     MarkovModel,
-    PathSample,
     ReducibleChainError,
     log_true_conditional_likelihood,
     min_positive_transition,
     random_model,
     read_model_file,
-    sample_path,
     sample_paths,
     stationary_block_law,
     stationary_distribution,
@@ -63,3 +62,10 @@ from .penalty import (
 from .rng import derive_seed
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # only verify runs the diagnostics suite, so it is imported on first use
+    if name == "diagnostics":
+        return importlib.import_module(f"{__name__}.diagnostics")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

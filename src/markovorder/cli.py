@@ -21,7 +21,6 @@ import sys
 
 import numpy as np
 
-from . import diagnostics as dg
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimator import evaluate_replications, recovery_summary
 from .likelihood import mixture_kernel
@@ -363,6 +362,8 @@ def _default_candidate(truth: MarkovModel) -> MarkovModel:
 
 
 def cmd_verify(config: ExperimentConfig) -> int:
+    from . import diagnostics as dg
+
     settings = config.verify
     if not settings.checks:
         raise ConfigError("verify.checks: select at least one check")

@@ -77,13 +77,11 @@ class ContextCounts:
 
     @classmethod
     def load(cls, path) -> "ContextCounts":
-        """Read a checkpoint of version 2, or of version 1 (one table per depth)."""
+        """Read a checkpoint of version 2."""
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise ValueError("not a counts checkpoint file")
             version, _, m, depth_cap, n = struct.unpack("<HHIIQ", fh.read(20))
-            if version == 1:
-                return _load_v1(fh, m, depth_cap, n)
             if version != _VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
             head = _read_array(fh, "<u4", depth_cap)
@@ -107,29 +105,6 @@ def _read_array(fh, dtype: str, count: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
 
-def _load_v1(fh, m: int, depth_cap: int, n: int) -> ContextCounts:
-    """Version 1 stored every depth, dense (kind 0) or as context rows (kind 1).
-
-    The deepest table becomes the pair.  The depth-r table counts the next
-    symbols x_{r+1..n} and the depth-(r+1) table x_{r+2..n}, so their
-    next-symbol totals differ by x_{r+1}: that is head symbol r.
-    """
-    tail = _read_array(fh, "<u4", _read_array(fh, "<u4", 1)[0])
-    totals = []
-    for r in range(depth_cap + 1):
-        if _read_array(fh, "<u1", 1)[0] == 0:
-            rows = _read_array(fh, "<u8", m ** (r + 1)).reshape(m**r, m)
-            ctx = np.arange(m**r)
-        else:
-            entries = _read_array(fh, "<u8", 1)[0]
-            rows = _read_array(fh, "<u8", entries * (m + 1)).reshape(entries, m + 1)
-            ctx, rows = rows[:, 0], rows[:, 1:]
-        totals.append(rows.sum(axis=0))
-    head = [int(np.argmax(a - b)) for a, b in zip(totals, totals[1:])]
-    codes, counts = (ctx[:, None] * m + np.arange(m)).ravel(), rows.ravel()
-    return ContextCounts(m, depth_cap, n, codes[counts > 0], counts[counts > 0], head, tail)
-
-
 def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct codes below ``size`` in increasing order, and the summed
     positive ``counts`` of each (one per code when None).
@@ -146,21 +121,19 @@ def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray
     return keys, np.bincount(inverse, counts).astype(np.int64)
 
 
-def build_counts(path, depth_cap: int, m: int | None = None) -> ContextCounts:
-    """Count all windows of every depth 0..depth_cap over the path.
-
-    ``path`` may be a PathSample or a plain symbol array (then ``m`` is
-    required).  Requires depth_cap < n so that even the deepest table has
-    at least one window.
+def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
+    """Count all windows of every depth 0..depth_cap over the symbol array
+    ``path`` on the alphabet {0, .., m-1}.  Requires depth_cap < n so that
+    even the deepest table has at least one window.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
-    if m is None:
-        m = getattr(path, "m", 0)
-    if not m or m < 2:
-        raise ValueError("alphabet size m must be given (>= 2)")
+    symbols = np.asarray(path, dtype=np.int64)
+    if m < 2:
+        raise ValueError(f"alphabet size m must be >= 2, got {m}")
     n = symbols.shape[0]
     if depth_cap >= n:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
+    if m ** (depth_cap + 1) >= 2**63:
+        raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
     if symbols.size and (symbols.min() < 0 or symbols.max() >= m):
         raise ValueError("path contains a symbol outside the alphabet")
     codes, counts = _merge(window_codes(symbols, depth_cap + 1, m), None, m ** (depth_cap + 1))
@@ -175,7 +148,7 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
     whose end position lands in the new segment are added, reaching back
     into the retained tail for their contexts.
     """
-    new = np.asarray(getattr(new_symbols, "symbols", new_symbols), dtype=np.int64)
+    new = np.asarray(new_symbols, dtype=np.int64)
     m, cap = counts.m, counts.depth_cap
     if new.size and (new.min() < 0 or new.max() >= m):
         raise ValueError("extension contains a symbol outside the alphabet")

@@ -86,7 +86,7 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
 
     The path length must be even (say 2n) and rho at most n/2.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     length = symbols.shape[0]
     if length % 2:
         raise ValueError(f"path length must be even, got {length}")
@@ -190,7 +190,7 @@ def bracket_log_envelopes(
     are the same transform of the bracket envelopes; Lambda <= xi <= Upsilon
     pointwise whenever lower <= kernel <= upper.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     m = truth.m
     codes = context_codes(symbols, r, m)
     nxt = symbols[r:]

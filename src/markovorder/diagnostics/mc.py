@@ -1,11 +1,11 @@
 """Monte Carlo verifiers for the tail bounds and distance comparisons.
 
-Replication-heavy checks stream their lanes from the one sampling kernel
-of ``model`` (the stepper behind ``sample_paths``): all lanes of a chunk
-step forward together, one vectorized step per position, and no
-lanes x n array is ever stored.  A chunk holds at most ``MAX_LANES``
+Replication-heavy checks stream their lanes from ``model.step_lanes``,
+the lockstep form of the one sampling kernel: all lanes of a chunk step
+forward together, one vectorized step per position, and no lanes x n
+array is ever stored.  A chunk holds at most ``MAX_LANES``
 lanes (fewer when its count tables would pass ``CHUNK_BYTES``).  Lane i
-is bit-identical to ``sample_path(truth, n, derive_seed(seed, i))``, and
+is bit-identical to ``sample_paths(truth, n, derive_seed(seed, i))[0]``, and
 a report is reduced from per-lane values or exact integer counts once
 all chunks are done, so chunking never changes a result.
 """
@@ -21,12 +21,11 @@ from ..counts import build_counts, prefix_counts
 from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
 from ..model import (
     MarkovModel,
-    _lane_symbols,
     lift_kernel,
     random_model,
-    sample_path,
     sample_paths,
     stationary_block_law,
+    step_lanes,
     true_order,
 )
 from ..penalty import CutoffSpec
@@ -51,19 +50,6 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_LANES = 1 << 16  # lanes stepped together in one chunk
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
-
-
-def _batch_steps(truth: MarkovModel, n: int, seeds: np.ndarray, depth: int):
-    """Yield (i, ctx, sym) for positions i = 1..n, vectorized over seeds.
-
-    ``ctx`` codes the min(i-1, depth) most recent symbols before position i
-    (low digits are the newest), and ``sym`` is the symbol at position i.
-    """
-    size = truth.m ** max(depth, truth.order)
-    ctx = np.zeros(seeds.shape[0], dtype=np.int64)
-    for i, sym in enumerate(_lane_symbols(truth, n, seeds), start=1):
-        yield i, ctx, sym
-        ctx = (ctx * truth.m + sym) % size
 
 
 def _chunks(total: int, size: int):
@@ -156,7 +142,7 @@ def bernstein_mc_check(
         mval = finals[lo:hi]  # a view: each lane's final value lands in finals
         mmax = np.zeros(reps)
         rnorm = np.zeros(reps)
-        for i, ctx, sym in _batch_steps(truth, n, seeds, depth=r):
+        for i, ctx, sym in step_lanes(truth, n, seeds, depth=r):
             if i <= r:
                 continue
             code = ctx % (m**r)
@@ -247,7 +233,7 @@ def deviation_tail_mc(
         lane_at = np.arange(reps, dtype=np.int64) * extra
         head = np.zeros(reps, dtype=np.int64)
         good = np.ones(reps, dtype=bool)
-        for i, ctx, sym in _batch_steps(truth, length, seeds, depth):
+        for i, ctx, sym in step_lanes(truth, length, seeds, depth):
             if i < window:
                 head = ctx * m + sym  # the first i symbols
             elif extra:
@@ -328,9 +314,9 @@ def lil_trajectory(
         raise ValueError("checkpoints must start at 16 or later")
     m = truth.m
     depth = required_depth_cap(cutoff, grid, m)
-    path = sample_path(truth, grid[-1], seed)
+    path = sample_paths(truth, grid[-1], seed)[0]
     points = []
-    for n, logliks in grid_logliks(path.symbols, m, cutoff, grid, depth):
+    for n, logliks in grid_logliks(path, m, cutoff, grid, depth):
         stat = lil_from_logliks(logliks[r_star:], r_star, m)
         norm = stat.value / math.log(math.log(n))
         points.append(LilPoint(n, len(logliks), stat.value, norm, stat.empty_range))
@@ -416,7 +402,7 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
         n = 64 + int(u[3] * 448)
         truth = random_model(m, r_star, derive_seed(base, 1))
         candidate = random_model(m, r, derive_seed(base, 2))
-        path = sample_path(truth, n, derive_seed(base, 3))
+        path = sample_paths(truth, n, derive_seed(base, 3))[0]
         counts = build_counts(path, r, m)
         mix = mixture_kernel(candidate, truth, r)
         mix_truth = mixture_kernel(truth, truth, r)
@@ -453,9 +439,9 @@ def hellinger_sandwich_battery(
         base = derive_seed(seed, attempts)
         attempts += 1
         truth = random_model(2, 1, derive_seed(base, 1), floor=0.15)
-        path = sample_path(truth, 2 * n, derive_seed(base, 2))
+        path = sample_paths(truth, 2 * n, derive_seed(base, 2))[0]
         # one table serves the typicality event and all three distances
-        counts_n, counts_2n = prefix_counts(path.symbols, (n, 2 * n), max(rho, r), 2)
+        counts_n, counts_2n = prefix_counts(path, (n, 2 * n), max(rho, r), 2)
         if not all(typicality_check(truth, c, eta, rho).holds for c in (counts_n, counts_2n)):
             continue
         accepted += 1

@@ -9,7 +9,6 @@ count tables are extended rather than rebuilt.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .counts import ContextCounts, prefix_counts
 from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
-from .model import MarkovModel, sample_path, stationary_block_law, true_order
+from .model import MarkovModel, sample_paths, stationary_block_law, true_order
 from .penalty import CutoffSpec, PenaltySpec, cutoff_value, penalty_value
 from .rng import derive_seed
 
@@ -130,7 +129,7 @@ def evaluate_replication(
     """
     replication, seed, source = task
     if source is None:
-        symbols = sample_path(model, n_grid[-1], seed).symbols
+        symbols = sample_paths(model, n_grid[-1], seed)[0]
     else:
         symbols = load(source, model.m, seed, n_grid[-1])
     m, r_star = model.m, true_order(model)
@@ -163,6 +162,8 @@ def evaluate_replications(
     tasks = list(tasks)
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, tasks, chunksize=1))
     return [worker(task) for task in tasks]

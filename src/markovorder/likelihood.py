@@ -149,7 +149,7 @@ def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) ->
     Runs ``RunningOvershoot`` as a batch of one; for large replication
     counts use the batched verifier in diagnostics instead.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     n = symbols.shape[0]
     if not r < i_lo <= i_hi <= n:
         raise ValueError(f"need r < i_lo <= i_hi <= n, got r={r}, [{i_lo}, {i_hi}], n={n}")
@@ -231,7 +231,7 @@ def log_ratio_rows(truth: MarkovModel, mix: MixtureKernel, path, up_to: int | No
     """Rows of ``log_ratio_table`` gathered at the contexts of the steps
     i = r+1..up_to of a path (the whole path by default), plus the symbols
     x_i of those steps."""
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     if up_to is None:
         up_to = symbols.shape[0]
     if up_to > symbols.shape[0]:
@@ -261,7 +261,7 @@ def martingale_path(truth: MarkovModel, mix: MixtureKernel, path) -> np.ndarray:
     the mixture order and the compensator D from ``kl_compensator``;
     M_i = 0 for i <= r.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     n = symbols.shape[0]
     r = mix.order
     out = np.zeros(n + 1)

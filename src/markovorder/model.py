@@ -10,7 +10,7 @@ integers with the most recent symbol in the least significant digit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -117,25 +117,6 @@ class MarkovModel:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"MarkovModel(m={self._m}, order={self._order})"
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A sampled trajectory: symbol array plus the seed that produced it."""
-
-    symbols: np.ndarray
-    seed: int
-    m: int = 0
-
-    def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=np.int64)
-        symbols.setflags(write=False)
-        object.__setattr__(self, "symbols", symbols)
-        if self.m and symbols.size and int(symbols.max()) >= self.m:
-            raise ValueError("path contains a symbol outside the alphabet")
-
-    def __len__(self):
-        return int(self.symbols.shape[0])
 
 
 def _shift_targets(m: int, order: int) -> np.ndarray:
@@ -412,23 +393,23 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     return out[:, :n]
 
 
-def sample_path(model: MarkovModel, n: int, seed: int) -> PathSample:
-    """One path as a ``PathSample``: the one-lane case of ``sample_paths``."""
-    symbols = sample_paths(model, n, [seed])[0]
-    return PathSample(symbols, seed=seed, m=model.m)
+def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):
+    """Yield ``(i, ctx, sym)`` for positions i = 1..n, vectorized over seeds:
+    lane j steps through ``sample_paths(model, n, seeds[j])[0]`` without any
+    lanes x n array being stored.
 
-
-def _lane_symbols(model: MarkovModel, n: int, seeds: np.ndarray):
-    """Yield the symbols at positions 1..n of every lane, one position at a
-    time; lane i yields ``sample_path(model, n, seeds[i])`` without any
-    lanes x n array being stored."""
-    r = model.order
+    ``ctx`` codes the min(i-1, depth) most recent symbols before position i
+    (low digits are the newest), and ``sym`` is the symbol at position i.
+    """
+    m, r = model.m, model.order
     init = _initial_codes(model, seeds)
-    digits = block_digits(init, r, model.m)
-    for j in range(min(r, n)):
-        yield digits[:, j]
-    for _, sym in _advance(model, seeds, np.ones_like(seeds), init[:, None], n - r):
-        yield sym[:, 0]
+    prefix = block_digits(init, r, m).T[:n]
+    steps = _advance(model, seeds, np.ones_like(seeds), init[:, None], n - r)
+    size = m ** max(depth, r)
+    ctx = np.zeros(seeds.shape[0], dtype=np.int64)
+    for i, sym in enumerate(itertools.chain(prefix, (s[:, 0] for _, s in steps)), start=1):
+        yield i, ctx, sym
+        ctx = (ctx * m + sym) % size
 
 
 def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:
@@ -438,7 +419,7 @@ def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:
     valid only for r at or above the true order.  Returns -inf (an explicit
     sentinel, never NaN) when the path hits a zero-probability transition.
     """
-    symbols = np.asarray(getattr(path, "symbols", path), dtype=np.int64)
+    symbols = np.asarray(path, dtype=np.int64)
     n = symbols.shape[0]
     r_true = true_order(model)
     if r < r_true:

@@ -165,7 +165,7 @@ class AlphaLogCutoff:
             raise ValueError("alpha must be > 0")
 
     def raw(self, n: float, m: int) -> float:
-        return math.floor(self.alpha * math.log(n))
+        return self.alpha * math.log(n)  # floored by cutoff_value
 
     def describe(self) -> str:
         return f"alphalog(alpha={self.alpha:g})"
@@ -193,10 +193,12 @@ def cutoff_value(spec: CutoffSpec, n: float, m: int) -> int:
     """kappa(n): the number of orders searched (estimator scans r < kappa)."""
     if n < N_MIN:
         raise ValueError(f"cutoffs need n >= {N_MIN}, got {n}")
-    value = int(spec.raw(n, m))
+    value = spec.raw(n, m)
     if spec.hard_cap:
         value = min(value, math.floor(math.log(n) / math.log(m)))
-    return max(value, 1)
+    if not math.isfinite(value):
+        raise ValueError(f"cutoff {spec.describe()}: kappa({n:g}) is not finite")
+    return max(int(value), 1)
 
 
 @dataclass(frozen=True)
@@ -266,16 +268,29 @@ def corollary_conditions_check(
 # -- spec strings used by config files and CSV columns ----------------------
 
 
-def _parse_spec(kind: str, text: str) -> tuple[str, dict[str, str]]:
-    """Split ``family name=value ...`` into the family and its parameters."""
+PENALTY_PARAMS = {"loglog": ("C",), "bic": (), "csiszar": ("c",)}
+CUTOFF_PARAMS = {"sublog": ("hard_cap",), "constant": ("K", "hard_cap"),
+                 "alphalog": ("alpha", "hard_cap")}
+
+
+def _parse_spec(kind: str, text: str, families) -> tuple[str, dict[str, str]]:
+    """Split ``family name=value ...`` into the family and its parameters,
+    each of which ``families[family]`` must name, and at most once."""
     parts = text.strip().split()
     if not parts:
         raise ValueError(f"empty {kind} spec")
     name, args = parts[0].lower(), {}
+    if name not in families:
+        raise ValueError(f"unknown {kind} family: {name!r}")
     for token in parts[1:]:
         key, sep, value = token.partition("=")
         if not (key and sep and value):
             raise ValueError(f"{name} {kind}: malformed parameter {token!r}, expected name=value")
+        if key not in families[name]:
+            known = ", ".join(families[name]) or "none"
+            raise ValueError(f"{name} {kind}: unknown parameter {key!r}; known: {known}")
+        if key in args:
+            raise ValueError(f"{name} {kind}: parameter {key!r} given twice")
         args[key] = value
     return name, args
 
@@ -294,25 +309,23 @@ def _param(kind: str, name: str, args: dict[str, str], key: str, cast):
 
 def parse_penalty(text: str) -> PenaltySpec:
     """Parse a penalty spec string: ``loglog C=5``, ``bic``, ``csiszar c=1``."""
-    name, args = _parse_spec("penalty", text)
+    name, args = _parse_spec("penalty", text, PENALTY_PARAMS)
     if name == "loglog":
         return LogLogPenalty(C=_param("penalty", name, args, "C", float))
     if name == "bic":
         return BICPenalty()
-    if name == "csiszar":
-        return CsiszarPenalty(c=_param("penalty", name, args, "c", float))
-    raise ValueError(f"unknown penalty family: {name!r}")
+    return CsiszarPenalty(c=_param("penalty", name, args, "c", float))
 
 
 def parse_cutoff(text: str) -> CutoffSpec:
     """Parse a cutoff spec string: ``sublog``, ``constant K=3``, ``alphalog alpha=0.2``."""
-    name, args = _parse_spec("cutoff", text)
-    hard_cap = args.get("hard_cap", "true").lower() != "false"
+    name, args = _parse_spec("cutoff", text, CUTOFF_PARAMS)
+    flag = args.get("hard_cap", "true").lower()
+    if flag not in ("true", "false"):
+        raise ValueError(f"{name} cutoff: hard_cap must be true or false, got {flag!r}")
+    hard_cap = flag == "true"
     if name == "sublog":
         return SubLogCutoff(hard_cap=hard_cap)
     if name == "constant":
         return ConstantCutoff(K=_param("cutoff", name, args, "K", int), hard_cap=hard_cap)
-    if name == "alphalog":
-        alpha = _param("cutoff", name, args, "alpha", float)
-        return AlphaLogCutoff(alpha=alpha, hard_cap=hard_cap)
-    raise ValueError(f"unknown cutoff family: {name!r}")
+    return AlphaLogCutoff(alpha=_param("cutoff", name, args, "alpha", float), hard_cap=hard_cap)

@@ -214,8 +214,8 @@ def test_criterion_09_recovery_at_desk_scale():
 def test_criterion_10_underestimation_gap():
     clock = Stopwatch(120)
     analytic = mo.underestimation_gap(TEST_CHAIN, 0)
-    path = mo.sample_path(TEST_CHAIN, 2**20, seed=5050)
-    counts = build_counts(path, 2)
+    path = mo.sample_paths(TEST_CHAIN, 2**20, 5050)[0]
+    counts = build_counts(path, 2, m=2)
     empirical = (max_loglik(counts, 1) - max_loglik(counts, 0)) / 2**20
     err = abs(empirical - analytic)
     verdict(

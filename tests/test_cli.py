@@ -1,5 +1,6 @@
 """The command-line surface: files, determinism, exit codes."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovorder import MarkovModel, cli, random_model, sample_path
-from markovorder import estimator as estimator_mod
+from markovorder import MarkovModel, cli, random_model, sample_paths
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import write_model_file
 from markovorder.rng import PHI64, derive_seed
@@ -94,7 +94,7 @@ class TestSimulate:
         for entry in manifest["paths"]:
             text = (tmp_path / "out" / entry["file"]).read_text()
             stored = np.array(text.splitlines()[-1].split(":")[1].split(), dtype=int)
-            direct = sample_path(TWO_STATE, 80, entry["seed"]).symbols
+            direct = sample_paths(TWO_STATE, 80, entry["seed"])[0]
             assert np.array_equal(stored, direct)
 
     def test_batches_leave_files_unchanged(self, tmp_path, monkeypatch):
@@ -113,7 +113,7 @@ class TestSimulate:
             seed = derive_seed(4242, i)
             assert np.array_equal(
                 cli._read_path_file(tmp_path / "batch3" / cli._path_filename(i), 2, seed, 100),
-                sample_path(TWO_STATE, 100, seed).symbols,
+                sample_paths(TWO_STATE, 100, seed)[0],
             )
 
 
@@ -144,7 +144,7 @@ class TestSimulate:
             seed = derive_seed(4242, i)
             assert np.array_equal(
                 cli._read_path_file(out / cli._path_filename(i), 2, seed, 64),
-                sample_path(TWO_STATE, 64, seed).symbols,
+                sample_paths(TWO_STATE, 64, seed)[0],
             )
 
 
@@ -348,7 +348,7 @@ class TestEstimate:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(estimator_mod, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         cfg = make_config(tmp_path, n_grid="128", reps=3)
         code = cli.main(["estimate", "--config", str(cfg), "--jobs", str(jobs)])
         err = capsys.readouterr().err
@@ -606,6 +606,60 @@ class TestExitCodesAndDeterminism:
         assert f"{section}.spec" in err and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("alphalog alpha=1e308 hard_cap=true", None),
+            ("alphalog alpha=1e308 hard_cap=false", "not finite"),
+            ("alphalog alpha=15 hard_cap=false", "overflow int64"),  # 2**81 window codes
+        ],
+    )
+    def test_huge_cutoff(self, tmp_path, capsys, spec, named):
+        # alpha * log n overflows a float, or kappa reaches windows whose
+        # codes overflow int64; the hard cap still bounds kappa
+        cfg = make_config(tmp_path, n_grid="100 200", reps=1)
+        cfg.write_text(cfg.read_text().replace("spec = sublog\n", f"spec = {spec}\n"))
+        code = cli.main(["estimate", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if named:
+            assert code == 1 and named in err
+            return
+        assert code == 0
+        orders = {}
+        for row in read_csv(tmp_path / "out" / "scores.csv")[1:]:
+            orders.setdefault(int(row[0]), set()).add(int(row[2]))
+        assert orders == {100: set(range(6)), 200: set(range(7))}  # kappa = floor(log2 n)
+
+    @pytest.mark.parametrize(
+        "key, spec, named",
+        [
+            ("penalty.spec", "bic C=5", "unknown parameter 'C'"),
+            ("penalty.spec", "loglog C=5 D=3", "unknown parameter 'D'"),
+            ("penalty.spec", "loglog C=5 C=7", "'C' given twice"),
+            ("penalty.spec", "csiszar C=1", "unknown parameter 'C'"),
+            ("penalty.specs", "loglog C=5, bic C=5", "unknown parameter 'C'"),
+            ("cutoff.spec", "sublog K=3", "unknown parameter 'K'"),
+            ("cutoff.spec", "constant K=3 K=4", "'K' given twice"),
+            ("cutoff.spec", "alphalog alpha=0.5 hard_cap=no", "hard_cap must be true or false"),
+            ("cutoff.spec", "sublog hard_cap=true hard_cap=false", "'hard_cap' given twice"),
+        ],
+    )
+    def test_spec_rejects_unknown_or_repeated_parameter(self, tmp_path, capsys, key, spec, named):
+        # the line of make_config's config that sets the key
+        line = {
+            "penalty.spec": "spec = loglog C=5\n",
+            "penalty.specs": "specs = loglog C=5, bic\n",
+            "cutoff.spec": "spec = sublog\n",
+        }[key]
+        cfg = make_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(line, line.split("=")[0] + f"= {spec}\n"))
+        command = "sweep" if key == "penalty.specs" else "estimate"
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and named in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "section, line, named",
         [
             ("model", "fiel = chain.model", "model.fiel"),
@@ -661,6 +715,24 @@ def test_runs_without_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_imports_only_what_it_runs():
+    # simulate, estimate and sweep need neither the diagnostics suite nor a
+    # process pool; the package attribute still reaches the suite
+    script = (
+        "import sys\n"
+        "import markovorder, markovorder.cli\n"
+        "heavy = ('markovorder.diagnostics', 'concurrent.futures', 'multiprocessing')\n"
+        "loaded = [name for name in heavy if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "markovorder.diagnostics.BoundParams(0.5)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 # -- fuzzed model files and manifests: a named failure, never a traceback -----
 
 # names without "/", "\" or ".", so a fuzzed path-file name stays inside the
@@ -706,6 +778,8 @@ CONFIG_VALUES = (
     | st.sampled_from([
         "nan", "inf", "1e400", "0.5", "24 16", "%", "%(x)s", "loglog C=nan", "bic",
         "csiszar c=-1", "alphalog alpha=inf", "constant K=3 hard_cap=false",
+        "alphalog alpha=1e308", "alphalog alpha=1e308 hard_cap=false", "bic C=5",
+        "loglog C=5 D=3", "loglog C=5 C=7", "sublog K=3", "sublog hard_cap=no",
     ])
 )
 CONFIG_KEYS = st.sampled_from(

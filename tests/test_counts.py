@@ -226,47 +226,6 @@ def test_extend_split_mid_chunk_equals_build():
         assert np.array_equal(split.tail, whole.tail)
 
 
-def _write_v1(path, symbols, cap, m, dense_limit):
-    """Version-1 checkpoint: every depth stored, dense up to ``dense_limit``
-    cells and as sorted (context, row) records above."""
-    n = len(symbols)
-    tail = np.asarray(symbols[n - cap :] if cap else [], dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(b"MKOC" + struct.pack("<HHIIQ", 1, 0, m, cap, n))
-        fh.write(struct.pack("<I", len(tail)) + tail.tobytes())
-        for r in range(cap + 1):
-            table = scan_windows(symbols, r, m)
-            if table.size <= dense_limit:
-                fh.write(struct.pack("<B", 0) + table.astype("<u8").tobytes())
-                continue
-            seen = np.flatnonzero(table.sum(axis=1))
-            fh.write(struct.pack("<BQ", 1, len(seen)))
-            for ctx in seen:
-                fh.write(struct.pack("<Q", ctx) + table[ctx].astype("<u8").tobytes())
-
-
-class TestVersionOneCheckpoint:
-    @pytest.mark.parametrize("dense_limit", [1 << 20, 4])
-    def test_loads_and_extends_like_a_rebuild(self, tmp_path, dense_limit):
-        rng = np.random.default_rng(9)
-        for case in range(12):
-            m = int(rng.integers(2, 4))
-            n = int(rng.integers(8, 80))
-            cap = int(rng.integers(0, 5))
-            symbols = rng.integers(0, m, n)
-            more = rng.integers(0, m, int(rng.integers(0, 30)))
-            target = tmp_path / f"v1_{case}.bin"
-            _write_v1(target, symbols, cap, m, dense_limit)
-            loaded = ContextCounts.load(target)
-            assert (loaded.m, loaded.depth_cap, loaded.n) == (m, cap, n)
-            a = extend_counts(loaded, more)
-            b = build_counts(np.concatenate([symbols, more]), cap, m=m)
-            assert a.n == b.n
-            for r in range(cap + 1):
-                assert np.array_equal(loaded.transition_counts(r), scan_windows(symbols, r, m))
-                assert np.array_equal(a.transition_counts(r), b.transition_counts(r))
-
-
 class TestDumpLoad:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -302,6 +261,14 @@ class TestDumpLoad:
                 ContextCounts.load(target)
         target.write_bytes(raw[:24] + struct.pack("<I", 5) + raw[28:])  # head symbol 5
         with pytest.raises(ValueError, match="outside the alphabet"):
+            ContextCounts.load(target)
+
+    def test_version_one_rejected(self, tmp_path):
+        target = tmp_path / "counts.bin"
+        build_counts(np.array([0, 1, 1, 0, 1, 0]), 2, m=2).dump(target)
+        raw = target.read_bytes()
+        target.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
             ContextCounts.load(target)
 
     def test_bad_magic_rejected(self, tmp_path):

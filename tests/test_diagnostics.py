@@ -15,7 +15,7 @@ from markovorder import (
     delta_running_max,
     mixture_kernel,
     random_model,
-    sample_path,
+    sample_paths,
 )
 from markovorder.diagnostics import (
     BoundParams,
@@ -42,7 +42,7 @@ from markovorder.diagnostics import (
 from markovorder._contexts import context_codes
 from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
-from markovorder.model import lift_kernel, stationary_block_law
+from markovorder.model import lift_kernel, stationary_block_law, step_lanes
 from markovorder.penalty import SubLogCutoff
 from markovorder.rng import derive_seed
 
@@ -80,21 +80,21 @@ class TestTypicality:
         assert report.deviations[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_depth_zero_always_exact(self):
-        path = sample_path(TWO_STATE, 100, seed=1)
-        report = typicality_check(TWO_STATE, build_counts(path, 1), 0.5, 1)
+        path = sample_paths(TWO_STATE, 100, 1)[0]
+        report = typicality_check(TWO_STATE, build_counts(path, 1, m=2), 0.5, 1)
         assert report.deviations[0] == 0.0
         assert report.holds
 
     def test_monte_carlo_holds_rate(self):
         holds = 0
         for i in range(100):
-            path = sample_path(TWO_STATE, 10**5, derive_seed(7, i))
-            counts = build_counts(path.symbols, 4, m=2)
+            path = sample_paths(TWO_STATE, 10**5, derive_seed(7, i))[0]
+            counts = build_counts(path, 4, m=2)
             holds += typicality_check(TWO_STATE, counts, 0.5, 4).holds
         assert holds >= 99
 
     def test_eta_out_of_range(self):
-        counts = build_counts(sample_path(TWO_STATE, 64, seed=1), 2)
+        counts = build_counts(sample_paths(TWO_STATE, 64, 1)[0], 2, m=2)
         with pytest.raises(ValueError):
             typicality_check(TWO_STATE, counts, 1.5, 2)
 
@@ -102,7 +102,7 @@ class TestTypicality:
 class TestEventF:
     def test_monotone_in_eta(self):
         for i in range(25):
-            path = sample_path(TWO_STATE, 512, derive_seed(21, i))
+            path = sample_paths(TWO_STATE, 512, derive_seed(21, i))[0]
             if event_F(TWO_STATE, path, 0.3, 3):
                 assert event_F(TWO_STATE, path, 0.6, 3)
 
@@ -117,11 +117,11 @@ class TestEventF:
 
     def test_frequency_rises_with_n(self):
         count_small = sum(
-            event_F(TWO_STATE, sample_path(TWO_STATE, 2**10, derive_seed(5, i)), 0.5, 3)
+            event_F(TWO_STATE, sample_paths(TWO_STATE, 2**10, derive_seed(5, i))[0], 0.5, 3)
             for i in range(40)
         )
         count_large = sum(
-            event_F(TWO_STATE, sample_path(TWO_STATE, 2**14, derive_seed(5, i)), 0.5, 3)
+            event_F(TWO_STATE, sample_paths(TWO_STATE, 2**14, derive_seed(5, i))[0], 0.5, 3)
             for i in range(40)
         )
         assert count_large >= count_small
@@ -137,7 +137,7 @@ class TestEventF:
         assert typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9) == report
         small = large = 0
         for i in range(30):
-            path = sample_path(TWO_STATE, 512, derive_seed(9, i)).symbols
+            path = sample_paths(TWO_STATE, 512, derive_seed(9, i))[0]
             small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3).holds
             large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3).holds
         assert (report.holds_small, report.holds_large) == (small, large)
@@ -152,12 +152,12 @@ class TestEventF:
 class TestHellingerDistances:
     def test_identity_zero(self):
         mix = mixture_kernel(TWO_STATE, TWO_STATE, 1)
-        counts = build_counts(sample_path(TWO_STATE, 100, seed=3), 1)
+        counts = build_counts(sample_paths(TWO_STATE, 100, 3)[0], 1, m=2)
         assert hellinger_path_distance(counts, mix, mix) == 0.0
         assert hellinger_stationary_distance(TWO_STATE, mix, mix) == 0.0
 
     def test_symmetry(self):
-        counts = build_counts(sample_path(TWO_STATE, 200, seed=4), 2)
+        counts = build_counts(sample_paths(TWO_STATE, 200, 4)[0], 2, m=2)
         for i in range(100):
             a = mixture_kernel(random_model(2, 2, derive_seed(30, i)), TWO_STATE, 2)
             b = mixture_kernel(random_model(2, 2, derive_seed(31, i)), TWO_STATE, 2)
@@ -180,7 +180,7 @@ class TestHellingerDistances:
     def test_positive_when_kernels_differ_on_weighted_contexts(self):
         a = mixture_kernel(MarkovModel([[0.6, 0.4], [0.3, 0.7]]), TWO_STATE, 1)
         b = mixture_kernel(MarkovModel([[0.5, 0.5], [0.3, 0.7]]), TWO_STATE, 1)
-        counts = build_counts(sample_path(TWO_STATE, 64, seed=2), 1)
+        counts = build_counts(sample_paths(TWO_STATE, 64, 2)[0], 1, m=2)
         assert hellinger_path_distance(counts, a, b) > 0.0
         assert hellinger_stationary_distance(TWO_STATE, a, b) > 0.0
 
@@ -194,7 +194,7 @@ class TestHellingerDistances:
     def test_order_mismatch_rejected(self):
         a = mixture_kernel(TWO_STATE, TWO_STATE, 1)
         b = mixture_kernel(TWO_STATE, TWO_STATE, 2)
-        counts = build_counts(sample_path(TWO_STATE, 50, seed=6), 2)
+        counts = build_counts(sample_paths(TWO_STATE, 50, 6)[0], 2, m=2)
         with pytest.raises(ValueError):
             hellinger_path_distance(counts, a, b)
 
@@ -202,7 +202,7 @@ class TestHellingerDistances:
 class TestBernsteinNorm:
     def test_truth_gives_zero(self):
         mix = mixture_kernel(TWO_STATE, TWO_STATE, 1)
-        path = sample_path(TWO_STATE, 64, seed=8)
+        path = sample_paths(TWO_STATE, 64, 8)[0]
         assert bernstein_norm(TWO_STATE, mix, path, 1, 64) == 0.0
 
     def test_single_step_toy(self):
@@ -342,7 +342,7 @@ class TestBatchSteps:
         n, seed = 300, 41
         seeds = derive_seed(seed, np.arange(7))
         syms, ctxs = [], []
-        for i, ctx, sym in mc_mod._batch_steps(truth, n, seeds, depth):
+        for i, ctx, sym in step_lanes(truth, n, seeds, depth):
             assert i == len(syms) + 1
             syms.append(sym.copy())
             ctxs.append(ctx.copy())
@@ -350,7 +350,7 @@ class TestBatchSteps:
         ctxs = np.stack(ctxs, axis=1)
         depth = max(depth, order)
         for lane in range(7):
-            path = sample_path(truth, n, derive_seed(seed, lane)).symbols
+            path = sample_paths(truth, n, derive_seed(seed, lane))[0]
             assert np.array_equal(paths[lane], path)
             for i in range(1, n + 1):
                 window = path[max(i - 1 - depth, 0) : i - 1]
@@ -467,10 +467,10 @@ class TestDeviationTail:
         assert [i for i, _ in seen] == [n, 2 * n]
         events, hits = 0, [0] * len(eps)
         for lane in range(lanes):
-            path = sample_path(truth, 2 * n, derive_seed(seed, lane))
+            path = sample_paths(truth, 2 * n, derive_seed(seed, lane))[0]
             for i, counts in seen:
                 for d, freq in enumerate(counts):
-                    ref = np.bincount(context_codes(path.symbols[:i], d, m), minlength=m**d)
+                    ref = np.bincount(context_codes(path[:i], d, m), minlength=m**d)
                     assert freq[lane].tolist() == ref.tolist()
             if event_F(truth, path, eta, rho):
                 events += 1

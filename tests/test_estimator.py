@@ -13,7 +13,7 @@ from markovorder import (
     consistency_experiment,
     estimate_order,
     random_model,
-    sample_path,
+    sample_paths,
     underestimation_gap,
 )
 from markovorder.estimator import argmax_score, required_depth_cap
@@ -55,8 +55,8 @@ class TestEstimateOrder:
     def test_never_reaches_cutoff(self):
         for i in range(20):
             model = random_model(2, 1, seed=derive_seed(90, i))
-            path = sample_path(model, 2048, derive_seed(91, i))
-            counts = build_counts(path, 6)
+            path = sample_paths(model, 2048, derive_seed(91, i))[0]
+            counts = build_counts(path, 6, m=2)
             result = estimate_order(counts, LogLogPenalty(5.0), SubLogCutoff(), 2)
             kappa = cutoff_value(SubLogCutoff(), 2048, 2)
             assert result.chosen_order < kappa == result.kappa_used
@@ -71,8 +71,8 @@ class TestEstimateOrder:
         # argmax down
         for i in range(30):
             model = random_model(2, 2, seed=derive_seed(92, i))
-            path = sample_path(model, 1024, derive_seed(93, i))
-            counts = build_counts(path, 5)
+            path = sample_paths(model, 1024, derive_seed(93, i))[0]
+            counts = build_counts(path, 5, m=2)
             small = estimate_order(counts, LogLogPenalty(3.0), SubLogCutoff(), 2)
             big = estimate_order(counts, LogLogPenalty(7.0), SubLogCutoff(), 2)
             assert big.chosen_order <= small.chosen_order
@@ -153,12 +153,12 @@ class TestUnderestimationGap:
     def test_empirical_slope_converges(self):
         # (ML_1 - ML_0)/n approaches the analytic gap along growing prefixes
         gap = underestimation_gap(TWO_STATE, 0)
-        path = sample_path(TWO_STATE, 2**18, seed=31415)
+        path = sample_paths(TWO_STATE, 2**18, 31415)[0]
         errors = []
         from markovorder import max_loglik
 
         for n in (2**14, 2**16, 2**18):
-            counts = build_counts(path.symbols[:n], 2, m=2)
+            counts = build_counts(path[:n], 2, m=2)
             slope = (max_loglik(counts, 1) - max_loglik(counts, 0)) / n
             errors.append(abs(slope - gap))
         assert errors[-1] < errors[0]

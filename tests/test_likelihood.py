@@ -20,7 +20,6 @@ from markovorder import (
     max_loglik,
     mixture_kernel,
     random_model,
-    sample_path,
     sample_paths,
 )
 from markovorder.diagnostics import hellinger_path_distance
@@ -166,8 +165,8 @@ class TestLilStatistic:
 class TestDeltaStatistic:
     def test_deterministic_chain_zero(self):
         model = MarkovModel([[0.0, 1.0], [1.0, 0.0]], initial=[1.0, 0.0])
-        path = sample_path(model, 12, seed=1)
-        c = build_counts(path, 2)
+        path = sample_paths(model, 12, 1)[0]
+        c = build_counts(path, 2, m=2)
         assert delta_statistic(model, c, path, 1) == 0.0
 
     def test_mle_coincides_with_truth(self):
@@ -180,8 +179,8 @@ class TestDeltaStatistic:
     def test_nonnegative_on_sampled_instances(self):
         for i in range(1000):
             model = random_model(2, 1, seed=derive_seed(50, i))
-            path = sample_path(model, 24, derive_seed(51, i))
-            c = build_counts(path, 2)
+            path = sample_paths(model, 24, derive_seed(51, i))[0]
+            c = build_counts(path, 2, m=2)
             assert delta_statistic(model, c, path, 2) >= 0.0
 
     def test_impossible_path_rejected(self):
@@ -193,13 +192,13 @@ class TestDeltaStatistic:
 
     def test_running_max_matches_endpoint_scan(self):
         model = random_model(2, 1, seed=7)
-        path = sample_path(model, 40, seed=8)
+        path = sample_paths(model, 40, 8)[0]
         by_scan = -np.inf
         for i in range(20, 41):
-            c = build_counts(path.symbols[:i], 2, m=2)
+            c = build_counts(path[:i], 2, m=2)
             from markovorder import log_true_conditional_likelihood
 
-            ll = log_true_conditional_likelihood(model, path.symbols[:i], 2)
+            ll = log_true_conditional_likelihood(model, path[:i], 2)
             by_scan = max(by_scan, max_loglik(c, 2) - ll)
         assert delta_running_max(model, path, 2, 20, 40) == pytest.approx(
             max(by_scan, 0.0), abs=1e-9
@@ -248,7 +247,7 @@ class TestMixtureKernel:
 class TestKlCompensator:
     def test_truth_mixture_gives_zero(self):
         truth = random_model(2, 1, seed=3)
-        path = sample_path(truth, 50, seed=4)
+        path = sample_paths(truth, 50, 4)[0]
         mix = mixture_kernel(truth, truth, 1)
         assert kl_compensator(truth, mix, path, 50) == pytest.approx(0.0, abs=1e-12)
 
@@ -256,11 +255,11 @@ class TestKlCompensator:
         for i in range(1000):
             truth = random_model(2, 1, seed=derive_seed(70, i))
             cand = random_model(2, 1, seed=derive_seed(71, i))
-            path = sample_path(truth, 30, derive_seed(72, i))
+            path = sample_paths(truth, 30, derive_seed(72, i))[0]
             mix = mixture_kernel(cand, truth, 1)
             mix_truth = mixture_kernel(truth, truth, 1)
             d = kl_compensator(truth, mix, path, 30)
-            h = hellinger_path_distance(build_counts(path, 1), mix, mix_truth)
+            h = hellinger_path_distance(build_counts(path, 1, m=2), mix, mix_truth)
             assert d >= 0.0
             assert d >= h - 1e-10
 
@@ -268,14 +267,14 @@ class TestKlCompensator:
 class TestMartingalePath:
     def test_truth_mixture_all_zero(self):
         truth = random_model(2, 1, seed=5)
-        path = sample_path(truth, 40, seed=6)
+        path = sample_paths(truth, 40, 6)[0]
         mix = mixture_kernel(truth, truth, 1)
         assert np.abs(martingale_path(truth, mix, path)).max() < 1e-12
 
     def test_decomposition_at_every_index(self):
         truth = random_model(2, 1, seed=13)
         cand = random_model(2, 2, seed=14)
-        path = sample_path(truth, 30, seed=15)
+        path = sample_paths(truth, 30, 15)[0]
         r = 2
         mix = mixture_kernel(cand, truth, r)
         m_series = martingale_path(truth, mix, path)
@@ -284,11 +283,11 @@ class TestMartingalePath:
         for i in range(r + 1, 31):
             log_sum = 0.0
             for l in range(r, i):
-                ctx = int(path.symbols[l - r] * 2 + path.symbols[l - 1]) if r == 2 else 0
+                ctx = int(path[l - r] * 2 + path[l - 1]) if r == 2 else 0
                 log_sum += math.log(
-                    mix.table[ctx, path.symbols[l]] / lifted[ctx, path.symbols[l]]
+                    mix.table[ctx, path[l]] / lifted[ctx, path[l]]
                 )
-            d = kl_compensator(truth, mix, path.symbols[:i], i)
+            d = kl_compensator(truth, mix, path[:i], i)
             assert m_series[i] == pytest.approx(log_sum + d, abs=1e-9)
 
     def test_zero_mean_monte_carlo(self):

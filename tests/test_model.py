@@ -16,7 +16,6 @@ from markovorder import (
     min_positive_transition,
     random_model,
     read_model_file,
-    sample_path,
     sample_paths,
     stationary_block_law,
     stationary_distribution,
@@ -229,31 +228,30 @@ class TestSamplePath:
     def test_deterministic_kernel_forces_path(self):
         # cycle 0 -> 1 -> 0 from a forced start
         model = MarkovModel([[0.0, 1.0], [1.0, 0.0]], initial=[1.0, 0.0])
-        path = sample_path(model, 9, seed=1)
-        assert path.symbols.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+        path = sample_paths(model, 9, 1)[0]
+        assert path.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
 
     def test_same_seed_identical(self):
-        a = sample_path(TWO_STATE, 500, seed=99)
-        b = sample_path(TWO_STATE, 500, seed=99)
-        assert np.array_equal(a.symbols, b.symbols)
-        assert a.seed == b.seed == 99
+        a = sample_paths(TWO_STATE, 500, 99)[0]
+        b = sample_paths(TWO_STATE, 500, 99)[0]
+        assert np.array_equal(a, b)
 
     def test_lln_against_stationary_law(self):
         n = 10**6
-        path = sample_path(TWO_STATE, n, seed=2024)
-        freq1 = path.symbols.mean()
+        path = sample_paths(TWO_STATE, n, 2024)[0]
+        freq1 = path.mean()
         assert abs(freq1 - 0.6) < 3.0 / math.sqrt(n)
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
-            sample_path(TWO_STATE, 0, seed=1)
+            sample_paths(TWO_STATE, 0, 1)
 
     def test_batch_matches_scalar_sampler(self):
         for model in (TWO_STATE, random_model(3, 2, seed=8)):
             seeds = [derive_seed(11, i) for i in range(6)]
             batch = sample_paths(model, 40, seeds)
             for i, s in enumerate(seeds):
-                assert np.array_equal(batch[i], sample_path(model, 40, s).symbols)
+                assert np.array_equal(batch[i], sample_paths(model, 40, s)[0])
             assert sample_paths(model, 40, []).shape == (0, 40)
 
     @settings(max_examples=80, deadline=None)
@@ -299,13 +297,13 @@ class TestSamplePath:
                 dtype=np.uint64,
             ),
         )
-        path = sample_path(model, 200, seed=1)
-        assert path.symbols[0] != 2
+        path = sample_paths(model, 200, 1)[0]
+        assert path[0] != 2
         assert math.isfinite(log_true_conditional_likelihood(model, path, 1))
 
     def test_path_shorter_than_order(self):
         model = random_model(2, 3, seed=15)
-        path = sample_path(model, 2, seed=3)
+        path = sample_paths(model, 2, 3)[0]
         assert len(path) == 2
 
     @pytest.mark.parametrize("lanes", [2, 3, 5])
@@ -388,7 +386,7 @@ class TestIntegerThresholds:
 class TestTrueConditionalLikelihood:
     def test_deterministic_chain_gives_zero(self):
         model = MarkovModel([[0.0, 1.0], [1.0, 0.0]], initial=[1.0, 0.0])
-        path = sample_path(model, 8, seed=1)
+        path = sample_paths(model, 8, 1)[0]
         assert log_true_conditional_likelihood(model, path, 1) == 0.0
 
     def test_impossible_transition_gives_neg_inf_sentinel(self):
@@ -407,12 +405,12 @@ class TestTrueConditionalLikelihood:
             log_true_conditional_likelihood(TWO_STATE, np.array([0, 1, 0, 1]), 0)
 
     def test_conditioning_order_only_shifts_start(self):
-        path = sample_path(TWO_STATE, 50, seed=5)
+        path = sample_paths(TWO_STATE, 50, 5)[0]
         l1 = log_true_conditional_likelihood(TWO_STATE, path, 1)
         l3 = log_true_conditional_likelihood(TWO_STATE, path, 3)
         # dropping the first two sampled factors
-        codes = path.symbols[:-1]
-        steps = np.log(TWO_STATE.kernel[codes, path.symbols[1:]])
+        codes = path[:-1]
+        steps = np.log(TWO_STATE.kernel[codes, path[1:]])
         assert l1 == pytest.approx(steps.sum(), abs=1e-10)
         assert l3 == pytest.approx(steps[2:].sum(), abs=1e-10)
 

@@ -87,6 +87,11 @@ class TestCutoffValue:
     def test_alphalog_at_e_cubed(self):
         assert cutoff_value(AlphaLogCutoff(1.0, hard_cap=False), E**3, 2) == 3
 
+    def test_alphalog_overflow_is_capped_or_named(self):
+        assert cutoff_value(AlphaLogCutoff(1e308), 1000, 2) == 9
+        with pytest.raises(ValueError, match="not finite"):
+            cutoff_value(AlphaLogCutoff(1e308, hard_cap=False), 1000, 2)
+
     def test_sublog_at_2_20(self):
         assert cutoff_value(SubLogCutoff(), 2**20, 2) == 6
 
