@@ -16,14 +16,9 @@ first and the last ``depth_cap`` symbols of the path.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from ._contexts import window_codes
-
-_MAGIC = b"MKOC"
-_VERSION = 2
 
 
 class ContextCounts:
@@ -38,71 +33,34 @@ class ContextCounts:
         self.head = np.asarray(head, dtype=np.int64)  # first depth_cap symbols
         self.tail = np.asarray(tail, dtype=np.int64)  # last depth_cap symbols
 
-    def window_counts(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct codes ``ctx * m + next`` of the length-(r+1) windows, in
-        increasing order, and their positive counts."""
+    def _depth_windows(self, r: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The stored codes read at depth r, the codes of the depth-r windows
+        inside the head, and the size m**(r+1) of the code space."""
         if not 0 <= r <= self.depth_cap:
             raise ValueError(f"depth {r} outside tracked range 0..{self.depth_cap}")
         size = self.m ** (r + 1)
-        inside_head = window_codes(self.head, r + 1, self.m)
+        return self.codes % size, window_codes(self.head, r + 1, self.m), size
+
+    def window_counts(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct codes ``ctx * m + next`` of the length-(r+1) windows, in
+        increasing order, and their positive counts."""
+        codes, inside_head, size = self._depth_windows(r)
         return _merge(
-            np.concatenate([self.codes % size, inside_head]),
+            np.concatenate([codes, inside_head]),
             np.concatenate([self.counts, np.ones(inside_head.shape[0], dtype=np.int64)]),
             size,
         )
 
     def transition_counts(self, r: int) -> np.ndarray:
         """Transition table at depth r: ndarray (m**r, m)."""
-        codes, counts = self.window_counts(r)
-        table = np.zeros(self.m ** (r + 1), dtype=np.int64)
-        table[codes] = counts
+        codes, inside_head, size = self._depth_windows(r)
+        table = np.bincount(codes, self.counts, minlength=size).astype(np.int64)
+        table += np.bincount(inside_head, minlength=size)
         return table.reshape(self.m**r, self.m)
 
     def context_counts(self, r: int) -> np.ndarray:
         """Context counts at depth r: ndarray (m**r,)."""
         return self.transition_counts(r).sum(axis=1)
-
-    # -- binary checkpoint format (little-endian, layout in the README) ----
-
-    def dump(self, path) -> None:
-        """Write a versioned little-endian binary checkpoint."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HHIIQ", _VERSION, 0, self.m, self.depth_cap, self.n))
-            fh.write(self.head.astype("<u4").tobytes())
-            fh.write(self.tail.astype("<u4").tobytes())
-            fh.write(struct.pack("<Q", self.codes.shape[0]))
-            fh.write(self.codes.astype("<u8").tobytes())
-            fh.write(self.counts.astype("<u8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "ContextCounts":
-        """Read a checkpoint of version 2."""
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError("not a counts checkpoint file")
-            version, _, m, depth_cap, n = struct.unpack("<HHIIQ", fh.read(20))
-            if version != _VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            head = _read_array(fh, "<u4", depth_cap)
-            tail = _read_array(fh, "<u4", depth_cap)
-            entries = _read_array(fh, "<u8", 1)[0]
-            codes = _read_array(fh, "<u8", entries)
-            counts = _read_array(fh, "<u8", entries)
-        bad = (codes < 0) | (codes >= m ** (depth_cap + 1)) | (counts <= 0)
-        if bad.any() or np.any(np.diff(codes) <= 0) or counts.sum() != n - depth_cap:
-            raise ValueError("inconsistent counts checkpoint file")
-        if np.any(head >= m) or np.any(tail >= m):
-            raise ValueError("counts checkpoint holds a symbol outside the alphabet")
-        return cls(m, depth_cap, n, codes, counts, head, tail)
-
-
-def _read_array(fh, dtype: str, count: int) -> np.ndarray:
-    size = np.dtype(dtype).itemsize * int(count)
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValueError("truncated counts checkpoint file")
-    return np.frombuffer(raw, dtype=dtype).astype(np.int64)
 
 
 def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,10 +68,10 @@ def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray
     positive ``counts`` of each (one per code when None).
 
     Tallies in a length-``size`` array when that is no longer than the
-    input, and sorts otherwise.  Weighted sums run in float64, exact for
-    counts below 2**53.
+    input or than 4096, and sorts otherwise.  Weighted sums run in float64,
+    exact for counts below 2**53.
     """
-    if size <= codes.shape[0]:
+    if size <= max(codes.shape[0], 4096):
         tally = np.bincount(codes, counts, minlength=size)
         keys = np.flatnonzero(tally)
         return keys, tally[keys].astype(np.int64)

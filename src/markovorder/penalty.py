@@ -9,10 +9,9 @@ Penalties (natural log throughout):
 * ``loglogf``: m**r * f(n) * log log n for a user-supplied f.
 * ``custom``:  explicit (n, r) -> value table.
 
-Cutoffs bound the orders searched at sample size n; by default every
-cutoff is additionally capped at floor(log n / log m), the depth beyond
-which per-sample likelihood gains are bounded and count tables are empty
-anyway.
+Cutoffs bound the orders searched at sample size n; every cutoff is
+additionally capped at floor(log n / log m), the depth beyond which
+per-sample likelihood gains are bounded and count tables are empty anyway.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ def default_loglog_constant(m: int) -> float:
 class LogLogPenalty:
     C: float
 
-    name = "loglog"
-
     def __post_init__(self):
         if self.C <= 0:
             raise ValueError("loglog constant C must be > 0")
@@ -57,8 +54,6 @@ class LogLogFPenalty:
     f: Callable[[float], float]
     label: str = "f"
 
-    name = "loglogf"
-
     def value(self, n: float, r: int, m: int) -> float:
         return m**r * float(self.f(n)) * _loglog(n)
 
@@ -68,8 +63,6 @@ class LogLogFPenalty:
 
 @dataclass(frozen=True)
 class BICPenalty:
-    name = "bic"
-
     def value(self, n: float, r: int, m: int) -> float:
         return 0.5 * m**r * (m - 1) * math.log(n)
 
@@ -80,8 +73,6 @@ class BICPenalty:
 @dataclass(frozen=True)
 class CsiszarPenalty:
     c: float
-
-    name = "csiszar"
 
     def __post_init__(self):
         if self.c <= 0:
@@ -98,8 +89,6 @@ class CsiszarPenalty:
 class CustomPenalty:
     table: Mapping[tuple[int, int], float]
     label: str = "custom"
-
-    name = "custom"
 
     def __post_init__(self):
         if any(v < 0 for v in self.table.values()):
@@ -138,9 +127,6 @@ def implied_f(spec: PenaltySpec, n: float, m: int) -> float:
 @dataclass(frozen=True)
 class ConstantCutoff:
     K: int
-    hard_cap: bool = True
-
-    name = "constant"
 
     def __post_init__(self):
         if self.K < 1:
@@ -156,9 +142,6 @@ class ConstantCutoff:
 @dataclass(frozen=True)
 class AlphaLogCutoff:
     alpha: float
-    hard_cap: bool = True
-
-    name = "alphalog"
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -175,10 +158,6 @@ class AlphaLogCutoff:
 class SubLogCutoff:
     """ceil(log n / log log n): grows without bound but is o(log n)."""
 
-    hard_cap: bool = True
-
-    name = "sublog"
-
     def raw(self, n: float, m: int) -> float:
         return math.ceil(math.log(n) / math.log(math.log(max(n, LOGLOG_CLAMP_N))))
 
@@ -193,11 +172,7 @@ def cutoff_value(spec: CutoffSpec, n: float, m: int) -> int:
     """kappa(n): the number of orders searched (estimator scans r < kappa)."""
     if n < N_MIN:
         raise ValueError(f"cutoffs need n >= {N_MIN}, got {n}")
-    value = spec.raw(n, m)
-    if spec.hard_cap:
-        value = min(value, math.floor(math.log(n) / math.log(m)))
-    if not math.isfinite(value):
-        raise ValueError(f"cutoff {spec.describe()}: kappa({n:g}) is not finite")
+    value = min(spec.raw(n, m), math.floor(math.log(n) / math.log(m)))
     return max(int(value), 1)
 
 
@@ -269,8 +244,7 @@ def corollary_conditions_check(
 
 
 PENALTY_PARAMS = {"loglog": ("C",), "bic": (), "csiszar": ("c",)}
-CUTOFF_PARAMS = {"sublog": ("hard_cap",), "constant": ("K", "hard_cap"),
-                 "alphalog": ("alpha", "hard_cap")}
+CUTOFF_PARAMS = {"sublog": (), "constant": ("K",), "alphalog": ("alpha",)}
 
 
 def _parse_spec(kind: str, text: str, families) -> tuple[str, dict[str, str]]:
@@ -320,12 +294,8 @@ def parse_penalty(text: str) -> PenaltySpec:
 def parse_cutoff(text: str) -> CutoffSpec:
     """Parse a cutoff spec string: ``sublog``, ``constant K=3``, ``alphalog alpha=0.2``."""
     name, args = _parse_spec("cutoff", text, CUTOFF_PARAMS)
-    flag = args.get("hard_cap", "true").lower()
-    if flag not in ("true", "false"):
-        raise ValueError(f"{name} cutoff: hard_cap must be true or false, got {flag!r}")
-    hard_cap = flag == "true"
     if name == "sublog":
-        return SubLogCutoff(hard_cap=hard_cap)
+        return SubLogCutoff()
     if name == "constant":
-        return ConstantCutoff(K=_param("cutoff", name, args, "K", int), hard_cap=hard_cap)
-    return AlphaLogCutoff(alpha=_param("cutoff", name, args, "alpha", float), hard_cap=hard_cap)
+        return ConstantCutoff(K=_param("cutoff", name, args, "K", int))
+    return AlphaLogCutoff(alpha=_param("cutoff", name, args, "alpha", float))

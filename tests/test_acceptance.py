@@ -10,7 +10,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 import markovorder as mo
 from markovorder import build_counts, cli, extend_counts, max_loglik

@@ -25,7 +25,6 @@ from markovorder.diagnostics import (
     bracket_battery,
     bracket_count_check,
     bracket_grid,
-    bracket_log_envelopes,
     deviation_tail_mc,
     entropy_bound,
     event_F,
@@ -42,7 +41,7 @@ from markovorder.diagnostics import (
 from markovorder._contexts import context_codes
 from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
-from markovorder.model import lift_kernel, stationary_block_law, step_lanes
+from markovorder.model import stationary_block_law, step_lanes
 from markovorder.penalty import SubLogCutoff
 from markovorder.rng import derive_seed
 

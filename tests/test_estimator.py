@@ -18,7 +18,7 @@ from markovorder import (
 )
 from markovorder.estimator import argmax_score, required_depth_cap
 from markovorder.model import lift_kernel, stationary_distribution
-from markovorder.penalty import ConstantCutoff, cutoff_value
+from markovorder.penalty import cutoff_value
 from markovorder.rng import derive_seed
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
