@@ -22,10 +22,7 @@ from .likelihood import (
     LilStatistic,
     MixtureKernel,
     delta_running_max,
-    delta_statistic,
     kl_compensator,
-    lil_statistic,
-    lr_statistic,
     martingale_path,
     max_loglik,
     mixture_kernel,
@@ -34,7 +31,6 @@ from .model import (
     MarkovModel,
     ReducibleChainError,
     log_true_conditional_likelihood,
-    min_positive_transition,
     random_model,
     read_model_file,
     sample_paths,
@@ -48,13 +44,9 @@ from .penalty import (
     BICPenalty,
     ConstantCutoff,
     CsiszarPenalty,
-    CustomPenalty,
-    LogLogFPenalty,
     LogLogPenalty,
     SubLogCutoff,
-    corollary_conditions_check,
     cutoff_value,
-    default_loglog_constant,
     parse_cutoff,
     parse_penalty,
     penalty_value,

@@ -11,7 +11,6 @@ from .core import (
     event_F,
     hellinger_path_distance,
     hellinger_stationary_distance,
-    maximal_bound,
     phi,
     typicality_check,
 )

@@ -17,8 +17,8 @@ import numpy as np
 
 from .._contexts import context_codes
 from ..counts import ContextCounts, prefix_counts
-from ..likelihood import MixtureKernel, log_ratio_rows
-from ..model import MarkovModel, stationary_block_law
+from ..likelihood import MixtureKernel, log_ratio_rows, masked_log_ratio
+from ..model import MarkovModel, lift_kernel, stationary_block_law
 
 _PHI_SERIES_CUT = 1e-4
 
@@ -191,16 +191,15 @@ def bracket_log_envelopes(
     pointwise whenever lower <= kernel <= upper.
     """
     symbols = np.asarray(path, dtype=np.int64)
-    m = truth.m
-    codes = context_codes(symbols, r, m)
+    codes = context_codes(symbols, r, truth.m)
     nxt = symbols[r:]
-    t_obs = truth.kernel[codes % truth.n_contexts, nxt]
+    t_obs = lift_kernel(truth.kernel, truth.m, r)[codes, nxt]
     if np.any(t_obs <= 0.0):
         raise ValueError("path has zero probability under the truth")
 
     def logratio(table):
         mixed = 0.5 * (np.asarray(table, dtype=np.float64)[codes, nxt] + t_obs)
-        return np.log(mixed / t_obs)
+        return masked_log_ratio(mixed, t_obs)
 
     return logratio(lower), logratio(upper), logratio(kernel)
 
@@ -238,26 +237,15 @@ def bernstein_tail_bound(alpha: float, K: float, R: float) -> float:
     return math.exp(-(alpha**2) / (2.0 * (K * alpha + R)))
 
 
-def maximal_bound(alpha: float, C_universal: float, c1: float, R: float) -> float:
-    """2 exp(-alpha**2 / (C**2 (c1+1) R)): tail of the supremum over a
-    bracketed family of martingale maxima."""
-    if alpha <= 0 or C_universal <= 0 or c1 <= 0 or R <= 0:
-        raise ValueError("all arguments must be > 0")
-    return 2.0 * math.exp(-(alpha**2) / (C_universal**2 * (c1 + 1.0) * R))
-
-
 # -- named constants ---------------------------------------------------------
 
 
-C_UNIVERSAL = 100.0  # the universal constant of the maximal inequality
-
-
 class BoundParams:
-    """The constants used by the bound evaluators and Monte Carlo verifiers.
+    """The constants the sandwich and bracket checks read.
 
     C3 and C4 are the explicit values the count/stationary Hellinger
-    comparison yields at a given eta; C5, C6, c, c1 and C1 follow from
-    them, and C2 (via ``self.C2(m)``) from those and the alphabet size.
+    comparison yields at a given eta; c and C5, the bracketing-entropy
+    constants, follow from them.
     """
 
     def __init__(self, eta: float):
@@ -267,20 +255,4 @@ class BoundParams:
         self.C3 = 4.0 * (1.0 + eta) / (1.0 - eta)
         self.C4 = 1.0 / (1.0 - eta)
         self.c = math.sqrt(8.0 * self.C3 / self.C4)
-        self.c1 = 1.0 / (8.0 * self.C3)
-        self.C1 = 32.0 * C_UNIVERSAL**2 * (self.C3 + 0.125)
         self.C5 = (8.0 * math.sqrt(self.C4) + self.c) * math.sqrt(2.0 * math.pi * math.e)
-        amp = math.sqrt(4.0 * self.C4) * self.C5
-        # C6 = integral of sqrt(log(amp / v)) over [0, b]; with v = amp e^(-t^2)
-        # it is b s + (amp sqrt(pi) / 2) erfc(s), where b = amp e^(-s^2)
-        b = math.sqrt(8.0 * self.C3)
-        s = math.sqrt(math.log(amp / b))
-        self.C6 = b * s + amp * math.sqrt(math.pi) / 2.0 * math.erfc(s)
-
-    def C2(self, m: int) -> float:
-        """Smallest deviation level the maximal bound covers, per alphabet."""
-        return 4.0 * self.C6**2 * C_UNIVERSAL**2 * (self.c1 + 1.0) * m
-
-    def C1_prime(self, m: int) -> float:
-        """Prefactor of the exponential deviation tail."""
-        return 2.0 / (1.0 - math.exp(-self.C2(m) / self.C1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..counts import build_counts, prefix_counts
-from ..likelihood import RunningOvershoot, log_ratio_table, mixture_kernel
+from ..likelihood import RunningOvershoot, log_ratio_table, masked_log_ratio, mixture_kernel
 from ..model import (
     MarkovModel,
     lift_kernel,
@@ -219,7 +219,7 @@ def deviation_tail_mc(
     # length; at length r + 1 that is the overshoot's own transition table
     window = max(r + 1, rho - 1)
     extra = m**window if window > r + 1 else 0
-    log_t0 = np.where(truth.kernel > 0.0, np.log(np.where(truth.kernel > 0.0, truth.kernel, 1.0)), 0.0)
+    log_t0 = masked_log_ratio(truth.kernel, 1.0)
     eps = np.array([float(e) for e in eps_grid])
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0

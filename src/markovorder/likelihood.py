@@ -19,7 +19,6 @@ from .model import (
     MarkovModel,
     kernel_at_true_order,
     lift_kernel,
-    log_true_conditional_likelihood,
     true_order,
 )
 
@@ -51,18 +50,6 @@ def max_loglik_vector(counts: ContextCounts, kappa: int) -> list[float]:
     return [max_loglik(counts, r) for r in range(kappa)]
 
 
-def lr_statistic(counts: ContextCounts, r: int, r_star: int) -> float:
-    """Gap between the order-r and order-r_star maximized log-likelihoods.
-
-    Nonnegative because the parameter classes are nested.
-    """
-    if r_star > r:
-        raise ValueError(f"reference order {r_star} exceeds order {r}")
-    if r == r_star:
-        return 0.0
-    return max(max_loglik(counts, r) - max_loglik(counts, r_star), 0.0)
-
-
 @dataclass(frozen=True)
 class LilStatistic:
     """Order-normalized likelihood-ratio supremum over r_star < r < kappa."""
@@ -71,37 +58,20 @@ class LilStatistic:
     empty_range: bool
 
 
-def lil_statistic(counts: ContextCounts, r_star: int, kappa_n: int, m: int) -> LilStatistic:
-    """sup over r_star < r < kappa_n of ``lr_statistic(r, r_star) / m**r``.
+def lil_from_logliks(logliks, r_star: int, m: int) -> LilStatistic:
+    """sup over r_star < r < kappa_n of the nonnegative part of
+    ``max_loglik(r) - max_loglik(r_star)``, divided by ``m**r``, given
+    ``logliks[j] = max_loglik(r_star + j)`` for r_star <= r_star + j < kappa_n.
 
     Returns a zero value with the empty-range flag set when the interval
     contains no order.
     """
-    return lil_from_logliks(max_loglik_vector(counts, kappa_n)[r_star:], r_star, m)
-
-
-def lil_from_logliks(logliks, r_star: int, m: int) -> LilStatistic:
-    """``lil_statistic`` from ``logliks[j] = max_loglik(r_star + j)`` over
-    the orders r_star <= r < kappa_n."""
     if len(logliks) < 2:
         return LilStatistic(0.0, True)
     best = max(
         max(logliks[j] - logliks[0], 0.0) / m ** (r_star + j) for j in range(1, len(logliks))
     )
     return LilStatistic(best, False)
-
-
-def delta_statistic(model: MarkovModel, counts: ContextCounts, path, r: int) -> float:
-    """Overshoot of the order-r maximized log-likelihood over the true
-    conditional log-likelihood; nonnegative.
-
-    Raises if the path is impossible under the model (the reference
-    log-likelihood would be -inf).
-    """
-    ll = log_true_conditional_likelihood(model, path, r)
-    if ll == float("-inf"):
-        raise ValueError("path has zero probability under the model")
-    return max(max_loglik(counts, r) - ll, 0.0)
 
 
 class RunningOvershoot:

@@ -276,12 +276,6 @@ def lift_kernel(kernel: np.ndarray, m: int, r: int) -> np.ndarray:
     return np.array(kernel, dtype=np.float64)[base]
 
 
-def min_positive_transition(model: MarkovModel) -> float:
-    """Smallest strictly positive kernel entry (the per-step floor lambda)."""
-    positive = model.kernel[model.kernel > 0.0]
-    return float(positive.min())
-
-
 def kernel_at_true_order(model: MarkovModel) -> np.ndarray:
     """Kernel table re-indexed over length-``true_order`` contexts."""
     m = model.m

@@ -3,11 +3,9 @@
 Penalties (natural log throughout):
 
 * ``loglog``:  C * m**r * log log n, consistent once C exceeds twice the
-  alphabet size when an order bound is imposed; default C = 2m + 1.
+  alphabet size when an order bound is imposed.
 * ``bic``:     (1/2) * m**r * (m - 1) * log n.
 * ``csiszar``: c * m**r * log n, consistent for every c > 0 without a cutoff.
-* ``loglogf``: m**r * f(n) * log log n for a user-supplied f.
-* ``custom``:  explicit (n, r) -> value table.
 
 Cutoffs bound the orders searched at sample size n; every cutoff is
 additionally capped at floor(log n / log m), the depth beyond which
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 N_MIN = 3
 LOGLOG_CLAMP_N = math.exp(math.e)  # ~15.15, where log log n reaches 1
@@ -27,11 +24,6 @@ LOGLOG_CLAMP_N = math.exp(math.e)  # ~15.15, where log log n reaches 1
 def _loglog(n: float) -> float:
     # clamp just below 16 so small-n penalties never go negative
     return math.log(math.log(max(float(n), LOGLOG_CLAMP_N)))
-
-
-def default_loglog_constant(m: int) -> float:
-    """Smallest integer margin above twice the alphabet size."""
-    return 2.0 * m + 1.0
 
 
 @dataclass(frozen=True)
@@ -47,18 +39,6 @@ class LogLogPenalty:
 
     def describe(self) -> str:
         return f"loglog(C={self.C:g})"
-
-
-@dataclass(frozen=True)
-class LogLogFPenalty:
-    f: Callable[[float], float]
-    label: str = "f"
-
-    def value(self, n: float, r: int, m: int) -> float:
-        return m**r * float(self.f(n)) * _loglog(n)
-
-    def describe(self) -> str:
-        return f"loglogf({self.label})"
 
 
 @dataclass(frozen=True)
@@ -85,26 +65,7 @@ class CsiszarPenalty:
         return f"csiszar(c={self.c:g})"
 
 
-@dataclass(frozen=True)
-class CustomPenalty:
-    table: Mapping[tuple[int, int], float]
-    label: str = "custom"
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.table.values()):
-            raise ValueError("custom penalty table must be nonnegative")
-
-    def value(self, n: float, r: int, m: int) -> float:
-        try:
-            return float(self.table[(int(n), int(r))])
-        except KeyError:
-            raise ValueError(f"custom penalty has no entry for (n={n}, r={r})")
-
-    def describe(self) -> str:
-        return self.label
-
-
-PenaltySpec = LogLogPenalty | LogLogFPenalty | BICPenalty | CsiszarPenalty | CustomPenalty
+PenaltySpec = LogLogPenalty | BICPenalty | CsiszarPenalty
 
 
 def penalty_value(spec: PenaltySpec, n: float, r: int, m: int) -> float:
@@ -114,11 +75,6 @@ def penalty_value(spec: PenaltySpec, n: float, r: int, m: int) -> float:
     if r < 0:
         raise ValueError("order must be nonnegative")
     return spec.value(n, r, m)
-
-
-def implied_f(spec: PenaltySpec, n: float, m: int) -> float:
-    """The factor f(n) when the penalty is written m**r * f(n) * log log n."""
-    return penalty_value(spec, n, 0, m) / _loglog(n)
 
 
 # -- cutoffs ----------------------------------------------------------------
@@ -133,7 +89,7 @@ class ConstantCutoff:
             raise ValueError("constant cutoff must be >= 1")
 
     def raw(self, n: float, m: int) -> float:
-        return float(self.K)
+        return self.K
 
     def describe(self) -> str:
         return f"constant(K={self.K})"
@@ -176,70 +132,6 @@ def cutoff_value(spec: CutoffSpec, n: float, m: int) -> int:
     return max(int(value), 1)
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
-    """Numeric check of the consistency conditions on a finite grid."""
-
-    n_grid: tuple[int, ...]
-    f_values: tuple[float, ...]
-    ratio_values: tuple[float, ...]  # f(n) log log n / n
-    kappa_values: tuple[int, ...]
-    liminf_ok: bool
-    ratio_ok: bool
-    kappa_nondecreasing: bool
-    kappa_bound_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.liminf_ok
-            and self.ratio_ok
-            and self.kappa_nondecreasing
-            and self.kappa_bound_ok
-        )
-
-
-def corollary_conditions_check(
-    pen: PenaltySpec,
-    cut: CutoffSpec,
-    f_floor: float,
-    kappa_slope: float,
-    n_grid,
-    m: int,
-) -> CorollaryReport:
-    """Evaluate the penalty/cutoff consistency conditions on an n grid.
-
-    Checks, numerically: the implied f(n) stays at or above f_floor (the
-    corollary's C*) on the upper half of the grid; f(n) log log n / n
-    decreases along the grid and falls below 1e-3 at the top; kappa is
-    nondecreasing; and kappa(n) <= kappa_slope * log n (its alpha*) everywhere.
-    """
-    grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n grid must be strictly increasing")
-    f_vals = [implied_f(pen, n, m) for n in grid]
-    ratios = [f * _loglog(n) / n for f, n in zip(f_vals, grid)]
-    kappas = [cutoff_value(cut, n, m) for n in grid]
-    tail = f_vals[len(f_vals) // 2 :]
-    liminf_ok = all(f >= f_floor - 1e-12 for f in tail)
-    ratio_ok = (
-        all(b <= a + 1e-15 for a, b in zip(ratios, ratios[1:]))
-        and ratios[-1] < 1e-3
-    )
-    nondec = all(b >= a for a, b in zip(kappas, kappas[1:]))
-    bound_ok = all(k <= kappa_slope * math.log(n) for k, n in zip(kappas, grid))
-    return CorollaryReport(
-        tuple(grid),
-        tuple(f_vals),
-        tuple(ratios),
-        tuple(kappas),
-        liminf_ok,
-        ratio_ok,
-        nondec,
-        bound_ok,
-    )
-
-
 # -- spec strings used by config files and CSV columns ----------------------
 
 
@@ -274,9 +166,12 @@ def _param(kind: str, name: str, args: dict[str, str], key: str, cast):
         raise ValueError(f"{name} {kind} needs {key}=<value>")
     try:
         value = cast(args[key])
+        finite = math.isfinite(value)
     except ValueError:
         raise ValueError(f"{name} {kind}: expected {cast.__name__} {key}, got {args[key]!r}")
-    if not math.isfinite(value):
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} {kind}: {key} is too large, got {args[key]!r}")
+    if not finite:
         raise ValueError(f"{name} {kind}: {key} must be finite, got {args[key]!r}")
     return value
 

@@ -628,6 +628,10 @@ class TestExitCodesAndDeterminism:
             ("cutoff.spec", "sublog K=3", "unknown parameter 'K'"),
             ("cutoff.spec", "constant K=3 K=4", "'K' given twice"),
             ("cutoff.spec", "sublog hard_cap=false", "unknown parameter 'hard_cap'"),
+            pytest.param(
+                "cutoff.spec", "constant K=1" + "0" * 400, "K is too large",
+                id="cutoff.spec-constant K=10**400",
+            ),
         ],
     )
     def test_spec_rejects_unknown_or_repeated_parameter(self, tmp_path, capsys, key, spec, named):
@@ -766,6 +770,7 @@ CONFIG_VALUES = (
         "csiszar c=-1", "alphalog alpha=inf", "constant K=3 hard_cap=false",
         "alphalog alpha=1e308", "alphalog alpha=1e308 hard_cap=false", "bic C=5",
         "loglog C=5 D=3", "loglog C=5 C=7", "sublog K=3", "sublog hard_cap=no",
+        "constant K=1" + "0" * 400,
     ])
 )
 CONFIG_KEYS = st.sampled_from(

@@ -13,6 +13,7 @@ from markovorder import (
     MixtureKernel,
     build_counts,
     delta_running_max,
+    martingale_path,
     mixture_kernel,
     random_model,
     sample_paths,
@@ -32,7 +33,6 @@ from markovorder.diagnostics import (
     hellinger_sandwich_battery,
     hellinger_stationary_distance,
     lil_trajectory,
-    maximal_bound,
     norm_bound_battery,
     phi,
     typicality_check,
@@ -294,44 +294,18 @@ class TestClosedFormBounds:
         r_grid = [bernstein_tail_bound(1.0, 2.0, r) for r in (0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(r_grid, r_grid[1:]))
 
-    def test_maximal_bound_values(self):
-        params = BoundParams(0.5)
-        c1 = params.c1
-        r = 3.0
-        alpha = math.sqrt(100.0**2 * (c1 + 1.0) * r)
-        assert maximal_bound(alpha, 100.0, c1, r) == pytest.approx(2.0 / math.e, abs=1e-12)
-        tiny = maximal_bound(1e-9, 100.0, c1, r)
-        assert tiny == pytest.approx(2.0, abs=1e-6)
-
     def test_bound_params_derived_constants(self):
         params = BoundParams(0.5)
         assert params.C3 == pytest.approx(12.0)
         assert params.C4 == pytest.approx(2.0)
         assert params.c == pytest.approx(math.sqrt(48.0))
-        assert params.c1 == pytest.approx(1.0 / 96.0)
         assert params.C5 == pytest.approx(
             (8 * math.sqrt(2.0) + math.sqrt(48.0)) * math.sqrt(2 * math.pi * math.e)
         )
-        assert params.C6 > 0.0
-        assert params.C1 == pytest.approx(32.0 * 1e4 * 12.125)
-        assert params.C2(2) > 0 and 0 < params.C1_prime(2) < 4
 
     def test_bound_params_eta_validation(self):
         with pytest.raises(ValueError):
             BoundParams(1.0)
-
-    @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
-    def test_c6_matches_numeric_integral(self, eta):
-        # C6 = integral of sqrt(log(amp / v)) over [0, sqrt(8 C3)]; with
-        # v = amp exp(-t^2) it is the integral of 2 amp t^2 exp(-t^2) over
-        # [s, inf), s = sqrt(log(amp / sqrt(8 C3))), taken by the trapezoid rule
-        params = BoundParams(eta)
-        amp = math.sqrt(4.0 * params.C4) * params.C5
-        s = math.sqrt(math.log(amp / math.sqrt(8.0 * params.C3)))
-        t, h = np.linspace(s, s + 8.0, 1_000_001, retstep=True)
-        y = 2.0 * amp * t**2 * np.exp(-(t**2))
-        integral = h * (y.sum() - 0.5 * (y[0] + y[-1]))
-        assert params.C6 == pytest.approx(integral, rel=1e-9)
 
 
 class TestBatchSteps:
@@ -383,6 +357,28 @@ class TestBernsteinMc:
         )
         assert report.all_passed
         assert abs(report.mean_final) <= 5 * report.sd_final / math.sqrt(report.replications)
+
+    def test_matches_per_lane_reference(self):
+        # each lane against martingale_path and bernstein_norm on its sampled path
+        n, r, reps, seed, R = 24, 1, 10**4, 11, 0.63
+        alphas = [0.25, 0.5, 1.0, 2.0]
+        report = bernstein_mc_check(TWO_STATE, self.CAND, r, n, alphas, R, reps, seed)
+        mix = mixture_kernel(self.CAND, TWO_STATE, r)
+        paths = sample_paths(TWO_STATE, n, derive_seed(seed, np.arange(reps)))
+        finals, maxima, norms = [], [], []
+        for path in paths:
+            m_path = martingale_path(TWO_STATE, mix, path)  # M_i = 0 for i <= r
+            finals.append(m_path[-1])
+            maxima.append(m_path.max())
+            norms.append(bernstein_norm(TWO_STATE, mix, path, r, n))
+        maxima, norms = np.array(maxima), np.array(norms)
+        # the cap binds on some lanes, and no lane's norm sits at it
+        assert 0 < np.count_nonzero(norms > R) < reps
+        assert np.abs(norms - R).min() > 1e-6
+        assert report.mean_final == float(np.array(finals).sum()) / reps
+        for row in report.rows:
+            hits = np.count_nonzero((maxima >= row.alpha) & (norms <= R))
+            assert 0 < hits and row.empirical == hits / reps
 
     def test_replication_floor_enforced(self):
         with pytest.raises(ValueError):

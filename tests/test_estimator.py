@@ -1,6 +1,8 @@
 """Order selection, recovery experiments, and the analytic accuracy gap."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +165,11 @@ class TestUnderestimationGap:
             errors.append(abs(slope - gap))
         assert errors[-1] < errors[0]
         assert errors[-1] < 0.005
+
+
+def test_readme_library_sketch_runs(capsys):
+    # every name the README's library sketch uses must exist and run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(sketch, {})
+    assert capsys.readouterr().out.count("\n") == 2

@@ -12,10 +12,8 @@ from markovorder import (
     MixtureKernel,
     build_counts,
     delta_running_max,
-    delta_statistic,
     kl_compensator,
-    lil_statistic,
-    lr_statistic,
+    log_true_conditional_likelihood,
     martingale_path,
     max_loglik,
     mixture_kernel,
@@ -23,6 +21,7 @@ from markovorder import (
     sample_paths,
 )
 from markovorder.diagnostics import hellinger_path_distance
+from markovorder.likelihood import lil_from_logliks, max_loglik_vector
 from markovorder.model import lift_kernel
 from markovorder.rng import derive_seed
 
@@ -110,47 +109,50 @@ class TestMaxLoglik:
 
 
 class TestLrStatistic:
-    def test_equal_orders_zero(self):
-        c = build_counts(PATH_0010, 2, m=2)
-        assert lr_statistic(c, 1, 1) == 0.0
+    """The likelihood-ratio gap ``max_loglik(r) - max_loglik(r_star)``."""
 
     def test_constant_path_zero_all_orders(self):
         c = build_counts(np.zeros(16, dtype=int), 3, m=2)
         for r in range(4):
-            assert lr_statistic(c, r, 0) == 0.0
+            assert max_loglik(c, r) - max_loglik(c, 0) == 0.0
 
     def test_spec_path_matches_count_formula(self):
         c = build_counts(PATH_0010, 1, m=2)
         # depth 1 counts: (0->0)=1, (0->1)=1 of N(0)=2; (1->0)=1 of N(1)=1
         ml1 = 2 * math.log(1 / 2)
         ml0 = 3 * math.log(3 / 4) + math.log(1 / 4)
-        assert lr_statistic(c, 1, 0) == pytest.approx(ml1 - ml0, abs=1e-12)
+        assert max_loglik(c, 1) - max_loglik(c, 0) == pytest.approx(ml1 - ml0, abs=1e-12)
 
     def test_nonnegative_on_random_paths(self):
+        # the parameter classes are nested
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(5, 40))
             symbols = rng.integers(0, 2, n)
             c = build_counts(symbols, 3, m=2)
-            assert lr_statistic(c, 3, 1) >= 0.0
+            assert max_loglik(c, 3) - max_loglik(c, 1) >= 0.0
 
 
 class TestLilStatistic:
+    @staticmethod
+    def lil(c, r_star, kappa_n, m):
+        return lil_from_logliks(max_loglik_vector(c, kappa_n)[r_star:], r_star, m)
+
     def test_empty_range_flag(self):
         c = build_counts(PATH_0010, 2, m=2)
-        stat = lil_statistic(c, 1, 2, 2)
+        stat = self.lil(c, 1, 2, 2)
         assert stat.empty_range and stat.value == 0.0
 
     def test_constant_path(self):
         c = build_counts(np.zeros(32, dtype=int), 3, m=2)
-        stat = lil_statistic(c, 0, 4, 2)
+        stat = self.lil(c, 0, 4, 2)
         assert stat.value == 0.0 and not stat.empty_range
 
     def test_matches_bruteforce_per_order(self):
         rng = np.random.default_rng(64)
         symbols = rng.integers(0, 2, 64)
         c = build_counts(symbols, 3, m=2)
-        stat = lil_statistic(c, 0, 4, 2)
+        stat = self.lil(c, 0, 4, 2)
         oracle = max(
             (max_loglik(c, r) - max_loglik(c, 0)) / 2**r for r in (1, 2, 3)
         )
@@ -159,36 +161,34 @@ class TestLilStatistic:
     def test_cutoff_needs_depth(self):
         c = build_counts(PATH_0010, 1, m=2)
         with pytest.raises(ValueError):
-            lil_statistic(c, 0, 3, 2)
+            self.lil(c, 0, 3, 2)
 
 
 class TestDeltaStatistic:
+    """The overshoot at the full path: ``delta_running_max`` over [n, n]."""
+
     def test_deterministic_chain_zero(self):
         model = MarkovModel([[0.0, 1.0], [1.0, 0.0]], initial=[1.0, 0.0])
         path = sample_paths(model, 12, 1)[0]
-        c = build_counts(path, 2, m=2)
-        assert delta_statistic(model, c, path, 1) == 0.0
+        assert delta_running_max(model, path, 1, 12, 12) == 0.0
 
     def test_mle_coincides_with_truth(self):
         # empirical frequency 1/4 equals the true Bernoulli parameter, so the
         # overshoot vanishes exactly
         model = MarkovModel([[0.75, 0.25]])
-        c = build_counts(PATH_0010, 1, m=2)
-        assert delta_statistic(model, c, PATH_0010, 0) == pytest.approx(0.0, abs=1e-12)
+        assert delta_running_max(model, PATH_0010, 0, 4, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_on_sampled_instances(self):
         for i in range(1000):
             model = random_model(2, 1, seed=derive_seed(50, i))
             path = sample_paths(model, 24, derive_seed(51, i))[0]
-            c = build_counts(path, 2, m=2)
-            assert delta_statistic(model, c, path, 2) >= 0.0
+            assert delta_running_max(model, path, 2, 24, 24) >= 0.0
 
     def test_impossible_path_rejected(self):
         model = MarkovModel([[1.0, 0.0], [1.0, 0.0]], initial=[1.0, 0.0])
         path = np.array([0, 0, 1, 0])
-        c = build_counts(path, 1, m=2)
         with pytest.raises(ValueError):
-            delta_statistic(model, c, path, 1)
+            delta_running_max(model, path, 1, 4, 4)
 
     def test_running_max_matches_endpoint_scan(self):
         model = random_model(2, 1, seed=7)
@@ -196,8 +196,6 @@ class TestDeltaStatistic:
         by_scan = -np.inf
         for i in range(20, 41):
             c = build_counts(path[:i], 2, m=2)
-            from markovorder import log_true_conditional_likelihood
-
             ll = log_true_conditional_likelihood(model, path[:i], 2)
             by_scan = max(by_scan, max_loglik(c, 2) - ll)
         assert delta_running_max(model, path, 2, 20, 40) == pytest.approx(

@@ -13,7 +13,6 @@ from markovorder import (
     MarkovModel,
     ReducibleChainError,
     log_true_conditional_likelihood,
-    min_positive_transition,
     random_model,
     read_model_file,
     sample_paths,
@@ -189,14 +188,14 @@ class TestBlockLaw:
 
     def test_prefix_probability_exceeds_lambda_power(self):
         model = random_model(2, 1, seed=21)
-        lam = min_positive_transition(model)
+        lam = model.kernel[model.kernel > 0.0].min()  # the per-step floor lambda
         law = stationary_block_law(model, 5)
         positive = law[law > 0.0]
         assert np.all(positive > lam**5)
 
     def test_prefix_floor_on_sampled_prefixes(self):
         model = random_model(3, 1, seed=4)
-        lam = min_positive_transition(model)
+        lam = model.kernel[model.kernel > 0.0].min()
         law = stationary_block_law(model, 5)
         paths = sample_paths(model, 5, [derive_seed(5, i) for i in range(100)])
         weights = 3 ** np.arange(4, -1, -1)
@@ -413,14 +412,6 @@ class TestTrueConditionalLikelihood:
         steps = np.log(TWO_STATE.kernel[codes, path[1:]])
         assert l1 == pytest.approx(steps.sum(), abs=1e-10)
         assert l3 == pytest.approx(steps[2:].sum(), abs=1e-10)
-
-
-class TestMinPositiveTransition:
-    def test_uniform(self):
-        assert min_positive_transition(MarkovModel([[0.5, 0.5], [0.5, 0.5]])) == 0.5
-
-    def test_two_rows(self):
-        assert min_positive_transition(MarkovModel([[0.3, 0.7], [0.8, 0.2]])) == 0.2
 
 
 class TestValidation:
