@@ -19,7 +19,6 @@ from .estimator import (
     underestimation_gap,
 )
 from .likelihood import (
-    LilStatistic,
     MixtureKernel,
     delta_running_max,
     kl_compensator,

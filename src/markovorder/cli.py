@@ -418,18 +418,21 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 [(row.alpha, row.empirical, row.bound, row.margin, row.passed) for row in report.rows],
             )
         elif name == "bracket":
+            # the brackets' order must reach the declared one, to which the
+            # truth's kernel table is lifted
+            r = max(model.order, 1)
             battery = dg.bracket_battery(
                 model,
                 settings.bracket_kernels,
                 settings.bracket_paths,
                 settings.bracket_path_len,
                 settings.bracket_beta,
-                max(true_order(model), 1),
+                r,
                 derive_seed(seed, 104),
             )
             count = dg.bracket_count_check(
                 model,
-                max(true_order(model), 1),
+                r,
                 settings.bracket_sigma,
                 settings.bracket_path_len,
                 settings.bracket_samples,

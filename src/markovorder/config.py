@@ -117,6 +117,15 @@ def _parse_int_list(section, key, raw, increasing=False):
     return values
 
 
+def _existing_file(config_path, key, raw):
+    """``raw`` resolved against the config file's directory (an absolute
+    path stays as it is); it must name an existing file."""
+    resolved = os.path.join(os.path.dirname(os.path.abspath(config_path)), raw)
+    if not os.path.exists(resolved):
+        raise ConfigError(f"{key}: no such file: {resolved}")
+    return resolved
+
+
 # parser per type of a VerifySettings default: floats, integers of at least
 # 1, and strictly increasing integer lists
 _VERIFY_PARSERS = {
@@ -157,11 +166,7 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"{section}.{key}: unknown key; known: {', '.join(known)}")
 
-    model_file = _get(parser, "model", "file", required=True)
-    if not os.path.isabs(model_file):
-        model_file = os.path.join(os.path.dirname(os.path.abspath(path)), model_file)
-    if not os.path.exists(model_file):
-        raise ConfigError(f"model.file: no such file: {model_file}")
+    model_file = _existing_file(path, "model.file", _get(parser, "model", "file", required=True))
 
     n_grid = _parse_int_list(
         "experiment", "n_grid", _get(parser, "experiment", "n_grid", required=True),
@@ -210,12 +215,7 @@ def load_config(path: str) -> ExperimentConfig:
                 setattr(verify, setting.name, parse("verify", setting.name, raw))
         raw = _get(parser, "verify", "candidate_file")
         if raw is not None:
-            candidate = raw
-            if not os.path.isabs(candidate):
-                candidate = os.path.join(os.path.dirname(os.path.abspath(path)), candidate)
-            if not os.path.exists(candidate):
-                raise ConfigError(f"verify.candidate_file: no such file: {candidate}")
-            verify.candidate_file = candidate
+            verify.candidate_file = _existing_file(path, "verify.candidate_file", raw)
         if not 0.0 < verify.eta < 1.0:
             raise ConfigError("verify.eta: must lie in (0, 1)")
         if verify.typicality_n_small >= verify.typicality_n_large:

@@ -2,7 +2,6 @@
 
 from .core import (
     BoundParams,
-    TypicalityReport,
     bernstein_norm,
     bernstein_tail_bound,
     bracket_grid,

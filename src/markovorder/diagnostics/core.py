@@ -11,7 +11,6 @@ behind every Bernstein-type bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +39,6 @@ def phi(x):
     return out
 
 
-@dataclass(frozen=True)
-class TypicalityReport:
-    """Per-depth worst relative deviation of context frequencies."""
-
-    deviations: tuple[float, ...]  # index r: max over supported contexts, r < rho_n
-    holds: bool
-
-
 def typicality_deviations(truth: MarkovModel, context_counts, n: int) -> list:
     """Worst relative deviation ``|N(a) / ((n-d) P*(a)) - 1|`` over the
     supported depth-d contexts a, for each depth d.
@@ -66,19 +57,20 @@ def typicality_deviations(truth: MarkovModel, context_counts, n: int) -> list:
 
 def typicality_check(
     truth: MarkovModel, counts: ContextCounts, eta: float, rho_n: int
-) -> TypicalityReport:
-    """Check N(a)/((n-r) P*(a)) against 1 for every depth r < rho_n.
+) -> bool:
+    """Whether the typicality event holds: N(a)/((n-r) P*(a)) against 1 for
+    every depth r < rho_n.
 
     Only contexts with positive stationary probability participate; the
-    event holds when every deviation is strictly below eta.
+    event holds when every deviation (``typicality_deviations``) is
+    strictly below eta.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
     if rho_n > counts.depth_cap:
         raise ValueError(f"rho {rho_n} exceeds the depth cap {counts.depth_cap}")
     by_depth = [counts.context_counts(r) for r in range(rho_n)]
-    devs = tuple(float(d) for d in typicality_deviations(truth, by_depth, counts.n))
-    return TypicalityReport(devs, all(d < eta for d in devs))
+    return all(d < eta for d in typicality_deviations(truth, by_depth, counts.n))
 
 
 def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
@@ -95,7 +87,7 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
         raise ValueError(f"rho {rho} exceeds n/2 = {half // 2}")
     # the prefix table is extended only when the prefix is typical
     tables = prefix_counts(symbols, (half, length), min(rho, half - 1), truth.m)
-    return all(typicality_check(truth, counts, eta, rho).holds for counts in tables)
+    return all(typicality_check(truth, counts, eta, rho) for counts in tables)
 
 
 def _weighted_hellinger(weights, mix_a: MixtureKernel, mix_b: MixtureKernel) -> float:
@@ -251,7 +243,6 @@ class BoundParams:
     def __init__(self, eta: float):
         if not 0.0 < eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
-        self.eta = eta
         self.C3 = 4.0 * (1.0 + eta) / (1.0 - eta)
         self.C4 = 1.0 / (1.0 - eta)
         self.c = math.sqrt(8.0 * self.C3 / self.C4)

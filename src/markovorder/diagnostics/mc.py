@@ -129,9 +129,9 @@ def bernstein_mc_check(
     """
     if replications < 10**4:
         raise ValueError("need at least 1e4 replications for a meaningful tail")
-    m = truth.m
     table_t, log_ratio = log_ratio_table(truth, mixture_kernel(candidate, truth, r))
     d_step = -(table_t * log_ratio).sum(axis=1)
+    inc = log_ratio + d_step[:, None]  # the martingale step per (context, symbol)
     r_step = 8.0 * (table_t * phi(0.5 * np.abs(log_ratio))).sum(axis=1)
     alphas = [float(a) for a in alpha_grid]
     hits = np.zeros(len(alphas), dtype=np.int64)
@@ -142,13 +142,13 @@ def bernstein_mc_check(
         mval = finals[lo:hi]  # a view: each lane's final value lands in finals
         mmax = np.zeros(reps)
         rnorm = np.zeros(reps)
+        # ctx < m**r: mixture_kernel has checked r >= truth.order
         for i, ctx, sym in step_lanes(truth, n, seeds, depth=r):
             if i <= r:
                 continue
-            code = ctx % (m**r)
-            mval += log_ratio[code, sym] + d_step[code]
+            mval += inc[ctx, sym]
             np.maximum(mmax, mval, out=mmax)
-            rnorm += r_step[code]
+            rnorm += r_step[ctx]
         ok = rnorm <= R
         for j, alpha in enumerate(alphas):
             hits[j] += int(np.count_nonzero(ok & (mmax >= alpha)))
@@ -283,13 +283,10 @@ class LilPoint:
     kappa: int
     value: float
     normalized: float
-    empty_range: bool
 
 
 @dataclass(frozen=True)
 class LilTrajectoryReport:
-    r_star: int
-    seed: int
     points: tuple[LilPoint, ...]
     max_normalized: float
     slope: float
@@ -317,15 +314,13 @@ def lil_trajectory(
     path = sample_paths(truth, grid[-1], seed)[0]
     points = []
     for n, logliks in grid_logliks(path, m, cutoff, grid, depth):
-        stat = lil_from_logliks(logliks[r_star:], r_star, m)
-        norm = stat.value / math.log(math.log(n))
-        points.append(LilPoint(n, len(logliks), stat.value, norm, stat.empty_range))
+        value = lil_from_logliks(logliks[r_star:], r_star, m)
+        norm = value / math.log(math.log(n))
+        points.append(LilPoint(n, len(logliks), value, norm))
     xs = np.log2([p.n for p in points])
     ys = np.array([p.normalized for p in points])
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(points) > 1 else 0.0
-    return LilTrajectoryReport(
-        r_star, seed, tuple(points), float(ys.max()), slope
-    )
+    return LilTrajectoryReport(tuple(points), float(ys.max()), slope)
 
 
 # -- typicality trend ---------------------------------------------------------
@@ -363,7 +358,7 @@ def typicality_trend(
         for path in sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi))):
             tables = prefix_counts(path, (n_small, n_large), min(rho, n_small - 1), truth.m)
             for k, counts in enumerate(tables):
-                holds[k] += typicality_check(truth, counts, eta, rho).holds
+                holds[k] += typicality_check(truth, counts, eta, rho)
     return TypicalityTrendReport(eta, rho, n_small, n_large, seeds, *holds)
 
 
@@ -381,6 +376,14 @@ class InstanceBatteryReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0 and self.instances > 0
+
+
+def _compare(small: float, big: float) -> tuple[float, bool]:
+    """The ratio small / big, and whether small exceeds big beyond the
+    REL_TOL and ABS_TOL slack.  At big = 0 the ratio is 1 for a small within
+    ABS_TOL of 0, else inf."""
+    ratio = small / big if big > 0 else (1.0 if small <= ABS_TOL else np.inf)
+    return ratio, small > big * (1.0 + REL_TOL) + ABS_TOL
 
 
 def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
@@ -408,11 +411,9 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
         mix_truth = mixture_kernel(truth, truth, r)
         r_n = bernstein_norm(truth, mix, path, r, n)
         h_n = hellinger_path_distance(counts, mix, mix_truth)
-        cap = 8.0 * h_n
-        ratio = r_n / cap if cap > 0 else (1.0 if r_n <= ABS_TOL else np.inf)
+        ratio, violated = _compare(r_n, 8.0 * h_n)
         worst = max(worst, ratio)
-        if r_n > cap * (1.0 + REL_TOL) + ABS_TOL:
-            violations += 1
+        violations += violated
     return InstanceBatteryReport("norm-bound", instances, instances, violations, worst)
 
 
@@ -442,7 +443,7 @@ def hellinger_sandwich_battery(
         path = sample_paths(truth, 2 * n, derive_seed(base, 2))[0]
         # one table serves the typicality event and all three distances
         counts_n, counts_2n = prefix_counts(path, (n, 2 * n), max(rho, r), 2)
-        if not all(typicality_check(truth, c, eta, rho).holds for c in (counts_n, counts_2n)):
+        if not all(typicality_check(truth, c, eta, rho) for c in (counts_n, counts_2n)):
             continue
         accepted += 1
         p_a = random_model(2, r, derive_seed(base, 3))
@@ -458,10 +459,9 @@ def hellinger_sandwich_battery(
             (h_n, (n - r) * params.C4 * h_stat),
         ]
         for small, big in checks:
-            ratio = small / big if big > 0 else (1.0 if small <= ABS_TOL else np.inf)
+            ratio, violated = _compare(small, big)
             worst = max(worst, ratio)
-            if small > big * (1.0 + REL_TOL) + ABS_TOL:
-                violations += 1
+            violations += violated
     return InstanceBatteryReport(
         "hellinger-sandwich", accepted, attempts, violations, worst
     )

@@ -37,29 +37,23 @@ class EstimateResult:
     """Chosen order plus the full per-order score table."""
 
     chosen_order: int
-    kappa_used: int
-    tie_broken: bool
     table: tuple[OrderScore, ...]
 
 
-def argmax_score(logliks, penalties) -> tuple[int, bool]:
-    """Index of the largest loglik - penalty; ties go to the smallest index.
-
-    The flag reports whether another order scores exactly the winning score.
-    """
+def argmax_score(logliks, penalties) -> int:
+    """Index of the largest loglik - penalty; ties go to the smallest index."""
     if len(logliks) != len(penalties) or not logliks:
         raise ValueError("score table must be nonempty and aligned")
     scores = [ll - p for ll, p in zip(logliks, penalties)]
-    best = max(range(len(scores)), key=scores.__getitem__)
-    return best, scores.count(scores[best]) > 1
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def _score_orders(logliks, pen: PenaltySpec, n: int, m: int) -> EstimateResult:
     """Score the orders 0..len(logliks)-1 under one penalty at sample size n."""
     pens = [penalty_value(pen, n, r, m) for r in range(len(logliks))]
-    chosen, tie = argmax_score(logliks, pens)
+    chosen = argmax_score(logliks, pens)
     table = tuple(OrderScore(r, ll, p) for r, (ll, p) in enumerate(zip(logliks, pens)))
-    return EstimateResult(chosen, len(logliks), tie, table)
+    return EstimateResult(chosen, table)
 
 
 def estimate_order(
@@ -101,7 +95,6 @@ class RecoverySummary:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    true_order: int
     rows: tuple[ReplicationRow, ...]
     summary: tuple[RecoverySummary, ...]
 
@@ -135,7 +128,7 @@ def evaluate_replication(
     m, r_star = model.m, true_order(model)
     rows = [[] for _ in pens]
     for n, logliks in grid_logliks(symbols, m, cut, n_grid, depth_cap):
-        lil = lil_from_logliks(logliks[r_star:], r_star, m).value
+        lil = lil_from_logliks(logliks[r_star:], r_star, m)
         for out, pen in zip(rows, pens):
             result = _score_orders(logliks, pen, n, m)
             out.append(
@@ -204,7 +197,7 @@ def consistency_experiment(
     tasks = [(i, derive_seed(seed, i), None) for i in range(replications)]
     per_rep = evaluate_replications(model, (pen,), cut, n_grid, tasks, jobs)
     rows = tuple(row for (rep_rows,) in per_rep for row in rep_rows)
-    return ExperimentResult(r_star, rows, recovery_summary(rows, n_grid, r_star))
+    return ExperimentResult(rows, recovery_summary(rows, n_grid, r_star))
 
 
 def underestimation_gap(model: MarkovModel, r: int) -> float:

@@ -16,13 +16,12 @@ import numpy as np
 from ._contexts import context_codes
 from .counts import ContextCounts, _merge
 from .model import (
+    ROW_SUM_TOL,
     MarkovModel,
     kernel_at_true_order,
     lift_kernel,
     true_order,
 )
-
-ROW_SUM_TOL = 1e-12
 
 
 def _xlogx_sum(values: np.ndarray) -> float:
@@ -50,28 +49,18 @@ def max_loglik_vector(counts: ContextCounts, kappa: int) -> list[float]:
     return [max_loglik(counts, r) for r in range(kappa)]
 
 
-@dataclass(frozen=True)
-class LilStatistic:
-    """Order-normalized likelihood-ratio supremum over r_star < r < kappa."""
-
-    value: float
-    empty_range: bool
-
-
-def lil_from_logliks(logliks, r_star: int, m: int) -> LilStatistic:
+def lil_from_logliks(logliks, r_star: int, m: int) -> float:
     """sup over r_star < r < kappa_n of the nonnegative part of
     ``max_loglik(r) - max_loglik(r_star)``, divided by ``m**r``, given
     ``logliks[j] = max_loglik(r_star + j)`` for r_star <= r_star + j < kappa_n.
 
-    Returns a zero value with the empty-range flag set when the interval
-    contains no order.
+    Returns 0.0 when the interval contains no order.
     """
     if len(logliks) < 2:
-        return LilStatistic(0.0, True)
-    best = max(
+        return 0.0
+    return max(
         max(logliks[j] - logliks[0], 0.0) / m ** (r_star + j) for j in range(1, len(logliks))
     )
-    return LilStatistic(best, False)
 
 
 class RunningOvershoot:
@@ -80,8 +69,9 @@ class RunningOvershoot:
     Each ``step`` appends one transition (order-r context code, symbol) per
     lane, plus that step's true conditional log-probability.  The maximized
     log-likelihood ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` moves by the
-    xlogx differences of the two counts the transition touches, so a step
-    costs O(1) per lane.  ``steps`` bounds the number of steps taken.
+    gain ``(c+1) log(c+1) - c log c`` of each of the two counts c the
+    transition touches, read from one table indexed by c, so a step costs
+    O(1) per lane.  ``steps`` bounds the number of steps taken.
     """
 
     def __init__(self, lanes: int, m: int, r: int, steps: int):
@@ -90,8 +80,9 @@ class RunningOvershoot:
         self.trans = np.zeros(lanes * m**r * m, dtype=np.int32)
         self.ctx = np.zeros(lanes * m**r, dtype=np.int32)
         ks = np.arange(1, steps + 2, dtype=np.float64)
-        self.xlogx = np.zeros(steps + 2)
-        self.xlogx[1:] = ks * np.log(ks)
+        xlogx = np.zeros(steps + 2)
+        xlogx[1:] = ks * np.log(ks)
+        self.gain = xlogx[1:] - xlogx[:-1]
         self.ml = np.zeros(lanes)
         self.ll = np.zeros(lanes)
         self.best = np.full(lanes, -np.inf)
@@ -99,14 +90,14 @@ class RunningOvershoot:
     def step(self, code, sym, log_p, track: bool) -> None:
         """Add one transition per lane; with ``track`` set, fold the new
         overshoot ``ml - ll`` into ``best``."""
-        xlogx = self.xlogx
+        gain = self.gain
         ctx_at = self.offset + code
         trans_at = ctx_at * self.m + sym
         c = self.trans[trans_at]
-        self.ml += xlogx[c + 1] - xlogx[c]
+        self.ml += gain[c]
         self.trans[trans_at] = c + 1
         c = self.ctx[ctx_at]
-        self.ml -= xlogx[c + 1] - xlogx[c]
+        self.ml -= gain[c]
         self.ctx[ctx_at] = c + 1
         self.ll += log_p
         if track:

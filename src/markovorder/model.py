@@ -106,8 +106,7 @@ class MarkovModel:
     @property
     def initial(self) -> np.ndarray:
         if self._initial is None:
-            self._initial = stationary_distribution(self)
-            self._initial.setflags(write=False)
+            return stationary_distribution(self)
         return self._initial
 
     def label(self) -> str:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from markovorder import MarkovModel, cli, random_model, sample_paths
 from markovorder.diagnostics import mc as mc_mod
-from markovorder.model import write_model_file
+from markovorder.model import lift_kernel, write_model_file
 from markovorder.rng import PHI64, derive_seed
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
@@ -501,6 +501,22 @@ class TestVerify:
             ),
         )
         assert cli.main(["verify", "--config", str(cfg)]) == 0
+
+    def test_missing_candidate_file_named(self, tmp_path, capsys):
+        cfg = make_config(
+            tmp_path, extra="[verify]\nchecks = bernstein\ncandidate_file = ghost.model\n"
+        )
+        assert cli.main(["verify", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "verify.candidate_file: no such file" in err and "Traceback" not in err
+
+    def test_bracket_on_model_declared_above_its_true_order(self, tmp_path):
+        # the file declares order 2 for a chain of true order 1
+        model = MarkovModel(lift_kernel(TWO_STATE.kernel, 2, 2))
+        cfg = make_config(tmp_path, model=model, extra="[verify]\nchecks = bracket\n")
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "verification.json").read_text())
+        assert report["checks"][0]["passed"] is True
 
     def test_demo_config_regenerates_checked_in_outputs(self, tmp_path):
         demo = os.path.join(ROOT, "configs", "demo.ini")

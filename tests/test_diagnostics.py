@@ -74,22 +74,24 @@ class TestTypicality:
     def test_exact_frequencies_at_depth_one(self):
         # stationary law (2/3, 1/3); the path's depth-1 windows hit it exactly
         truth = MarkovModel([[0.8, 0.2], [0.4, 0.6]])
-        path = np.array([0, 0, 1, 0])
-        report = typicality_check(truth, build_counts(path, 2, m=2), 0.5, 2)
-        assert report.deviations[1] == pytest.approx(0.0, abs=1e-12)
+        counts = build_counts(np.array([0, 0, 1, 0]), 2, m=2)
+        by_depth = [counts.context_counts(d) for d in range(2)]
+        devs = core_mod.typicality_deviations(truth, by_depth, counts.n)
+        assert devs[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_depth_zero_always_exact(self):
         path = sample_paths(TWO_STATE, 100, 1)[0]
-        report = typicality_check(TWO_STATE, build_counts(path, 1, m=2), 0.5, 1)
-        assert report.deviations[0] == 0.0
-        assert report.holds
+        counts = build_counts(path, 1, m=2)
+        devs = core_mod.typicality_deviations(TWO_STATE, [counts.context_counts(0)], counts.n)
+        assert devs[0] == 0.0
+        assert typicality_check(TWO_STATE, counts, 0.5, 1)
 
     def test_monte_carlo_holds_rate(self):
         holds = 0
         for i in range(100):
             path = sample_paths(TWO_STATE, 10**5, derive_seed(7, i))[0]
             counts = build_counts(path, 4, m=2)
-            holds += typicality_check(TWO_STATE, counts, 0.5, 4).holds
+            holds += typicality_check(TWO_STATE, counts, 0.5, 4)
         assert holds >= 99
 
     def test_eta_out_of_range(self):
@@ -137,8 +139,8 @@ class TestEventF:
         small = large = 0
         for i in range(30):
             path = sample_paths(TWO_STATE, 512, derive_seed(9, i))[0]
-            small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3).holds
-            large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3).holds
+            small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3)
+            large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3)
         assert (report.holds_small, report.holds_large) == (small, large)
         assert 0 < small < 30  # the comparison is not between two constants
 

@@ -16,6 +16,7 @@ from markovorder import (
     estimate_order,
     random_model,
     sample_paths,
+    true_order,
     underestimation_gap,
 )
 from markovorder.estimator import argmax_score, required_depth_cap
@@ -32,15 +33,12 @@ def entropy(row):
 
 class TestArgmax:
     def test_injected_score_table(self):
-        chosen, tie = argmax_score([10.0, 12.0, 12.5], [1.0, 2.0, 4.0])
-        assert chosen == 1 and not tie
+        assert argmax_score([10.0, 12.0, 12.5], [1.0, 2.0, 4.0]) == 1
 
     def test_tie_breaks_to_smaller(self):
-        chosen, tie = argmax_score([5.0, 6.0, 7.0], [1.0, 2.0, 3.0])
-        assert chosen == 0 and tie
-        # a tie among losing orders is not a tie for the winner
-        chosen, tie = argmax_score([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
-        assert chosen == 2 and not tie
+        assert argmax_score([5.0, 6.0, 7.0], [1.0, 2.0, 3.0]) == 0
+        # a tie among losing orders does not move the winner
+        assert argmax_score([0.0, 0.0, 5.0], [0.0, 0.0, 0.0]) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +59,7 @@ class TestEstimateOrder:
             counts = build_counts(path, 6, m=2)
             result = estimate_order(counts, LogLogPenalty(5.0), SubLogCutoff(), 2)
             kappa = cutoff_value(SubLogCutoff(), 2048, 2)
-            assert result.chosen_order < kappa == result.kappa_used
+            assert result.chosen_order < kappa == len(result.table)
 
     def test_depth_cap_error_names_requirement(self):
         counts = build_counts(np.zeros(4096, dtype=int), 2, m=2)
@@ -86,7 +84,7 @@ class TestConsistencyExperiment:
         result = consistency_experiment(
             model, LogLogPenalty(5.0), SubLogCutoff(), [64, 256], 5, seed=1
         )
-        assert result.true_order == 1
+        assert true_order(model) == 1
         for summary in result.summary:
             assert summary.recovery == 1.0
 

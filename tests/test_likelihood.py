@@ -133,20 +133,18 @@ class TestLrStatistic:
             assert max_loglik(c, 3) - max_loglik(c, 1) >= 0.0
 
 
-class TestLilStatistic:
+class TestLilFromLogliks:
     @staticmethod
     def lil(c, r_star, kappa_n, m):
         return lil_from_logliks(max_loglik_vector(c, kappa_n)[r_star:], r_star, m)
 
-    def test_empty_range_flag(self):
+    def test_no_order_in_range_gives_zero(self):
         c = build_counts(PATH_0010, 2, m=2)
-        stat = self.lil(c, 1, 2, 2)
-        assert stat.empty_range and stat.value == 0.0
+        assert self.lil(c, 1, 2, 2) == 0.0
 
     def test_constant_path(self):
         c = build_counts(np.zeros(32, dtype=int), 3, m=2)
-        stat = self.lil(c, 0, 4, 2)
-        assert stat.value == 0.0 and not stat.empty_range
+        assert self.lil(c, 0, 4, 2) == 0.0
 
     def test_matches_bruteforce_per_order(self):
         rng = np.random.default_rng(64)
@@ -156,7 +154,7 @@ class TestLilStatistic:
         oracle = max(
             (max_loglik(c, r) - max_loglik(c, 0)) / 2**r for r in (1, 2, 3)
         )
-        assert stat.value == pytest.approx(oracle, abs=1e-12)
+        assert stat == pytest.approx(oracle, abs=1e-12)
 
     def test_cutoff_needs_depth(self):
         c = build_counts(PATH_0010, 1, m=2)
