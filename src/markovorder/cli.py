@@ -21,8 +21,9 @@ import sys
 
 import numpy as np
 
+from ._contexts import symbol_dtype
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimator import evaluate_replications, recovery_summary
+from .estimator import evaluate_replications, recovery_summary, required_depth_cap
 from .likelihood import mixture_kernel
 from .model import MarkovModel, read_model_file, sample_paths, true_order
 from .rng import derive_seed
@@ -31,9 +32,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_IO = 2
 # simulate samples its replications together, as many per sample_paths
-# call as this many bytes of int64 symbols hold (at least one): a lone
-# lane's blocks are short, and each runs at full width until its start
-# columns couple
+# call as this many bytes of symbols hold (at least one), each symbol in
+# symbol_dtype(m), one byte for m <= 256: a lone lane's blocks are short,
+# and each runs at full width until its start columns couple
 SIMULATE_BATCH_BYTES = 2 << 20
 
 
@@ -106,9 +107,10 @@ def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
 
 def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
     """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
-    that encoding a path over ``m`` symbols cannot produce."""
+    that encoding a path over ``m`` symbols cannot produce.  The symbols
+    come back in ``symbol_dtype(m)``."""
     if not text:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=symbol_dtype(m))
     raw = np.frombuffer(text, dtype=np.uint8)
     code = raw - np.uint8(ord("0"))
     space = raw == ord(" ")
@@ -132,16 +134,19 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
             "(a leading, trailing or repeated space)"
         )
     # digit k of a symbol lies k bytes before its last byte, if the bytes
-    # between are digits too; w digits hold every symbol below m
+    # between are digits too; w digits hold every symbol below m.  They
+    # add up in a type that holds 10**w - 1, so that a symbol of m or more
+    # is still seen (in uint8, 256 would wrap to 0)
     w = len(str(m - 1))
-    symbols = np.compress(last, code).astype(np.int64)
+    acc = np.min_scalar_type(10**w - 1)
+    symbols = np.compress(last, code).astype(acc)
     more = True
     for k in range(1, w):
         # the first `head` symbols end before byte k: no digit k
         head = np.count_nonzero(last[:k])
         digit = np.append(np.full(head, 255, np.uint8), np.compress(last[k:], code[:-k]))
         more &= digit <= 9
-        symbols += np.where(more, digit, 0).astype(np.int64) * 10**k
+        symbols += np.where(more, digit, np.uint8(0)).astype(acc) * acc.type(10**k)
     # a symbol takes at least as many digits on the line as its decimal
     # form, and more with a leading zero or a digit past the w-th; so all
     # are written in that form exactly when the form widths (1 plus the
@@ -155,11 +160,10 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
         raise ConfigError(
             f"{source}: symbol {at} is {token.decode()!r}, not one of 0..{m - 1} in decimal"
         )
-    return symbols
+    return symbols.astype(symbol_dtype(m), copy=False)
 
 
-def _write_path_file(path, symbols, m: int, seed: int) -> None:
-    symbols = np.asarray(symbols, dtype=np.int64)
+def _write_path_file(path, symbols: np.ndarray, m: int, seed: int) -> None:
     header = f"alphabet_size: {m}\nn: {symbols.shape[0]}\nseed: {seed}\nsymbols: "
     _write_atomic(path, b"".join((header.encode(), _encode_symbols(symbols, m), b"\n")))
 
@@ -263,7 +267,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
         os.remove(manifest_file)
     n_max = max(config.n_grid)
     seeds = derive_seed(config.seed, np.arange(config.replications))
-    batch = max(1, SIMULATE_BATCH_BYTES // (8 * n_max))
+    batch = max(1, SIMULATE_BATCH_BYTES // (symbol_dtype(model.m).itemsize * n_max))
     entries = []
     for first in range(0, config.replications, batch):
         paths = sample_paths(model, n_max, seeds[first:first + batch])
@@ -302,9 +306,17 @@ def _estimate_tables(config: ExperimentConfig, pens):
     rows run by penalty as configured, then replication, then n.
     """
     model = read_model_file(config.model_file)
+    cutoff = config.cutoff.describe()
+    # every grid length gets a count table of this depth, checked before
+    # any path is sampled or read
+    depth = required_depth_cap(config.cutoff, config.n_grid, model.m)
+    if depth >= min(config.n_grid):
+        raise ConfigError(
+            f"experiment.n_grid: the shortest length {min(config.n_grid)} must exceed "
+            f"the depth cap {depth} that cutoff {cutoff} needs"
+        )
     os.makedirs(config.out_dir, exist_ok=True)
     r_star = true_order(model)
-    cutoff = config.cutoff.describe()
     per_rep = evaluate_replications(
         model, pens, config.cutoff, config.n_grid,
         _replication_tasks(config, model), config.jobs, load=_read_path_file,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._contexts import window_codes
+from ._contexts import symbol_dtype, window_code_chunks, window_codes
 
 
 class ContextCounts:
@@ -30,8 +30,9 @@ class ContextCounts:
         self.n = int(n)
         self.codes = np.asarray(codes, dtype=np.int64)  # depth-cap window codes, increasing
         self.counts = np.asarray(counts, dtype=np.int64)  # their counts, all positive
-        self.head = np.asarray(head, dtype=np.int64)  # first depth_cap symbols
-        self.tail = np.asarray(tail, dtype=np.int64)  # last depth_cap symbols
+        dt = symbol_dtype(self.m)
+        self.head = np.asarray(head, dtype=dt)  # first depth_cap symbols
+        self.tail = np.asarray(tail, dtype=dt)  # last depth_cap symbols
 
     def _depth_windows(self, r: int) -> tuple[np.ndarray, np.ndarray, int]:
         """The stored codes read at depth r, the codes of the depth-r windows
@@ -76,7 +77,28 @@ def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray
         keys = np.flatnonzero(tally)
         return keys, tally[keys].astype(np.int64)
     keys, inverse = np.unique(codes, return_inverse=True)
-    return keys, np.bincount(inverse, counts).astype(np.int64)
+    return keys.astype(np.int64), np.bincount(inverse, counts).astype(np.int64)
+
+
+def _symbols(path, m: int, what: str) -> np.ndarray:
+    """``path`` in the symbol dtype of m, after checking every symbol lies
+    in {0, .., m-1}, so that no out-of-range value wraps."""
+    x = np.asarray(path)
+    if x.size and (x.min() < 0 or x.max() >= m):
+        raise ValueError(f"{what} contains a symbol outside the alphabet")
+    return x.astype(symbol_dtype(m), copy=False)
+
+
+def _tally(symbols: np.ndarray, m: int, cap: int, pairs=()) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the depth-``cap`` windows of ``symbols`` into the sorted
+    (codes, counts) ``pairs``: each chunk of window codes is tallied alone,
+    and all pairs are merged once."""
+    size = m ** (cap + 1)
+    pairs = [*pairs, *(_merge(chunk, None, size) for chunk in window_code_chunks(symbols, cap + 1, m))]
+    if len(pairs) == 1:  # a short path: one chunk, already merged
+        return pairs[0]
+    keys, tallies = zip(*pairs)
+    return _merge(np.concatenate(keys), np.concatenate(tallies), size)
 
 
 def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
@@ -84,17 +106,15 @@ def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
     ``path`` on the alphabet {0, .., m-1}.  Requires depth_cap < n so that
     even the deepest table has at least one window.
     """
-    symbols = np.asarray(path, dtype=np.int64)
     if m < 2:
         raise ValueError(f"alphabet size m must be >= 2, got {m}")
+    symbols = _symbols(path, m, "path")
     n = symbols.shape[0]
     if depth_cap >= n:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
     if m ** (depth_cap + 1) >= 2**63:
         raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= m):
-        raise ValueError("path contains a symbol outside the alphabet")
-    codes, counts = _merge(window_codes(symbols, depth_cap + 1, m), None, m ** (depth_cap + 1))
+    codes, counts = _tally(symbols, m, depth_cap)
     head = symbols[:depth_cap].copy()
     return ContextCounts(m, depth_cap, n, codes, counts, head, symbols[n - depth_cap :].copy())
 
@@ -106,16 +126,10 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
     whose end position lands in the new segment are added, reaching back
     into the retained tail for their contexts.
     """
-    new = np.asarray(new_symbols, dtype=np.int64)
     m, cap = counts.m, counts.depth_cap
-    if new.size and (new.min() < 0 or new.max() >= m):
-        raise ValueError("extension contains a symbol outside the alphabet")
-    size = m ** (cap + 1)
+    new = _symbols(new_symbols, m, "extension")
     spliced = np.concatenate([counts.tail, new])
-    added, added_counts = _merge(window_codes(spliced, cap + 1, m), None, size)
-    codes, totals = _merge(
-        np.concatenate([counts.codes, added]), np.concatenate([counts.counts, added_counts]), size
-    )
+    codes, totals = _tally(spliced, m, cap, [(counts.codes, counts.counts)])
     tail = spliced[spliced.shape[0] - cap :].copy()
     return ContextCounts(m, cap, counts.n + new.shape[0], codes, totals, counts.head, tail)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._contexts import symbol_dtype
 from ..counts import build_counts, prefix_counts
 from ..likelihood import RunningOvershoot, log_ratio_table, masked_log_ratio, mixture_kernel
 from ..model import (
@@ -48,7 +49,9 @@ from .core import (
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
-MAX_LANES = 1 << 16  # lanes stepped together in one chunk
+# lanes stepped together in one chunk; a lane-sized int64 temporary is then
+# at most 64 KB, so a chunk's many per-step temporaries stay small
+MAX_LANES = 1 << 13
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
 
 
@@ -354,7 +357,8 @@ def typicality_trend(
     if n_small >= n_large:
         raise ValueError(f"n_small {n_small} must be below n_large {n_large}")
     holds = [0, 0]
-    for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // (8 * n_large))):  # int64 paths
+    path_bytes = symbol_dtype(truth.m).itemsize * n_large
+    for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // path_bytes)):
         for path in sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi))):
             tables = prefix_counts(path, (n_small, n_large), min(rho, n_small - 1), truth.m)
             for k, counts in enumerate(tables):

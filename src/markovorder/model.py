@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from ._contexts import block_digits, context_codes
+from ._contexts import block_digits, context_codes, symbol_dtype
 from .rng import _as_u64, raw53_block, uniform_block
 
 ROW_SUM_TOL = 1e-12
@@ -335,6 +335,7 @@ def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
 def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     """Sample ``n`` symbols per seed: the first r from the initial law, the
     rest from the kernel.  Row i is a pure function of (model, n, seeds[i]).
+    The result has dtype ``symbol_dtype(m)``: uint8 for m <= 256.
 
     Stream layout: uniform 0 picks the initial context block, uniform k >= 1
     picks the symbol at position r + k.
@@ -362,7 +363,7 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     firsts = np.uint64(1) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
     rows = (np.repeat(seeds, blocks), np.tile(firsts, lanes))
     starts = np.repeat(init, blocks).reshape(lanes, blocks)
-    out = np.empty((lanes, r + blocks * length), dtype=np.int64)
+    out = np.empty((lanes, r + blocks * length), dtype=symbol_dtype(m))
     out[:, :r] = block_digits(init, r, m)
     body = out[:, r:].reshape(lanes, blocks, length)
     replay = length  # the steps before the start columns coalesce

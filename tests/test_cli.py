@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovorder import MarkovModel, cli, random_model, sample_paths
+from markovorder import estimator as estimator_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import lift_kernel, write_model_file
 from markovorder.rng import PHI64, derive_seed
@@ -198,6 +199,18 @@ class TestPathFileCodec:
     def test_short_symbols_at_line_start(self, m, text):
         # the higher digits of the first symbols would lie before the line
         assert cli._decode_symbols("p", text, m).tolist() == [int(t) for t in text.split()]
+
+    @pytest.mark.parametrize(
+        "m, text, token",
+        [(256, b"7 256 1", "256"), (200, b"3 999", "999"), (200, b"300", "300")],
+    )
+    def test_symbols_that_wrap_in_uint8_rejected(self, m, text, token):
+        # 256, 999 and 300 wrap to 0, 231 and 44 in uint8
+        with pytest.raises(cli.ConfigError, match=f"is '{token}', not one of 0..{m - 1}"):
+            cli._decode_symbols("p", text, m)
+        good = cli._decode_symbols("p", b"0 %d 1" % (m - 1), m)
+        assert good.dtype == np.uint8 and good.tolist() == [0, m - 1, 1]
+        assert cli._decode_symbols("p", b"256 0", 257).dtype == np.uint16
 
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -620,6 +633,26 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["estimate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"{section}.spec" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("source", ["inline", "path-files"])
+    def test_grid_below_depth_cap_names_field(self, tmp_path, capsys, monkeypatch, command, source):
+        # sublog needs depth 4 on this grid, and the first table is built at n = 4
+        cfg = make_config(tmp_path, n_grid="4 8", reps=2)
+        if source == "path-files":
+            assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        else:
+            assert not (tmp_path / "out").exists()
+
+        def no_path(*args):
+            raise AssertionError("a path was sampled or read before the grid was checked")
+
+        monkeypatch.setattr(estimator_mod, "sample_paths", no_path)
+        monkeypatch.setattr(cli, "_read_path_file", no_path)
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "experiment.n_grid" in err and "depth cap 4" in err and "sublog" in err
+        assert (tmp_path / "out").exists() == (source == "path-files")
 
     def test_huge_cutoff(self, tmp_path, capsys):
         # alpha * log n overflows a float; the cap floor(log n / log m) bounds kappa

@@ -1,12 +1,21 @@
 """Count tables against a brute-force window scanner."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovorder import build_counts, extend_counts
-from markovorder._contexts import CODE_CHUNK, context_codes, window_codes
+from markovorder import MarkovModel, build_counts, extend_counts, sample_paths
+from markovorder._contexts import (
+    CODE_CHUNK,
+    context_codes,
+    symbol_dtype,
+    window_code_chunks,
+    window_codes,
+)
+from markovorder.counts import prefix_counts
 
 
 def scan_windows(symbols, r, m):
@@ -213,6 +222,10 @@ def test_window_codes_across_chunk_edges(m, extra):
         for i in range(length):  # sum of x[t + i] * m**(length - 1 - i)
             expected += x[i : i + n - length + 1] * weights[i]
         assert np.array_equal(window_codes(x, length, m), expected)
+        if length:
+            chunks = list(window_code_chunks(x, length, m))
+            assert all(c.shape[0] == CODE_CHUNK for c in chunks[:-1])
+            assert np.array_equal(np.concatenate(chunks), expected)
 
 
 def test_extend_split_mid_chunk_equals_build():
@@ -225,3 +238,90 @@ def test_extend_split_mid_chunk_equals_build():
         assert np.array_equal(split.codes, whole.codes)
         assert np.array_equal(split.counts, whole.counts)
         assert np.array_equal(split.tail, whole.tail)
+
+
+def int64_window_codes(symbols, length, m):
+    """Horner's rule in int64 over the whole path: the reference for the
+    narrow-type chunks."""
+    x = np.asarray(symbols, dtype=np.int64)
+    count = max(x.shape[0] - length + 1, 0)
+    codes = np.zeros(count, dtype=np.int64)
+    for i in range(length):
+        codes = codes * m + x[i : i + count]
+    return codes
+
+
+def same_counts(a, b):
+    return (
+        (a.m, a.depth_cap, a.n) == (b.m, b.depth_cap, b.n)
+        and a.codes.dtype == b.codes.dtype == np.int64
+        and all(
+            np.array_equal(getattr(a, f), getattr(b, f)) for f in ("codes", "counts", "head", "tail")
+        )
+    )
+
+
+@given(
+    data=st.data(),
+    m=st.sampled_from([2, 3, 255, 256, 257, 1000]),
+    n=st.one_of(
+        st.integers(1, 40),
+        st.sampled_from([CODE_CHUNK - 1, CODE_CHUNK, CODE_CHUNK + 1, 2 * CODE_CHUNK + 5]),
+    ),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_narrow_symbols_match_int64(data, m, n, seed):
+    # the deepest cap whose m**(cap+1) codes fit int64, at most 8
+    deepest = max(c for c in range(9) if m ** (c + 1) < 2**63)
+    cap = data.draw(st.integers(0, min(deepest, n - 1)))
+    rng = np.random.default_rng(seed)
+    wide = rng.integers(0, m, n)
+    # a run of the largest symbol gives the largest code, m**(cap+1) - 1
+    at = data.draw(st.integers(0, n - 1))
+    wide[at : at + cap + 1] = m - 1
+    narrow = wide.astype(symbol_dtype(m))
+    assert narrow.dtype == (np.uint8 if m <= 256 else np.uint16)
+    assert np.array_equal(narrow, wide)
+
+    for length in range(cap + 2):
+        assert np.array_equal(window_codes(narrow, length, m), int64_window_codes(wide, length, m))
+    keys, tally = np.unique(int64_window_codes(wide, cap + 1, m), return_counts=True)
+    built = build_counts(narrow, cap, m)
+    assert np.array_equal(built.codes, keys) and np.array_equal(built.counts, tally)
+    assert built.head.dtype == built.tail.dtype == narrow.dtype
+    assert same_counts(built, build_counts(wide, cap, m))
+
+    cut = data.draw(st.integers(cap + 1, n))
+    split = [extend_counts(build_counts(x[:cut], cap, m), x[cut:]) for x in (narrow, wide)]
+    assert same_counts(split[0], built) and same_counts(split[1], built)
+
+    lengths = sorted({cap + 1, cut, n})
+    for a, b in zip(prefix_counts(narrow, lengths, cap, m), prefix_counts(wide, lengths, cap, m)):
+        assert same_counts(a, b)
+
+
+@pytest.mark.parametrize("m", [256, 257])
+def test_out_of_range_symbol_rejected_before_narrowing(m):
+    # m and 300 would wrap to 0 and 44 in uint8
+    for bad in (m, 300, -1):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            build_counts(np.array([0, 1, bad, 2]), 1, m)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            extend_counts(build_counts(np.array([0, 1, 2]), 1, m), np.array([bad]))
+
+
+def test_prefix_counts_hold_no_path_length_array():
+    # the codes are tallied one chunk at a time, and the symbols are bytes:
+    # the largest temporary is the 2**19-symbol splice of the last extension
+    path = sample_paths(MarkovModel([[0.7, 0.3], [0.2, 0.8]]), 2**20, 7)[0]
+    lengths = [2**k for k in range(14, 21)]
+    list(prefix_counts(path, lengths[:2], 7, 2))
+    tracemalloc.start()
+    try:
+        tables = list(prefix_counts(path, lengths, 7, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables[-1].n == 2**20
+    assert peak < 1_200_000

@@ -134,7 +134,7 @@ class TestEventF:
 
     def test_typicality_trend_matches_event_per_path(self, monkeypatch):
         report = typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9)
-        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 8 * 512 * 7)  # 7 paths per chunk
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 512 * 7)  # 7 one-byte paths per chunk
         assert typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9) == report
         small = large = 0
         for i in range(30):

@@ -300,6 +300,18 @@ class TestSamplePath:
         assert path[0] != 2
         assert math.isfinite(log_true_conditional_likelihood(model, path, 1))
 
+    @pytest.mark.parametrize("m, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_paths_come_in_the_narrowest_symbol_type(self, m, dtype):
+        # a fixed kernel that puts mass on the largest symbol m - 1
+        kernel = np.full((m, m), 0.5 / (m - 1))
+        kernel[:, m - 1] = 0.5
+        model = MarkovModel(kernel)
+        batch = sample_paths(model, 600, [3, 2**63 + 5])
+        assert batch.dtype == dtype
+        assert batch.max() == m - 1
+        for row, s in zip(batch, [3, 2**63 + 5]):
+            assert np.array_equal(row, reference_path(model, 600, s))
+
     def test_path_shorter_than_order(self):
         model = random_model(2, 3, seed=15)
         path = sample_paths(model, 2, 3)[0]
