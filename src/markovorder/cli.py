@@ -105,10 +105,11 @@ def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
     return flat[flat != 0][:-1].tobytes()
 
 
-def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
+def _decode_symbols(source, text, m: int) -> np.ndarray:
     """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
-    that encoding a path over ``m`` symbols cannot produce.  The symbols
-    come back in ``symbol_dtype(m)``."""
+    that encoding a path over ``m`` symbols cannot produce.  The text is
+    bytes or a view of them (a memoryview), read in place; the symbols come
+    back in ``symbol_dtype(m)``."""
     if not text:
         return np.zeros(0, dtype=symbol_dtype(m))
     raw = np.frombuffer(text, dtype=np.uint8)
@@ -118,7 +119,7 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
     if digits + np.count_nonzero(space) != raw.size:
         at = int(np.argmax((code > 9) & ~space))
         raise ConfigError(
-            f"{source}: symbols: byte {text[at:at + 1]!r} at offset {at} "
+            f"{source}: symbols: byte {bytes(text[at:at + 1])!r} at offset {at} "
             "is not a digit or a space"
         )
     # last: the byte ends a symbol (it precedes a space or ends the line);
@@ -133,18 +134,20 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
             f"{source}: symbols: symbol {at} is empty "
             "(a leading, trailing or repeated space)"
         )
+    del space, empty
     # digit k of a symbol lies k bytes before its last byte, if the bytes
     # between are digits too; w digits hold every symbol below m.  They
     # add up in a type that holds 10**w - 1, so that a symbol of m or more
     # is still seen (in uint8, 256 would wrap to 0)
     w = len(str(m - 1))
     acc = np.min_scalar_type(10**w - 1)
-    symbols = np.compress(last, code).astype(acc)
+    # a boolean mask, unlike np.compress, builds no int64 index array
+    symbols = code[last].astype(acc)
     more = True
     for k in range(1, w):
         # the first `head` symbols end before byte k: no digit k
         head = np.count_nonzero(last[:k])
-        digit = np.append(np.full(head, 255, np.uint8), np.compress(last[k:], code[:-k]))
+        digit = np.append(np.full(head, 255, np.uint8), code[:-k][last[k:]])
         more &= digit <= 9
         symbols += np.where(more, digit, np.uint8(0)).astype(acc) * acc.type(10**k)
     # a symbol takes at least as many digits on the line as its decimal
@@ -154,7 +157,7 @@ def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
     width_sum = symbols.size + sum(np.count_nonzero(symbols >= 10**k) for k in range(1, w))
     if symbols.max() >= m or width_sum != digits:
         at, token = next(
-            (i, t) for i, t in enumerate(text.split(b" "))
+            (i, t) for i, t in enumerate(bytes(text).split(b" "))
             if len(t) > w or int(t) >= m or t != b"%d" % int(t)
         )
         raise ConfigError(
@@ -183,20 +186,32 @@ def _check_run_fields(source, fields: dict, expected: dict) -> None:
 
 
 def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
-    """Symbols of a path file, checked against the run that reads it."""
+    """Symbols of a path file, checked against the run that reads it.
+
+    The file is read once.  Each line's key and value are found by offsets
+    into it, and the symbols are decoded from a view of their span, so the
+    symbols line is never copied.
+    """
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
+        data = fh.read()
     fields = {}
-    for line in lines:
-        key, _, rest = line.partition(b":")
-        key = key.strip().decode("latin-1")
-        # the symbols payload stays bytes, as _decode_symbols reads it
-        fields[key] = rest if key == "symbols" else rest.strip().decode("latin-1")
+    start = 0
+    while start <= len(data):  # one line per pass, the last one after the final newline
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        colon = data.find(b":", start, end)
+        cut = end if colon < 0 else colon
+        key = data[start:cut].strip().decode("latin-1")
+        if key == "symbols":  # a view: _decode_symbols reads it in place
+            fields[key] = memoryview(data)[cut + 1:end]
+        else:
+            fields[key] = data[cut + 1:end].strip().decode("latin-1")
+        start = end + 1
     _check_run_fields(
         path, fields,
-        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": bytes},
+        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": memoryview},
     )
-    if not fields["symbols"].startswith(b" "):
+    if fields["symbols"][:1] != b" ":
         raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
     symbols = _decode_symbols(path, fields["symbols"][1:], m)
     if fields["n"] != str(symbols.shape[0]):
@@ -397,7 +412,11 @@ def cmd_verify(config: ExperimentConfig) -> int:
                 settings.rho,
                 derive_seed(seed, 102),
             )
-            checks.append(_check_entry(name, True, report.passed, _detail(report, "passed")))
+            # the battery gives up after 20 attempts per instance: fewer
+            # instances than asked for is a failure, not a smaller test
+            detail = _detail(report, "passed")
+            detail["passed"] = report.passed and report.instances == settings.instances
+            checks.append(_check_entry(name, True, detail["passed"], detail))
         elif name == "bernstein":
             candidate = (
                 read_model_file(settings.candidate_file)

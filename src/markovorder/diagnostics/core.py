@@ -167,27 +167,33 @@ def bracket_grid(
     return lower, upper
 
 
-def bracket_log_envelopes(
-    truth: MarkovModel,
-    kernel: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    path,
-    r: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pathwise log-ratio envelopes built from a bracket pair.
-
-    Returns (Lambda, Upsilon, xi) over steps i = r+1..n, where xi is the
-    log-ratio of the truth-mixed kernel against the truth and Lambda/Upsilon
-    are the same transform of the bracket envelopes; Lambda <= xi <= Upsilon
-    pointwise whenever lower <= kernel <= upper.
-    """
-    symbols = np.asarray(path, dtype=np.int64)
-    codes = context_codes(symbols, r, truth.m)
-    nxt = symbols[r:]
+def observed_steps(truth: MarkovModel, paths, r: int):
+    """The steps i = r+1..n of each path (one per row of ``paths``): their
+    order-r context codes, their symbols x_i and the truth's probabilities
+    of them, each of shape (paths, n - r)."""
+    symbols = np.asarray(paths, dtype=np.int64)
+    width = max(symbols.shape[1] - r, 0)
+    codes = np.array([context_codes(row, r, truth.m) for row in symbols], dtype=np.int64)
+    codes = codes.reshape(symbols.shape[0], width)
+    nxt = symbols[:, r:]
     t_obs = lift_kernel(truth.kernel, truth.m, r)[codes, nxt]
     if np.any(t_obs <= 0.0):
         raise ValueError("path has zero probability under the truth")
+    return codes, nxt, t_obs
+
+
+def bracket_log_envelopes(
+    steps, kernel: np.ndarray, lower: np.ndarray, upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pathwise log-ratio envelopes built from a bracket pair.
+
+    Returns (Lambda, Upsilon, xi) over the ``observed_steps`` of some
+    paths, where xi is the log-ratio of the truth-mixed kernel against the
+    truth and Lambda/Upsilon are the same transform of the bracket
+    envelopes; Lambda <= xi <= Upsilon pointwise whenever
+    lower <= kernel <= upper.
+    """
+    codes, nxt, t_obs = steps
 
     def logratio(table):
         mixed = 0.5 * (np.asarray(table, dtype=np.float64)[codes, nxt] + t_obs)

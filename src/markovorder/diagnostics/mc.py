@@ -3,11 +3,19 @@
 Replication-heavy checks stream their lanes from ``model.step_lanes``,
 the lockstep form of the one sampling kernel: all lanes of a chunk step
 forward together, one vectorized step per position, and no lanes x n
-array is ever stored.  A chunk holds at most ``MAX_LANES``
-lanes (fewer when its count tables would pass ``CHUNK_BYTES``).  Lane i
-is bit-identical to ``sample_paths(truth, n, derive_seed(seed, i))[0]``, and
-a report is reduced from per-lane values or exact integer counts once
-all chunks are done, so chunking never changes a result.
+array is ever stored.  ``step_lanes`` yields each lane's context code
+itself, so a check reads its per-step tables by that code and by the
+transition code ``ctx * m + sym``, as flat tables, with no re-coding per
+step.  A chunk holds at most ``MAX_LANES`` lanes (fewer when its count
+tables would pass ``CHUNK_BYTES``).  Lane i is bit-identical to
+``sample_paths(truth, n, derive_seed(seed, i))[0]``, and a report is
+reduced from per-lane values or exact integer counts once all chunks are
+done, so chunking never changes a result.
+
+The instance batteries draw a random kernel per instance and sample
+their instances' paths as kernel stacks, many per ``sample_paths`` call,
+then check each instance in its own order, so their reports equal those
+of one sampler call per instance.
 """
 
 from __future__ import annotations
@@ -19,7 +27,13 @@ import numpy as np
 
 from .._contexts import symbol_dtype
 from ..counts import build_counts, prefix_counts
-from ..likelihood import RunningOvershoot, log_ratio_table, masked_log_ratio, mixture_kernel
+from ..likelihood import (
+    RunningOvershoot,
+    log_ratio_table,
+    masked_log_ratio,
+    mixture_kernel,
+    true_transition_law,
+)
 from ..model import (
     MarkovModel,
     lift_kernel,
@@ -42,6 +56,7 @@ from .core import (
     entropy_bound,
     hellinger_path_distance,
     hellinger_stationary_distance,
+    observed_steps,
     phi,
     typicality_check,
     typicality_deviations,
@@ -134,7 +149,9 @@ def bernstein_mc_check(
         raise ValueError("need at least 1e4 replications for a meaningful tail")
     table_t, log_ratio = log_ratio_table(truth, mixture_kernel(candidate, truth, r))
     d_step = -(table_t * log_ratio).sum(axis=1)
-    inc = log_ratio + d_step[:, None]  # the martingale step per (context, symbol)
+    # the martingale step by transition code ctx * m + sym
+    inc = (log_ratio + d_step[:, None]).ravel()
+    m = truth.m
     r_step = 8.0 * (table_t * phi(0.5 * np.abs(log_ratio))).sum(axis=1)
     alphas = [float(a) for a in alpha_grid]
     hits = np.zeros(len(alphas), dtype=np.int64)
@@ -149,7 +166,7 @@ def bernstein_mc_check(
         for i, ctx, sym in step_lanes(truth, n, seeds, depth=r):
             if i <= r:
                 continue
-            mval += inc[ctx, sym]
+            mval += inc[ctx * m + sym]
             np.maximum(mmax, mval, out=mmax)
             rnorm += r_step[ctx]
         ok = rnorm <= R
@@ -222,29 +239,36 @@ def deviation_tail_mc(
     # length; at length r + 1 that is the overshoot's own transition table
     window = max(r + 1, rho - 1)
     extra = m**window if window > r + 1 else 0
-    log_t0 = masked_log_ratio(truth.kernel, 1.0)
+    log_p = masked_log_ratio(true_transition_law(truth, r), 1.0)
     eps = np.array([float(e) for e in eps_grid])
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0
-    depth = max(r, rho - 1, r0)
+    depth = max(r, rho - 1)
+    # step_lanes codes max(depth, r0) symbols; the overshoot reads the
+    # newest r of them
+    cut = max(depth, r0) > r
     lane_bytes = 4 * (m ** (r + 1) + size_r + extra)  # int32 tables
     for lo, hi in _chunks(replications, max(1, min(MAX_LANES, CHUNK_BYTES // lane_bytes))):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
-        run = RunningOvershoot(reps, m, r, length)
+        run = RunningOvershoot(reps, m, r, length, log_p)
         windows = np.zeros(reps * extra, dtype=np.int32) if extra else run.trans
         lane_at = np.arange(reps, dtype=np.int64) * extra
         head = np.zeros(reps, dtype=np.int64)
         good = np.ones(reps, dtype=bool)
         for i, ctx, sym in step_lanes(truth, length, seeds, depth):
+            trans = ctx * m + sym
             if i < window:
-                head = ctx * m + sym  # the first i symbols
+                head = trans  # the first i symbols
             elif extra:
-                windows[lane_at + (ctx * m + sym) % extra] += 1
+                windows[lane_at + trans % extra] += 1
             if i > r:
-                run.step(ctx % size_r, sym, log_t0[ctx % m**r0, sym], i >= n)
+                if cut:
+                    run.step(ctx % size_r, trans % (size_r * m), i >= n)
+                else:
+                    run.step(ctx, trans, i >= n)
             if i == n or i == length:
-                counts = _lane_context_counts(windows, head, ctx * m + sym, i, m, window, rho)
+                counts = _lane_context_counts(windows, head, trans, i, m, window, rho)
                 for dev in typicality_deviations(truth, counts, i):
                     good &= dev < eta
         f_count += int(np.count_nonzero(good))
@@ -397,20 +421,34 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
 
     Each triple draws an alphabet of 2 or 3 symbols, a truth of order 0 or
     1, a candidate of higher order up to 3 and a path of 64..511 symbols.
+    The truths of one alphabet and order are sampled as one kernel stack,
+    at the longest path length among them: a path's first n symbols do not
+    depend on the length sampled.
     """
+    bases = derive_seed(seed, np.arange(instances))
+    u = uniform_block(bases, 0, 4)
+    rs, ns, truths = [], [], []
+    for i, truth_seed in enumerate(derive_seed(bases, 1)):
+        m = 2 + int(u[i, 0] * 2) % 2
+        r_star = int(u[i, 1] * 2) % 2
+        rs.append(r_star + 1 + int(u[i, 2] * (3 - r_star)) % (3 - r_star))
+        ns.append(64 + int(u[i, 3] * 448))
+        truths.append(random_model(m, r_star, truth_seed))
+    groups = {}
+    for i, truth in enumerate(truths):
+        groups.setdefault((truth.m, truth.order), []).append(i)
+    paths = [None] * instances
+    path_seeds = derive_seed(bases, 3)
+    for members in groups.values():
+        longest = max(ns[i] for i in members)
+        rows = sample_paths([truths[i] for i in members], longest, path_seeds[members])
+        for i, row in zip(members, rows):
+            paths[i] = row[: ns[i]]
     violations = 0
     worst = 0.0
-    for i in range(instances):
-        base = derive_seed(seed, i)
-        u = uniform_block(base, 0, 4)
-        m = 2 + int(u[0] * 2) % 2
-        r_star = int(u[1] * 2) % 2
-        r = r_star + 1 + int(u[2] * (3 - r_star)) % (3 - r_star)
-        n = 64 + int(u[3] * 448)
-        truth = random_model(m, r_star, derive_seed(base, 1))
-        candidate = random_model(m, r, derive_seed(base, 2))
-        path = sample_paths(truth, n, derive_seed(base, 3))[0]
-        counts = build_counts(path, r, m)
+    for r, n, truth, path, cand_seed in zip(rs, ns, truths, paths, derive_seed(bases, 2)):
+        candidate = random_model(truth.m, r, cand_seed)
+        counts = build_counts(path, r, truth.m)
         mix = mixture_kernel(candidate, truth, r)
         mix_truth = mixture_kernel(truth, truth, r)
         r_n = bernstein_norm(truth, mix, path, r, n)
@@ -433,39 +471,55 @@ def hellinger_sandwich_battery(
     4(1+eta)/(1-eta), and the per-window distance stays within a factor
     1/(1-eta) of the stationary one.  Instances without the event are
     skipped (the comparison presumes it), up to 20 attempts per instance;
-    the compared kernels have order 2."""
+    the compared kernels have order 2.
+
+    Attempts are sampled a chunk at a time as one kernel stack, as many as
+    the acceptance seen so far says the missing instances need (within
+    ``CHUNK_BYTES`` of paths), and scanned in attempt order, so the battery
+    stops at the attempt that completes the count.
+    """
     r = 2
     if rho > n // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
     params = BoundParams(eta)
     accepted = attempts = violations = 0
     worst = 0.0
-    while accepted < instances and attempts < instances * 20:
-        base = derive_seed(seed, attempts)
-        attempts += 1
-        truth = random_model(2, 1, derive_seed(base, 1), floor=0.15)
-        path = sample_paths(truth, 2 * n, derive_seed(base, 2))[0]
-        # one table serves the typicality event and all three distances
-        counts_n, counts_2n = prefix_counts(path, (n, 2 * n), max(rho, r), 2)
-        if not all(typicality_check(truth, c, eta, rho) for c in (counts_n, counts_2n)):
-            continue
-        accepted += 1
-        p_a = random_model(2, r, derive_seed(base, 3))
-        p_b = random_model(2, r, derive_seed(base, 4))
-        mix_a = mixture_kernel(p_a, truth, r)
-        mix_b = mixture_kernel(p_b, truth, r)
-        h_n = hellinger_path_distance(counts_n, mix_a, mix_b)
-        h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
-        h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)
-        checks = [
-            (h_2n, params.C3 * h_n),
-            ((n - r) / params.C4 * h_stat, h_n),
-            (h_n, (n - r) * params.C4 * h_stat),
-        ]
-        for small, big in checks:
-            ratio, violated = _compare(small, big)
-            worst = max(worst, ratio)
-            violations += violated
+    limit = instances * 20
+    while accepted < instances and attempts < limit:
+        # attempts enough for the missing instances at the acceptance seen
+        # so far: all of them before the first attempt, none after no hit
+        need = instances - accepted
+        chunk = -(-need * attempts // accepted) if accepted else (limit if attempts else need)
+        chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // (2 * n)))
+        bases = derive_seed(seed, np.arange(attempts, attempts + chunk))
+        truths = [random_model(2, 1, s, floor=0.15) for s in derive_seed(bases, 1)]
+        paths = sample_paths(truths, 2 * n, derive_seed(bases, 2))
+        pairs = zip(derive_seed(bases, 3), derive_seed(bases, 4))
+        for truth, path, (seed_a, seed_b) in zip(truths, paths, pairs):
+            if accepted == instances:
+                break
+            attempts += 1
+            # one table serves the typicality event and all three distances
+            counts_n, counts_2n = prefix_counts(path, (n, 2 * n), max(rho, r), 2)
+            if not all(typicality_check(truth, c, eta, rho) for c in (counts_n, counts_2n)):
+                continue
+            accepted += 1
+            p_a = random_model(2, r, seed_a)
+            p_b = random_model(2, r, seed_b)
+            mix_a = mixture_kernel(p_a, truth, r)
+            mix_b = mixture_kernel(p_b, truth, r)
+            h_n = hellinger_path_distance(counts_n, mix_a, mix_b)
+            h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
+            h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)
+            checks = [
+                (h_2n, params.C3 * h_n),
+                ((n - r) / params.C4 * h_stat, h_n),
+                (h_n, (n - r) * params.C4 * h_stat),
+            ]
+            for small, big in checks:
+                ratio, violated = _compare(small, big)
+                worst = max(worst, ratio)
+                violations += violated
     return InstanceBatteryReport(
         "hellinger-sandwich", accepted, attempts, violations, worst
     )
@@ -488,6 +542,7 @@ def bracket_battery(
     gap_cap = np.full_like(weights, np.inf)
     gap_cap[supported] = beta / np.sqrt(weights[supported])
     paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
+    steps = observed_steps(truth, paths, r)
     violations = 0
     worst = 0.0
     for i in range(n_kernels):
@@ -500,10 +555,9 @@ def bracket_battery(
         worst = max(worst, ratio)
         if np.any(gaps > gap_cap[supported][:, None] * (1.0 + REL_TOL) + ABS_TOL):
             violations += 1
-        for path in paths:
-            lam, ups, xi = bracket_log_envelopes(truth, kernel, lower, upper, path, r)
-            if np.any(lam > xi + ABS_TOL) or np.any(xi > ups + ABS_TOL):
-                violations += 1
+        lam, ups, xi = bracket_log_envelopes(steps, kernel, lower, upper)
+        bad = (lam > xi + ABS_TOL) | (xi > ups + ABS_TOL)
+        violations += int(np.count_nonzero(bad.any(axis=1)))  # one per path
     return InstanceBatteryReport(
         "bracket", n_kernels * (n_paths + 1), n_kernels * (n_paths + 1), violations, worst
     )

@@ -66,19 +66,22 @@ def lil_from_logliks(logliks, r_star: int, m: int) -> float:
 class RunningOvershoot:
     """Running maximum of the order-r overshoot along a batch of growing paths.
 
-    Each ``step`` appends one transition (order-r context code, symbol) per
-    lane, plus that step's true conditional log-probability.  The maximized
-    log-likelihood ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` moves by the
-    gain ``(c+1) log(c+1) - c log c`` of each of the two counts c the
-    transition touches, read from one table indexed by c, so a step costs
-    O(1) per lane.  ``steps`` bounds the number of steps taken.
+    Each ``step`` appends one transition per lane, given by its order-r
+    context code a and its transition code ``a * m + b`` (b the symbol),
+    and reads that step's true conditional log-probability from the flat
+    table ``log_p`` by transition code.  The maximized log-likelihood
+    ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` moves by the gain
+    ``(c+1) log(c+1) - c log c`` of each of the two counts c the transition
+    touches, read from one table indexed by c, so a step costs O(1) per
+    lane.  ``steps`` bounds the number of steps taken.
     """
 
-    def __init__(self, lanes: int, m: int, r: int, steps: int):
-        self.m = m
+    def __init__(self, lanes: int, m: int, r: int, steps: int, log_p: np.ndarray):
         self.offset = np.arange(lanes, dtype=np.int64) * m**r  # first context slot per lane
+        self.trans_offset = self.offset * m  # first transition slot per lane
         self.trans = np.zeros(lanes * m**r * m, dtype=np.int32)
         self.ctx = np.zeros(lanes * m**r, dtype=np.int32)
+        self.log_p = log_p
         ks = np.arange(1, steps + 2, dtype=np.float64)
         xlogx = np.zeros(steps + 2)
         xlogx[1:] = ks * np.log(ks)
@@ -87,21 +90,27 @@ class RunningOvershoot:
         self.ll = np.zeros(lanes)
         self.best = np.full(lanes, -np.inf)
 
-    def step(self, code, sym, log_p, track: bool) -> None:
+    def step(self, code, trans, track: bool) -> None:
         """Add one transition per lane; with ``track`` set, fold the new
         overshoot ``ml - ll`` into ``best``."""
         gain = self.gain
-        ctx_at = self.offset + code
-        trans_at = ctx_at * self.m + sym
+        trans_at = self.trans_offset + trans
         c = self.trans[trans_at]
         self.ml += gain[c]
         self.trans[trans_at] = c + 1
+        ctx_at = self.offset + code
         c = self.ctx[ctx_at]
         self.ml -= gain[c]
         self.ctx[ctx_at] = c + 1
-        self.ll += log_p
+        self.ll += self.log_p[trans]
         if track:
             np.maximum(self.best, self.ml - self.ll, out=self.best)
+
+
+def true_transition_law(model: MarkovModel, r: int) -> np.ndarray:
+    """The model's next-symbol probabilities as one flat table by order-r
+    transition code ``a * m + b``, for r at or above the true order."""
+    return lift_kernel(kernel_at_true_order(model), model.m, r).ravel()
 
 
 def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) -> float:
@@ -119,15 +128,13 @@ def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) ->
         raise ValueError(f"order {r} is below the true order {r_true}")
     m = model.m
     codes = context_codes(symbols, r, m)
-    tcodes = context_codes(symbols, r_true, m)
-    base = kernel_at_true_order(model)
-    step_ll = base[tcodes[r - r_true :], symbols[r:]]
-    if np.any(step_ll <= 0.0):
+    trans = codes * m + symbols[r:]
+    law = true_transition_law(model, r)
+    if np.any(law[trans] <= 0.0):
         raise ValueError("path has zero probability under the model")
-    step_ll = np.log(step_ll)
-    run = RunningOvershoot(1, m, r, i_hi - r)
+    run = RunningOvershoot(1, m, r, i_hi - r, masked_log_ratio(law, 1.0))
     for t in range(i_hi - r):
-        run.step(codes[t], symbols[r + t], step_ll[t], r + t + 1 >= i_lo)
+        run.step(codes[t], trans[t], r + t + 1 >= i_lo)
     return max(float(run.best[0]), 0.0)
 
 

@@ -10,7 +10,6 @@ integers with the most recent symbol in the least significant digit.
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import numpy as np
 
@@ -151,8 +150,8 @@ def _closed_class(model: MarkovModel) -> np.ndarray:
     """
     m, order = model.m, model.order
     size = m**order
-    if size == 1:
-        return np.zeros(1, dtype=np.int64)
+    if size == 1 or (model.kernel > 0.0).all():  # every context reaches every other
+        return np.arange(size, dtype=np.int64)
     ahead_step = _shift_targets(m, order)
     ahead_ok = model.kernel > 0.0
     # context c is entered from a * m**(order-1) + c // m on symbol c % m
@@ -303,58 +302,81 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
     return ticks
 
 
-def _initial_codes(model: MarkovModel, seeds: np.ndarray) -> np.ndarray:
-    """Initial context code of every lane, from draw 0 of its stream."""
+def _initial_codes(models, seeds: np.ndarray) -> np.ndarray:
+    """Initial context code of every lane, from draw 0 of its stream: under
+    the one model's initial law, or lane g under that of ``models[g]``."""
     k0 = raw53_block(seeds, 0, 1)[:, 0]
-    return np.searchsorted(_thresholds(model.initial), k0, side="right")
+    ticks = _thresholds(np.stack([model.initial for model in models]))
+    if len(models) == 1:
+        return np.searchsorted(ticks[0], k0, side="right")
+    return np.count_nonzero(ticks <= k0[:, None], axis=1)
 
 
-def _advance(model: MarkovModel, seeds, positions, ctx, steps: int):
-    """Move a (rows, width) array of contexts ``steps`` symbols forward.
+def _advance(columns, targets, m: int, seeds, positions, ctx, steps: int):
+    """Move a (rows, width) array of context codes ``steps`` symbols forward.
 
-    Row g steps on stream ``seeds[g]`` at positions ``positions[g]``,
+    ``columns[j][c]`` is threshold j of the kernel row of code c, and
+    ``targets[c * m + b]`` the code after symbol b in context c.  Row g
+    steps on stream ``seeds[g]`` at positions ``positions[g]``,
     ``positions[g] + 1``, ..., one numpy step per symbol, and yields
     ``(ctx, sym)`` after each step.  Columns of one row read the same
     draws, so once they meet they stay together (a grand coupling); when
     all columns of every row agree the width collapses to one.
     """
-    columns = _thresholds(model.kernel).T
-    targets = _shift_targets(model.m, model.order).ravel()
     chunk = max(1, UNIFORM_CELLS // max(seeds.shape[0], 1))
     for j in range(0, steps, chunk):
         block = raw53_block(seeds, positions + np.uint64(j), min(chunk, steps - j))
         for k in block.T[:, :, None]:
             sym = sum(column[ctx] <= k for column in columns)
-            ctx = targets[ctx * model.m + sym]
+            ctx = targets[ctx * m + sym]
             if ctx.shape[1] > 1 and (ctx == ctx[:, :1]).all():
                 ctx, sym = ctx[:, :1], sym[:, :1]
             yield ctx, sym
         del block, k  # free this chunk before the next one is drawn
 
 
-def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
+def sample_paths(model, n: int, seeds) -> np.ndarray:
     """Sample ``n`` symbols per seed: the first r from the initial law, the
-    rest from the kernel.  Row i is a pure function of (model, n, seeds[i]).
-    The result has dtype ``symbol_dtype(m)``: uint8 for m <= 256.
+    rest from the kernel.  Row i is a pure function of (model, n, seeds[i]),
+    and its first k symbols do not depend on n.  The result has dtype
+    ``symbol_dtype(m)``: uint8 for m <= 256.
+
+    ``model`` is one ``MarkovModel`` for every seed, or a sequence of
+    models of one alphabet and order, one per seed.  Such a stack of K
+    kernels steps as one block-diagonal context chain: its thresholds are
+    the K kernels' rows one after another, K * m**r rows, the code of
+    context c of kernel g is ``g * m**r + c``, and it moves on symbol b to
+    ``g * m**r + (c * m + b) % m**r``.  One model is the stack K = 1.
 
     Stream layout: uniform 0 picks the initial context block, uniform k >= 1
     picks the symbol at position r + k.
 
     The n - r kernel steps of each lane are cut into equal blocks.  A first
-    pass steps every block from every start context at once and keeps the
-    context each one ends in; composing these block maps gives every
-    block's start from the lane's initial context.  This is a scan over
-    finite-state maps (Blelloch, "Prefix sums and their applications",
-    1990).  Once all start columns have coalesced, a block's symbols no
-    longer depend on its start, so the first pass writes them; a second
-    pass replays each block from its start only up to that step.
+    pass steps every block from every start context of its lane's kernel
+    at once and keeps the context each one ends in; composing these block
+    maps (on the kernel's own codes 0..m**r - 1) gives every block's start
+    from the lane's initial context.  This is a scan over finite-state maps
+    (Blelloch, "Prefix sums and their applications", 1990).  Once all start
+    columns have coalesced, a block's symbols no longer depend on its start,
+    so the first pass writes them; a second pass replays each block from
+    its start only up to that step.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
     seeds = np.atleast_1d(_as_u64(seeds))
     lanes = seeds.shape[0]
-    m, r, size = model.m, model.order, model.n_contexts
-    init = _initial_codes(model, seeds)
+    stacked = not isinstance(model, MarkovModel)
+    models = list(model) if stacked else [model]
+    if stacked and not 0 < len(models) == lanes:
+        raise ValueError(f"{len(models)} models for {lanes} seeds: give one model per seed")
+    m, r, size = models[0].m, models[0].order, models[0].n_contexts
+    if any((other.m, other.order) != (m, r) for other in models):
+        raise ValueError("stacked models must share one alphabet size and order")
+    # each lane's first context code in the stack
+    offset = np.arange(lanes, dtype=np.int64) * size if stacked else np.zeros(lanes, np.int64)
+    columns = _thresholds(np.concatenate([other.kernel for other in models])).T
+    targets = (np.arange(0, len(models) * size, size)[:, None, None] + _shift_targets(m, r)).ravel()
+    init = _initial_codes(models, seeds)
     steps = max(n - r, 0)
     blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
     # an odd block length keeps the column stores body[:, :, j] off a
@@ -368,21 +390,24 @@ def sample_paths(model: MarkovModel, n: int, seeds) -> np.ndarray:
     body = out[:, r:].reshape(lanes, blocks, length)
     replay = length  # the steps before the start columns coalesce
     if blocks > 1:
-        every = np.broadcast_to(np.arange(size), (lanes * blocks, size))
-        for j, (ends, sym) in enumerate(_advance(model, *rows, every, length)):
+        every = np.repeat(offset, blocks)[:, None] + np.arange(size)
+        for j, (ends, sym) in enumerate(_advance(columns, targets, m, *rows, every, length)):
             if ends.shape[1] == 1:  # coalesced, and it stays so
                 body[:, :, j] = sym.reshape(lanes, blocks)
                 replay = min(replay, j)
-        # compose the block maps by doubling (each right-hand side is read
-        # whole before it is stored); afterwards maps[:, b] sends a start
-        # context of block 0 to the end context of block b
-        maps = np.broadcast_to(ends, every.shape).reshape(lanes, blocks, size).copy()
+        # compose the block maps by doubling, on each kernel's own codes
+        # (each right-hand side is read whole before it is stored);
+        # afterwards maps[:, b] sends a start context of block 0 to the end
+        # context of block b
+        maps = np.broadcast_to(ends, every.shape).reshape(lanes, blocks, size)
+        maps = maps - offset[:, None, None]
         shift = 1
         while shift < blocks:
             maps[:, shift:] = np.take_along_axis(maps[:, shift:], maps[:, :-shift], axis=2)
             shift *= 2
         starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
-    for j, (_, sym) in enumerate(_advance(model, *rows, starts.reshape(-1, 1), replay)):
+    starts = (starts + offset[:, None]).reshape(-1, 1)
+    for j, (_, sym) in enumerate(_advance(columns, targets, m, *rows, starts, replay)):
         body[:, :, j] = sym.reshape(lanes, blocks)
     return out[:, :n]
 
@@ -392,18 +417,25 @@ def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):
     lane j steps through ``sample_paths(model, n, seeds[j])[0]`` without any
     lanes x n array being stored.
 
-    ``ctx`` codes the min(i-1, depth) most recent symbols before position i
-    (low digits are the newest), and ``sym`` is the symbol at position i.
+    ``ctx`` codes the min(i-1, D) most recent symbols before position i
+    (low digits are the newest), D = max(depth, model.order), and ``sym``
+    is the symbol at position i.  The kernel steps that depth-D code
+    itself, on the kernel's threshold rows lifted to depth D (row c is the
+    row of c mod m**r, so the symbols are those of ``sample_paths``) and
+    on the shift ``c -> (c * m + b) % m**D``.
     """
     m, r = model.m, model.order
-    init = _initial_codes(model, seeds)
-    prefix = block_digits(init, r, m).T[:n]
-    steps = _advance(model, seeds, np.ones_like(seeds), init[:, None], n - r)
-    size = m ** max(depth, r)
-    ctx = np.zeros(seeds.shape[0], dtype=np.int64)
-    for i, sym in enumerate(itertools.chain(prefix, (s[:, 0] for _, s in steps)), start=1):
-        yield i, ctx, sym
-        ctx = (ctx * m + sym) % size
+    top = max(depth, r)
+    columns = _thresholds(model.kernel)[np.arange(m**top) % model.n_contexts].T
+    targets = _shift_targets(m, top).ravel()
+    init = _initial_codes([model], seeds)
+    for i, sym in enumerate(block_digits(init, r, m).T[:n], start=1):
+        yield i, init // m ** (r - i + 1), sym
+    ctx = init
+    steps = _advance(columns, targets, m, seeds, np.ones_like(seeds), init[:, None], n - r)
+    for i, (nxt, sym) in enumerate(steps, start=r + 1):
+        yield i, ctx, sym[:, 0]
+        ctx = nxt[:, 0]
 
 
 def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:

@@ -83,12 +83,13 @@ def uniform_block(seed, start, count: int) -> np.ndarray:
     return raw53_block(seed, start, count).astype(np.float64) * _TO_UNIT
 
 
-def derive_seed(master: int, index):
+def derive_seed(master, index):
     """Seed for replication ``index``: ``master XOR scramble(index)``, where
     ``scramble(i)``, the finalizer of ``(i + 1) * PHI64``, is ``raw_at(0, i)``.
 
-    An index array gives a uint64 array of seeds, equal element by element
-    to the scalar calls, which return Python ints.
+    An index array, or a uint64 array of masters with one index, gives a
+    uint64 array of seeds, equal element by element to the scalar calls,
+    which return Python ints.
     """
-    z = raw_at(0, index) ^ np.uint64(master & _MASK)
-    return int(z[0]) if np.ndim(index) == 0 else z
+    z = raw_at(0, index) ^ _as_u64(master)
+    return int(z[0]) if np.ndim(index) == 0 and np.ndim(master) == 0 else z

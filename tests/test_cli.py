@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -193,6 +194,23 @@ class TestPathFileCodec:
         )
         assert path.read_bytes() == expected.encode()
         assert np.array_equal(cli._read_path_file(path, m, 99, n), symbols)
+
+    def test_reading_copies_no_symbols_line(self, tmp_path):
+        # a 2^20-symbol two-state path has a 2 MB symbols line; the file and
+        # the decoder's byte-per-byte temporaries peak at 5 lines (11.5
+        # when the line was split, partitioned and sliced out of the file)
+        n = 1 << 20
+        symbols = sample_paths(TWO_STATE, n, 3)[0]
+        path = tmp_path / "path.txt"
+        cli._write_path_file(path, symbols, 2, 3)
+        tracemalloc.start()
+        try:
+            out = cli._read_path_file(path, 2, 3, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, symbols)
+        assert peak < 6 * 2 * n
 
     @pytest.mark.parametrize("m", [11, 101, 1001])
     @pytest.mark.parametrize("text", [b"0", b"7 10", b"3 5 10", b"10 3 5"])
@@ -497,6 +515,21 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(cfg)]) == 1
         report = json.loads((tmp_path / "out" / "verification.json").read_text())
         assert report["all_gating_passed"] is False
+
+    def test_sandwich_short_of_instances_fails(self, tmp_path):
+        # at n = 8 the typicality event is rare: the battery's 2000 attempts
+        # give 77 of the 100 instances asked for
+        cfg = make_config(
+            tmp_path,
+            extra="[verify]\nchecks = hellinger-sandwich\ninstances = 100\nsandwich_n = 8\n",
+        )
+        assert cli.main(["verify", "--config", str(cfg), "--seed", "20240810"]) == 1
+        report = json.loads((tmp_path / "out" / "verification.json").read_text())
+        (check,) = report["checks"]
+        assert report["all_gating_passed"] is False and check["passed"] is False
+        detail = check["detail"]
+        assert (detail["instances"], detail["attempted"], detail["violations"]) == (77, 2000, 0)
+        assert detail["passed"] is False
 
     def test_empty_selection_rejected(self, tmp_path):
         cfg = make_config(tmp_path, extra="[verify]\nchecks =\n")

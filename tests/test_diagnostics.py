@@ -20,6 +20,7 @@ from markovorder import (
 )
 from markovorder.diagnostics import (
     BoundParams,
+    InstanceBatteryReport,
     bernstein_mc_check,
     bernstein_norm,
     bernstein_tail_bound,
@@ -43,7 +44,7 @@ from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import stationary_block_law, step_lanes
 from markovorder.penalty import SubLogCutoff
-from markovorder.rng import derive_seed
+from markovorder.rng import derive_seed, uniform_block
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
 
@@ -88,8 +89,7 @@ class TestTypicality:
 
     def test_monte_carlo_holds_rate(self):
         holds = 0
-        for i in range(100):
-            path = sample_paths(TWO_STATE, 10**5, derive_seed(7, i))[0]
+        for path in sample_paths(TWO_STATE, 10**5, derive_seed(7, np.arange(100))):
             counts = build_counts(path, 4, m=2)
             holds += typicality_check(TWO_STATE, counts, 0.5, 4)
         assert holds >= 99
@@ -102,8 +102,7 @@ class TestTypicality:
 
 class TestEventF:
     def test_monotone_in_eta(self):
-        for i in range(25):
-            path = sample_paths(TWO_STATE, 512, derive_seed(21, i))[0]
+        for path in sample_paths(TWO_STATE, 512, derive_seed(21, np.arange(25))):
             if event_F(TWO_STATE, path, 0.3, 3):
                 assert event_F(TWO_STATE, path, 0.6, 3)
 
@@ -117,13 +116,12 @@ class TestEventF:
             event_F(TWO_STATE, np.zeros(64, dtype=int), 0.5, 17)
 
     def test_frequency_rises_with_n(self):
+        seeds = derive_seed(5, np.arange(40))
         count_small = sum(
-            event_F(TWO_STATE, sample_paths(TWO_STATE, 2**10, derive_seed(5, i))[0], 0.5, 3)
-            for i in range(40)
+            event_F(TWO_STATE, path, 0.5, 3) for path in sample_paths(TWO_STATE, 2**10, seeds)
         )
         count_large = sum(
-            event_F(TWO_STATE, sample_paths(TWO_STATE, 2**14, derive_seed(5, i))[0], 0.5, 3)
-            for i in range(40)
+            event_F(TWO_STATE, path, 0.5, 3) for path in sample_paths(TWO_STATE, 2**14, seeds)
         )
         assert count_large >= count_small
 
@@ -137,8 +135,7 @@ class TestEventF:
         monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 512 * 7)  # 7 one-byte paths per chunk
         assert typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9) == report
         small = large = 0
-        for i in range(30):
-            path = sample_paths(TWO_STATE, 512, derive_seed(9, i))[0]
+        for path in sample_paths(TWO_STATE, 512, derive_seed(9, np.arange(30))):
             small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3)
             large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3)
         assert (report.holds_small, report.holds_large) == (small, large)
@@ -230,6 +227,89 @@ class TestSandwichBattery:
         assert report.instances == 60
         assert report.violations == 0
         assert report.passed
+
+
+def reference_norm_bound(instances, seed):
+    """``norm_bound_battery`` one instance, and one sampler call, at a time."""
+    violations, worst = 0, 0.0
+    for i in range(instances):
+        base = derive_seed(seed, i)
+        u = uniform_block(base, 0, 4)
+        m = 2 + int(u[0] * 2) % 2
+        r_star = int(u[1] * 2) % 2
+        r = r_star + 1 + int(u[2] * (3 - r_star)) % (3 - r_star)
+        n = 64 + int(u[3] * 448)
+        truth = random_model(m, r_star, derive_seed(base, 1))
+        mix = mixture_kernel(random_model(m, r, derive_seed(base, 2)), truth, r)
+        path = sample_paths(truth, n, derive_seed(base, 3))[0]
+        r_n = bernstein_norm(truth, mix, path, r, n)
+        h_n = hellinger_path_distance(
+            build_counts(path, r, m), mix, mixture_kernel(truth, truth, r)
+        )
+        ratio, violated = mc_mod._compare(r_n, 8.0 * h_n)
+        worst = max(worst, ratio)
+        violations += violated
+    return InstanceBatteryReport("norm-bound", instances, instances, violations, worst)
+
+
+def reference_sandwich(instances, eta, n, rho, seed):
+    """``hellinger_sandwich_battery`` one attempt, and one sampler call, at
+    a time, with the event from ``event_F``."""
+    params = BoundParams(eta)
+    accepted = attempts = violations = 0
+    worst = 0.0
+    while accepted < instances and attempts < 20 * instances:
+        base = derive_seed(seed, attempts)
+        attempts += 1
+        truth = random_model(2, 1, derive_seed(base, 1), floor=0.15)
+        path = sample_paths(truth, 2 * n, derive_seed(base, 2))[0]
+        if not event_F(truth, path, eta, rho):
+            continue
+        accepted += 1
+        mix_a = mixture_kernel(random_model(2, 2, derive_seed(base, 3)), truth, 2)
+        mix_b = mixture_kernel(random_model(2, 2, derive_seed(base, 4)), truth, 2)
+        h_n = hellinger_path_distance(build_counts(path[:n], 2, 2), mix_a, mix_b)
+        h_2n = hellinger_path_distance(build_counts(path, 2, 2), mix_a, mix_b)
+        h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)
+        for small, big in [
+            (h_2n, params.C3 * h_n),
+            ((n - 2) / params.C4 * h_stat, h_n),
+            (h_n, (n - 2) * params.C4 * h_stat),
+        ]:
+            ratio, violated = mc_mod._compare(small, big)
+            worst = max(worst, ratio)
+            violations += violated
+    return InstanceBatteryReport("hellinger-sandwich", accepted, attempts, violations, worst)
+
+
+class TestBatteriesMatchPerInstanceLoops:
+    """The batteries sample kernel stacks; the reports equal those of one
+    sampler call per instance, floats bit for bit (dataclass equality)."""
+
+    def test_norm_bound_one_sampler_call_per_group(self, monkeypatch):
+        calls = []
+
+        def counting(models, n, seeds):
+            calls.append((models[0].m, models[0].order))
+            return sample_paths(models, n, seeds)
+
+        monkeypatch.setattr(mc_mod, "sample_paths", counting)
+        report = norm_bound_battery(60, seed=99)
+        assert report == reference_norm_bound(60, seed=99)
+        # every (m, truth order) group is sampled once, and all four occur
+        assert sorted(calls) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+
+    @pytest.mark.parametrize(
+        "instances, n, chunk_bytes, seed, accepted, attempted",
+        [(40, 256, None, 27, 40, 44), (10, 8, None, 21, 3, 200), (10, 8, 16 * 7, 23, 10, 197)],
+        ids=["most-accepted", "attempt-limit", "seven-per-chunk"],
+    )
+    def test_sandwich(self, monkeypatch, instances, n, chunk_bytes, seed, accepted, attempted):
+        if chunk_bytes:
+            monkeypatch.setattr(mc_mod, "CHUNK_BYTES", chunk_bytes)
+        report = hellinger_sandwich_battery(instances, 0.5, n, 3, seed)
+        assert report == reference_sandwich(instances, 0.5, n, 3, seed)
+        assert (report.instances, report.attempted) == (accepted, attempted)
 
 
 class TestBrackets:
@@ -324,8 +404,7 @@ class TestBatchSteps:
         paths = np.stack(syms, axis=1)
         ctxs = np.stack(ctxs, axis=1)
         depth = max(depth, order)
-        for lane in range(7):
-            path = sample_paths(truth, n, derive_seed(seed, lane))[0]
+        for lane, path in enumerate(sample_paths(truth, n, seeds)):
             assert np.array_equal(paths[lane], path)
             for i in range(1, n + 1):
                 window = path[max(i - 1 - depth, 0) : i - 1]
@@ -463,8 +542,8 @@ class TestDeviationTail:
             report = deviation_tail_mc(truth, r, n, eps, lanes, eta, rho, seed)
         assert [i for i, _ in seen] == [n, 2 * n]
         events, hits = 0, [0] * len(eps)
-        for lane in range(lanes):
-            path = sample_paths(truth, 2 * n, derive_seed(seed, lane))[0]
+        paths = sample_paths(truth, 2 * n, derive_seed(seed, np.arange(lanes)))
+        for lane, path in enumerate(paths):
             for i, counts in seen:
                 for d, freq in enumerate(counts):
                     ref = np.bincount(context_codes(path[:i], d, m), minlength=m**d)

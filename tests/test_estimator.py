@@ -53,9 +53,8 @@ class TestEstimateOrder:
         assert all(entry.loglik == 0.0 for entry in result.table)
 
     def test_never_reaches_cutoff(self):
-        for i in range(20):
-            model = random_model(2, 1, seed=derive_seed(90, i))
-            path = sample_paths(model, 2048, derive_seed(91, i))[0]
+        models = [random_model(2, 1, seed=derive_seed(90, i)) for i in range(20)]
+        for path in sample_paths(models, 2048, derive_seed(91, np.arange(20))):
             counts = build_counts(path, 6, m=2)
             result = estimate_order(counts, LogLogPenalty(5.0), SubLogCutoff(), 2)
             kappa = cutoff_value(SubLogCutoff(), 2048, 2)
@@ -69,9 +68,8 @@ class TestEstimateOrder:
     def test_penalty_dominance_never_increases_order(self):
         # a pointwise-larger penalty with gaps growing in r can only push the
         # argmax down
-        for i in range(30):
-            model = random_model(2, 2, seed=derive_seed(92, i))
-            path = sample_paths(model, 1024, derive_seed(93, i))[0]
+        models = [random_model(2, 2, seed=derive_seed(92, i)) for i in range(30)]
+        for path in sample_paths(models, 1024, derive_seed(93, np.arange(30))):
             counts = build_counts(path, 5, m=2)
             small = estimate_order(counts, LogLogPenalty(3.0), SubLogCutoff(), 2)
             big = estimate_order(counts, LogLogPenalty(7.0), SubLogCutoff(), 2)

@@ -177,9 +177,9 @@ class TestDeltaStatistic:
         assert delta_running_max(model, PATH_0010, 0, 4, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_on_sampled_instances(self):
-        for i in range(1000):
-            model = random_model(2, 1, seed=derive_seed(50, i))
-            path = sample_paths(model, 24, derive_seed(51, i))[0]
+        models = [random_model(2, 1, seed=derive_seed(50, i)) for i in range(1000)]
+        paths = sample_paths(models, 24, derive_seed(51, np.arange(1000)))
+        for model, path in zip(models, paths):
             assert delta_running_max(model, path, 2, 24, 24) >= 0.0
 
     def test_impossible_path_rejected(self):
@@ -248,10 +248,10 @@ class TestKlCompensator:
         assert kl_compensator(truth, mix, path, 50) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_and_dominates_hellinger(self):
-        for i in range(1000):
-            truth = random_model(2, 1, seed=derive_seed(70, i))
+        truths = [random_model(2, 1, seed=derive_seed(70, i)) for i in range(1000)]
+        paths = sample_paths(truths, 30, derive_seed(72, np.arange(1000)))
+        for i, (truth, path) in enumerate(zip(truths, paths)):
             cand = random_model(2, 1, seed=derive_seed(71, i))
-            path = sample_paths(truth, 30, derive_seed(72, i))[0]
             mix = mixture_kernel(cand, truth, 1)
             mix_truth = mixture_kernel(truth, truth, 1)
             d = kl_compensator(truth, mix, path, 30)

@@ -265,21 +265,42 @@ class TestSamplePath:
             max_size=8,
         ),
         zeros=st.integers(0, 2**16),
+        stacked=st.booleans(),
     )
-    def test_every_lane_matches_reference(self, m, order, n, model_seed, seeds, zeros):
+    def test_every_lane_matches_reference(self, m, order, n, model_seed, seeds, zeros, stacked):
         # some kernels get zero entries (never a whole row), with a uniform
-        # initial law since such chains may be reducible
-        kernel = random_model(m, order, model_seed).kernel.copy()
-        if zeros % 2:
-            mask = (np.arange(kernel.size).reshape(kernel.shape) * zeros) % 3 == 0
-            mask[:, 0] = False
-            kernel[mask] = 0.0
-            kernel /= kernel.sum(axis=1, keepdims=True)
-        model = MarkovModel(kernel, initial=np.full(m**order, 1.0 / m**order))
-        batch = sample_paths(model, n, seeds)
+        # initial law since such chains may be reducible; a stack gives each
+        # lane its own kernel and its own initial law
+        def lane_model(k):
+            kernel = random_model(m, order, model_seed + k).kernel.copy()
+            if zeros % 2:
+                mask = (np.arange(kernel.size).reshape(kernel.shape) * (zeros + k)) % 3 == 0
+                mask[:, 0] = False
+                kernel[mask] = 0.0
+                kernel /= kernel.sum(axis=1, keepdims=True)
+            weights = uniform_block(model_seed + k, 0, m**order) + 0.1 if stacked else 1.0
+            initial = np.broadcast_to(weights, m**order)
+            return MarkovModel(kernel, initial=initial / initial.sum())
+
+        models = [lane_model(k) for k in range(len(seeds))] if stacked else [lane_model(0)]
+        batch = sample_paths(models if stacked else models[0], n, seeds)
         assert batch.shape == (len(seeds), n)
         for i, s in enumerate(seeds):
-            assert np.array_equal(batch[i], reference_path(model, n, s))
+            assert np.array_equal(batch[i], reference_path(models[i % len(models)], n, s))
+
+    @pytest.mark.parametrize(
+        "models, seeds",
+        [
+            ([TWO_STATE], [1, 2]),
+            ([], []),
+            ([TWO_STATE, MarkovModel([[0.5, 0.5]])], [1, 2]),
+            ([TWO_STATE, MarkovModel([[0.5, 0.5, 0.0]] * 3)], [1, 2]),
+        ],
+        ids=["one-model-two-seeds", "empty", "other-order", "other-alphabet"],
+    )
+    def test_stack_needs_one_model_per_seed_of_one_shape(self, models, seeds):
+        with pytest.raises(ValueError):
+            sample_paths(models, 10, seeds)
 
     def test_never_emits_a_zero_probability_symbol(self, monkeypatch):
         # the row sums to 1 - 1e-13, inside the tolerance, so the largest
