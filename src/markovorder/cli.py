@@ -36,6 +36,8 @@ EXIT_IO = 2
 # symbol_dtype(m), one byte for m <= 256: a lone lane's blocks are short,
 # and each runs at full width until its start columns couple
 SIMULATE_BATCH_BYTES = 2 << 20
+# the path-file decoder reads the symbols line this many bytes at a time
+DECODE_CHUNK = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -105,35 +107,27 @@ def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
     return flat[flat != 0][:-1].tobytes()
 
 
-def _decode_symbols(source, text, m: int) -> np.ndarray:
-    """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
-    that encoding a path over ``m`` symbols cannot produce.  The text is
-    bytes or a view of them (a memoryview), read in place; the symbols come
-    back in ``symbol_dtype(m)``."""
-    if not text:
-        return np.zeros(0, dtype=symbol_dtype(m))
-    raw = np.frombuffer(text, dtype=np.uint8)
-    code = raw - np.uint8(ord("0"))
-    space = raw == ord(" ")
-    digits = np.count_nonzero(code <= 9)
-    if digits + np.count_nonzero(space) != raw.size:
-        at = int(np.argmax((code > 9) & ~space))
-        raise ConfigError(
-            f"{source}: symbols: byte {bytes(text[at:at + 1])!r} at offset {at} "
-            "is not a digit or a space"
-        )
-    # last: the byte ends a symbol (it precedes a space or ends the line);
-    # a symbol is empty where a space leads the line or ends a symbol
+def _decode_span(span: np.ndarray, m: int):
+    """Decode a span of the symbols line cut before a separating space,
+    whose bytes are digits and spaces.  Returns the symbols, in a type that
+    holds 10**w - 1 (w the width of m - 1), and the span's first problem
+    of two kinds, each None when there is none: the index of an empty
+    symbol (then there are no symbols), and the index and token of a
+    symbol not written as one of 0..m-1 in decimal."""
+    if not span.size:  # a cut space followed by a space or the line's end
+        return None, 0, None
+    code = span - np.uint8(ord("0"))
+    space = span == ord(" ")
+    # last: the byte ends a symbol (it precedes a space or ends the span);
+    # a symbol is empty where a space leads the span or ends a symbol
     last = np.empty_like(space)
     last[:-1] = space[1:]
     last[-1] = True
     empty = space & last
     if space[0] or empty.any():
         at = 0 if space[0] else np.count_nonzero(space[:np.argmax(empty) + 1])
-        raise ConfigError(
-            f"{source}: symbols: symbol {at} is empty "
-            "(a leading, trailing or repeated space)"
-        )
+        return None, at, None
+    digits = span.size - np.count_nonzero(space)
     del space, empty
     # digit k of a symbol lies k bytes before its last byte, if the bytes
     # between are digits too; w digits hold every symbol below m.  They
@@ -155,15 +149,66 @@ def _decode_symbols(source, text, m: int) -> np.ndarray:
     # are written in that form exactly when the form widths (1 plus the
     # number of k >= 1 with 10**k <= s) add up to the digits on the line
     width_sum = symbols.size + sum(np.count_nonzero(symbols >= 10**k) for k in range(1, w))
-    if symbols.max() >= m or width_sum != digits:
-        at, token = next(
-            (i, t) for i, t in enumerate(bytes(text).split(b" "))
-            if len(t) > w or int(t) >= m or t != b"%d" % int(t)
-        )
+    if symbols.max() < m and width_sum == digits:
+        return symbols, None, None
+    tokens = span.tobytes().split(b" ")
+    bad = next(
+        i for i, t in enumerate(tokens) if len(t) > w or int(t) >= m or t != b"%d" % int(t)
+    )
+    return symbols, None, (bad, tokens[bad])
+
+
+def _decode_symbols(source, text, m: int) -> np.ndarray:
+    """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
+    that encoding a path over ``m`` symbols cannot produce.  The text is
+    bytes or a view of them (a memoryview), read in place; the symbols come
+    back in ``symbol_dtype(m)``.
+
+    Every temporary is a few times DECODE_CHUNK bytes: a first pass checks
+    the bytes and counts the symbols a window at a time, and a second
+    decodes the spans between the first spaces of the windows.  The first
+    problem of the line is reported, with its offset or symbol index on the
+    line: a byte that is no digit or space, else an empty symbol, else a
+    symbol not written as one of 0..m-1 in decimal.
+    """
+    if not text:
+        return np.zeros(0, dtype=symbol_dtype(m))
+    raw = np.frombuffer(text, dtype=np.uint8)
+    spaces = 0
+    cuts = [-1]  # the spaces the spans are cut at: the first of each window
+    for lo in range(0, raw.size, DECODE_CHUNK):
+        part = raw[lo:lo + DECODE_CHUNK]
+        space = part == ord(" ")
+        foreign = (part - np.uint8(ord("0")) > 9) & ~space
+        if foreign.any():
+            at = lo + int(np.argmax(foreign))
+            raise ConfigError(
+                f"{source}: symbols: byte {raw[at:at + 1].tobytes()!r} at offset {at} "
+                "is not a digit or a space"
+            )
+        spaces += int(np.count_nonzero(space))
+        if lo and space.any():
+            cuts.append(lo + int(np.argmax(space)))
+    symbols = np.empty(spaces + 1, dtype=symbol_dtype(m))
+    wrong = None  # the first symbol not in decimal form: (index, token)
+    done = 0
+    for start, end in zip(cuts, cuts[1:] + [raw.size]):
+        span, empty, bad = _decode_span(raw[start + 1:end], m)
+        if empty is not None:
+            raise ConfigError(
+                f"{source}: symbols: symbol {done + empty} is empty "
+                "(a leading, trailing or repeated space)"
+            )
+        if bad is not None and wrong is None:
+            wrong = (done + bad[0], bad[1])
+        symbols[done:done + span.size] = span
+        done += span.size
+    if wrong is not None:
         raise ConfigError(
-            f"{source}: symbol {at} is {token.decode()!r}, not one of 0..{m - 1} in decimal"
+            f"{source}: symbol {wrong[0]} is {wrong[1].decode()!r}, "
+            f"not one of 0..{m - 1} in decimal"
         )
-    return symbols.astype(symbol_dtype(m), copy=False)
+    return symbols
 
 
 def _write_path_file(path, symbols: np.ndarray, m: int, seed: int) -> None:

@@ -20,6 +20,11 @@ import numpy as np
 
 from ._contexts import symbol_dtype, window_code_chunks, window_codes
 
+# _merge tallies codes by bincount up to this many cells, or this many
+# cells per code; a sort of the codes is cheaper only past both
+TALLY_CELLS = 1 << 16
+TALLY_RATIO = 8
+
 
 class ContextCounts:
     """Counts for all depths 0..depth_cap over a growing path."""
@@ -68,11 +73,11 @@ def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray
     """Distinct codes below ``size`` in increasing order, and the summed
     positive ``counts`` of each (one per code when None).
 
-    Tallies in a length-``size`` array when that is no longer than the
-    input or than 4096, and sorts otherwise.  Weighted sums run in float64,
-    exact for counts below 2**53.
+    Tallies in a length-``size`` array when that is at most TALLY_RATIO
+    times the input or TALLY_CELLS long, and sorts otherwise.  Weighted
+    sums run in float64, exact for counts below 2**53.
     """
-    if size <= max(codes.shape[0], 4096):
+    if size <= max(TALLY_RATIO * codes.shape[0], TALLY_CELLS):
         tally = np.bincount(codes, counts, minlength=size)
         keys = np.flatnonzero(tally)
         return keys, tally[keys].astype(np.int64)

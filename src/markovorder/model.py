@@ -10,11 +10,12 @@ integers with the most recent symbol in the least significant digit.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 import numpy as np
 
 from ._contexts import block_digits, context_codes, symbol_dtype
-from .rng import _as_u64, raw53_block, uniform_block
+from .rng import PHI64, _as_u64, raw53_steps, uniform_block
 
 ROW_SUM_TOL = 1e-12
 KERNEL_EQ_TOL = 1e-12
@@ -23,12 +24,14 @@ POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 10**6
 # sample_paths cuts each lane into as many blocks as keep its first pass
 # within BLOCK_CELLS contexts per numpy step, each at least MIN_BLOCK symbols
-# long; its stepper draws up to UNIFORM_CELLS uniforms per call
+# long, and holds up to FLUSH_CELLS symbols step-major before it stores them
+# into the paths; its stepper draws up to UNIFORM_CELLS uniforms per call
 BLOCK_CELLS = 1 << 14
 MIN_BLOCK = 16
-UNIFORM_CELLS = 1 << 16
-# a draw k = raw53_block(...) is the uniform k * 2**-53; no draw reaches
-# the threshold NEVER
+FLUSH_CELLS = 1 << 18
+UNIFORM_CELLS = 1 << 15
+# a draw k of raw53_steps is the uniform k * 2**-53; no draw reaches the
+# threshold NEVER
 NEVER = 1 << 53
 
 NEG_INF = float("-inf")
@@ -117,10 +120,19 @@ class MarkovModel:
         return f"MarkovModel(m={self._m}, order={self._order})"
 
 
-def _shift_targets(m: int, order: int) -> np.ndarray:
-    """targets[c, b] = context code after seeing symbol b in context c."""
+def _shift_base(m: int, order: int, kernels: int = 1) -> np.ndarray:
+    """base[c] = g * m**r + (c' * m) % m**r for the code c = g * m**r + c'
+    of context c' of kernel g in a stack of ``kernels`` (r = order >= 1):
+    the code after symbol b in context c is ``base[c] + b``."""
     size = m**order
-    return (np.arange(size, dtype=np.int64)[:, None] * m + np.arange(m)) % size
+    codes = np.arange(kernels * size, dtype=np.int64)
+    return codes - codes % size + (codes * m) % size
+
+
+def _shift_targets(m: int, order: int) -> np.ndarray:
+    """targets[c, b] = context code after seeing symbol b in context c
+    (order >= 1)."""
+    return _shift_base(m, order)[:, None] + np.arange(m)
 
 
 def _reach(step: np.ndarray, ok: np.ndarray, starts) -> np.ndarray:
@@ -305,34 +317,87 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
 def _initial_codes(models, seeds: np.ndarray) -> np.ndarray:
     """Initial context code of every lane, from draw 0 of its stream: under
     the one model's initial law, or lane g under that of ``models[g]``."""
-    k0 = raw53_block(seeds, 0, 1)[:, 0]
+    k0 = raw53_steps(seeds, 0, 1)[0]
     ticks = _thresholds(np.stack([model.initial for model in models]))
     if len(models) == 1:
         return np.searchsorted(ticks[0], k0, side="right")
     return np.count_nonzero(ticks <= k0[:, None], axis=1)
 
 
-def _advance(columns, targets, m: int, seeds, positions, ctx, steps: int):
-    """Move a (rows, width) array of context codes ``steps`` symbols forward.
-
-    ``columns[j][c]`` is threshold j of the kernel row of code c, and
-    ``targets[c * m + b]`` the code after symbol b in context c.  Row g
-    steps on stream ``seeds[g]`` at positions ``positions[g]``,
-    ``positions[g] + 1``, ..., one numpy step per symbol, and yields
-    ``(ctx, sym)`` after each step.  Columns of one row read the same
-    draws, so once they meet they stay together (a grand coupling); when
-    all columns of every row agree the width collapses to one.
+def _step_tables(kernels, m: int, depth: int):
+    """The tables ``_advance`` steps a stack of kernels on, lifted to depth
+    D = max(depth, 1): the thresholds of their m**D-row tables one after
+    another, as contiguous columns, and the ``_shift_base`` of the stack.
+    The base needs D >= 1, so an order-0 kernel steps lifted to order 1,
+    each row its one row.
     """
+    depth = max(depth, 1)
+    columns = _thresholds(np.concatenate([lift_kernel(k, m, depth) for k in kernels])).T
+    return np.ascontiguousarray(columns), _shift_base(m, depth, len(kernels))
+
+
+def _advance(columns, base, seeds, positions, ctx, steps: int):
+    """Move a (rows, width) array of context codes ``steps`` symbols forward
+    on the tables of ``_step_tables``.
+
+    Row g steps on stream ``seeds[g]`` at positions ``positions[g]``,
+    ``positions[g] + 1``, ..., one numpy step per symbol, and yields
+    ``(ctx, sym)`` after each step: fresh arrays, never written after they
+    are yielded, ``sym`` in ``symbol_dtype(m)``.  The draws come a chunk at
+    a time, step-major, so each step reads one contiguous row of them, and
+    the symbol is the number of thresholds at or below the draw, summed in
+    place in its own type.  Columns of one row read the same draws, so once
+    they meet they stay together (a grand coupling); when all columns of
+    every row agree the width collapses to one.
+    """
+    dtype = symbol_dtype(columns.shape[0] + 1)
     chunk = max(1, UNIFORM_CELLS // max(seeds.shape[0], 1))
+    # stream s read from position p on is stream s + p * PHI64 read from 0
+    # (both counters are (p + i + 1) * PHI64 + s mod 2**64), so each chunk
+    # reads the streams ``keys`` from its first step; every chunk is drawn
+    # into the same two arrays, overwritten once the next one is drawn
+    keys = seeds + positions * np.uint64(PHI64)
+    draws = np.empty((min(chunk, steps), seeds.shape[0]), dtype=np.uint64)
+    scratch = np.empty_like(draws)
     for j in range(0, steps, chunk):
-        block = raw53_block(seeds, positions + np.uint64(j), min(chunk, steps - j))
-        for k in block.T[:, :, None]:
-            sym = sum(column[ctx] <= k for column in columns)
-            ctx = targets[ctx * m + sym]
+        count = min(chunk, steps - j)
+        block = raw53_steps(keys, j, count, draws[:count], scratch[:count])
+        for k in block[:, :, None]:
+            sym = columns[0][ctx] <= k
+            sym = sym.view(dtype) if dtype.itemsize == 1 else sym.astype(dtype)
+            for column in columns[1:]:
+                sym += column[ctx] <= k
+            ctx = base[ctx]
+            ctx += sym
             if ctx.shape[1] > 1 and (ctx == ctx[:, :1]).all():
                 ctx, sym = ctx[:, :1], sym[:, :1]
             yield ctx, sym
-        del block, k  # free this chunk before the next one is drawn
+
+
+def _store(steps, body: np.ndarray, count: int):
+    """Run ``count`` ``_advance`` steps of the (lanes, blocks, length)
+    ``body``'s rows, storing the symbols of step j into ``body[:, :, j]``
+    from the first step whose columns have coalesced on.  The symbols of up
+    to FLUSH_CELLS // rows steps are held step-major and stored together,
+    so each row is written a run of steps at a time, not a byte per step.
+    Returns the last ``ctx`` and that first step (``count`` when none
+    coalesced).
+    """
+    lanes, blocks, _ = body.shape
+    held = max(1, min(count, FLUSH_CELLS // max(lanes * blocks, 1)))
+    buf = np.empty((held, lanes * blocks), dtype=body.dtype)
+    first = count
+    for lo in range(0, count, held):
+        hi = min(lo + held, count)
+        for j, (ctx, sym) in enumerate(islice(steps, hi - lo), start=lo):
+            if sym.shape[1] == 1:
+                first = min(first, j)
+                buf[j - lo] = sym[:, 0]
+        if first < hi:
+            a = max(first, lo)
+            run = buf[a - lo : hi - lo].reshape(hi - a, lanes, blocks)
+            body[:, :, a:hi] = np.moveaxis(run, 0, -1)
+    return ctx, first
 
 
 def sample_paths(model, n: int, seeds) -> np.ndarray:
@@ -358,7 +423,7 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     from the lane's initial context.  This is a scan over finite-state maps
     (Blelloch, "Prefix sums and their applications", 1990).  Once all start
     columns have coalesced, a block's symbols no longer depend on its start,
-    so the first pass writes them; a second pass replays each block from
+    so the first pass stores them; a second pass replays each block from
     its start only up to that step.
     """
     if n < 1:
@@ -372,10 +437,11 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     m, r, size = models[0].m, models[0].order, models[0].n_contexts
     if any((other.m, other.order) != (m, r) for other in models):
         raise ValueError("stacked models must share one alphabet size and order")
-    # each lane's first context code in the stack
-    offset = np.arange(lanes, dtype=np.int64) * size if stacked else np.zeros(lanes, np.int64)
-    columns = _thresholds(np.concatenate([other.kernel for other in models])).T
-    targets = (np.arange(0, len(models) * size, size)[:, None, None] + _shift_targets(m, r)).ravel()
+    columns, base = _step_tables([other.kernel for other in models], m, r)
+    # each lane's first context code in the stack, whose kernels step
+    # lifted to order 1 when r = 0
+    lifted = m ** max(r, 1)
+    offset = np.arange(lanes, dtype=np.int64) * lifted if stacked else np.zeros(lanes, np.int64)
     init = _initial_codes(models, seeds)
     steps = max(n - r, 0)
     blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
@@ -391,10 +457,8 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     replay = length  # the steps before the start columns coalesce
     if blocks > 1:
         every = np.repeat(offset, blocks)[:, None] + np.arange(size)
-        for j, (ends, sym) in enumerate(_advance(columns, targets, m, *rows, every, length)):
-            if ends.shape[1] == 1:  # coalesced, and it stays so
-                body[:, :, j] = sym.reshape(lanes, blocks)
-                replay = min(replay, j)
+        ends, replay = _store(_advance(columns, base, *rows, every, length), body, length)
+    if blocks > 1 and replay:
         # compose the block maps by doubling, on each kernel's own codes
         # (each right-hand side is read whole before it is stored);
         # afterwards maps[:, b] sends a start context of block 0 to the end
@@ -406,9 +470,9 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
             maps[:, shift:] = np.take_along_axis(maps[:, shift:], maps[:, :-shift], axis=2)
             shift *= 2
         starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
-    starts = (starts + offset[:, None]).reshape(-1, 1)
-    for j, (_, sym) in enumerate(_advance(columns, targets, m, *rows, starts, replay)):
-        body[:, :, j] = sym.reshape(lanes, blocks)
+    if replay:
+        starts = (starts + offset[:, None]).reshape(-1, 1)
+        _store(_advance(columns, base, *rows, starts, replay), body, replay)
     return out[:, :n]
 
 
@@ -422,20 +486,21 @@ def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):
     is the symbol at position i.  The kernel steps that depth-D code
     itself, on the kernel's threshold rows lifted to depth D (row c is the
     row of c mod m**r, so the symbols are those of ``sample_paths``) and
-    on the shift ``c -> (c * m + b) % m**D``.
+    on the shift ``c -> (c * m + b) % m**D``; at D = 0 it steps lifted to
+    depth 1 and ``ctx`` stays 0.
     """
     m, r = model.m, model.order
     top = max(depth, r)
-    columns = _thresholds(model.kernel)[np.arange(m**top) % model.n_contexts].T
-    targets = _shift_targets(m, top).ravel()
+    columns, base = _step_tables([model.kernel], m, top)
     init = _initial_codes([model], seeds)
     for i, sym in enumerate(block_digits(init, r, m).T[:n], start=1):
         yield i, init // m ** (r - i + 1), sym
     ctx = init
-    steps = _advance(columns, targets, m, seeds, np.ones_like(seeds), init[:, None], n - r)
+    steps = _advance(columns, base, seeds, np.ones_like(seeds), init[:, None], max(n - r, 0))
     for i, (nxt, sym) in enumerate(steps, start=r + 1):
         yield i, ctx, sym[:, 0]
-        ctx = nxt[:, 0]
+        if top:
+            ctx = nxt[:, 0]
 
 
 def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:

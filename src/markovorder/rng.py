@@ -5,10 +5,10 @@ counter generator: the value at stream position ``k`` for a given 64-bit
 seed is obtained by applying the splitmix64 finalizer to
 ``seed + (k + 1) * PHI64`` (all arithmetic mod 2**64).  Because positions
 are addressed directly, any block of the stream can be generated in one
-vectorized call, and ``raw_at``, ``raw53_block`` and ``uniform_block``
-broadcast an array of seeds against an array of positions, so batch
-simulation over many seeds produces bit-identical values to one-at-a-time
-generation.
+vectorized call, and ``raw_at``, ``raw53_steps``, ``raw53_block`` and
+``uniform_block`` broadcast an array of seeds against an array of
+positions, so batch simulation over many seeds produces bit-identical
+values to one-at-a-time generation.
 
 Replication seeds are derived as ``master XOR scramble(i)`` where
 ``scramble`` is the same finalizer applied to ``(i + 1) * PHI64``, so
@@ -31,13 +31,16 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _TO_UNIT = 2.0 ** -53
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    # splitmix64 output function, in place; z must be a fresh uint64 ndarray
-    z ^= z >> np.uint64(30)
+def _finalize(z: np.ndarray, scratch=None) -> np.ndarray:
+    # splitmix64 output function, in place on the uint64 ndarray z.  Every
+    # shift lands in the one array scratch, shaped like z, so no step
+    # allocates
+    scratch = np.empty_like(z) if scratch is None else scratch
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
     z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
     return z
 
 
@@ -60,21 +63,33 @@ def raw_at(seed, positions) -> np.ndarray:
     return _finalize(counter + _as_u64(seed))
 
 
-def raw53_block(seed, start, count: int) -> np.ndarray:
+def raw53_steps(seed, start, count: int, out=None, scratch=None) -> np.ndarray:
     """``count`` 53-bit integers ``raw_at(seed, pos) >> 11`` at stream
-    positions start..start+count-1, as uint64; ``k * 2**-53`` is the
-    uniform of ``uniform_block`` at the same position.
+    positions start..start+count-1, as uint64, step-major: entry ``[i]``
+    holds position ``start + i`` of every stream as one contiguous row.
+    ``k * 2**-53`` is the uniform of ``uniform_block`` at the same position.
 
     ``seed`` and ``start`` may be arrays that broadcast together; the
-    result then has their shape plus a trailing axis of length ``count``.
-    Each row's counter is one base ``(start + 1) * PHI64 + seed`` plus
-    ``i * PHI64``, which is exact mod 2**64.
+    result then has a leading axis of length ``count`` and their shape.
+    Each stream's counter is one base ``(start + 1) * PHI64 + seed`` plus
+    ``i * PHI64``, which is exact mod 2**64.  Given ``out`` and ``scratch``,
+    two uint64 arrays of the result's shape, the draws are computed into
+    ``out`` by way of ``scratch``, and nothing of that size is allocated.
     """
-    base = (_as_u64(start)[..., None] + np.uint64(1)) * np.uint64(PHI64)
-    base = base + _as_u64(seed)[..., None]
-    z = _finalize(base + np.arange(count, dtype=np.uint64) * np.uint64(PHI64))
+    # a leading axis makes every operand an array, which wraps silently
+    bases = (_as_u64(start)[None] + np.uint64(1)) * np.uint64(PHI64) + _as_u64(seed)[None]
+    steps = np.arange(count, dtype=np.uint64).reshape((count,) + (1,) * (bases.ndim - 1))
+    z = np.add(steps * np.uint64(PHI64), bases, out=out)
+    _finalize(z, scratch)
     z >>= np.uint64(11)
     return z
+
+
+def raw53_block(seed, start, count: int) -> np.ndarray:
+    """``raw53_steps`` with the positions on a trailing axis: the result has
+    the broadcast shape of ``seed`` and ``start`` plus an axis of length
+    ``count`` (a view of the step-major draws)."""
+    return np.moveaxis(raw53_steps(seed, start, count), 0, -1)
 
 
 def uniform_block(seed, start, count: int) -> np.ndarray:

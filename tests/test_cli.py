@@ -196,8 +196,9 @@ class TestPathFileCodec:
         assert np.array_equal(cli._read_path_file(path, m, 99, n), symbols)
 
     def test_reading_copies_no_symbols_line(self, tmp_path):
-        # a 2^20-symbol two-state path has a 2 MB symbols line; the file and
-        # the decoder's byte-per-byte temporaries peak at 5 lines (11.5
+        # a 2^20-symbol two-state path has a 2 MB symbols line; the file
+        # and the symbols take 1.5 lines, and the decoder's temporaries a
+        # few DECODE_CHUNK windows (5 lines when they were line-sized, 11.5
         # when the line was split, partitioned and sliced out of the file)
         n = 1 << 20
         symbols = sample_paths(TWO_STATE, n, 3)[0]
@@ -210,7 +211,31 @@ class TestPathFileCodec:
         finally:
             tracemalloc.stop()
         assert np.array_equal(out, symbols)
-        assert peak < 6 * 2 * n
+        assert peak < 2 * 2 * n
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.sampled_from([2, 11, 101, 257]),
+        text=st.lists(st.sampled_from(b"00123456789   x"), max_size=40).map(bytes),
+        chunk=st.integers(1, 7),
+    )
+    @example(m=2, text=b"0 1  1", chunk=2)  # a span cut between two spaces
+    @example(m=2, text=b"0 1 ", chunk=3)  # a cut at the trailing space
+    def test_chunked_decoding_matches_one_span(self, m, text, chunk):
+        # a line decoded DECODE_CHUNK bytes at a time gives the symbols, or
+        # the message (offset, symbol index), of decoding it as one span
+        def decode():
+            try:
+                return cli._decode_symbols("p", text, m).tolist()
+            except cli.ConfigError as exc:
+                return str(exc)
+
+        whole = decode()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "DECODE_CHUNK", chunk)
+            assert decode() == whole
+        if isinstance(whole, list):
+            assert whole == [int(t) for t in text.split(b" ")] if text else whole == []
 
     @pytest.mark.parametrize("m", [11, 101, 1001])
     @pytest.mark.parametrize("text", [b"0", b"7 10", b"3 5 10", b"10 3 5"])

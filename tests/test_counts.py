@@ -15,7 +15,7 @@ from markovorder._contexts import (
     window_code_chunks,
     window_codes,
 )
-from markovorder.counts import prefix_counts
+from markovorder.counts import TALLY_CELLS, TALLY_RATIO, _merge, prefix_counts
 
 
 def scan_windows(symbols, r, m):
@@ -150,19 +150,40 @@ def test_invariants_and_incremental_equivalence(data, m, n):
 
 
 class TestSparseFallback:
-    """Code spaces larger than the window count and than 4096 take the
-    sort branch."""
+    """Code spaces larger than TALLY_RATIO times the window count and than
+    TALLY_CELLS take the sort branch."""
 
     def test_sparse_depth_matches_scanner(self):
         rng = np.random.default_rng(3)
         symbols = rng.integers(0, 3, 60)
         extra = rng.integers(0, 3, 20)
-        assert 3**9 > max(len(symbols) + len(extra), 4096)
-        sparse = extend_counts(build_counts(symbols, 8, m=3), extra)
+        assert 3**11 > max(TALLY_RATIO * (len(symbols) + len(extra)), TALLY_CELLS)
+        sparse = extend_counts(build_counts(symbols, 10, m=3), extra)
         concat = np.concatenate([symbols, extra])
-        for r in range(9):
+        for r in range(11):
             assert np.array_equal(sparse.transition_counts(r), scan_windows(concat, r, 3))
         assert sparse.context_counts(2).sum() == len(concat) - 2
+
+    @pytest.mark.parametrize(
+        "codes, size",
+        [
+            (1000, TALLY_CELLS),  # tallies: within TALLY_CELLS
+            (1000, TALLY_CELLS + 1),  # sorts
+            (10_000, TALLY_RATIO * 10_000),  # tallies: within TALLY_RATIO per code
+            (10_000, TALLY_RATIO * 10_000 + 1),  # sorts
+        ],
+    )
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_tally_and_sort_agree_across_the_threshold(self, codes, size, weighted):
+        rng = np.random.default_rng(size)
+        keys = rng.integers(0, size, codes)
+        keys[0] = size - 1  # the top cell is in use
+        counts = rng.integers(1, 2**40, codes) if weighted else None
+        got_keys, got_counts = _merge(keys, counts, size)
+        want_keys, inverse = np.unique(keys, return_inverse=True)
+        assert got_keys.dtype == got_counts.dtype == np.int64
+        assert np.array_equal(got_keys, want_keys)
+        assert np.array_equal(got_counts, np.bincount(inverse, counts).astype(np.int64))
 
 
 @given(

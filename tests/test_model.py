@@ -23,7 +23,7 @@ from markovorder import (
 )
 from markovorder import model as model_mod
 from markovorder._contexts import block_digits
-from markovorder.model import lift_kernel
+from markovorder.model import lift_kernel, step_lanes
 from markovorder.rng import derive_seed, uniform_block
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])  # P(1|0)=0.3, P(1|1)=0.8
@@ -308,11 +308,12 @@ class TestSamplePath:
         # would emit a symbol (and an initial context) of probability 0
         row = [0.5, 0.4999999999999, 0.0]
         model = MarkovModel([row] * 3, initial=row)
+        # every draw, the initial one too, comes through raw53_steps
         monkeypatch.setattr(
             model_mod,
-            "raw53_block",
-            lambda seed, start, count: np.full(
-                np.broadcast(np.asarray(seed), np.asarray(start)).shape + (count,),
+            "raw53_steps",
+            lambda seed, start, count, out=None, scratch=None: np.full(
+                (count,) + np.broadcast(np.asarray(seed), np.asarray(start)).shape,
                 2**53 - 1,
                 dtype=np.uint64,
             ),
@@ -361,10 +362,46 @@ class TestSamplePath:
         for i, s in enumerate(seeds):
             assert np.array_equal(batch[i], reference_path(model, n, s))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        order=st.integers(0, 2),
+        n=st.integers(1, 400),
+        model_seed=st.integers(0, 2**32),
+        seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        depth=st.integers(0, 3),
+        uniform_cells=st.sampled_from([1, 3, 7, 33]),
+        flush_cells=st.sampled_from([1, 3, 7, 65]),
+        block_cells=st.sampled_from([1, 5, 9, 65, 257]),
+    )
+    def test_batching_never_changes_a_sample(
+        self, m, order, n, model_seed, seeds, depth, uniform_cells, flush_cells, block_cells
+    ):
+        # draw chunks, stored runs and blocks of small odd sizes cut the
+        # steps anywhere; step_lanes' yielded arrays are kept uncopied, so
+        # one written after it is yielded would show
+        model = random_model(m, order, model_seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_mod, "UNIFORM_CELLS", uniform_cells)
+            patch.setattr(model_mod, "FLUSH_CELLS", flush_cells)
+            patch.setattr(model_mod, "BLOCK_CELLS", block_cells)
+            batch = sample_paths(model, n, seeds)
+            lanes = list(step_lanes(model, n, np.array(seeds, dtype=np.uint64), depth))
+        for row, s in zip(batch, seeds):
+            assert np.array_equal(row, reference_path(model, n, s))
+        assert [i for i, _, _ in lanes] == list(range(1, n + 1))
+        assert np.array_equal(np.stack([sym for _, _, sym in lanes], axis=1), batch)
+        top = max(depth, order)
+        for i, ctx, _ in lanes:
+            window = batch[:, max(i - 1 - top, 0) : i - 1].astype(np.int64)
+            assert np.array_equal(ctx, window @ m ** np.arange(window.shape[1])[::-1])
+
     def test_one_chunk_of_draws_alive_at_a_time(self):
         # one 131072-symbol lane of an m = 4, order-2 chain: the first pass
-        # steps 1024 rows and draws 64 steps (512 KB) per chunk; holding the
-        # previous chunk while the next is drawn costs another 512 KB
+        # steps 1024 blocks of 129 steps from 16 start columns, draws 32
+        # steps (256 KB) per chunk into one array reused by every chunk,
+        # beside the finalizer's 256 KB scratch, and holds up to 129 steps
+        # of symbols (132 KB) before it stores them
         model = random_model(4, 2, seed=7)
         sample_paths(model, 1000, [1])
         tracemalloc.start()

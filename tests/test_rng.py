@@ -54,6 +54,21 @@ def test_uniform_block_broadcasts_seeds_against_positions():
             assert np.array_equal(rows[i], rng.uniform_block(s, 5 * i, 3))
 
 
+@pytest.mark.parametrize("count", [0, 1, 7])
+def test_raw53_steps_are_the_block_step_major(count):
+    # seeds on both sides of 2**63, each stream at its own start; drawn
+    # into given arrays, the draws land in `out` and nothing else changes
+    seeds = np.array([5, 2**63 + 11, MASK], dtype=np.uint64)
+    starts = np.array([0, 2**40, MASK - 4], dtype=np.uint64)
+    block = rng.raw53_block(seeds, starts, count)
+    fresh = rng.raw53_steps(seeds, starts, count)
+    assert fresh.shape == (count, 3) and fresh.flags.c_contiguous
+    assert np.array_equal(fresh.T, block)
+    out, scratch = np.full((2, count, 3), 7, dtype=np.uint64)
+    assert rng.raw53_steps(seeds, starts, count, out, scratch) is out
+    assert np.array_equal(out, fresh)
+
+
 def test_derive_seed_is_scramble_xor():
     master = 0xDEADBEEF
     for i in range(5):
