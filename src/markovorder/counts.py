@@ -94,12 +94,13 @@ def _symbols(path, m: int, what: str) -> np.ndarray:
     return x.astype(symbol_dtype(m), copy=False)
 
 
-def _tally(symbols: np.ndarray, m: int, cap: int, pairs=()) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the depth-``cap`` windows of ``symbols`` into the sorted
-    (codes, counts) ``pairs``: each chunk of window codes is tallied alone,
-    and all pairs are merged once."""
+def _tally(parts, m: int, cap: int, pairs=()) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the depth-``cap`` windows of each symbol array in ``parts``
+    into the sorted (codes, counts) ``pairs``: each chunk of window codes
+    is tallied alone, and all pairs are merged once."""
     size = m ** (cap + 1)
-    pairs = [*pairs, *(_merge(chunk, None, size) for chunk in window_code_chunks(symbols, cap + 1, m))]
+    chunks = (chunk for part in parts for chunk in window_code_chunks(part, cap + 1, m))
+    pairs = [*pairs, *(_merge(chunk, None, size) for chunk in chunks)]
     if len(pairs) == 1:  # a short path: one chunk, already merged
         return pairs[0]
     keys, tallies = zip(*pairs)
@@ -119,7 +120,7 @@ def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
     if m ** (depth_cap + 1) >= 2**63:
         raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
-    codes, counts = _tally(symbols, m, depth_cap)
+    codes, counts = _tally((symbols,), m, depth_cap)
     head = symbols[:depth_cap].copy()
     return ContextCounts(m, depth_cap, n, codes, counts, head, symbols[n - depth_cap :].copy())
 
@@ -128,14 +129,14 @@ def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
     """Counts for the concatenated path; the input is left untouched.
 
     Equivalent to rebuilding from scratch on the full path: only windows
-    whose end position lands in the new segment are added, reaching back
-    into the retained tail for their contexts.
+    ending in the new segment are added, read from the retained tail and
+    the segment in place; the segment itself is never copied.
     """
     m, cap = counts.m, counts.depth_cap
     new = _symbols(new_symbols, m, "extension")
-    spliced = np.concatenate([counts.tail, new])
-    codes, totals = _tally(spliced, m, cap, [(counts.codes, counts.counts)])
-    tail = spliced[spliced.shape[0] - cap :].copy()
+    seam = np.concatenate([counts.tail, new[:cap]])
+    codes, totals = _tally((seam, new), m, cap, [(counts.codes, counts.counts)])
+    tail = np.concatenate([counts.tail[min(new.size, cap):], new[max(new.size - cap, 0):]])
     return ContextCounts(m, cap, counts.n + new.shape[0], codes, totals, counts.head, tail)
 
 

@@ -69,8 +69,9 @@ def estimate_order(
 
 
 def required_depth_cap(cut: CutoffSpec, n_grid, m: int) -> int:
-    """Depth cap for an experiment grid: max kappa over the grid, plus one."""
-    return max(cutoff_value(cut, n, m) for n in n_grid) + 1
+    """Depth cap for an experiment grid: the largest order searched, max
+    kappa over the grid minus one (the deepest ``max_loglik_vector`` reads)."""
+    return max(cutoff_value(cut, n, m) for n in n_grid) - 1
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contexts import context_codes
+from ._contexts import context_codes, window_codes
 from .counts import ContextCounts, _merge
 from .model import (
     ROW_SUM_TOL,
@@ -31,22 +31,37 @@ def _xlogx_sum(values: np.ndarray) -> float:
 
 def max_loglik(counts: ContextCounts, r: int) -> float:
     """Maximized log-likelihood over chains of order at most r; always <= 0."""
-    if r >= counts.n:
-        raise ValueError(f"order {r} must be < path length {counts.n}")
-    codes, num = counts.window_counts(r)
-    _, ctx_num = _merge(codes // counts.m, num, counts.m**r)
-    total = _xlogx_sum(num) - _xlogx_sum(ctx_num)
-    return min(total, 0.0)
+    return max_loglik_vector(counts, r + 1)[r]
 
 
 def max_loglik_vector(counts: ContextCounts, kappa: int) -> list[float]:
-    """``max_loglik`` for every order r < kappa (the orders a cutoff admits)."""
+    """``max_loglik`` for every order r < kappa (the orders a cutoff admits).
+
+    One pass down from depth kappa - 1.  The depth-r window counts N(a,b)
+    read modulo m**r, plus the window of the first r symbols, are the
+    depth-(r-1) window counts; less the window of the last r symbols, which
+    precedes no symbol, they are the order-r context counts N(a).  At r = 0
+    the one context count is n.
+    """
     if counts.depth_cap < kappa - 1:
         raise ValueError(
             f"depth cap {counts.depth_cap} is too small: cutoff {kappa} "
             f"requires tracking depth {kappa - 1}"
         )
-    return [max_loglik(counts, r) for r in range(kappa)]
+    m, cap = counts.m, counts.depth_cap
+    # the codes of the first and of the last cap symbols
+    head, tail = (int(window_codes(x, cap, m)[0]) for x in (counts.head, counts.tail))
+    codes, num = counts.window_counts(kappa - 1)
+    logliks = [0.0] * kappa
+    for r in range(kappa - 1, 0, -1):
+        windows = _xlogx_sum(num)
+        first = head // m ** (cap - r)  # the window of the first r symbols
+        codes, num = _merge(np.append(codes % m**r, first), np.append(num, 1), m**r)
+        contexts = num.copy()
+        contexts[np.searchsorted(codes, tail % m**r)] -= 1  # the last r symbols
+        logliks[r] = min(windows - _xlogx_sum(contexts), 0.0)
+    logliks[0] = min(_xlogx_sum(num) - _xlogx_sum(np.array([counts.n])), 0.0)
+    return logliks
 
 
 def lil_from_logliks(logliks, r_star: int, m: int) -> float:

@@ -18,6 +18,7 @@ from markovorder import MarkovModel, cli, random_model, sample_paths
 from markovorder import estimator as estimator_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import lift_kernel, write_model_file
+from markovorder.penalty import N_MIN
 from markovorder.rng import PHI64, derive_seed
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
@@ -212,6 +213,27 @@ class TestPathFileCodec:
             tracemalloc.stop()
         assert np.array_equal(out, symbols)
         assert peak < 2 * 2 * n
+
+    def test_writing_holds_no_int64_copy_of_the_symbols(self):
+        # the records and the line take two line sizes and the gather's
+        # int64 indices one ENCODE_CHUNK; all 2^20 indices at once took 8
+        # bytes a symbol, 5 line sizes in all
+        n = 1 << 20
+        symbols = sample_paths(TWO_STATE, n, 3)[0]
+        tracemalloc.start()
+        try:
+            line = cli._encode_symbols(symbols, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(line) == 2 * n - 1
+        assert peak < 3 * 2 * n
+
+    @pytest.mark.parametrize("m, chunk", [(2, 1), (11, 3), (1000, 7)])
+    def test_chunked_encoding_matches_joined_text(self, monkeypatch, m, chunk):
+        monkeypatch.setattr(cli, "ENCODE_CHUNK", chunk)
+        symbols = np.random.default_rng(m).integers(0, m, 50)
+        assert cli._encode_symbols(symbols, m) == " ".join(map(str, symbols.tolist())).encode()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -695,8 +717,9 @@ class TestExitCodesAndDeterminism:
     @pytest.mark.parametrize("command", ["estimate", "sweep"])
     @pytest.mark.parametrize("source", ["inline", "path-files"])
     def test_grid_below_depth_cap_names_field(self, tmp_path, capsys, monkeypatch, command, source):
-        # sublog needs depth 4 on this grid, and the first table is built at n = 4
-        cfg = make_config(tmp_path, n_grid="4 8", reps=2)
+        # sublog needs depth 3 on this grid (kappa(4096) = 4), and the first
+        # table is built at n = 3
+        cfg = make_config(tmp_path, n_grid="3 4096", reps=2)
         if source == "path-files":
             assert cli.main(["simulate", "--config", str(cfg)]) == 0
         else:
@@ -709,7 +732,26 @@ class TestExitCodesAndDeterminism:
         monkeypatch.setattr(cli, "_read_path_file", no_path)
         assert cli.main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "experiment.n_grid" in err and "depth cap 4" in err and "sublog" in err
+        assert "experiment.n_grid" in err and "depth cap 3" in err and "sublog" in err
+        assert (tmp_path / "out").exists() == (source == "path-files")
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("source", ["inline", "path-files"])
+    def test_grid_below_cutoff_minimum_names_field(
+        self, tmp_path, capsys, monkeypatch, command, source
+    ):
+        cfg = make_config(tmp_path, n_grid="2 64", reps=2)
+        if source == "path-files":
+            assert cli.main(["simulate", "--config", str(cfg)]) == 0
+
+        def no_path(*args):
+            raise AssertionError("a path was sampled or read before the grid was checked")
+
+        monkeypatch.setattr(estimator_mod, "sample_paths", no_path)
+        monkeypatch.setattr(cli, "_read_path_file", no_path)
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "experiment.n_grid" in err and f"is below {N_MIN}" in err and N_MIN == 3
         assert (tmp_path / "out").exists() == (source == "path-files")
 
     def test_huge_cutoff(self, tmp_path, capsys):

@@ -19,7 +19,7 @@ from markovorder import (
     true_order,
     underestimation_gap,
 )
-from markovorder.estimator import argmax_score, required_depth_cap
+from markovorder.estimator import argmax_score, grid_logliks, required_depth_cap
 from markovorder.model import lift_kernel, stationary_distribution
 from markovorder.penalty import cutoff_value
 from markovorder.rng import derive_seed
@@ -114,7 +114,16 @@ class TestConsistencyExperiment:
     def test_depth_cap_covers_grid(self):
         grid = [2**10, 2**14]
         cap = required_depth_cap(SubLogCutoff(), grid, 2)
-        assert cap >= cutoff_value(SubLogCutoff(), 2**14, 2) + 1 - 1
+        # the deepest table the largest cutoff reads: its largest order
+        assert cap == cutoff_value(SubLogCutoff(), 2**14, 2) - 1
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_extra_depth_leaves_logliks_unchanged(self, m):
+        grid = [64, 512, 4096]
+        cap = required_depth_cap(SubLogCutoff(), grid, m)
+        path = sample_paths(random_model(m, 2, seed=m), grid[-1], 17)[0]
+        at_cap = list(grid_logliks(path, m, SubLogCutoff(), grid, cap))
+        assert at_cap == list(grid_logliks(path, m, SubLogCutoff(), grid, cap + 2))
 
 
 class TestUnderestimationGap:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from markovorder import (
     MarkovModel,
@@ -20,6 +22,7 @@ from markovorder import (
     random_model,
     sample_paths,
 )
+from markovorder.counts import _merge
 from markovorder.diagnostics import hellinger_path_distance
 from markovorder.likelihood import lil_from_logliks, max_loglik_vector
 from markovorder.model import lift_kernel
@@ -56,6 +59,31 @@ def grid_loglik_oracle(symbols, r, m=2, step=1e-3):
             row = row + n1 * log_p
         total += row.max()
     return total
+
+
+def xlogx_sum(values):
+    v = values[values > 0].astype(np.float64)
+    return float(np.sum(v * np.log(v)))
+
+
+def two_merge_loglik(counts, r):
+    """max_loglik by the per-order formula: the stored table reduced to
+    depth r, then its windows merged by context."""
+    codes, num = counts.window_counts(r)
+    _, ctx_num = _merge(codes // counts.m, num, counts.m**r)
+    return min(xlogx_sum(num) - xlogx_sum(ctx_num), 0.0)
+
+
+@st.composite
+def loglik_cases(draw):
+    """(m, path, depth cap, kappa) with kappa <= cap + 1 and cap < n."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 300))
+    # a few symbols repeated, or all m, so that tables run from dense to sparse
+    alphabet = draw(st.integers(1, m))
+    path = draw(st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+    cap = draw(st.integers(0, min(n - 1, 9)))
+    return m, path, cap, draw(st.integers(1, cap + 1))
 
 
 PATH_0010 = np.array([0, 0, 1, 0])
@@ -101,6 +129,18 @@ class TestMaxLoglik:
                 for a, b in zip(values, values[1:]):
                     assert b >= a - 1e-12
                 assert all(v <= 0.0 for v in values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=loglik_cases())
+    # the last one- and two-symbol contexts occur only at the path's end
+    @example(case=(2, [0, 0, 0, 0, 1], 2, 3))
+    @example(case=(3, [0, 1, 1, 0, 1, 2], 4, 5))
+    @example(case=(3, [1, 0, 2], 2, 3))  # n = cap + 1
+    @example(case=(4, [3], 0, 1))
+    def test_vector_matches_per_order_two_merge_formula(self, case):
+        m, path, cap, kappa = case
+        c = build_counts(np.array(path), cap, m)
+        assert max_loglik_vector(c, kappa) == [two_merge_loglik(c, r) for r in range(kappa)]
 
     def test_order_at_or_above_length_rejected(self):
         c = build_counts(PATH_0010, 3, m=2)
