@@ -26,9 +26,9 @@ def symbol_dtype(m: int) -> np.dtype:
 
 
 def _horner(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
-    """Codes of every length-``length`` window of the symbol array (length
-    >= 1), by Horner's rule from the oldest symbol, in place, in the
-    narrowest unsigned dtype that holds m**length - 1.
+    """Codes of every length-``length`` window along the last axis of the
+    symbol array (length >= 1), by Horner's rule from the oldest symbol, in
+    place, in the narrowest unsigned dtype that holds m**length - 1.
 
     Each operand is an array or a scalar of that dtype, so numpy 1.x
     value-based casting and numpy 2 (NEP 50) keep the same dtype.  Symbols
@@ -36,12 +36,13 @@ def _horner(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
     """
     dt = np.min_scalar_type(m**length - 1)
     span = symbols.astype(dt, copy=False)
-    codes = span[: max(span.shape[0] - length + 1, 0)].copy()
+    width = max(span.shape[-1] - length + 1, 0)
+    codes = span[..., :width].copy()
     if length > 1:  # m itself may not fit dt when nothing is multiplied
         base = dt.type(m)
     for j in range(1, length):
         codes *= base
-        codes += span[j : j + codes.shape[0]]
+        codes += span[..., j : j + width]
     return codes
 
 
@@ -58,11 +59,12 @@ def window_codes(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
     """Codes of every length-``length`` window of ``symbols``, as int64.
 
     Entry ``t`` encodes ``symbols[t:t+length]``; the result has
-    ``n - length + 1`` entries (none when ``length > n``).
+    ``n - length + 1`` entries (none when ``length > n``).  Each row of a
+    2-d array of symbols is coded on its own, along the last axis.
     """
     x = np.asarray(symbols)
     if not length:
-        return np.zeros(x.shape[0] + 1, dtype=np.int64)
+        return np.zeros(x.shape[:-1] + (x.shape[-1] + 1,), dtype=np.int64)
     return _horner(x, length, m).astype(np.int64)
 
 
@@ -71,12 +73,13 @@ def context_codes(symbols: np.ndarray, r: int, m: int) -> np.ndarray:
 
     Entry ``t`` encodes ``symbols[t:t+r]`` and is the context of the next
     symbol ``symbols[t+r]``; the result has length ``n - r`` (length ``n``
-    for r = 0, where every position has the empty context).
+    for r = 0, where every position has the empty context).  Like
+    ``window_codes``, it codes each row of a 2-d array along the last axis.
     """
     x = np.asarray(symbols)
-    if not x.shape[0]:
-        return np.zeros(0, dtype=np.int64)
-    return window_codes(x[:-1], r, m)
+    if not x.shape[-1]:
+        return np.zeros(x.shape, dtype=np.int64)
+    return window_codes(x[..., :-1], r, m)
 
 
 def block_digits(code, r: int, m: int) -> np.ndarray:

@@ -16,10 +16,14 @@ import numpy as np
 
 from .._contexts import context_codes
 from ..counts import ContextCounts, prefix_counts
-from ..likelihood import MixtureKernel, log_ratio_rows, masked_log_ratio
+from ..likelihood import MixtureKernel, log_ratio_table, masked_log_ratio
 from ..model import MarkovModel, lift_kernel, stationary_block_law
 
 _PHI_SERIES_CUT = 1e-4
+# bernstein_norm, and the batteries' window counts, read the rows of a stack
+# of paths a few at a time, about this many symbols, so that each int64 or
+# float64 temporary stays within 64 KB
+ROW_CELLS = 1 << 13
 
 
 def phi(x):
@@ -39,19 +43,24 @@ def phi(x):
     return out
 
 
-def typicality_deviations(truth: MarkovModel, context_counts, n: int) -> list:
+def typicality_deviations(truth, context_counts, n: int) -> list:
     """Worst relative deviation ``|N(a) / ((n-d) P*(a)) - 1|`` over the
     supported depth-d contexts a, for each depth d.
 
     ``context_counts[d]`` holds the depth-d counts of an n-symbol path, with
     any leading lane axes; the result holds one array (or scalar) per depth.
+    ``truth`` is one model for every lane, or a ``ModelStack`` whose kernel
+    g is the truth of lane g, so that P* is each lane's own law.
     """
     devs = []
     for d, freq in enumerate(context_counts):
         p = stationary_block_law(truth, d)
-        supported = p > 0.0
-        ratio = freq[..., supported] / ((n - d) * p[supported])
-        devs.append(np.abs(ratio - 1.0).max(axis=-1, initial=0.0))
+        # an unsupported context reads ratio 1, a deviation of 0; the lane
+        # tables are large, so the deviations are taken in place
+        ratio = np.ones(np.broadcast_shapes(np.shape(freq), p.shape))
+        np.divide(freq, (n - d) * p, out=ratio, where=p > 0.0)
+        ratio -= 1.0
+        devs.append(np.abs(ratio, out=ratio).max(axis=-1))
     return devs
 
 
@@ -90,13 +99,18 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
     return all(typicality_check(truth, counts, eta, rho) for counts in tables)
 
 
-def _weighted_hellinger(weights, mix_a: MixtureKernel, mix_b: MixtureKernel) -> float:
+def weighted_hellinger(weights, mix_a: MixtureKernel, mix_b: MixtureKernel):
     """``sum_a w(a) sum_b (sqrt A(b|a) - sqrt B(b|a))**2`` over the contexts
-    a of the kernels' common order."""
+    a of the kernels' common order.
+
+    With leading axes on the weights or the tables (stacked mixtures), the
+    sums run over the trailing axes, one value per lane.
+    """
     if mix_a.order != mix_b.order or mix_a.m != mix_b.m:
         raise ValueError("kernels must share one order and alphabet")
     gap = (np.sqrt(mix_a.table) - np.sqrt(mix_b.table)) ** 2
-    return float((weights * gap.sum(axis=1)).sum())
+    out = (weights * gap.sum(axis=-1)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def hellinger_path_distance(
@@ -107,30 +121,66 @@ def hellinger_path_distance(
     ``sum_a N(a) sum_b (sqrt A(b|a) - sqrt B(b|a))**2`` at the kernels'
     common order.
     """
-    return _weighted_hellinger(counts.context_counts(mix_a.order), mix_a, mix_b)
+    return weighted_hellinger(counts.context_counts(mix_a.order), mix_a, mix_b)
 
 
-def hellinger_stationary_distance(
-    truth: MarkovModel, mix_a: MixtureKernel, mix_b: MixtureKernel
-) -> float:
-    """Stationary-weighted squared Hellinger distance between two kernels."""
-    return _weighted_hellinger(stationary_block_law(truth, mix_a.order), mix_a, mix_b)
+def hellinger_stationary_distance(truth, mix_a: MixtureKernel, mix_b: MixtureKernel):
+    """Stationary-weighted squared Hellinger distance between two kernels
+    (one per lane for a ``ModelStack`` of truths and stacked mixtures)."""
+    return weighted_hellinger(stationary_block_law(truth, mix_a.order), mix_a, mix_b)
 
 
-def bernstein_norm(
-    truth: MarkovModel, mix: MixtureKernel, path, r: int, up_to: int
-) -> float:
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``values[g, :lengths[g]].sum()`` for each row g of a 2-d array, bit
+    for bit, in one call.
+
+    ``sum`` adds the pairwise sum of its input to 0.0, while
+    ``np.add.reduceat`` adds the pairwise sum of the rest of a segment to
+    its first entry; so each segment is a row's first ``lengths[g]`` values
+    behind a leading 0.0.
+    """
+    rows, width = values.shape
+    padded = np.zeros((rows, width + 2))
+    padded[:, 1:-1] = values
+    starts = np.arange(rows) * (width + 2)
+    cuts = np.stack([starts, starts + 1 + lengths], axis=1).ravel()
+    return np.add.reduceat(padded.ravel(), cuts)[::2]
+
+
+def bernstein_norm(truth, mix: MixtureKernel, path, r: int, up_to):
     """Predictable phi-norm of the half log-ratio increments along a path.
 
     ``8 sum_{i=r+1}^{up_to} sum_a P*(a|ctx_i) phi(|log(mix/P*)|/2)``; this is
     the quantity that controls the martingale tails and never exceeds eight
     times the count-weighted Hellinger distance to the truth.
+
+    For a ``ModelStack`` of truths and stacked mixtures, ``path`` holds one
+    path per kernel as the rows of a 2-d array and ``up_to`` one length per
+    row (or one for all), and the result holds one norm per row, each the
+    float the row alone gives.
     """
     if r != mix.order:
         raise ValueError(f"order {r} does not match the mixture order {mix.order}")
-    t_rows, log_ratio, _ = log_ratio_rows(truth, mix, path, up_to)
-    contrib = t_rows * phi(0.5 * np.abs(log_ratio))
-    return 8.0 * float(contrib.sum())
+    symbols = np.asarray(path)
+    lanes = symbols.reshape(-1, symbols.shape[-1])
+    ends = np.broadcast_to(up_to, lanes.shape[:1]).astype(np.int64)
+    if np.any(ends > lanes.shape[1]):
+        raise ValueError(f"up_to {up_to} exceeds path length {lanes.shape[1]}")
+    steps = np.maximum(ends, r) - r
+    t_rows, log_ratio = log_ratio_table(truth, mix)
+    # each step adds the row of its context in this table, summed in step
+    # order as one flat (steps, m) array
+    terms = t_rows * phi(0.5 * np.abs(log_ratio))
+    terms = np.broadcast_to(terms, lanes.shape[:1] + terms.shape[-2:])
+    width = r + steps.max()
+    norms = np.empty(lanes.shape[0])
+    every = max(1, ROW_CELLS // (width * mix.m))
+    for lo in range(0, lanes.shape[0], every):
+        part = slice(lo, lo + every)
+        codes = context_codes(lanes[part, :width], r, mix.m)
+        rows = terms[part][np.arange(codes.shape[0])[:, None], codes]
+        norms[part] = 8.0 * _row_sums(rows.reshape(codes.shape[0], -1), steps[part] * mix.m)
+    return float(norms[0]) if symbols.ndim == 1 else norms
 
 
 # -- bracket grids -----------------------------------------------------------
@@ -145,12 +195,13 @@ def bracket_grid(
     rounded down/up to the grid beta * Z+, giving functions with
     lower <= P <= upper and sqrt(upper) - sqrt(lower) <= beta / sqrt(P*(a))
     on supported contexts.  Contexts with P*(a) = 0 carry no constraint and
-    get lower = upper = P.
+    get lower = upper = P.  A stack of kernels (leading axes) is bracketed
+    kernel by kernel.
     """
     if beta <= 0:
         raise ValueError("beta must be > 0")
     kernel = np.asarray(kernel, dtype=np.float64)
-    size, m = kernel.shape
+    size, m = kernel.shape[-2:]
     r = 0
     while truth.m**r < size:
         r += 1
@@ -161,9 +212,9 @@ def bracket_grid(
     upper = kernel.copy()
     supported = weights > 0.0
     w = np.sqrt(weights[supported])[:, None]
-    z = w * np.sqrt(kernel[supported]) / beta
-    lower[supported] = (np.floor(z) * beta / w) ** 2
-    upper[supported] = (np.ceil(z) * beta / w) ** 2
+    z = w * np.sqrt(kernel[..., supported, :]) / beta
+    lower[..., supported, :] = (np.floor(z) * beta / w) ** 2
+    upper[..., supported, :] = (np.ceil(z) * beta / w) ** 2
     return lower, upper
 
 
@@ -171,11 +222,9 @@ def observed_steps(truth: MarkovModel, paths, r: int):
     """The steps i = r+1..n of each path (one per row of ``paths``): their
     order-r context codes, their symbols x_i and the truth's probabilities
     of them, each of shape (paths, n - r)."""
-    symbols = np.asarray(paths, dtype=np.int64)
-    width = max(symbols.shape[1] - r, 0)
-    codes = np.array([context_codes(row, r, truth.m) for row in symbols], dtype=np.int64)
-    codes = codes.reshape(symbols.shape[0], width)
-    nxt = symbols[:, r:]
+    symbols = np.asarray(paths)
+    codes = context_codes(symbols, r, truth.m)
+    nxt = symbols[:, r:].astype(np.int64)
     t_obs = lift_kernel(truth.kernel, truth.m, r)[codes, nxt]
     if np.any(t_obs <= 0.0):
         raise ValueError("path has zero probability under the truth")
@@ -183,21 +232,21 @@ def observed_steps(truth: MarkovModel, paths, r: int):
 
 
 def bracket_log_envelopes(
-    steps, kernel: np.ndarray, lower: np.ndarray, upper: np.ndarray
+    table_t: np.ndarray, kernel: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pathwise log-ratio envelopes built from a bracket pair.
+    """Log-ratio envelopes built from a bracket pair, by (context, symbol).
 
-    Returns (Lambda, Upsilon, xi) over the ``observed_steps`` of some
-    paths, where xi is the log-ratio of the truth-mixed kernel against the
-    truth and Lambda/Upsilon are the same transform of the bracket
-    envelopes; Lambda <= xi <= Upsilon pointwise whenever
-    lower <= kernel <= upper.
+    ``table_t`` is the truth's kernel lifted to the kernel's order.  Returns
+    (Lambda, Upsilon, xi), tables of the kernel's shape (leading axes
+    included): xi is the log-ratio of the truth-mixed kernel against the
+    truth, and Lambda/Upsilon the same transform of the bracket envelopes,
+    0 where the truth puts no mass; Lambda <= xi <= Upsilon entrywise
+    whenever lower <= kernel <= upper.  A path's envelopes at its
+    ``observed_steps`` (codes, nxt) are the entries [codes, nxt].
     """
-    codes, nxt, t_obs = steps
 
     def logratio(table):
-        mixed = 0.5 * (np.asarray(table, dtype=np.float64)[codes, nxt] + t_obs)
-        return masked_log_ratio(mixed, t_obs)
+        return masked_log_ratio(0.5 * (np.asarray(table, dtype=np.float64) + table_t), table_t)
 
     return logratio(lower), logratio(upper), logratio(kernel)
 

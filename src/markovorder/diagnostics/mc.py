@@ -12,10 +12,12 @@ tables would pass ``CHUNK_BYTES``).  Lane i is bit-identical to
 reduced from per-lane values or exact integer counts once all chunks are
 done, so chunking never changes a result.
 
-The instance batteries draw a random kernel per instance and sample
-their instances' paths as kernel stacks, many per ``sample_paths`` call,
-then check each instance in its own order, so their reports equal those
-of one sampler call per instance.
+The instance batteries compute their instances as arrays with a leading
+instance axis: random kernels come as ``random_kernels`` stacks, paths as
+kernel stacks from one ``sample_paths`` call, and laws, window counts,
+mixtures, distances and norms as ``ModelStack`` tables, each entry the
+float that one instance alone gives.  So their reports equal those of one
+instance, and one sampler call, at a time.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._contexts import symbol_dtype
-from ..counts import build_counts, prefix_counts
+from .._contexts import symbol_dtype, window_codes
+from ..counts import prefix_counts
+from ..estimator import grid_logliks, required_depth_cap
 from ..likelihood import (
     RunningOvershoot,
+    lil_from_logliks,
     log_ratio_table,
     masked_log_ratio,
     mixture_kernel,
@@ -36,30 +40,30 @@ from ..likelihood import (
 )
 from ..model import (
     MarkovModel,
+    ModelStack,
     lift_kernel,
-    random_model,
+    random_kernels,
     sample_paths,
     stationary_block_law,
     step_lanes,
     true_order,
 )
 from ..penalty import CutoffSpec
-from ..estimator import grid_logliks, required_depth_cap
-from ..likelihood import lil_from_logliks
 from ..rng import derive_seed, uniform_block
 from .core import (
+    ROW_CELLS,
     BoundParams,
     bernstein_norm,
     bernstein_tail_bound,
     bracket_grid,
     bracket_log_envelopes,
     entropy_bound,
-    hellinger_path_distance,
     hellinger_stationary_distance,
     observed_steps,
     phi,
     typicality_check,
     typicality_deviations,
+    weighted_hellinger,
 )
 
 REL_TOL = 1e-9
@@ -268,9 +272,12 @@ def deviation_tail_mc(
                 else:
                     run.step(ctx, trans, i >= n)
             if i == n or i == length:
+                # the lane tables are freed once read, not held into the next
+                # chunk
                 counts = _lane_context_counts(windows, head, trans, i, m, window, rho)
                 for dev in typicality_deviations(truth, counts, i):
                     good &= dev < eta
+                del counts
         f_count += int(np.count_nonzero(good))
         for j in range(eps.shape[0]):
             hits[j] += int(np.count_nonzero(good & (run.best >= eps[j])))
@@ -406,12 +413,41 @@ class InstanceBatteryReport:
         return self.violations == 0 and self.instances > 0
 
 
-def _compare(small: float, big: float) -> tuple[float, bool]:
+def _compare(small, big):
     """The ratio small / big, and whether small exceeds big beyond the
-    REL_TOL and ABS_TOL slack.  At big = 0 the ratio is 1 for a small within
-    ABS_TOL of 0, else inf."""
-    ratio = small / big if big > 0 else (1.0 if small <= ABS_TOL else np.inf)
-    return ratio, small > big * (1.0 + REL_TOL) + ABS_TOL
+    REL_TOL and ABS_TOL slack, entry by entry.  At big = 0 the ratio is 1
+    for a small within ABS_TOL of 0, else inf."""
+    small, big = np.broadcast_arrays(np.asarray(small, float), np.asarray(big, float))
+    ratio = np.where(small <= ABS_TOL, 1.0, np.inf)
+    np.divide(small, big, out=ratio, where=big > 0)
+    # [()] reads a 0-d result as a scalar and leaves arrays as they are
+    return ratio[()], (small > big * (1.0 + REL_TOL) + ABS_TOL)[()]
+
+
+def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
+    """Each row's depth-d context counts, d < depth, on its first ``ends``
+    symbols (one end for every row, or one per row, each at least
+    ``depth``), read as ``_lane_context_counts`` reads them from one table
+    of the rows' windows of ``depth`` symbols.  The table is tallied by
+    bincounts of lane-offset window codes, ``ROW_CELLS`` symbols at a time.
+    """
+    lanes = paths.shape[0]
+    ends = np.broadcast_to(ends, (lanes,))
+    size = m**depth
+    windows = np.empty(lanes * size, dtype=np.int64)
+    recent = np.empty(lanes, dtype=np.int64)
+    every = max(1, ROW_CELLS // paths.shape[1])
+    for lo, hi in _chunks(lanes, every):
+        # window t of a row ends at position depth + t
+        codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], depth, m)
+        valid = np.arange(codes.shape[1]) <= (ends[lo:hi] - depth)[:, None]
+        lane_at = np.arange(hi - lo, dtype=np.int64)[:, None] * size
+        windows[lo * size : hi * size] = np.bincount(
+            (codes + lane_at)[valid], minlength=(hi - lo) * size
+        )
+        recent[lo:hi] = codes[np.arange(hi - lo), ends[lo:hi] - depth]
+    head = window_codes(paths[:, : depth - 1], depth - 1, m)[:, 0]
+    return _lane_context_counts(windows, head, recent, int(ends.min()), m, depth, depth)
 
 
 def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
@@ -423,39 +459,34 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
     1, a candidate of higher order up to 3 and a path of 64..511 symbols.
     The truths of one alphabet and order are sampled as one kernel stack,
     at the longest path length among them: a path's first n symbols do not
-    depend on the length sampled.
+    depend on the length sampled.  The triples that also share the
+    candidate order are checked as stacks, each path read to its own
+    length.
     """
     bases = derive_seed(seed, np.arange(instances))
     u = uniform_block(bases, 0, 4)
-    rs, ns, truths = [], [], []
-    for i, truth_seed in enumerate(derive_seed(bases, 1)):
-        m = 2 + int(u[i, 0] * 2) % 2
-        r_star = int(u[i, 1] * 2) % 2
-        rs.append(r_star + 1 + int(u[i, 2] * (3 - r_star)) % (3 - r_star))
-        ns.append(64 + int(u[i, 3] * 448))
-        truths.append(random_model(m, r_star, truth_seed))
-    groups = {}
-    for i, truth in enumerate(truths):
-        groups.setdefault((truth.m, truth.order), []).append(i)
-    paths = [None] * instances
-    path_seeds = derive_seed(bases, 3)
-    for members in groups.values():
-        longest = max(ns[i] for i in members)
-        rows = sample_paths([truths[i] for i in members], longest, path_seeds[members])
-        for i, row in zip(members, rows):
-            paths[i] = row[: ns[i]]
+    ms = 2 + (u[:, 0] * 2).astype(np.int64) % 2
+    r_stars = (u[:, 1] * 2).astype(np.int64) % 2
+    rs = r_stars + 1 + (u[:, 2] * (3 - r_stars)).astype(np.int64) % (3 - r_stars)
+    ns = 64 + (u[:, 3] * 448).astype(np.int64)
+    truth_seeds, cand_seeds, path_seeds = (derive_seed(bases, j) for j in (1, 2, 3))
     violations = 0
     worst = 0.0
-    for r, n, truth, path, cand_seed in zip(rs, ns, truths, paths, derive_seed(bases, 2)):
-        candidate = random_model(truth.m, r, cand_seed)
-        counts = build_counts(path, r, truth.m)
-        mix = mixture_kernel(candidate, truth, r)
-        mix_truth = mixture_kernel(truth, truth, r)
-        r_n = bernstein_norm(truth, mix, path, r, n)
-        h_n = hellinger_path_distance(counts, mix, mix_truth)
-        ratio, violated = _compare(r_n, 8.0 * h_n)
-        worst = max(worst, ratio)
-        violations += violated
+    for m, r_star in sorted(set(zip(ms.tolist(), r_stars.tolist()))):
+        group = np.flatnonzero((ms == m) & (r_stars == r_star))
+        truths = random_kernels(m, r_star, truth_seeds[group])
+        paths = sample_paths(ModelStack(truths), int(ns[group].max()), path_seeds[group])
+        for r in sorted(set(rs[group].tolist())):
+            sub = rs[group] == r
+            members = group[sub]
+            truth = ModelStack(truths[sub])
+            mix = mixture_kernel(ModelStack(random_kernels(m, r, cand_seeds[members])), truth, r)
+            r_n = bernstein_norm(truth, mix, paths[sub], r, ns[members])
+            counts = _path_context_counts(paths[sub], ns[members], m, r + 1)[r]
+            h_n = weighted_hellinger(counts, mix, mixture_kernel(truth, truth, r))
+            ratio, violated = _compare(r_n, 8.0 * h_n)
+            worst = max(worst, float(ratio.max()))
+            violations += int(np.count_nonzero(violated))
     return InstanceBatteryReport("norm-bound", instances, instances, violations, worst)
 
 
@@ -473,14 +504,20 @@ def hellinger_sandwich_battery(
     skipped (the comparison presumes it), up to 20 attempts per instance;
     the compared kernels have order 2.
 
-    Attempts are sampled a chunk at a time as one kernel stack, as many as
-    the acceptance seen so far says the missing instances need (within
-    ``CHUNK_BYTES`` of paths), and scanned in attempt order, so the battery
-    stops at the attempt that completes the count.
+    Attempts come a chunk at a time, as many as the acceptance seen so far
+    says the missing instances need (within ``CHUNK_BYTES`` of paths), and
+    each chunk is one kernel stack: its paths are sampled together, and its
+    typicality events and distances are computed as arrays with one entry
+    per attempt.  The attempts are then taken in order up to the one that
+    completes the count, where the battery stops.
     """
     r = 2
     if rho > n // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
+    if n <= r:
+        raise ValueError(f"n {n} must exceed the kernels' order {r}")
+    # typicality reads the depths below rho, the distances depth r
+    depth = max(rho, r + 1)
     params = BoundParams(eta)
     accepted = attempts = violations = 0
     worst = 0.0
@@ -492,34 +529,29 @@ def hellinger_sandwich_battery(
         chunk = -(-need * attempts // accepted) if accepted else (limit if attempts else need)
         chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // (2 * n)))
         bases = derive_seed(seed, np.arange(attempts, attempts + chunk))
-        truths = [random_model(2, 1, s, floor=0.15) for s in derive_seed(bases, 1)]
+        truths = ModelStack(random_kernels(2, 1, derive_seed(bases, 1), floor=0.15))
         paths = sample_paths(truths, 2 * n, derive_seed(bases, 2))
-        pairs = zip(derive_seed(bases, 3), derive_seed(bases, 4))
-        for truth, path, (seed_a, seed_b) in zip(truths, paths, pairs):
-            if accepted == instances:
-                break
-            attempts += 1
-            # one table serves the typicality event and all three distances
-            counts_n, counts_2n = prefix_counts(path, (n, 2 * n), max(rho, r), 2)
-            if not all(typicality_check(truth, c, eta, rho) for c in (counts_n, counts_2n)):
-                continue
-            accepted += 1
-            p_a = random_model(2, r, seed_a)
-            p_b = random_model(2, r, seed_b)
-            mix_a = mixture_kernel(p_a, truth, r)
-            mix_b = mixture_kernel(p_b, truth, r)
-            h_n = hellinger_path_distance(counts_n, mix_a, mix_b)
-            h_2n = hellinger_path_distance(counts_2n, mix_a, mix_b)
-            h_stat = hellinger_stationary_distance(truth, mix_a, mix_b)
-            checks = [
-                (h_2n, params.C3 * h_n),
-                ((n - r) / params.C4 * h_stat, h_n),
-                (h_n, (n - r) * params.C4 * h_stat),
-            ]
-            for small, big in checks:
-                ratio, violated = _compare(small, big)
-                worst = max(worst, ratio)
-                violations += violated
+        counts = [_path_context_counts(paths, i, 2, depth) for i in (n, 2 * n)]
+        typical = np.ones(chunk, dtype=bool)
+        for i, by_depth in zip((n, 2 * n), counts):
+            for dev in typicality_deviations(truths, by_depth[:rho], i):
+                typical &= dev < eta
+        hits = np.cumsum(typical)
+        scanned = int(np.searchsorted(hits, need)) + 1 if hits[-1] >= need else chunk
+        attempts += scanned
+        taken = np.flatnonzero(typical[:scanned])
+        accepted += taken.size
+        mix_a, mix_b = (
+            mixture_kernel(ModelStack(random_kernels(2, r, derive_seed(bases, j))), truths, r)
+            for j in (3, 4)
+        )
+        h_n, h_2n = (weighted_hellinger(by_depth[r], mix_a, mix_b) for by_depth in counts)
+        h_stat = hellinger_stationary_distance(truths, mix_a, mix_b)
+        small = np.stack([h_2n, (n - r) / params.C4 * h_stat, h_n])
+        big = np.stack([params.C3 * h_n, h_n, (n - r) * params.C4 * h_stat])
+        ratio, violated = _compare(small[:, taken], big[:, taken])
+        worst = max(worst, float(ratio.max(initial=0.0)))
+        violations += int(np.count_nonzero(violated))
     return InstanceBatteryReport(
         "hellinger-sandwich", accepted, attempts, violations, worst
     )
@@ -535,29 +567,41 @@ def bracket_battery(
     seed: int,
 ) -> InstanceBatteryReport:
     """Bracket envelopes on random kernels: containment, the grid gap
-    bound, and pathwise log-ratio envelopes on sampled paths."""
+    bound, and pathwise log-ratio envelopes on sampled paths.
+
+    The kernels are bracketed as stacks.  A path's envelopes at a step
+    depend only on the step's (context, symbol), so a path violates them
+    under a kernel exactly when it takes a transition whose table entries
+    do: one product of the kernels' violation tables with the paths'
+    transition counts finds every such pair.
+    """
     m = truth.m
     weights = stationary_block_law(truth, r)
     supported = weights > 0.0
-    gap_cap = np.full_like(weights, np.inf)
-    gap_cap[supported] = beta / np.sqrt(weights[supported])
+    gap_cap = beta / np.sqrt(weights[supported])[:, None]
+    table_t = lift_kernel(truth.kernel, m, r)
     paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
-    steps = observed_steps(truth, paths, r)
+    codes, nxt, _ = observed_steps(truth, paths, r)
+    # how often each path takes each transition (context, symbol)
+    cells = m ** (r + 1)
+    lane_at = np.arange(n_paths, dtype=np.int64)[:, None] * cells
+    taken = np.bincount((lane_at + codes * m + nxt).ravel(), minlength=n_paths * cells)
+    taken = taken.reshape(n_paths, cells)
     violations = 0
     worst = 0.0
-    for i in range(n_kernels):
-        kernel = random_model(m, r, derive_seed(seed, i)).kernel
-        lower, upper = bracket_grid(truth, kernel, beta)
-        if np.any(lower > kernel + ABS_TOL) or np.any(upper < kernel - ABS_TOL):
-            violations += 1
-        gaps = np.sqrt(upper[supported]) - np.sqrt(lower[supported])
-        ratio = float((gaps / gap_cap[supported][:, None]).max())
-        worst = max(worst, ratio)
-        if np.any(gaps > gap_cap[supported][:, None] * (1.0 + REL_TOL) + ABS_TOL):
-            violations += 1
-        lam, ups, xi = bracket_log_envelopes(steps, kernel, lower, upper)
-        bad = (lam > xi + ABS_TOL) | (xi > ups + ABS_TOL)
-        violations += int(np.count_nonzero(bad.any(axis=1)))  # one per path
+    per_kernel = 8 * (16 * m ** (r + 1) + n_paths)  # bytes of one kernel's tables
+    for lo, hi in _chunks(n_kernels, max(1, CHUNK_BYTES // per_kernel)):
+        kernels = random_kernels(m, r, derive_seed(seed, np.arange(lo, hi)))
+        lower, upper = bracket_grid(truth, kernels, beta)
+        outside = (lower > kernels + ABS_TOL) | (upper < kernels - ABS_TOL)
+        gaps = np.sqrt(upper[:, supported]) - np.sqrt(lower[:, supported])
+        worst = max(worst, float((gaps / gap_cap).max()))
+        wide = gaps > gap_cap * (1.0 + REL_TOL) + ABS_TOL
+        lam, ups, xi = bracket_log_envelopes(table_t, kernels, lower, upper)
+        bad = ((lam > xi + ABS_TOL) | (xi > ups + ABS_TOL)).reshape(hi - lo, -1)
+        violations += int(outside.any(axis=(1, 2)).sum() + wide.any(axis=(1, 2)).sum())
+        # one per (kernel, path) pair whose path takes a bad transition
+        violations += int(np.count_nonzero(bad.astype(np.int64) @ taken.T))
     return InstanceBatteryReport(
         "bracket", n_kernels * (n_paths + 1), n_kernels * (n_paths + 1), violations, worst
     )
@@ -592,7 +636,8 @@ def bracket_count_check(
     beta is the grid pitch the entropy estimate prescribes for tolerance
     delta = c * sqrt((2n-r) sigma); the count of distinct
     (lower, upper) pairs hit by the sample must stay below
-    exp(entropy_bound).
+    exp(entropy_bound).  The kernels an attempt accepts are bracketed
+    together, and the distinct brackets counted once, among sorted rows.
     """
     params = BoundParams(eta)
     m = truth.m
@@ -602,7 +647,8 @@ def bracket_count_check(
     table_t = lift_kernel(truth.kernel, m, r)
     weights = stationary_block_law(truth, r)
     sq_w = np.sqrt(np.where(weights > 0.0, weights, 0.0))[:, None]
-    keys = set()
+    # a bracket is the row of its int64 floor and ceil tables
+    keys = np.empty((samples, 2) + table_t.shape, dtype=np.int64)
     accepted = 0
     spread = 2.0 * math.sqrt(sigma)
     attempt = 0
@@ -617,14 +663,17 @@ def bracket_count_check(
         mixed = 0.5 * (cand + table_t[None, :, :])
         gap = (np.sqrt(mixed) - np.sqrt(table_t[None, :, :])) ** 2
         dist = (weights[None, :] * gap.sum(axis=2)).sum(axis=1)
-        inside = np.nonzero(dist <= sigma)[0]
-        for idx in inside:
-            if accepted >= samples:
-                break
-            accepted += 1
-            z = sq_w * np.sqrt(cand[idx]) / beta
-            keys.add((np.floor(z).astype(np.int64).tobytes(), np.ceil(z).astype(np.int64).tobytes()))
+        inside = np.flatnonzero(dist <= sigma)[: samples - accepted]
+        z = sq_w * np.sqrt(cand[inside]) / beta
+        keys[accepted : accepted + inside.size, 0] = np.floor(z)
+        keys[accepted : accepted + inside.size, 1] = np.ceil(z)
+        accepted += inside.size
         attempt += 1
     if accepted < samples:
         raise RuntimeError(f"only {accepted} of {samples} kernels landed in the ball")
-    return BracketCountReport(accepted, len(keys), log_bound, beta, sigma, delta)
+    # sorted, equal brackets sit next to each other (np.unique would also
+    # import numpy.ma, a megabyte of peak memory)
+    keys = keys.reshape(samples, -1)
+    keys = keys[np.lexsort(keys.T)]
+    distinct = int(np.count_nonzero((keys[1:] != keys[:-1]).any(axis=1))) + min(samples, 1)
+    return BracketCountReport(accepted, distinct, log_bound, beta, sigma, delta)

@@ -41,6 +41,41 @@ class ReducibleChainError(ValueError):
     """The context chain has more than one closed communicating class."""
 
 
+def _check_kernel(kernel: np.ndarray) -> int:
+    """The order r of a kernel table of shape (..., m**r, m), after checking
+    that m >= 2 and that every row is a law: entries in [0, 1] and a sum
+    within ROW_SUM_TOL of 1."""
+    rows, m = kernel.shape[-2:]
+    if m < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {m}")
+    order = 0
+    while m**order < rows:
+        order += 1
+    if m**order != rows:
+        raise ValueError(f"kernel has {rows} rows, expected a power of {m}")
+    if not np.all((kernel >= 0) & (kernel <= 1)):  # NaN fails too
+        raise ValueError("kernel entries must lie in [0, 1]")
+    row_sums = kernel.sum(axis=-1)
+    miss = np.abs(row_sums - 1.0)
+    if np.any(miss > ROW_SUM_TOL):
+        bad = np.unravel_index(int(np.argmax(miss)), miss.shape)
+        where = f"kernel {bad[0]} row {bad[1]}" if len(bad) > 1 else f"kernel row {bad[0]}"
+        raise ValueError(f"{where} sums to {row_sums[bad]!r}, not 1")
+    return order
+
+
+def _check_initial(initial, kernel: np.ndarray) -> np.ndarray:
+    """The initial law(s) of a kernel table as a read-only float64 array,
+    one law over the m**r contexts per table, after checking they are laws."""
+    initial = np.array(initial, dtype=np.float64)
+    if initial.shape != kernel.shape[:-1]:
+        raise ValueError(f"initial law must have shape {kernel.shape[:-1]}")
+    if not (np.all(initial >= 0) and np.all(np.abs(initial.sum(axis=-1) - 1.0) <= ROW_SUM_TOL)):
+        raise ValueError("initial law must be a probability vector")
+    initial.setflags(write=False)
+    return initial
+
+
 class MarkovModel:
     """Immutable order-r chain defined by its kernel table.
 
@@ -59,35 +94,13 @@ class MarkovModel:
         kernel = np.array(kernel, dtype=np.float64)
         if kernel.ndim != 2:
             raise ValueError("kernel must be a 2-d table")
-        rows, m = kernel.shape
-        if m < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {m}")
-        order = 0
-        while m**order < rows:
-            order += 1
-        if m**order != rows:
-            raise ValueError(f"kernel has {rows} rows, expected a power of {m}")
-        if not np.all((kernel >= 0) & (kernel <= 1)):  # NaN fails too
-            raise ValueError("kernel entries must lie in [0, 1]")
-        row_sums = kernel.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            bad = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise ValueError(f"kernel row {bad} sums to {row_sums[bad]!r}, not 1")
+        self._order = _check_kernel(kernel)
         self._kernel = kernel
         self._kernel.setflags(write=False)
-        self._m = m
-        self._order = order
+        self._m = kernel.shape[1]
         self._stationary_cache = None
-        if initial is None:
-            self._initial = None  # resolved lazily to the stationary law
-        else:
-            initial = np.array(initial, dtype=np.float64)
-            if initial.shape != (rows,):
-                raise ValueError(f"initial law must have shape ({rows},)")
-            if not (np.all(initial >= 0) and abs(initial.sum() - 1.0) <= ROW_SUM_TOL):
-                raise ValueError("initial law must be a probability vector")
-            initial.setflags(write=False)
-            self._initial = initial
+        # None: resolved lazily to the stationary law
+        self._initial = None if initial is None else _check_initial(initial, kernel)
 
     @property
     def m(self) -> int:
@@ -118,6 +131,43 @@ class MarkovModel:
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"MarkovModel(m={self._m}, order={self._order})"
+
+
+class ModelStack:
+    """K chains of one alphabet size and order, held as one kernel array of
+    shape (K, m**r, m), with initial laws of shape (K, m**r) (by default
+    each kernel's stationary law).
+
+    The stack reads as the sequence of its K models, and the functions that
+    build a model's tables take a stack too, with a leading axis of length
+    K on each table: ``stationary_distribution``, ``stationary_block_law``,
+    ``lift_kernel`` (of ``stack.kernel``) and ``likelihood.mixture_kernel``.
+    ``sample_paths`` steps lane g on kernel g.
+    """
+
+    def __init__(self, kernels, initial=None):
+        kernels = np.array(kernels, dtype=np.float64)
+        if kernels.ndim != 3:
+            raise ValueError("a kernel stack must be a 3-d array")
+        self.order = _check_kernel(kernels)
+        self.m = kernels.shape[2]
+        self.n_contexts = kernels.shape[1]
+        kernels.setflags(write=False)
+        self.kernel = kernels
+        self._stationary_cache = None
+        self._initial = None if initial is None else _check_initial(initial, kernels)
+
+    @property
+    def initial(self) -> np.ndarray:
+        if self._initial is None:
+            return stationary_distribution(self)
+        return self._initial
+
+    def __len__(self) -> int:
+        return self.kernel.shape[0]
+
+    def __getitem__(self, g: int) -> MarkovModel:
+        return MarkovModel(self.kernel[g], self.initial[g])
 
 
 def _shift_base(m: int, order: int, kernels: int = 1) -> np.ndarray:
@@ -183,66 +233,96 @@ def _closed_class(model: MarkovModel) -> np.ndarray:
     return closed
 
 
-def stationary_distribution(model: MarkovModel) -> np.ndarray:
-    """Stationary law of the context chain, as a vector over A**r.
+def _dense_solve(probs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Solutions pi of pi = pi Q with sum 1 for K chains on k states, where
+    state i moves to state ``pos[i, j]`` with probability ``probs[g, i, j]``
+    in chain g (``probs`` of shape (K, k, m)): one batched dense solve."""
+    lanes, k, _ = probs.shape
+    q = np.zeros((lanes, k, k))
+    # the cells (g, i, pos[i, j]) as flat indices: np.add.at with broadcast
+    # index arrays buffers them, about 0.2 MB more peak memory in a run of
+    # ``simulate``
+    cells = (np.arange(lanes)[:, None, None] * k + np.arange(k)[:, None]) * k + pos
+    np.add.at(q.reshape(-1), cells.ravel(), probs.ravel())
+    a = q.transpose(0, 2, 1) - np.eye(k)
+    a[:, -1, :] = 1.0
+    rhs = np.zeros((lanes, k, 1))
+    rhs[:, -1] = 1.0
+    return np.linalg.solve(a, rhs)[..., 0]
+
+
+def _closed_class_law(model: MarkovModel) -> np.ndarray:
+    """Stationary law of one chain, solved on its unique closed class (dense
+    solve for m**r <= 4096, power iteration above); transient contexts get
+    probability zero."""
+    m, order = model.m, model.order
+    size = m**order
+    support = _closed_class(model)
+    k = support.shape[0]
+    targets = _shift_targets(m, order)[support]
+    # positions of targets within the closed class; positive-probability
+    # targets stay inside, zero-probability ones are clipped and ignored
+    pos = np.clip(np.searchsorted(support, targets), 0, k - 1)
+    probs = model.kernel[support]
+    if size <= DENSE_SOLVE_LIMIT:
+        sub = _dense_solve(probs[None], pos)[0]
+    else:
+        sub = np.full(k, 1.0 / k)
+        flat_pos = pos.ravel()
+        flat_probs = probs.ravel()
+        rows = np.repeat(np.arange(k), m)
+        for _ in range(POWER_ITER_MAX):
+            nxt = np.zeros(k)
+            np.add.at(nxt, flat_pos, sub[rows] * flat_probs)
+            nxt /= nxt.sum()
+            if np.max(np.abs(nxt - sub)) <= POWER_ITER_TOL:
+                sub = nxt
+                break
+            sub = nxt
+        else:
+            raise RuntimeError("power iteration did not converge")
+    pi = np.zeros(size)
+    pi[support] = np.clip(sub, 0.0, None)
+    pi /= pi.sum()
+    return pi
+
+
+def stationary_distribution(model) -> np.ndarray:
+    """Stationary law of the context chain, as a vector over A**r; for a
+    ``ModelStack``, one law per kernel, of shape (K, m**r).
 
     Solves pi = pi Q restricted to the unique closed class (dense linear
     solve for m**r <= 4096, power iteration above); transient contexts get
-    probability zero.
+    probability zero.  When every entry of every kernel is positive, each
+    context reaches every other, so the class is all contexts and the K
+    dense solves run as one batched solve; the law of a kernel with zeros
+    is solved on its own.
 
     Raises
     ------
     ReducibleChainError
-        If the chain has several closed classes.
+        If a chain has several closed classes.
     """
-    if model._stationary_cache is not None:
-        return model._stationary_cache
-    m, order = model.m, model.order
-    size = m**order
-    if order == 0:
-        pi = np.ones(1)
-    else:
-        support = _closed_class(model)
-        k = support.shape[0]
-        targets = _shift_targets(m, order)[support]
-        # positions of targets within the closed class; positive-probability
-        # targets stay inside, zero-probability ones are clipped and ignored
-        pos = np.clip(np.searchsorted(support, targets), 0, k - 1)
-        probs = model.kernel[support]
-        if size <= DENSE_SOLVE_LIMIT:
-            q = np.zeros((k, k))
-            rows = np.repeat(np.arange(k), m)
-            np.add.at(q, (rows, pos.ravel()), probs.ravel())
-            a = q.T - np.eye(k)
-            a[-1, :] = 1.0
-            rhs = np.zeros(k)
-            rhs[-1] = 1.0
-            sub = np.linalg.solve(a, rhs)
+    if model._stationary_cache is None:
+        m, order = model.m, model.order
+        kernels = model.kernel.reshape(-1, m**order, m)
+        if order == 0:
+            laws = np.ones((kernels.shape[0], 1))
+        elif m**order <= DENSE_SOLVE_LIMIT and (kernels > 0.0).all():
+            laws = np.clip(_dense_solve(kernels, _shift_targets(m, order)), 0.0, None)
+            laws /= laws.sum(axis=-1, keepdims=True)
         else:
-            sub = np.full(k, 1.0 / k)
-            flat_pos = pos.ravel()
-            flat_probs = probs.ravel()
-            rows = np.repeat(np.arange(k), m)
-            for _ in range(POWER_ITER_MAX):
-                nxt = np.zeros(k)
-                np.add.at(nxt, flat_pos, sub[rows] * flat_probs)
-                nxt /= nxt.sum()
-                if np.max(np.abs(nxt - sub)) <= POWER_ITER_TOL:
-                    sub = nxt
-                    break
-                sub = nxt
-            else:
-                raise RuntimeError("power iteration did not converge")
-        pi = np.zeros(size)
-        pi[support] = np.clip(sub, 0.0, None)
-        pi /= pi.sum()
-    model._stationary_cache = pi
-    pi.setflags(write=False)
-    return pi
+            models = [model] if isinstance(model, MarkovModel) else map(MarkovModel, kernels)
+            laws = np.stack([_closed_class_law(one) for one in models])
+        pi = laws.reshape(model.kernel.shape[:-1])
+        pi.setflags(write=False)
+        model._stationary_cache = pi
+    return model._stationary_cache
 
 
-def stationary_block_law(model: MarkovModel, length: int) -> np.ndarray:
-    """Stationary probability of every length-``length`` block, as a vector.
+def stationary_block_law(model, length: int) -> np.ndarray:
+    """Stationary probability of every length-``length`` block, as a vector
+    (for a ``ModelStack``, one vector per kernel).
 
     For ``length`` below the model order this marginalizes the stationary
     context law onto the most recent symbols; above, it extends by kernel
@@ -252,15 +332,16 @@ def stationary_block_law(model: MarkovModel, length: int) -> np.ndarray:
         raise ValueError("block length must be nonnegative")
     m, order = model.m, model.order
     pi = stationary_distribution(model)
+    lead = pi.shape[:-1]
     if length == order:
         return pi.copy()
     if length < order:
         # least significant digits are the most recent symbols
-        return pi.reshape(m ** (order - length), m**length).sum(axis=0)
+        return pi.reshape(lead + (m ** (order - length), m**length)).sum(axis=-2)
     law = pi.copy()
     for k in range(order, length):
         base = np.arange(m**k, dtype=np.int64) % (m**order)
-        law = (law[:, None] * model.kernel[base]).ravel()
+        law = (law[..., :, None] * model.kernel[..., base, :]).reshape(lead + (-1,))
     return law
 
 
@@ -276,14 +357,15 @@ def true_order(model: MarkovModel) -> int:
 
 
 def lift_kernel(kernel: np.ndarray, m: int, r: int) -> np.ndarray:
-    """Kernel table of an order-s chain re-indexed over length-r contexts."""
-    rows = kernel.shape[0]
+    """Kernel table of an order-s chain re-indexed over length-r contexts
+    (a stack of tables, with leading axes, lifts table by table)."""
+    kernel = np.asarray(kernel, dtype=np.float64)
+    rows = kernel.shape[-2]
     if m**r < rows:
         raise ValueError(f"cannot lift an order table of {rows} rows to order {r}")
     if m**r == rows:
-        return np.array(kernel, dtype=np.float64)
-    base = np.arange(m**r, dtype=np.int64) % rows
-    return np.array(kernel, dtype=np.float64)[base]
+        return kernel.copy()
+    return kernel[..., np.arange(m**r, dtype=np.int64) % rows, :]
 
 
 def kernel_at_true_order(model: MarkovModel) -> np.ndarray:
@@ -314,26 +396,27 @@ def _thresholds(probs: np.ndarray) -> np.ndarray:
     return ticks
 
 
-def _initial_codes(models, seeds: np.ndarray) -> np.ndarray:
+def _initial_codes(initial: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Initial context code of every lane, from draw 0 of its stream: under
-    the one model's initial law, or lane g under that of ``models[g]``."""
+    the one initial law of a (1, m**r) ``initial``, or lane g under the law
+    ``initial[g]``."""
     k0 = raw53_steps(seeds, 0, 1)[0]
-    ticks = _thresholds(np.stack([model.initial for model in models]))
-    if len(models) == 1:
+    ticks = _thresholds(initial)
+    if initial.shape[0] == 1:
         return np.searchsorted(ticks[0], k0, side="right")
     return np.count_nonzero(ticks <= k0[:, None], axis=1)
 
 
-def _step_tables(kernels, m: int, depth: int):
-    """The tables ``_advance`` steps a stack of kernels on, lifted to depth
-    D = max(depth, 1): the thresholds of their m**D-row tables one after
-    another, as contiguous columns, and the ``_shift_base`` of the stack.
-    The base needs D >= 1, so an order-0 kernel steps lifted to order 1,
-    each row its one row.
+def _step_tables(kernels: np.ndarray, m: int, depth: int):
+    """The tables ``_advance`` steps a (K, m**r, m) stack of kernels on,
+    lifted to depth D = max(depth, 1): the thresholds of their m**D-row
+    tables one after another, as contiguous columns, and the
+    ``_shift_base`` of the stack.  The base needs D >= 1, so an order-0
+    kernel steps lifted to order 1, each row its one row.
     """
     depth = max(depth, 1)
-    columns = _thresholds(np.concatenate([lift_kernel(k, m, depth) for k in kernels])).T
-    return np.ascontiguousarray(columns), _shift_base(m, depth, len(kernels))
+    lifted = lift_kernel(kernels, m, depth).reshape(-1, m)
+    return np.ascontiguousarray(_thresholds(lifted).T), _shift_base(m, depth, kernels.shape[0])
 
 
 def _advance(columns, base, seeds, positions, ctx, steps: int):
@@ -406,12 +489,13 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     and its first k symbols do not depend on n.  The result has dtype
     ``symbol_dtype(m)``: uint8 for m <= 256.
 
-    ``model`` is one ``MarkovModel`` for every seed, or a sequence of
-    models of one alphabet and order, one per seed.  Such a stack of K
-    kernels steps as one block-diagonal context chain: its thresholds are
-    the K kernels' rows one after another, K * m**r rows, the code of
-    context c of kernel g is ``g * m**r + c``, and it moves on symbol b to
-    ``g * m**r + (c * m + b) % m**r``.  One model is the stack K = 1.
+    ``model`` is one ``MarkovModel`` for every seed, or a ``ModelStack``
+    or a sequence of models of one alphabet and order, one per seed.  Such
+    a stack of K kernels steps as one block-diagonal context chain: its
+    thresholds are the K kernels' rows one after another, K * m**r rows,
+    the code of context c of kernel g is ``g * m**r + c``, and it moves on
+    symbol b to ``g * m**r + (c * m + b) % m**r``.  One model is the stack
+    K = 1.
 
     Stream layout: uniform 0 picks the initial context block, uniform k >= 1
     picks the symbol at position r + k.
@@ -431,18 +515,22 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     seeds = np.atleast_1d(_as_u64(seeds))
     lanes = seeds.shape[0]
     stacked = not isinstance(model, MarkovModel)
-    models = list(model) if stacked else [model]
-    if stacked and not 0 < len(models) == lanes:
-        raise ValueError(f"{len(models)} models for {lanes} seeds: give one model per seed")
-    m, r, size = models[0].m, models[0].order, models[0].n_contexts
-    if any((other.m, other.order) != (m, r) for other in models):
-        raise ValueError("stacked models must share one alphabet size and order")
-    columns, base = _step_tables([other.kernel for other in models], m, r)
+    if stacked:
+        models = model if isinstance(model, ModelStack) else list(model)
+        if not 0 < len(models) == lanes:
+            raise ValueError(f"{len(models)} models for {lanes} seeds: give one model per seed")
+        if models is not model:
+            if any((other.m, other.order) != (models[0].m, models[0].order) for other in models):
+                raise ValueError("stacked models must share one alphabet size and order")
+            model = ModelStack([one.kernel for one in models], [one.initial for one in models])
+    m, r, size = model.m, model.order, model.n_contexts
+    kernels = model.kernel.reshape(-1, size, m)
+    columns, base = _step_tables(kernels, m, r)
     # each lane's first context code in the stack, whose kernels step
     # lifted to order 1 when r = 0
     lifted = m ** max(r, 1)
     offset = np.arange(lanes, dtype=np.int64) * lifted if stacked else np.zeros(lanes, np.int64)
-    init = _initial_codes(models, seeds)
+    init = _initial_codes(model.initial.reshape(-1, size), seeds)
     steps = max(n - r, 0)
     blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
     # an odd block length keeps the column stores body[:, :, j] off a
@@ -491,8 +579,8 @@ def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):
     """
     m, r = model.m, model.order
     top = max(depth, r)
-    columns, base = _step_tables([model.kernel], m, top)
-    init = _initial_codes([model], seeds)
+    columns, base = _step_tables(model.kernel[None], m, top)
+    init = _initial_codes(model.initial[None], seeds)
     for i, sym in enumerate(block_digits(init, r, m).T[:n], start=1):
         yield i, init // m ** (r - i + 1), sym
     ctx = init
@@ -530,8 +618,10 @@ def log_true_conditional_likelihood(model: MarkovModel, path, r: int) -> float:
     return float(np.log(probs).sum())
 
 
-def random_model(m: int, order: int, seed: int, floor: float = 0.05) -> MarkovModel:
-    """Random fully supported (hence irreducible) chain.
+def random_kernels(m: int, order: int, seeds, floor: float = 0.05) -> np.ndarray:
+    """Kernel tables of ``random_model`` for an array of seeds, of shape
+    ``seeds.shape + (m**order, m)``: the table of seed s is the same
+    whether drawn alone or with others.
 
     Rows are Dirichlet(1) draws pushed away from the simplex boundary by
     ``floor`` so that every transition has positive probability.
@@ -539,11 +629,16 @@ def random_model(m: int, order: int, seed: int, floor: float = 0.05) -> MarkovMo
     if not 0.0 <= floor < 1.0 / m:
         raise ValueError("floor must lie in [0, 1/m)")
     size = m**order
-    u = uniform_block(seed, 0, size * m).reshape(size, m)
+    u = uniform_block(seeds, 0, size * m).reshape(np.shape(seeds) + (size, m))
     expo = -np.log1p(-u)  # exponential spacings -> Dirichlet(1) rows
-    rows = expo / expo.sum(axis=1, keepdims=True)
-    kernel = floor + (1.0 - m * floor) * rows
-    return MarkovModel(kernel)
+    rows = expo / expo.sum(axis=-1, keepdims=True)
+    return floor + (1.0 - m * floor) * rows
+
+
+def random_model(m: int, order: int, seed: int, floor: float = 0.05) -> MarkovModel:
+    """Random fully supported (hence irreducible) chain: the table of
+    ``random_kernels`` for the one seed."""
+    return MarkovModel(random_kernels(m, order, seed, floor))
 
 
 # ---------------------------------------------------------------------------

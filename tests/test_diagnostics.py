@@ -20,6 +20,7 @@ from markovorder import (
 )
 from markovorder.diagnostics import (
     BoundParams,
+    BracketCountReport,
     InstanceBatteryReport,
     bernstein_mc_check,
     bernstein_norm,
@@ -42,7 +43,15 @@ from markovorder.diagnostics import (
 from markovorder._contexts import context_codes
 from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
-from markovorder.model import stationary_block_law, step_lanes
+from markovorder.diagnostics.core import weighted_hellinger
+from markovorder.likelihood import log_ratio_rows, masked_log_ratio
+from markovorder.model import (
+    ModelStack,
+    lift_kernel,
+    random_kernels,
+    stationary_block_law,
+    step_lanes,
+)
 from markovorder.penalty import SubLogCutoff
 from markovorder.rng import derive_seed, uniform_block
 
@@ -221,6 +230,51 @@ class TestBernsteinNorm:
         assert report.worst_ratio <= 1.0 + 1e-9
 
 
+class TestStackedDistances:
+    """Stacked norms and distances equal the one-path formulas, which sum
+    one flat array per path, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        r_star=st.integers(0, 1),
+        gap=st.integers(0, 2),
+        lengths=st.lists(st.integers(1, 700), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32),
+        cells=st.sampled_from([1, 900, core_mod.ROW_CELLS]),
+    )
+    # rows of fewer than 8, of 8..128 and of more than 128 terms, whose
+    # pairwise sums split
+    @example(m=3, r_star=1, gap=2, lengths=[4, 9, 40, 130, 700], seed=1, cells=900)
+    def test_stacked_norms_and_distances_match_per_path(
+        self, m, r_star, gap, lengths, seed, cells
+    ):
+        r = r_star + gap
+        assume(min(lengths) > r)
+        seeds = derive_seed(seed, np.arange(len(lengths)))
+        truths = ModelStack(random_kernels(m, r_star, derive_seed(seeds, 1)))
+        cands = ModelStack(random_kernels(m, r, derive_seed(seeds, 2)))
+        paths = sample_paths(truths, max(lengths), derive_seed(seeds, 3))
+        mix = mixture_kernel(cands, truths, r)
+        # the rows are read ROW_CELLS symbols at a time: one row, a few, all
+        with mock.patch.object(core_mod, "ROW_CELLS", cells), mock.patch.object(
+            mc_mod, "ROW_CELLS", cells
+        ):
+            norms = bernstein_norm(truths, mix, paths, r, lengths)
+            counts = mc_mod._path_context_counts(paths, lengths, m, r + 1)[r]
+        dists = weighted_hellinger(counts, mix, mixture_kernel(truths, truths, r))
+        for g, n in enumerate(lengths):
+            truth, path = truths[g], paths[g, :n]
+            one = mixture_kernel(cands[g], truth, r)
+            t_rows, log_ratio, _ = log_ratio_rows(truth, one, path, n)
+            flat = t_rows * phi(0.5 * np.abs(log_ratio))  # (steps, m)
+            assert norms[g] == bernstein_norm(truth, one, path, r, n) == 8.0 * float(flat.sum())
+            counts_g = build_counts(path, r, m).context_counts(r)
+            assert counts[g].tolist() == counts_g.tolist()
+            gap = (np.sqrt(one.table) - np.sqrt(lift_kernel(truth.kernel, m, r))) ** 2
+            assert dists[g] == float((counts_g * gap.sum(axis=1)).sum())
+
+
 class TestSandwichBattery:
     def test_no_violations_on_event(self):
         report = hellinger_sandwich_battery(60, eta=0.5, n=256, rho=3, seed=17)
@@ -282,6 +336,68 @@ def reference_sandwich(instances, eta, n, rho, seed):
     return InstanceBatteryReport("hellinger-sandwich", accepted, attempts, violations, worst)
 
 
+def reference_bracket_battery(truth, n_kernels, n_paths, path_len, beta, r, seed):
+    """``bracket_battery`` one kernel at a time, each path's envelopes read
+    step by step."""
+    tol = mc_mod.ABS_TOL
+    weights = stationary_block_law(truth, r)
+    supported = weights > 0.0
+    gap_cap = beta / np.sqrt(weights[supported])[:, None]
+    table_t = lift_kernel(truth.kernel, truth.m, r)
+    paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
+    violations, worst = 0, 0.0
+    for i in range(n_kernels):
+        kernel = random_model(truth.m, r, derive_seed(seed, i)).kernel
+        lower, upper = bracket_grid(truth, kernel, beta)
+        violations += bool(np.any(lower > kernel + tol) or np.any(upper < kernel - tol))
+        gaps = np.sqrt(upper[supported]) - np.sqrt(lower[supported])
+        worst = max(worst, float((gaps / gap_cap).max()))
+        violations += bool(np.any(gaps > gap_cap * (1.0 + mc_mod.REL_TOL) + tol))
+        for path in paths:
+            codes, nxt = context_codes(path, r, truth.m), path[r:]
+            t_obs = table_t[codes, nxt]
+            lam, ups, xi = (
+                masked_log_ratio(0.5 * (table[codes, nxt] + t_obs), t_obs)
+                for table in (lower, upper, kernel)
+            )
+            violations += bool(np.any((lam > xi + tol) | (xi > ups + tol)))
+    total = n_kernels * (n_paths + 1)
+    return InstanceBatteryReport("bracket", total, total, violations, worst)
+
+
+def reference_bracket_count(truth, r, sigma, n, samples, seed, eta=0.5):
+    """``bracket_count_check`` one sampled kernel at a time, each bracket a
+    (floor bytes, ceil bytes) key of a set; also returns the attempts."""
+    params = BoundParams(eta)
+    m = truth.m
+    delta = params.c * math.sqrt((2 * n - r) * sigma)
+    log_bound = entropy_bound(n, r, sigma, delta, m, params.C5, c=params.c)
+    beta = delta / math.sqrt(4.0 * params.C4 * (2 * n - r) * m ** (r + 1))
+    table_t = lift_kernel(truth.kernel, m, r)
+    weights = stationary_block_law(truth, r)
+    sq_w = np.sqrt(np.where(weights > 0.0, weights, 0.0))[:, None]
+    keys, accepted, attempt = set(), 0, 0
+    while accepted < samples and attempt < 40:
+        scale = 2.0 * math.sqrt(sigma) * 0.8**attempt
+        u = uniform_block(derive_seed(seed, attempt), 0, samples * table_t.size)
+        u = u.reshape(samples, *table_t.shape)
+        cand = np.clip(table_t[None, :, :] + scale * (2.0 * u - 1.0), 1e-9, None)
+        cand /= cand.sum(axis=2, keepdims=True)
+        mixed = 0.5 * (cand + table_t[None, :, :])
+        gap = (np.sqrt(mixed) - np.sqrt(table_t[None, :, :])) ** 2
+        dist = (weights[None, :] * gap.sum(axis=2)).sum(axis=1)
+        for idx in np.nonzero(dist <= sigma)[0]:
+            if accepted >= samples:
+                break
+            accepted += 1
+            z = sq_w * np.sqrt(cand[idx]) / beta
+            keys.add((np.floor(z).astype(np.int64).tobytes(), np.ceil(z).astype(np.int64).tobytes()))
+        attempt += 1
+    if accepted < samples:
+        raise RuntimeError(f"only {accepted} of {samples} kernels landed in the ball")
+    return BracketCountReport(accepted, len(keys), log_bound, beta, sigma, delta), attempt
+
+
 class TestBatteriesMatchPerInstanceLoops:
     """The batteries sample kernel stacks; the reports equal those of one
     sampler call per instance, floats bit for bit (dataclass equality)."""
@@ -310,6 +426,43 @@ class TestBatteriesMatchPerInstanceLoops:
         report = hellinger_sandwich_battery(instances, 0.5, n, 3, seed)
         assert report == reference_sandwich(instances, 0.5, n, 3, seed)
         assert (report.instances, report.attempted) == (accepted, attempted)
+
+    @pytest.mark.parametrize("abs_tol", [None, -1e-3], ids=["slack", "negative-slack"])
+    @pytest.mark.parametrize(
+        "truth, kernels, paths, path_len, beta, r, seed",
+        [(TWO_STATE, 20, 10, 128, 0.05, 1, 3), (random_model(3, 1, 5), 12, 6, 64, 0.1, 2, 8)],
+        ids=["two-state", "three-symbols"],
+    )
+    def test_bracket(self, monkeypatch, abs_tol, truth, kernels, paths, path_len, beta, r, seed):
+        args = (truth, kernels, paths, path_len, beta, r, seed)
+        if abs_tol is not None:
+            # below zero, the near-tight comparisons count as violations, so
+            # the counts compared are not all zero
+            monkeypatch.setattr(mc_mod, "ABS_TOL", abs_tol)
+        report = bracket_battery(*args)
+        assert report == reference_bracket_battery(*args)
+        assert (report.violations > 0) == (abs_tol is not None)
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 1)  # one kernel per chunk
+        assert bracket_battery(*args) == report
+
+    @pytest.mark.parametrize(
+        "truth, r, sigma, n, samples, seed, attempts",
+        [
+            (TWO_STATE, 1, 0.01, 64, 1000, 12, 2),
+            (TWO_STATE, 1, 0.05, 64, 100, 5, 1),
+            (random_model(3, 1, 5), 2, 0.02, 32, 300, 9, 2),
+        ],
+        ids=["two-attempts", "one-attempt", "three-symbols"],
+    )
+    def test_bracket_count(self, monkeypatch, truth, r, sigma, n, samples, seed, attempts):
+        args = (truth, r, sigma, n, samples, seed)
+        seen = []
+        monkeypatch.setattr(
+            mc_mod, "derive_seed", lambda master, i: seen.append(i) or derive_seed(master, i)
+        )
+        report = bracket_count_check(*args)
+        assert (report, len(seen)) == reference_bracket_count(*args)
+        assert len(seen) == attempts
 
 
 class TestBrackets:

@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovorder import (
@@ -23,7 +23,7 @@ from markovorder import (
 )
 from markovorder import model as model_mod
 from markovorder._contexts import block_digits
-from markovorder.model import lift_kernel, step_lanes
+from markovorder.model import ModelStack, lift_kernel, random_kernels, step_lanes
 from markovorder.rng import derive_seed, uniform_block
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])  # P(1|0)=0.3, P(1|1)=0.8
@@ -172,6 +172,81 @@ class TestStationary:
         else:
             with pytest.raises(ReducibleChainError):
                 model_mod._closed_class(model)
+
+
+def dense_law_reference(kernel, m, order):
+    """The stationary law of one fully supported kernel by one dense solve
+    with a 1-d right-hand side, as the one-model solver computes it."""
+    size = m**order
+    targets = (np.arange(size)[:, None] * m + np.arange(m)) % size
+    q = np.zeros((size, size))
+    np.add.at(q, (np.repeat(np.arange(size), m), targets.ravel()), kernel.ravel())
+    a = q.T - np.eye(size)
+    a[-1, :] = 1.0
+    rhs = np.zeros(size)
+    rhs[-1] = 1.0
+    pi = np.clip(np.linalg.solve(a, rhs), 0.0, None)
+    return pi / pi.sum()
+
+
+class TestStacks:
+    """Kernel stacks give each kernel the tables it has alone, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 3),
+        order=st.integers(0, 2),
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1)),
+            min_size=1,
+            max_size=7,
+        ),
+        floor=st.sampled_from([0.0, 0.05, 0.15]),
+        zero=st.none() | st.tuples(st.integers(0, 6), st.integers(0, 8), st.integers(0, 2)),
+    )
+    # a kernel with a zero entry sends the stack's laws down the
+    # closed-class path, one kernel at a time
+    @example(m=2, order=1, seeds=[5, 6, 7], floor=0.05, zero=(1, 0, 1))
+    @example(m=3, order=2, seeds=[1, 2**63 + 9], floor=0.0, zero=(0, 4, 2))
+    def test_random_kernels_and_stationary_laws(self, m, order, seeds, floor, zero):
+        kernels = random_kernels(m, order, np.array(seeds, dtype=np.uint64), floor)
+        assert kernels.shape == (len(seeds), m**order, m)
+        for kernel, seed in zip(kernels, seeds):
+            assert (kernel == random_model(m, order, seed, floor).kernel).all()
+        if zero is not None:
+            g, c, b = zero[0] % len(seeds), zero[1] % m**order, zero[2] % m
+            kernels[g, c, b] = 0.0
+            kernels[g, c] /= kernels[g, c].sum()
+        laws = stationary_distribution(ModelStack(kernels))
+        assert laws.shape == (len(seeds), m**order)
+        for kernel, law in zip(kernels, laws):
+            assert (law == stationary_distribution(MarkovModel(kernel))).all()
+            if order and (kernel > 0.0).all():
+                assert (law == dense_law_reference(kernel, m, order)).all()
+
+    def test_stack_block_laws_and_items(self):
+        seeds = derive_seed(3, np.arange(5))
+        stack = ModelStack(random_kernels(3, 1, seeds))
+        assert len(stack) == 5
+        for g, seed in enumerate(seeds):
+            model = random_model(3, 1, seed)
+            assert (stack[g].kernel == model.kernel).all()
+            assert (stack[g].initial == stationary_distribution(model)).all()
+            for length in range(4):
+                law = stationary_block_law(stack, length)[g]
+                assert (law == stationary_block_law(model, length)).all()
+
+    @pytest.mark.parametrize(
+        "kernels, match",
+        [
+            (np.full((2, 2), 0.5), "3-d"),
+            (np.full((2, 3, 2), 0.5), "power of 2"),
+            (np.array([[[0.5, 0.5]], [[0.5, 0.6]]]), "kernel 1 row 0 sums to"),
+        ],
+    )
+    def test_stack_validation(self, kernels, match):
+        with pytest.raises(ValueError, match=match):
+            ModelStack(kernels)
 
 
 class TestBlockLaw:
