@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -22,9 +21,9 @@ import sys
 import numpy as np
 
 from ._contexts import symbol_dtype
+from .checks import CHECKS
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimator import evaluate_replications, recovery_summary, required_depth_cap
-from .likelihood import mixture_kernel
 from .model import MarkovModel, read_model_file, sample_paths, true_order
 from .penalty import N_MIN
 from .rng import derive_seed
@@ -326,8 +325,17 @@ def _replication_tasks(config: ExperimentConfig, model: MarkovModel):
     ]
 
 
+def _read_model(key: str, path) -> MarkovModel:
+    """The chain in the model file ``path``, which the config names at
+    ``key``; a file that holds none fails naming the key and the file."""
+    try:
+        return read_model_file(path)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {path}: {exc}")
+
+
 def cmd_simulate(config: ExperimentConfig) -> int:
-    model = read_model_file(config.model_file)
+    model = _read_model("model.file", config.model_file)
     os.makedirs(config.out_dir, exist_ok=True)
     # the manifest is removed first and written last, so a run cut short
     # never leaves one naming missing path files or those of another run
@@ -374,7 +382,7 @@ def _estimate_tables(config: ExperimentConfig, pens):
     Returns the sweep tables (estimates, scores, recovery), penalty first;
     rows run by penalty as configured, then replication, then n.
     """
-    model = read_model_file(config.model_file)
+    model = _read_model("model.file", config.model_file)
     cutoff = config.cutoff.describe()
     # every grid length gets a cutoff and a count table of this depth,
     # checked before any path is sampled or read
@@ -447,173 +455,46 @@ def _default_candidate(truth: MarkovModel) -> MarkovModel:
 
 
 def cmd_verify(config: ExperimentConfig) -> int:
-    from . import diagnostics as dg
-
     settings = config.verify
     if not settings.checks:
         raise ConfigError("verify.checks: select at least one check")
-    model = read_model_file(config.model_file)
-    os.makedirs(config.out_dir, exist_ok=True)
-    seed = config.seed
+    model = _read_model("model.file", config.model_file)
+    candidate = None
+    if "bernstein" in settings.checks:
+        candidate = (
+            _read_model("verify.candidate_file", settings.candidate_file)
+            if settings.candidate_file
+            else _default_candidate(model)
+        )
+    by_name = {spec.name: spec for spec in CHECKS}
+    specs = [by_name[name] for name in settings.checks]
+    for spec in specs:
+        spec.validate(settings, model, candidate)
+    out = config.out_dir
+    os.makedirs(out, exist_ok=True)
+    # the report and every grid are removed first, and the report is written
+    # last, so no run leaves another run's outputs beside its report, nor a
+    # report naming outputs it did not write
+    for name in ["verification.json"] + [spec.grid[0] for spec in CHECKS if spec.grid]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out, name))
     checks = []
     grids = {}
-
-    for name in settings.checks:
-        if name == "norm-bound":
-            report = dg.norm_bound_battery(settings.instances, derive_seed(seed, 101))
-            checks.append(_check_entry(name, True, report.passed, _detail(report, "passed")))
-        elif name == "hellinger-sandwich":
-            report = dg.hellinger_sandwich_battery(
-                settings.instances,
-                settings.eta,
-                settings.sandwich_n,
-                settings.rho,
-                derive_seed(seed, 102),
-            )
-            # the battery gives up after 20 attempts per instance: fewer
-            # instances than asked for is a failure, not a smaller test
-            detail = _detail(report, "passed")
-            detail["passed"] = report.passed and report.instances == settings.instances
-            checks.append(_check_entry(name, True, detail["passed"], detail))
-        elif name == "bernstein":
-            candidate = (
-                read_model_file(settings.candidate_file)
-                if settings.candidate_file
-                else _default_candidate(model)
-            )
-            r = settings.bernstein_r
-            h_stat = dg.hellinger_stationary_distance(
-                model,
-                mixture_kernel(candidate, model, r),
-                mixture_kernel(model, model, r),
-            )
-            cap = 12.0 * (settings.bernstein_n - r) * max(h_stat, 1e-12)
-            alphas = np.linspace(0.5 * math.sqrt(cap), 3.0 * math.sqrt(cap), 10)
-            report = dg.bernstein_mc_check(
-                model,
-                candidate,
-                r,
-                settings.bernstein_n,
-                alphas,
-                cap,
-                settings.bernstein_replications,
-                derive_seed(seed, 103),
-            )
-            checks.append(
-                _check_entry(name, True, report.all_passed, _detail(report, "all_passed"))
-            )
-            grids["bernstein.csv"] = (
-                ("alpha", "empirical", "bound", "margin", "passed"),
-                [(row.alpha, row.empirical, row.bound, row.margin, row.passed) for row in report.rows],
-            )
-        elif name == "bracket":
-            # the brackets' order must reach the declared one, to which the
-            # truth's kernel table is lifted
-            r = max(model.order, 1)
-            battery = dg.bracket_battery(
-                model,
-                settings.bracket_kernels,
-                settings.bracket_paths,
-                settings.bracket_path_len,
-                settings.bracket_beta,
-                r,
-                derive_seed(seed, 104),
-            )
-            count = dg.bracket_count_check(
-                model,
-                r,
-                settings.bracket_sigma,
-                settings.bracket_path_len,
-                settings.bracket_samples,
-                derive_seed(seed, 105),
-                eta=settings.eta,
-            )
-            passed = battery.passed and count.passed
-            checks.append(
-                _check_entry(
-                    name, True, passed,
-                    {"battery": _detail(battery, "passed"), "count": _detail(count, "passed")},
-                )
-            )
-        elif name == "deviation":
-            eps = np.linspace(0.0, settings.deviation_eps_max, settings.deviation_eps_count)
-            report = dg.deviation_tail_mc(
-                model,
-                settings.deviation_r,
-                settings.deviation_n,
-                eps,
-                settings.deviation_replications,
-                settings.eta,
-                settings.rho,
-                derive_seed(seed, 106),
-            )
-            shape_ok = bool(report.slope < 0.0)
-            checks.append(_check_entry(name, False, shape_ok, _detail(report)))
-            grids["deviation.csv"] = (
-                ("eps", "frequency"),
-                [(row.eps, row.frequency) for row in report.rows],
-            )
-        elif name == "lil":
-            r_star = true_order(model)
-            rows = []
-            slopes = []
-            for i in range(settings.lil_seeds):
-                report = dg.lil_trajectory(
-                    model,
-                    settings.lil_checkpoints,
-                    r_star,
-                    config.cutoff,
-                    derive_seed(seed, 1000 + i),
-                )
-                slopes.append(report.slope)
-                rows.extend(
-                    (i, p.n, p.kappa, p.value, p.normalized) for p in report.points
-                )
-            mean_slope = float(np.mean(slopes))
-            checks.append(
-                _check_entry(
-                    name,
-                    False,
-                    bool(mean_slope <= 0.01),
-                    {"mean_slope": mean_slope, "seeds": settings.lil_seeds},
-                )
-            )
-            grids["lil.csv"] = (("seed_index", "n", "kappa", "value", "normalized"), rows)
-        elif name == "typicality":
-            report = dg.typicality_trend(
-                model,
-                settings.eta,
-                settings.rho,
-                settings.typicality_n_small,
-                settings.typicality_n_large,
-                settings.typicality_seeds,
-                derive_seed(seed, 107),
-            )
-            checks.append(
-                _check_entry(name, False, report.improving, _detail(report, "improving"))
-            )
-
+    for spec in specs:
+        passed, detail, rows = spec.run(config, model, candidate)
+        checks.append(
+            {"name": spec.name, "gating": spec.gating, "passed": bool(passed), "detail": detail}
+        )
+        if spec.grid:
+            grids[spec.grid] = rows
+    for (filename, header), rows in grids.items():
+        _write_csv(os.path.join(out, filename), header, rows)
     all_gating = all(c["passed"] for c in checks if c["gating"])
     _write_json(
-        os.path.join(config.out_dir, "verification.json"),
+        os.path.join(out, "verification.json"),
         {"version": 1, "checks": checks, "all_gating_passed": all_gating},
     )
-    for filename, (header, rows) in grids.items():
-        _write_csv(os.path.join(config.out_dir, filename), header, rows)
     return EXIT_OK if all_gating else EXIT_FAIL
-
-
-def _check_entry(name, gating, passed, detail) -> dict:
-    return {"name": name, "gating": gating, "passed": bool(passed), "detail": detail}
-
-
-def _detail(report, verdict: str | None = None) -> dict:
-    """A check's detail: the report's fields, plus the verdict property of
-    the report named by ``verdict``."""
-    detail = dataclasses.asdict(report)
-    if verdict:
-        detail[verdict] = getattr(report, verdict)
-    return detail
 
 
 def main(argv=None) -> int:

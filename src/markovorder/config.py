@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, fields
 from functools import partial
 
+from .checks import CHECKS
 from .penalty import CutoffSpec, PenaltySpec, parse_cutoff, parse_penalty
 
 
@@ -66,15 +67,7 @@ class ExperimentConfig:
     verify: VerifySettings
 
 
-KNOWN_CHECKS = (
-    "norm-bound",
-    "hellinger-sandwich",
-    "bernstein",
-    "bracket",
-    "deviation",
-    "lil",
-    "typicality",
-)
+KNOWN_CHECKS = tuple(spec.name for spec in CHECKS)
 
 
 def _get(parser, section, key, default=None, required=False):
@@ -156,7 +149,9 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:  # OSError propagates to the CLI as an IO failure
         try:
             parser.read_file(fh)
-        except configparser.Error as exc:  # a duplicate, a line outside a section
+        except configparser.DuplicateOptionError as exc:
+            raise ConfigError(f"{exc.section}.{exc.option}: repeated on line {exc.lineno}")
+        except configparser.Error as exc:  # a repeated section, a line outside a section
             raise ConfigError(str(exc))
     for section in parser.sections():
         known = KNOWN_KEYS.get(section)
@@ -218,11 +213,6 @@ def load_config(path: str) -> ExperimentConfig:
             verify.candidate_file = _existing_file(path, "verify.candidate_file", raw)
         if not 0.0 < verify.eta < 1.0:
             raise ConfigError("verify.eta: must lie in (0, 1)")
-        if verify.typicality_n_small >= verify.typicality_n_large:
-            raise ConfigError(
-                f"verify.typicality_n_small ({verify.typicality_n_small}) must be below "
-                f"verify.typicality_n_large ({verify.typicality_n_large})"
-            )
 
     return ExperimentConfig(
         model_file=model_file,

@@ -284,8 +284,8 @@ def deviation_tail_mc(
     freqs = hits / replications
     usable = freqs > 10.0 / replications
     slope = intercept = r2 = float("nan")
-    if int(usable.sum()) >= 2:
-        x = eps[usable]
+    x = eps[usable]
+    if x.size >= 2 and x.min() < x.max():  # a line needs two distinct eps
         y = np.log(freqs[usable])
         slope, intercept = np.polyfit(x, y, 1)
         fitted = slope * x + intercept

@@ -192,8 +192,11 @@ def _reach(step: np.ndarray, ok: np.ndarray, starts) -> np.ndarray:
     seen[starts] = True
     frontier = np.flatnonzero(seen)
     while frontier.size:
-        nxt = step[frontier][ok[frontier]]
-        frontier = np.unique(nxt[~seen[nxt]])
+        # a mask of the contexts entered, not np.unique, which imports
+        # numpy.ma (a megabyte) on its first call
+        entered = np.zeros_like(seen)
+        entered[step[frontier][ok[frontier]]] = True
+        frontier = np.flatnonzero(entered & ~seen)
         seen[frontier] = True
     return seen
 

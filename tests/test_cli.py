@@ -1,9 +1,12 @@
 """The command-line surface: files, determinism, exit codes."""
 
 import concurrent.futures
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -654,21 +657,107 @@ class TestVerify:
         assert cli.main(["verify", "--config", str(cfg)]) == 1
         assert "verify.checks" in capsys.readouterr().err
 
+    def test_rerun_replaces_earlier_outputs(self, tmp_path, monkeypatch):
+        # a run that selects fewer checks leaves none of an earlier run's grids
+        # beside its report; the output directory is given relative to the
+        # working directory
+        monkeypatch.chdir(tmp_path)
+        cfg = make_config(
+            tmp_path,
+            extra=(
+                "[verify]\nchecks = bernstein deviation\nbernstein_replications = 10000\n"
+                "bernstein_n = 16\ndeviation_replications = 200\ndeviation_n = 32\n"
+            ),
+        )
+        assert cli.main(["verify", "--config", str(cfg), "--out", "out"]) == 0
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["bernstein.csv", "deviation.csv", "verification.json"]
+        cfg = make_config(tmp_path, extra="[verify]\nchecks = norm-bound\ninstances = 5\n")
+        assert cli.main(["verify", "--config", str(cfg), "--out", "out", "--seed", "9"]) == 0
+        assert os.listdir(out) == ["verification.json"]
+        report = json.loads((out / "verification.json").read_text())
+        assert [check["name"] for check in report["checks"]] == ["norm-bound"]
+        # a run cut short leaves no report at all
+        from markovorder import diagnostics
+
+        def cut_short(*args):
+            raise RuntimeError("cut short")
+
+        monkeypatch.setattr(diagnostics, "norm_bound_battery", cut_short)
+        assert cli.main(["verify", "--config", str(cfg), "--out", "out"]) == 1
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize(
         "key, value",
         [
+            # malformed values
             ("rho", "0"),
             ("instances", "2.5"),
             ("eta", "abc"),
             ("eta", "1.5"),
             ("bracket_beta", "x"),
             ("lil_checkpoints", "4096 1024"),
+            # well-formed values that a check cannot run with
+            ("bernstein_replications", "100"),
+            ("sandwich_n", "2"),
+            ("typicality_n_small", "1"),
+            ("deviation_r", "1"),
+            ("rho", "200"),
+            ("lil_checkpoints", "4 8"),
+            ("bracket_beta", "-1"),
+            ("bernstein_n", "1"),
+            ("deviation_n", "1"),
+            ("bracket_sigma", "-1"),
+            ("bracket_sigma", "0"),
+            ("candidate_file", "three_symbols.model"),
+            ("candidate_file", "truncated.model"),
+            ("bernstein_r", "order_two.model"),  # a candidate above bernstein_r = 1
         ],
     )
-    def test_bad_setting_named_in_error(self, tmp_path, capsys, key, value):
-        cfg = make_config(tmp_path, extra=f"[verify]\nchecks = norm-bound\n{key} = {value}\n")
-        assert cli.main(["verify", "--config", str(cfg)]) == 1
-        assert f"verify.{key}" in capsys.readouterr().err
+    def test_bad_setting_named_in_error(self, tmp_path, capsys, monkeypatch, key, value):
+        from markovorder import diagnostics
+
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in VERIFY_ENTRY_POINTS:
+            monkeypatch.setattr(diagnostics, name, never)
+        write_model_file(MarkovModel([[0.2, 0.3, 0.5]] * 3), tmp_path / "three_symbols.model")
+        write_model_file(MarkovModel(lift_kernel(TWO_STATE.kernel, 2, 2)), tmp_path / "order_two.model")
+        (tmp_path / "truncated.model").write_text("alphabet_size: 2\norder: 1\nkernel:\n0.5 0.5\n")
+        settings = {"candidate_file": value} if value.endswith(".model") else {key: value}
+        cfg = demo_config(tmp_path, settings)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"verify.{key}" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+# every diagnostics function verify calls
+VERIFY_ENTRY_POINTS = (
+    "norm_bound_battery",
+    "hellinger_sandwich_battery",
+    "hellinger_stationary_distance",
+    "bernstein_mc_check",
+    "bracket_battery",
+    "bracket_count_check",
+    "deviation_tail_mc",
+    "lil_trajectory",
+    "typicality_trend",
+)
+
+
+def demo_config(tmp_path, settings: dict):
+    """configs/demo.ini, with its model beside it and the given [verify]
+    settings replaced or added ([verify] is the file's last section)."""
+    with open(os.path.join(ROOT, "configs", "two_state.model"), "rb") as fh:
+        (tmp_path / "two_state.model").write_bytes(fh.read())
+    with open(os.path.join(ROOT, "configs", "demo.ini")) as fh:
+        lines = [line for line in fh if line.split("=")[0].strip() not in settings]
+    cfg = tmp_path / "demo.ini"
+    cfg.write_text("".join(lines) + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    return cfg
 
 
 class TestExitCodesAndDeterminism:
@@ -821,6 +910,12 @@ class TestExitCodesAndDeterminism:
         assert named in err and "unknown" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_key_named(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("seed = 4242\n", "seed = 4242\nseed = 7\n"))
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        assert "experiment.seed: repeated on line 7" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "verify"])
     def test_byte_identical_across_runs(self, tmp_path, command):
         extra = VERIFY_EXTRA if command == "verify" else ""
@@ -909,7 +1004,18 @@ CONFIG_BASE = {
                    "out": "out"},
     "penalty": {"spec": "loglog C=5", "specs": "loglog C=5, bic"},
     "cutoff": {"spec": "sublog"},
-    "verify": {"checks": "norm-bound", "eta": "0.5", "rho": "3", "instances": "3"},
+    # every check, each at a size that runs in a few milliseconds
+    "verify": {
+        "checks": "norm-bound hellinger-sandwich bernstein bracket deviation lil typicality",
+        "eta": "0.5", "rho": "2", "instances": "2", "sandwich_n": "8",
+        "bernstein_replications": "10000", "bernstein_n": "4", "bernstein_r": "1",
+        "deviation_replications": "20", "deviation_n": "8", "deviation_r": "2",
+        "deviation_eps_max": "4", "deviation_eps_count": "3", "lil_checkpoints": "16 32",
+        "lil_seeds": "1", "typicality_n_small": "8", "typicality_n_large": "16",
+        "typicality_seeds": "2", "bracket_beta": "0.5", "bracket_kernels": "2",
+        "bracket_paths": "2", "bracket_path_len": "8", "bracket_sigma": "0.01",
+        "bracket_samples": "10",
+    },
 }
 CONFIG_VALUES = (
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
@@ -922,9 +1028,25 @@ CONFIG_VALUES = (
         "constant K=1" + "0" * 400,
     ])
 )
+# [verify] values: tables grow as m**rho and m**r, and a replication count or
+# length as large as 12 keeps every check within milliseconds
+VERIFY_VALUES = (
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+    | st.integers(-2, 12).map(str)
+    | st.sampled_from(["nan", "inf", "1e400", "0.5", "-0.5", "24 16", "4 8", "16", "15 16"])
+)
 CONFIG_KEYS = st.sampled_from(
     sorted({key for keys in CONFIG_BASE.values() for key in keys} | {"candidate_file"})
 ) | st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+
+
+# what an exit-1 message names: a config key, a command-line flag, or, where
+# there is no key, the unknown section or the config line the INI grammar
+# cannot read
+NAMED = re.compile(
+    r"\b(model|experiment|penalty|cutoff|verify)\.[^\s:]+|--[a-z]+"
+    r"|\[[^\]]*\]: unknown section|\bline:? +\d+"
+)
 
 
 def _fuzz_config(root) -> str:
@@ -1013,18 +1135,28 @@ class TestFuzzedInputs:
     @given(data=st.data())
     def test_config_text(self, tmp_path_factory, data):
         # keys dropped, values replaced and stray keys or lines added; the
-        # output directory and --jobs come from the command line
+        # output directory and --jobs come from the command line.  verify
+        # keeps the other sections as they are, so that its runs reach the
+        # checks, and no [verify] key is dropped: a size would run at its
+        # default, far from tiny
         root = tmp_path_factory.mktemp("config")
         write_model_file(TWO_STATE, root / "chain.model")
+        command = data.draw(st.sampled_from(["simulate", "estimate", "sweep", "verify"]))
         sections = {}
         for section, keys in CONFIG_BASE.items():
             sections[section] = []
             for key, value in keys.items():
-                action = data.draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
-                if action == "replace":
-                    value = data.draw(CONFIG_VALUES)
-                if action != "drop":
-                    sections[section].append(f"{key} = {value}")
+                if section == "verify":
+                    action = data.draw(st.sampled_from(["keep"] * 7 + ["replace"]))
+                    if action == "replace":
+                        value = data.draw(VERIFY_VALUES)
+                elif command != "verify":
+                    action = data.draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+                    if action == "drop":
+                        continue
+                    if action == "replace":
+                        value = data.draw(CONFIG_VALUES)
+                sections[section].append(f"{key} = {value}")
         for _ in range(data.draw(st.integers(0, 2))):
             section = data.draw(st.sampled_from([*CONFIG_BASE, "DEFAULT", "experimnt"]))
             line = data.draw(
@@ -1036,6 +1168,11 @@ class TestFuzzedInputs:
             f"[{section}]\n" + "".join(line + "\n" for line in lines)
             for section, lines in sections.items()
         ))
-        command = data.draw(st.sampled_from(["simulate", "estimate", "sweep", "verify"]))
         argv = [command, "--config", str(cfg), "--out", str(root / "out"), "--jobs", "1"]
-        assert cli.main(argv) in (0, 1, 2)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        message = err.getvalue()
+        assert code in (0, 1, 2) and "Traceback" not in message
+        # a failed verify check exits 1 with nothing on stderr
+        if code == 1 and message:
+            assert NAMED.search(message), message

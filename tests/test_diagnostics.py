@@ -641,6 +641,13 @@ class TestDeviationTail:
         freqs = [row.frequency for row in report.rows]
         assert all(b <= a for a, b in zip(freqs, freqs[1:]))
 
+    def test_fit_over_one_repeated_eps_is_undefined(self):
+        # a chain held in state 0: every lane is typical, so the three usable
+        # points share one eps and no line runs through them
+        held = MarkovModel([[1.0, 0.0], [0.5, 0.5]])
+        report = deviation_tail_mc(held, 2, 8, [0.0, 0.0, 0.0], 20, eta=0.5, rho=2, seed=1)
+        assert report.usable_points == 3 and math.isnan(report.slope)
+
     def test_exponential_shape(self):
         report = deviation_tail_mc(
             TWO_STATE, 2, 128, np.linspace(0, 10, 11), 2 * 10**4, eta=0.5, rho=3, seed=5

@@ -1,6 +1,9 @@
 """Chain construction, stationary laws, sampling, and true-law likelihoods."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_right
 
@@ -81,6 +84,26 @@ def power_iteration_oracle(kernel, m, order, iters=200_000, tol=1e-13):
 
 
 class TestStationary:
+    def test_chain_with_a_zero_entry_leaves_numpy_ma_unloaded(self):
+        # the closed-class search of such a chain once called np.unique,
+        # which imports numpy.ma (a megabyte); numpy 1.x loads it with numpy
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+            "from markovorder import MarkovModel, stationary_distribution\n"
+            "assert list(stationary_distribution(MarkovModel([[1, 0], [0.5, 0.5]]))) == [1, 0]\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        if done.returncode == 3:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert done.returncode == 0, done.stderr
+
     def test_iid_uniform_two_symbols(self):
         model = MarkovModel([[0.5, 0.5], [0.5, 0.5]])
         assert stationary_distribution(model) == pytest.approx([0.5, 0.5], abs=1e-12)
