@@ -1,14 +1,15 @@
 """The checks ``verify`` runs, one spec each.
 
-A spec names its check, says whether it gates the exit code and which CSV
-grid (file name, header) it writes, if any, and holds two functions.
-``validate(settings, model, candidate)`` raises ConfigError naming
-``verify.<key>`` for a setting the check cannot run with, mirroring the
-ValueError conditions that the diagnostics functions keep for library
-callers; it allocates no arrays.  ``run(config, model, candidate)``
-returns the verdict, the detail and the grid rows (None without a grid),
-and imports the diagnostics suite on first use, so ``config`` loads this
-module without it.
+A spec names its check, says whether it gates the exit code, which CSV
+grid (file name, header) it writes, if any, and whether it reads the
+model's stationary law (``verify`` resolves it first), and holds two
+functions.  ``validate(settings, model, candidate)`` raises ConfigError
+naming ``verify.<key>`` for a setting the check cannot run with, mirroring
+the ValueError conditions that the diagnostics and model functions keep
+for library callers; it allocates no array larger than the model's law.
+``run(config, model, candidate)`` returns the verdict, the detail and the
+grid rows (None without a grid), and imports the diagnostics suite on
+first use, so ``config`` loads this module without it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import likelihood, rng
-from .model import true_order
+from . import rng
+from .model import TABLE_CELLS, stationary_block_law, table_fits, true_order
 
 
 class CheckSpec(NamedTuple):
@@ -29,6 +30,7 @@ class CheckSpec(NamedTuple):
     validate: Callable
     run: Callable
     grid: tuple[str, tuple[str, ...]] | None = None
+    reads_law: bool = True
 
 
 def _require(ok: bool, key: str, need: str, got) -> None:
@@ -36,6 +38,24 @@ def _require(ok: bool, key: str, need: str, got) -> None:
         from .config import ConfigError  # config imports this module
 
         raise ConfigError(f"verify.{key}: must be {need}, got {got}")
+
+
+def _require_table(m: int, length: int, key: str, got) -> None:
+    """Mirror of ``model.check_table``: a table over the m**length blocks of
+    ``length`` symbols keeps within TABLE_CELLS cells."""
+    need = f"small enough that {m}**{length} table cells stay within {TABLE_CELLS}"
+    _require(table_fits(m, length), key, need, got)
+
+
+def _mirror(key: str, check, *args) -> None:
+    """``check(*args)``, a library check whose ValueError fails naming
+    ``verify.<key>``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        from .config import ConfigError
+
+        raise ConfigError(f"verify.{key}: {exc}")
 
 
 def _detail(report, verdict: str | None = None) -> dict:
@@ -62,6 +82,7 @@ def _sandwich_settings(s, model, candidate) -> None:
     half = s.sandwich_n // 2
     _require(s.rho <= half, "rho", f"at most verify.sandwich_n / 2 = {half}", s.rho)
     _require(s.sandwich_n > 2, "sandwich_n", "above the kernels' order 2", s.sandwich_n)
+    _require_table(2, s.rho, "rho", s.rho)  # the kernels' two symbols
 
 
 def _sandwich(config, model, candidate):
@@ -89,10 +110,11 @@ def _bernstein_settings(s, model, candidate) -> None:
     r = s.bernstein_r
     _require(r >= max(model.order, candidate.order), "bernstein_r", f"at least {orders}", r)
     _require(s.bernstein_n > r, "bernstein_n", f"above verify.bernstein_r = {r}", s.bernstein_n)
+    _require_table(model.m, r + 1, "bernstein_r", r)
 
 
 def _bernstein(config, model, candidate):
-    from . import diagnostics as dg
+    from . import diagnostics as dg, likelihood
 
     s = config.verify
     r = s.bernstein_r
@@ -112,6 +134,8 @@ def _bernstein(config, model, candidate):
 
 
 def _bracket_settings(s, model, candidate) -> None:
+    from .diagnostics.core import check_envelopes, count_pitch
+
     _require(s.bracket_beta > 0, "bracket_beta", "> 0", s.bracket_beta)
     _require(s.bracket_sigma > 0, "bracket_sigma", "> 0", s.bracket_sigma)
     # the entropy bound's tolerance is positive only on paths longer than
@@ -119,6 +143,9 @@ def _bracket_settings(s, model, candidate) -> None:
     n = s.bracket_path_len
     order = model.order
     _require(2 * n > order, "bracket_path_len", f"above half the model's order {order}", n)
+    r = max(order, 1)  # the order _bracket runs both parts at
+    _mirror("bracket_beta", check_envelopes, stationary_block_law(model, r), s.bracket_beta)
+    _mirror("bracket_sigma", count_pitch, model.m, r, n, s.bracket_sigma, s.eta)
 
 
 def _bracket(config, model, candidate):
@@ -145,6 +172,8 @@ def _deviation_settings(s, model, candidate) -> None:
     _require(r > r_true, "deviation_r", f"above the model's true order {r_true}", r)
     half = s.deviation_n // 2
     _require(s.rho <= half, "rho", f"at most verify.deviation_n / 2 = {half}", s.rho)
+    _require_table(model.m, r + 1, "deviation_r", r)
+    _require_table(model.m, s.rho - 1, "rho", s.rho)
 
 
 def _deviation(config, model, candidate):
@@ -189,6 +218,7 @@ def _typicality_settings(s, model, candidate) -> None:
     )
     # the typicality event reads depths below rho of the shorter path
     _require(s.rho < small, "rho", f"below verify.typicality_n_small = {small}", s.rho)
+    _require_table(model.m, s.rho - 1, "rho", s.rho)
 
 
 def _typicality(config, model, candidate):
@@ -203,8 +233,8 @@ def _typicality(config, model, candidate):
 
 
 CHECKS = (
-    CheckSpec("norm-bound", True, _any_settings, _norm_bound),
-    CheckSpec("hellinger-sandwich", True, _sandwich_settings, _sandwich),
+    CheckSpec("norm-bound", True, _any_settings, _norm_bound, reads_law=False),
+    CheckSpec("hellinger-sandwich", True, _sandwich_settings, _sandwich, reads_law=False),
     CheckSpec(
         "bernstein", True, _bernstein_settings, _bernstein,
         ("bernstein.csv", ("alpha", "empirical", "bound", "margin", "passed")),

@@ -23,8 +23,14 @@ import numpy as np
 from ._contexts import symbol_dtype
 from .checks import CHECKS
 from .config import ConfigError, ExperimentConfig, load_config
-from .estimator import evaluate_replications, recovery_summary, required_depth_cap
-from .model import MarkovModel, read_model_file, sample_paths, true_order
+from .model import (
+    MarkovModel,
+    ReducibleChainError,
+    read_model_file,
+    sample_paths,
+    stationary_distribution,
+    true_order,
+)
 from .penalty import N_MIN
 from .rng import derive_seed
 
@@ -115,17 +121,16 @@ def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
     return flat[:-1].tobytes()
 
 
-def _decode_span(span: np.ndarray, m: int):
+def _decode_span(code: np.ndarray, space: np.ndarray, m: int):
     """Decode a span of the symbols line cut before a separating space,
-    whose bytes are digits and spaces.  Returns the symbols, in a type that
-    holds 10**w - 1 (w the width of m - 1), and the span's first problem
-    of two kinds, each None when there is none: the index of an empty
-    symbol (then there are no symbols), and the index and token of a
-    symbol not written as one of 0..m-1 in decimal."""
-    if not span.size:  # a cut space followed by a space or the line's end
+    whose bytes are digits and spaces, from its bytes less ord("0") and its
+    space mask.  Returns the symbols, in a type that holds 10**w - 1 (w the
+    width of m - 1), and the span's first problem of two kinds, each None
+    when there is none: the index of an empty symbol (then there are no
+    symbols), and the index and token of a symbol not written as one of
+    0..m-1 in decimal."""
+    if not code.size:  # a cut space followed by a space or the line's end
         return None, 0, None
-    code = span - np.uint8(ord("0"))
-    space = span == ord(" ")
     # last: the byte ends a symbol (it precedes a space or ends the span);
     # a symbol is empty where a space leads the span or ends a symbol
     last = np.empty_like(space)
@@ -135,8 +140,8 @@ def _decode_span(span: np.ndarray, m: int):
     if space[0] or empty.any():
         at = 0 if space[0] else np.count_nonzero(space[:np.argmax(empty) + 1])
         return None, at, None
-    digits = span.size - np.count_nonzero(space)
-    del space, empty
+    digits = code.size - np.count_nonzero(space)
+    del empty
     # digit k of a symbol lies k bytes before its last byte, if the bytes
     # between are digits too; w digits hold every symbol below m.  They
     # add up in a type that holds 10**w - 1, so that a symbol of m or more
@@ -159,7 +164,7 @@ def _decode_span(span: np.ndarray, m: int):
     width_sum = symbols.size + sum(np.count_nonzero(symbols >= 10**k) for k in range(1, w))
     if symbols.max() < m and width_sum == digits:
         return symbols, None, None
-    tokens = span.tobytes().split(b" ")
+    tokens = (code + np.uint8(ord("0"))).tobytes().split(b" ")
     bad = next(
         i for i, t in enumerate(tokens) if len(t) > w or int(t) >= m or t != b"%d" % int(t)
     )
@@ -172,50 +177,70 @@ def _decode_symbols(source, text, m: int) -> np.ndarray:
     bytes or a view of them (a memoryview), read in place; the symbols come
     back in ``symbol_dtype(m)``.
 
-    Every temporary is a few times DECODE_CHUNK bytes: a first pass checks
-    the bytes and counts the symbols a window at a time, and a second
-    decodes the spans between the first spaces of the windows.  The first
-    problem of the line is reported, with its offset or symbol index on the
-    line: a byte that is no digit or space, else an empty symbol, else a
-    symbol not written as one of 0..m-1 in decimal.
+    One pass reads the line a window of DECODE_CHUNK bytes at a time: it
+    checks the window's bytes, then decodes the span up to the window's
+    last space from the same byte codes and space mask, and the next window
+    starts after that space.  So every temporary is a few times
+    DECODE_CHUNK bytes.  The first problem of the line is reported, with its
+    offset or symbol index on the line: a byte that is no digit or space,
+    else an empty symbol, else a symbol not written as one of 0..m-1 in
+    decimal.
     """
     if not text:
         return np.zeros(0, dtype=symbol_dtype(m))
     raw = np.frombuffer(text, dtype=np.uint8)
-    spaces = 0
-    cuts = [-1]  # the spaces the spans are cut at: the first of each window
-    for lo in range(0, raw.size, DECODE_CHUNK):
+    # each symbol but the last takes a digit and a space, at least; the
+    # array is cut to the symbols read once the line is done
+    symbols = np.empty((raw.size + 1) // 2, dtype=symbol_dtype(m))
+    done = 0
+    empty = None  # the index of the first empty symbol
+    wrong = None  # the first symbol not in decimal form: (index, token)
+    codes, spaces = [], []  # the span's earlier windows, which hold no space
+    lo = 0
+    while lo < raw.size:
         part = raw[lo:lo + DECODE_CHUNK]
+        code = part - np.uint8(ord("0"))
         space = part == ord(" ")
-        foreign = (part - np.uint8(ord("0")) > 9) & ~space
+        foreign = (code > 9) & ~space
         if foreign.any():
             at = lo + int(np.argmax(foreign))
             raise ConfigError(
                 f"{source}: symbols: byte {raw[at:at + 1].tobytes()!r} at offset {at} "
                 "is not a digit or a space"
             )
-        spaces += int(np.count_nonzero(space))
-        if lo and space.any():
-            cuts.append(lo + int(np.argmax(space)))
-    symbols = np.empty(spaces + 1, dtype=symbol_dtype(m))
-    wrong = None  # the first symbol not in decimal form: (index, token)
-    done = 0
-    for start, end in zip(cuts, cuts[1:] + [raw.size]):
-        span, empty, bad = _decode_span(raw[start + 1:end], m)
-        if empty is not None:
-            raise ConfigError(
-                f"{source}: symbols: symbol {done + empty} is empty "
-                "(a leading, trailing or repeated space)"
-            )
-        if bad is not None and wrong is None:
-            wrong = (done + bad[0], bad[1])
-        symbols[done:done + span.size] = span
-        done += span.size
+        cut = part.size  # where the span ends: the line's end or the last space
+        if lo + cut < raw.size:
+            if not space.any():
+                codes.append(code)
+                spaces.append(space)
+                lo += cut
+                continue
+            cut -= 1 + int(np.argmax(space[::-1]))
+        if empty is None:  # past an empty symbol, only bytes are checked
+            code, space = code[:cut], space[:cut]
+            if codes:
+                code, space = np.concatenate(codes + [code]), np.concatenate(spaces + [space])
+            span, at, bad = _decode_span(code, space, m)
+            if at is not None:
+                empty = done + at
+            else:
+                if bad is not None and wrong is None:
+                    wrong = (done + bad[0], bad[1])
+                symbols[done:done + span.size] = span
+                done += span.size
+        codes, spaces = [], []
+        lo += cut + 1
+    if empty is not None:
+        raise ConfigError(
+            f"{source}: symbols: symbol {empty} is empty "
+            "(a leading, trailing or repeated space)"
+        )
     if wrong is not None:
         raise ConfigError(
             f"{source}: symbol {wrong[0]} is {wrong[1].decode()!r}, "
             f"not one of 0..{m - 1} in decimal"
         )
+    symbols.resize(done, refcheck=False)
     return symbols
 
 
@@ -334,8 +359,20 @@ def _read_model(key: str, path) -> MarkovModel:
         raise ConfigError(f"{key}: {path}: {exc}")
 
 
+def _resolve_law(model: MarkovModel, path, stationary: bool = False) -> None:
+    """Resolve, once, the initial law the sampler reads or, with
+    ``stationary``, the stationary law the checks read; a chain with more
+    than one closed class has none and fails naming ``model.file`` and the
+    file ``path``, before any output is written."""
+    try:
+        stationary_distribution(model) if stationary else model.initial
+    except ReducibleChainError as exc:
+        raise ConfigError(f"model.file: {path}: {exc}")
+
+
 def cmd_simulate(config: ExperimentConfig) -> int:
     model = _read_model("model.file", config.model_file)
+    _resolve_law(model, config.model_file)
     os.makedirs(config.out_dir, exist_ok=True)
     # the manifest is removed first and written last, so a run cut short
     # never leaves one naming missing path files or those of another run
@@ -382,6 +419,8 @@ def _estimate_tables(config: ExperimentConfig, pens):
     Returns the sweep tables (estimates, scores, recovery), penalty first;
     rows run by penalty as configured, then replication, then n.
     """
+    from .estimator import evaluate_replications, recovery_summary, required_depth_cap
+
     model = _read_model("model.file", config.model_file)
     cutoff = config.cutoff.describe()
     # every grid length gets a cutoff and a count table of this depth,
@@ -396,11 +435,13 @@ def _estimate_tables(config: ExperimentConfig, pens):
             f"experiment.n_grid: the shortest length {min(config.n_grid)} must exceed "
             f"the depth cap {depth} that cutoff {cutoff} needs"
         )
+    tasks = _replication_tasks(config, model)
+    if tasks[0][2] is None:  # sampled inline, not read from path files
+        _resolve_law(model, config.model_file)
     os.makedirs(config.out_dir, exist_ok=True)
     r_star = true_order(model)
     per_rep = evaluate_replications(
-        model, pens, config.cutoff, config.n_grid,
-        _replication_tasks(config, model), config.jobs, load=_read_path_file,
+        model, pens, config.cutoff, config.n_grid, tasks, config.jobs, load=_read_path_file
     )
     est, scores, recovery = [], [], []
     for p, pen in enumerate(pens):
@@ -468,6 +509,8 @@ def cmd_verify(config: ExperimentConfig) -> int:
         )
     by_name = {spec.name: spec for spec in CHECKS}
     specs = [by_name[name] for name in settings.checks]
+    if any(spec.reads_law for spec in specs):
+        _resolve_law(model, config.model_file, stationary=True)
     for spec in specs:
         spec.validate(settings, model, candidate)
     out = config.out_dir

@@ -24,6 +24,9 @@ _PHI_SERIES_CUT = 1e-4
 # of paths a few at a time, about this many symbols, so that each int64 or
 # float64 temporary stays within 64 KB
 ROW_CELLS = 1 << 13
+# bracket_count_check keys a bracket by its grid positions, integers up to
+# 1 / beta, which float64 holds exactly below EXACT_KEYS
+EXACT_KEYS = 2.0**53
 
 
 def phi(x):
@@ -208,6 +211,7 @@ def bracket_grid(
     if truth.m**r != size or truth.m != m:
         raise ValueError("kernel shape does not match the truth's alphabet")
     weights = stationary_block_law(truth, r)
+    check_envelopes(weights, beta)
     lower = kernel.copy()
     upper = kernel.copy()
     supported = weights > 0.0
@@ -216,6 +220,29 @@ def bracket_grid(
     lower[..., supported, :] = (np.floor(z) * beta / w) ** 2
     upper[..., supported, :] = (np.ceil(z) * beta / w) ** 2
     return lower, upper
+
+
+def check_envelopes(weights: np.ndarray, beta: float) -> None:
+    """Raise ValueError unless every upper envelope ``bracket_grid`` gives at
+    pitch beta is finite: on a context of stationary weight w > 0 it is at
+    most (1 + beta / sqrt(w))**2."""
+    top = 1.0 + beta / math.sqrt(float(weights[weights > 0.0].min()))
+    if not math.isfinite(top * top):
+        raise ValueError(f"beta {beta}: an upper envelope passes the largest float")
+
+
+def count_pitch(m: int, r: int, n: int, sigma: float, eta: float) -> tuple[float, float]:
+    """The tolerance delta = c sqrt((2n - r) sigma) of ``bracket_count_check``
+    and its grid pitch beta; raises ValueError when 1 / beta reaches
+    EXACT_KEYS, past which the grid positions are not exact integers."""
+    params = BoundParams(eta)
+    delta = params.c * math.sqrt((2 * n - r) * sigma)
+    beta = delta / math.sqrt(4.0 * params.C4 * (2 * n - r) * m ** (r + 1))
+    if not beta * EXACT_KEYS > 1.0:
+        raise ValueError(
+            f"sigma {sigma}: the bracket grid pitch {beta:.3g} leaves keys past 2**53 inexact"
+        )
+    return delta, beta
 
 
 def observed_steps(truth: MarkovModel, paths, r: int):

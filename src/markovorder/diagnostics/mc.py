@@ -41,6 +41,7 @@ from ..likelihood import (
 from ..model import (
     MarkovModel,
     ModelStack,
+    check_table,
     lift_kernel,
     random_kernels,
     sample_paths,
@@ -57,6 +58,7 @@ from .core import (
     bernstein_tail_bound,
     bracket_grid,
     bracket_log_envelopes,
+    count_pitch,
     entropy_bound,
     hellinger_stationary_distance,
     observed_steps,
@@ -242,6 +244,7 @@ def deviation_tail_mc(
     # a lane's typicality counts come from one table of its windows of this
     # length; at length r + 1 that is the overshoot's own transition table
     window = max(r + 1, rho - 1)
+    check_table(m, window)
     extra = m**window if window > r + 1 else 0
     log_p = masked_log_ratio(true_transition_law(truth, r), 1.0)
     eps = np.array([float(e) for e in eps_grid])
@@ -505,11 +508,11 @@ def hellinger_sandwich_battery(
     the compared kernels have order 2.
 
     Attempts come a chunk at a time, as many as the acceptance seen so far
-    says the missing instances need (within ``CHUNK_BYTES`` of paths), and
-    each chunk is one kernel stack: its paths are sampled together, and its
-    typicality events and distances are computed as arrays with one entry
-    per attempt.  The attempts are then taken in order up to the one that
-    completes the count, where the battery stops.
+    says the missing instances need (within ``CHUNK_BYTES`` of paths and
+    count tables), and each chunk is one kernel stack: its paths are
+    sampled together, and its typicality events and distances are computed
+    as arrays with one entry per attempt.  The attempts are then taken in
+    order up to the one that completes the count, where the battery stops.
     """
     r = 2
     if rho > n // 2:
@@ -518,6 +521,7 @@ def hellinger_sandwich_battery(
         raise ValueError(f"n {n} must exceed the kernels' order {r}")
     # typicality reads the depths below rho, the distances depth r
     depth = max(rho, r + 1)
+    check_table(2, depth)
     params = BoundParams(eta)
     accepted = attempts = violations = 0
     worst = 0.0
@@ -527,7 +531,9 @@ def hellinger_sandwich_battery(
         # so far: all of them before the first attempt, none after no hit
         need = instances - accepted
         chunk = -(-need * attempts // accepted) if accepted else (limit if attempts else need)
-        chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // (2 * n)))
+        # a path takes 2n bytes, and its int64 window table and the two
+        # lists of count tables read from it 8 * 2**depth bytes each
+        chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // (2 * n + 24 * 2**depth)))
         bases = derive_seed(seed, np.arange(attempts, attempts + chunk))
         truths = ModelStack(random_kernels(2, 1, derive_seed(bases, 1), floor=0.15))
         paths = sample_paths(truths, 2 * n, derive_seed(bases, 2))
@@ -641,9 +647,8 @@ def bracket_count_check(
     """
     params = BoundParams(eta)
     m = truth.m
-    delta = params.c * math.sqrt((2 * n - r) * sigma)
+    delta, beta = count_pitch(m, r, n, sigma, eta)
     log_bound = entropy_bound(n, r, sigma, delta, m, params.C5, c=params.c)
-    beta = delta / math.sqrt(4.0 * params.C4 * (2 * n - r) * m ** (r + 1))
     table_t = lift_kernel(truth.kernel, m, r)
     weights = stationary_block_law(truth, r)
     sq_w = np.sqrt(np.where(weights > 0.0, weights, 0.0))[:, None]

@@ -9,7 +9,6 @@ integers with the most recent symbol in the least significant digit.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import islice
 
 import numpy as np
@@ -35,6 +34,10 @@ UNIFORM_CELLS = 1 << 15
 NEVER = 1 << 53
 
 NEG_INF = float("-inf")
+# a dense table over the m**k blocks of k symbols (a kernel lifted to order
+# r has the blocks of r + 1) holds at most TABLE_CELLS cells, 128 MiB of
+# float64: a larger one raises ValueError before it is allocated
+TABLE_CELLS = 1 << 24
 
 
 class ReducibleChainError(ValueError):
@@ -126,6 +129,10 @@ class MarkovModel:
 
     def label(self) -> str:
         """Opaque identifier derived from the kernel bytes."""
+        # imported here: hashlib maps OpenSSL, and only the commands that
+        # write or check a manifest read a label
+        import hashlib
+
         digest = hashlib.sha1(self._kernel.tobytes()).hexdigest()[:8]
         return f"m{self._m}-r{self._order}-{digest}"
 
@@ -323,6 +330,21 @@ def stationary_distribution(model) -> np.ndarray:
     return model._stationary_cache
 
 
+def table_fits(m: int, length: int) -> bool:
+    """Whether a table over the m**length blocks of ``length`` symbols keeps
+    within TABLE_CELLS cells; m >= 2, so no longer block does."""
+    return length < TABLE_CELLS.bit_length() and m**length <= TABLE_CELLS
+
+
+def check_table(m: int, length: int) -> None:
+    """Raise ValueError unless ``table_fits(m, length)``."""
+    if not table_fits(m, length):
+        raise ValueError(
+            f"a table over the {m}**{length} blocks of {length} symbols passes "
+            f"{TABLE_CELLS} cells"
+        )
+
+
 def stationary_block_law(model, length: int) -> np.ndarray:
     """Stationary probability of every length-``length`` block, as a vector
     (for a ``ModelStack``, one vector per kernel).
@@ -334,6 +356,7 @@ def stationary_block_law(model, length: int) -> np.ndarray:
     if length < 0:
         raise ValueError("block length must be nonnegative")
     m, order = model.m, model.order
+    check_table(m, length)
     pi = stationary_distribution(model)
     lead = pi.shape[:-1]
     if length == order:
@@ -362,6 +385,7 @@ def true_order(model: MarkovModel) -> int:
 def lift_kernel(kernel: np.ndarray, m: int, r: int) -> np.ndarray:
     """Kernel table of an order-s chain re-indexed over length-r contexts
     (a stack of tables, with leading axes, lifts table by table)."""
+    check_table(m, r + 1)
     kernel = np.asarray(kernel, dtype=np.float64)
     rows = kernel.shape[-2]
     if m**r < rows:

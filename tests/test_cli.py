@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from markovorder import MarkovModel, cli, random_model, sample_paths
 from markovorder import estimator as estimator_mod
+from markovorder import model as model_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.model import lift_kernel, write_model_file
 from markovorder.penalty import N_MIN
@@ -178,6 +179,31 @@ class TestModelFile:
         assert cli.main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "verify"])
+    def test_chain_without_a_unique_law_named(self, tmp_path, capsys, command):
+        # two closed classes: every command that reads the chain's law fails
+        # naming the key and the file, before it writes any output
+        cfg = make_config(tmp_path, n_grid="64", extra="[verify]\nchecks = bracket\n")
+        (tmp_path / "chain.model").write_text("alphabet_size: 2\norder: 1\nkernel:\n1 0\n0 1\n")
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"model.file: {tmp_path / 'chain.model'}: more than one closed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_estimate_from_path_files_resolves_no_law(self, tmp_path, monkeypatch):
+        # the path files hold the samples: no stationary solve is needed
+        cfg = make_config(tmp_path, n_grid="64", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+
+        def no_solve(model):
+            raise AssertionError("a stationary law was solved")
+
+        monkeypatch.setattr(model_mod, "stationary_distribution", no_solve)
+        monkeypatch.setattr(cli, "stationary_distribution", no_solve)
+        assert cli.main(["estimate", "--config", str(cfg)]) == 0
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
 
 
 class TestPathFileCodec:
@@ -712,6 +738,14 @@ class TestVerify:
             ("candidate_file", "three_symbols.model"),
             ("candidate_file", "truncated.model"),
             ("bernstein_r", "order_two.model"),  # a candidate above bernstein_r = 1
+            # orders whose m**r tables pass model.TABLE_CELLS
+            ("deviation_r", "24"),
+            ("bernstein_r", "30"),
+            ("rho", "40"),
+            # a bracket grid too fine for exact keys, envelopes past the
+            # largest float
+            ("bracket_sigma", "1e-300"),
+            ("bracket_beta", "1e300"),
         ],
     )
     def test_bad_setting_named_in_error(self, tmp_path, capsys, monkeypatch, key, value):
@@ -949,15 +983,25 @@ def test_runs_without_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_cli_imports_only_what_it_runs():
-    # simulate, estimate and sweep need neither the diagnostics suite nor a
-    # process pool; the package attribute still reaches the suite
+def test_cli_imports_only_what_it_runs(tmp_path):
+    # the CLI module loads no scoring code, diagnostics suite or process
+    # pool; verify and inline estimate write no manifest, so they never map
+    # OpenSSL through hashlib, and simulate labels the demo chain as before;
+    # the package attribute still reaches the suite
     script = (
         "import sys\n"
-        "import markovorder, markovorder.cli\n"
-        "heavy = ('markovorder.diagnostics', 'concurrent.futures', 'multiprocessing')\n"
+        "import markovorder, markovorder.cli as cli\n"
+        "heavy = ('markovorder.counts', 'markovorder.likelihood', 'markovorder.estimator',\n"
+        "         'markovorder.diagnostics', 'concurrent.futures', 'multiprocessing',\n"
+        "         'hashlib', '_hashlib')\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "assert not loaded, loaded\n"
+        f"demo, out = {os.path.join(ROOT, 'configs', 'demo.ini')!r}, {str(tmp_path)!r}\n"
+        "for command in ('verify', 'estimate'):\n"
+        "    assert cli.main([command, '--config', demo, '--out', out + '/' + command]) == 0\n"
+        "    loaded = [name for name in ('hashlib', '_hashlib') if name in sys.modules]\n"
+        "    assert not loaded, (command, loaded)\n"
+        "assert cli.main(['simulate', '--config', demo, '--out', out + '/simulate']) == 0\n"
         "markovorder.diagnostics.BoundParams(0.5)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -965,6 +1009,28 @@ def test_cli_imports_only_what_it_runs():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    manifest = json.loads((tmp_path / "simulate" / "manifest.json").read_text())
+    assert manifest["model_label"] == "m2-r1-d82a3296"
+
+
+def test_package_names_resolve_on_first_read():
+    # the lazy namespace: each name is the object its module defines, dir()
+    # lists every name, and an unknown name is an AttributeError
+    import importlib
+
+    import markovorder
+
+    for name, module in markovorder._EXPORTS.items():
+        defined = importlib.import_module(f"markovorder.{module}")
+        if name != module:
+            defined = getattr(defined, name)
+        namespace = {}
+        exec(f"from markovorder import {name}", namespace)
+        assert namespace[name] is defined, name
+    assert set(markovorder._EXPORTS) <= set(dir(markovorder))
+    assert "diagnostics" not in markovorder.__all__
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        markovorder.no_such_name
 
 
 # -- fuzzed model files and manifests: a named failure, never a traceback -----

@@ -282,6 +282,12 @@ class TestSandwichBattery:
         assert report.violations == 0
         assert report.passed
 
+    def test_depth_past_the_cell_limit_rejected(self):
+        # typicality at rho = 25 reads a table over the 2**25 windows of 25
+        # symbols, past model.TABLE_CELLS
+        with pytest.raises(ValueError, match="passes 16777216 cells"):
+            hellinger_sandwich_battery(2, eta=0.5, n=64, rho=25, seed=17)
+
 
 def reference_norm_bound(instances, seed):
     """``norm_bound_battery`` one instance, and one sampler call, at a time."""
@@ -498,6 +504,24 @@ class TestBrackets:
         assert report.passed
         assert report.distinct >= 1
 
+    def test_envelopes_past_the_largest_float_rejected(self):
+        # (1e300 / sqrt(w))**2 overflows for every stationary weight w <= 1
+        kernel = TWO_STATE.kernel
+        with pytest.raises(ValueError, match="upper envelope passes the largest float"):
+            bracket_grid(TWO_STATE, kernel, beta=1e300)
+        with pytest.raises(ValueError, match="upper envelope"):
+            bracket_battery(TWO_STATE, 2, 2, 16, beta=1e300, r=1, seed=3)
+        lower, upper = bracket_grid(TWO_STATE, kernel, beta=1e100)
+        assert np.isfinite(upper).all()
+
+    def test_pitch_too_fine_for_exact_keys_rejected(self):
+        # sigma = 1e-300 puts the grid positions near 1e150, past 2**53,
+        # where they used to wrap in the int64 keys
+        with pytest.raises(ValueError, match="past 2\\*\\*53 inexact"):
+            bracket_count_check(TWO_STATE, r=1, sigma=1e-300, n=64, samples=10, seed=12)
+        delta, beta = core_mod.count_pitch(2, 1, 64, 0.01, 0.5)
+        assert 1.0 / beta < core_mod.EXACT_KEYS and delta > 0.0
+
 
 class TestClosedFormBounds:
     def test_entropy_bound_zero_at_saturating_delta(self):
@@ -628,6 +652,13 @@ class TestBernsteinMc:
 
 
 class TestDeviationTail:
+    @pytest.mark.parametrize("r, rho", [(24, 3), (2, 26)])
+    def test_tables_past_the_cell_limit_rejected(self, r, rho):
+        # the overshoot's transition table has 2**(r + 1) cells and the
+        # typicality window table 2**(rho - 1)
+        with pytest.raises(ValueError, match="passes 16777216 cells"):
+            deviation_tail_mc(TWO_STATE, r, 64, [0.0], 10**4, eta=0.5, rho=rho, seed=3)
+
     def test_zero_eps_recovers_event_rate(self):
         report = deviation_tail_mc(
             TWO_STATE, 2, 64, [0.0, 1.0], 10**4, eta=0.5, rho=3, seed=3

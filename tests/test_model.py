@@ -604,6 +604,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             model.kernel[0, 0] = 0.9
 
+    def test_tables_past_the_cell_limit_rejected(self):
+        # 2**25 cells pass TABLE_CELLS = 2**24; an order of 10**12 is
+        # rejected without forming its power
+        model = MarkovModel([[0.5, 0.5], [0.5, 0.5]])
+        for r in (24, 10**12):
+            with pytest.raises(ValueError, match="passes 16777216 cells"):
+                lift_kernel(model.kernel, 2, r)
+            with pytest.raises(ValueError, match="passes 16777216 cells"):
+                stationary_block_law(model, r + 1)
+        assert model_mod.table_fits(2, 24) and not model_mod.table_fits(3, 16)
+
 
 class TestModelFiles:
     def test_roundtrip(self, tmp_path):
