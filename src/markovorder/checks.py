@@ -168,12 +168,15 @@ def _bracket(config, model, candidate):
 
 
 def _deviation_settings(s, model, candidate) -> None:
+    from .diagnostics.mc import deviation_lane_cells
+
     r, r_true = s.deviation_r, true_order(model)
     _require(r > r_true, "deviation_r", f"above the model's true order {r_true}", r)
     half = s.deviation_n // 2
     _require(s.rho <= half, "rho", f"at most verify.deviation_n / 2 = {half}", s.rho)
     _require_table(model.m, r + 1, "deviation_r", r)
     _require_table(model.m, s.rho - 1, "rho", s.rho)
+    _mirror("deviation_r", deviation_lane_cells, model.m, r, s.rho, s.deviation_replications)
 
 
 def _deviation(config, model, candidate):

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -65,13 +66,14 @@ def _round_floats(obj):
     return obj
 
 
-def _write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path`` and rename it into place,
-    so ``path`` never holds a partial file."""
+def _write_atomic(path, parts) -> None:
+    """Write the byte strings ``parts``, in turn, to a temp file beside
+    ``path`` and rename it into place, so ``path`` never holds a partial
+    file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -81,7 +83,7 @@ def _write_atomic(path, data: bytes) -> None:
 
 def _write_json(path, payload) -> None:
     text = json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(path, (text + "\n").encode())
+    _write_atomic(path, [(text + "\n").encode()])
 
 
 def _write_csv(path, header, rows) -> None:
@@ -90,7 +92,7 @@ def _write_csv(path, header, rows) -> None:
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _write_atomic(path, buf.getvalue().encode())
+    _write_atomic(path, [buf.getvalue().encode()])
 
 
 def _path_filename(replication: int) -> str:
@@ -100,7 +102,8 @@ def _path_filename(replication: int) -> str:
 # Path files hold the symbols on one line, in decimal, separated by single
 # spaces.  One routine each way covers every alphabet size; neither builds
 # an array of byte positions the size of the line, and every temporary the
-# size of the line is one byte per byte.
+# size of the line is one byte per byte.  Files are written and read a
+# window of the line at a time, so neither way holds the line whole.
 def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
     """The symbols as ``" ".join(str(s) for s in symbols)``, in bytes.
 
@@ -133,9 +136,7 @@ def _decode_span(code: np.ndarray, space: np.ndarray, m: int):
         return None, 0, None
     # last: the byte ends a symbol (it precedes a space or ends the span);
     # a symbol is empty where a space leads the span or ends a symbol
-    last = np.empty_like(space)
-    last[:-1] = space[1:]
-    last[-1] = True
+    last = np.append(space[1:], True)
     empty = space & last
     if space[0] or empty.any():
         at = 0 if space[0] else np.count_nonzero(space[:np.argmax(empty) + 1])
@@ -171,56 +172,50 @@ def _decode_span(code: np.ndarray, space: np.ndarray, m: int):
     return symbols, None, (bad, tokens[bad])
 
 
-def _decode_symbols(source, text, m: int) -> np.ndarray:
-    """Inverse of ``_encode_symbols``; rejects, naming ``source``, any text
-    that encoding a path over ``m`` symbols cannot produce.  The text is
-    bytes or a view of them (a memoryview), read in place; the symbols come
-    back in ``symbol_dtype(m)``.
+def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
+    """Inverse of ``_encode_symbols``: ``_decode_line`` over the text."""
+    return _decode_line(source, io.BytesIO(text), len(text), m)
 
-    One pass reads the line a window of DECODE_CHUNK bytes at a time: it
-    checks the window's bytes, then decodes the span up to the window's
-    last space from the same byte codes and space mask, and the next window
-    starts after that space.  So every temporary is a few times
-    DECODE_CHUNK bytes.  The first problem of the line is reported, with its
-    offset or symbol index on the line: a byte that is no digit or space,
-    else an empty symbol, else a symbol not written as one of 0..m-1 in
-    decimal.
+
+def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
+    """The symbols on the next ``size`` bytes of the binary file ``fh``;
+    rejects, naming ``source``, any line that encoding a path over ``m``
+    symbols cannot produce.  The symbols come back in ``symbol_dtype(m)``.
+
+    One pass reads the line DECODE_CHUNK bytes at a time into one reused
+    buffer.  It checks each window's bytes, after those carried over from
+    the windows before, then decodes the span up to its last space from the
+    same byte codes and space mask; the bytes after that space carry over.
+    So every temporary is a few times DECODE_CHUNK bytes.  The first
+    problem of the line is reported, with its offset or symbol index on the
+    line: a byte that is no digit or space, else an empty symbol, else a
+    symbol not written as one of 0..m-1 in decimal.
     """
-    if not text:
-        return np.zeros(0, dtype=symbol_dtype(m))
-    raw = np.frombuffer(text, dtype=np.uint8)
     # each symbol but the last takes a digit and a space, at least; the
     # array is cut to the symbols read once the line is done
-    symbols = np.empty((raw.size + 1) // 2, dtype=symbol_dtype(m))
+    symbols = np.empty((size + 1) // 2, dtype=symbol_dtype(m))
     done = 0
     empty = None  # the index of the first empty symbol
     wrong = None  # the first symbol not in decimal form: (index, token)
-    codes, spaces = [], []  # the span's earlier windows, which hold no space
-    lo = 0
-    while lo < raw.size:
-        part = raw[lo:lo + DECODE_CHUNK]
+    carry = np.zeros(0, dtype=np.uint8)  # the bytes read after the last cut space
+    buf = memoryview(bytearray(DECODE_CHUNK))
+    for lo in range(0, size, DECODE_CHUNK):
+        window = buf[:fh.readinto(buf[:size - lo])]
+        part = np.concatenate([carry, np.frombuffer(window, dtype=np.uint8)])
         code = part - np.uint8(ord("0"))
         space = part == ord(" ")
         foreign = (code > 9) & ~space
         if foreign.any():
-            at = lo + int(np.argmax(foreign))
+            at = int(np.argmax(foreign))
             raise ConfigError(
-                f"{source}: symbols: byte {raw[at:at + 1].tobytes()!r} at offset {at} "
-                "is not a digit or a space"
+                f"{source}: symbols: byte {part[at:at + 1].tobytes()!r} at offset "
+                f"{lo - carry.size + at} is not a digit or a space"
             )
         cut = part.size  # where the span ends: the line's end or the last space
-        if lo + cut < raw.size:
-            if not space.any():
-                codes.append(code)
-                spaces.append(space)
-                lo += cut
-                continue
-            cut -= 1 + int(np.argmax(space[::-1]))
-        if empty is None:  # past an empty symbol, only bytes are checked
-            code, space = code[:cut], space[:cut]
-            if codes:
-                code, space = np.concatenate(codes + [code]), np.concatenate(spaces + [space])
-            span, at, bad = _decode_span(code, space, m)
+        if lo + DECODE_CHUNK < size:  # -1 when there is none: the whole part carries over
+            cut = part.size - 1 - int(np.argmax(space[::-1])) if space.any() else -1
+        if cut >= 0 and empty is None:  # past an empty symbol, only bytes are checked
+            span, at, bad = _decode_span(code[:cut], space[:cut], m)
             if at is not None:
                 empty = done + at
             else:
@@ -228,8 +223,7 @@ def _decode_symbols(source, text, m: int) -> np.ndarray:
                     wrong = (done + bad[0], bad[1])
                 symbols[done:done + span.size] = span
                 done += span.size
-        codes, spaces = [], []
-        lo += cut + 1
+        carry = part[cut + 1:]
     if empty is not None:
         raise ConfigError(
             f"{source}: symbols: symbol {empty} is empty "
@@ -245,8 +239,16 @@ def _decode_symbols(source, text, m: int) -> np.ndarray:
 
 
 def _write_path_file(path, symbols: np.ndarray, m: int, seed: int) -> None:
-    header = f"alphabet_size: {m}\nn: {symbols.shape[0]}\nseed: {seed}\nsymbols: "
-    _write_atomic(path, b"".join((header.encode(), _encode_symbols(symbols, m), b"\n")))
+    """Write the header, then the symbols line ENCODE_CHUNK symbols at a
+    time, each run encoded alone, into the temp file that ``_write_atomic``
+    renames into place."""
+    n = symbols.shape[0]
+    header = f"alphabet_size: {m}\nn: {n}\nseed: {seed}\nsymbols: ".encode()
+    runs = (
+        (b" " if lo else b"") + _encode_symbols(symbols[lo:lo + ENCODE_CHUNK], m)
+        for lo in range(0, n, ENCODE_CHUNK)
+    )
+    _write_atomic(path, itertools.chain([header], runs, [b"\n"]))
 
 
 def _check_run_fields(source, fields: dict, expected: dict) -> None:
@@ -266,32 +268,41 @@ def _check_run_fields(source, fields: dict, expected: dict) -> None:
 def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
     """Symbols of a path file, checked against the run that reads it.
 
-    The file is read once.  Each line's key and value are found by offsets
-    into it, and the symbols are decoded from a view of their span, so the
-    symbols line is never copied.
+    A first pass reads the file a line, or DECODE_CHUNK bytes of one, at a
+    time, and keeps each line's key and value, but of the symbols line only
+    where its value starts and ends.  Once the fields check out,
+    ``_decode_line`` reads that span, so the file is never held whole.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     fields = {}
-    start = 0
-    while start <= len(data):  # one line per pass, the last one after the final newline
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        colon = data.find(b":", start, end)
-        cut = end if colon < 0 else colon
-        key = data[start:cut].strip().decode("latin-1")
-        if key == "symbols":  # a view: _decode_symbols reads it in place
-            fields[key] = memoryview(data)[cut + 1:end]
-        else:
-            fields[key] = data[cut + 1:end].strip().decode("latin-1")
-        start = end + 1
-    _check_run_fields(
-        path, fields,
-        {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": memoryview},
-    )
-    if fields["symbols"][:1] != b" ":
-        raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
-    symbols = _decode_symbols(path, fields["symbols"][1:], m)
+    # a buffer of a window or more: the first pass reads a window per call
+    with open(path, "rb", buffering=max(DECODE_CHUNK, io.DEFAULT_BUFFER_SIZE)) as fh:
+        more = True
+        while more:  # one line per pass, the last one after the final newline
+            line, start, keep = bytearray(), fh.tell(), True
+            while True:  # no bytes are kept past a symbols key
+                piece = fh.readline(DECODE_CHUNK)  # short only at a newline or the end
+                if keep:
+                    line += piece
+                    colon = line.find(b":")
+                    keep = colon < 0 or line[:colon].strip() != b"symbols"
+                if piece[-1:] == b"\n" or len(piece) < DECODE_CHUNK:
+                    break
+            more = piece[-1:] == b"\n"
+            cut = len(line) if colon < 0 else colon
+            key = line[:cut].strip().decode("latin-1")
+            if key == "symbols":  # where its value starts and ends in the file
+                fields[key] = (start + cut + 1, fh.tell() - more)
+            else:
+                fields[key] = line[cut + 1:].strip().decode("latin-1")
+        _check_run_fields(
+            path, fields,
+            {"alphabet_size": str(m), "n": str, "seed": str(seed), "symbols": tuple},
+        )
+        start, end = fields["symbols"]
+        fh.seek(start)
+        if start >= end or fh.read(1) != b" ":
+            raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
+        symbols = _decode_line(path, fh, end - start - 1, m)
     if fields["n"] != str(symbols.shape[0]):
         raise ConfigError(
             f"{path}: n is {fields['n']!r}, the symbols line holds {symbols.shape[0]}"

@@ -74,6 +74,11 @@ ABS_TOL = 1e-12
 # at most 64 KB, so a chunk's many per-step temporaries stay small
 MAX_LANES = 1 << 13
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
+# deviation_tail_mc zeroes and steps its lanes' int32 count tables chunk by
+# chunk, so its time grows with their cells summed over all lanes; it takes
+# at most this many (on two symbols at 20 000 lanes, order 10 took 2 s,
+# order 12 6 s and order 16 88 s)
+DEVIATION_CELLS = 1 << 26
 
 
 def _chunks(total: int, size: int):
@@ -215,6 +220,21 @@ class DeviationTailReport:
     usable_points: int
 
 
+def deviation_lane_cells(m: int, r: int, rho: int, replications: int) -> int:
+    """The int32 count cells of one ``deviation_tail_mc`` lane: its order-r
+    transition and context tables, and its typicality window table when
+    that is longer, each within ``check_table``.  Raises ValueError when the
+    ``replications`` lanes hold more than DEVIATION_CELLS in all."""
+    window = max(r + 1, rho - 1)
+    cells = m ** (r + 1) + m**r + (m**window if window > r + 1 else 0)
+    if replications * cells > DEVIATION_CELLS:
+        raise ValueError(
+            f"{replications} lanes of {cells} count cells each (order {r}, rho {rho}) "
+            f"pass the {DEVIATION_CELLS} cells one deviation check may take"
+        )
+    return cells
+
+
 def deviation_tail_mc(
     truth: MarkovModel,
     r: int,
@@ -245,6 +265,7 @@ def deviation_tail_mc(
     # length; at length r + 1 that is the overshoot's own transition table
     window = max(r + 1, rho - 1)
     check_table(m, window)
+    lane_cells = deviation_lane_cells(m, r, rho, replications)
     extra = m**window if window > r + 1 else 0
     log_p = masked_log_ratio(true_transition_law(truth, r), 1.0)
     eps = np.array([float(e) for e in eps_grid])
@@ -254,7 +275,7 @@ def deviation_tail_mc(
     # step_lanes codes max(depth, r0) symbols; the overshoot reads the
     # newest r of them
     cut = max(depth, r0) > r
-    lane_bytes = 4 * (m ** (r + 1) + size_r + extra)  # int32 tables
+    lane_bytes = 4 * lane_cells  # int32 tables
     for lo, hi in _chunks(replications, max(1, min(MAX_LANES, CHUNK_BYTES // lane_bytes))):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]

@@ -129,11 +129,14 @@ class MarkovModel:
 
     def label(self) -> str:
         """Opaque identifier derived from the kernel bytes."""
-        # imported here: hashlib maps OpenSSL, and only the commands that
-        # write or check a manifest read a label
-        import hashlib
+        # CPython's built-in SHA-1, the one hashlib falls back to: hashlib
+        # itself maps OpenSSL, so it is imported only where _sha1 is missing
+        try:
+            from _sha1 import sha1
+        except ImportError:
+            from hashlib import sha1
 
-        digest = hashlib.sha1(self._kernel.tobytes()).hexdigest()[:8]
+        digest = sha1(self._kernel.tobytes()).hexdigest()[:8]
         return f"m{self._m}-r{self._order}-{digest}"
 
     def __repr__(self):  # pragma: no cover - debugging aid

@@ -258,6 +258,76 @@ class TestPathFileCodec:
         assert len(line) == 2 * n - 1
         assert peak < 3 * 2 * n
 
+    def test_path_file_streamed_both_ways(self, tmp_path):
+        # a 2^20-symbol two-state path (a 2 MB line) is written a run of
+        # ENCODE_CHUNK symbols at a time, and read back a DECODE_CHUNK window
+        # at a time: reading holds the symbols and a few windows, not the file
+        n = 1 << 20
+        symbols = sample_paths(TWO_STATE, n, 3)[0]
+        path = tmp_path / "path.txt"
+        tracemalloc.start()
+        try:
+            cli._write_path_file(path, symbols, 2, 3)
+            written = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out = cli._read_path_file(path, 2, 3, n)
+            read = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2 * n and np.array_equal(out, symbols)
+        assert written < 4 * cli.DECODE_CHUNK
+        assert read < symbols.nbytes + 16 * cli.DECODE_CHUNK
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("m", [2, 11, 1000])
+    def test_streamed_path_files_match_whole_lines(self, tmp_path, monkeypatch, m, chunk):
+        # runs and windows of 1, 3 or 7 write the joined text and read back
+        # the symbols and errors of one window over the whole file, even
+        # with the fields out of order, repeated or after the symbols line
+        symbols = np.random.default_rng(m).integers(0, m, 40)
+        line = " ".join(map(str, symbols.tolist())).encode()
+        head = b"alphabet_size: %d\nn: 40\nseed: 5\n" % m
+        whole = head + b"symbols: " + line + b"\n"
+        cut = len(line) // 2 + 1  # a symbol that straddles a window edge goes bad
+        space = line.index(b" ", cut)
+        variants = [
+            whole,
+            head + b"symbols: " + line[:cut] + b"x" + line[cut + 1:] + b"\n",
+            head + b"symbols: " + line[:space] + b" " + line[space:] + b"\n",
+            head + b"symbols: " + line[:cut] + b"9999" + line[cut:] + b"\n",
+            head + b"symbols: " + line + b" \n",
+            b"symbols: " + line + b"\nseed: 5\nn: 40\nalphabet_size: %d" % m,
+            head + b"symbols: 1\n  symbols : " + line + b"\n",
+            head + b"symbols: " + line + b"\nsymbols\n",
+            head + b"symbols:" + line + b"\n",
+            head.replace(b"n: 40", b"n: 39") + b"symbols: " + line + b"\n",
+            head.replace(b"seed: 5", b"seed: 6") + b"symbols: " + line + b"x\n",
+        ]
+
+        def read(data):
+            path = tmp_path / "path.txt"
+            path.write_bytes(data)
+            try:
+                return cli._read_path_file(path, m, 5, 40).tolist()
+            except cli.ConfigError as exc:
+                return str(exc)
+
+        expected = [read(data) for data in variants]
+        assert expected[0] == expected[5] == expected[6] == symbols.tolist()
+        assert [str(e).split(": ", 1)[1] for e in expected[7:]] == [
+            "symbols: no space after 'symbols:'",
+            "symbols: no space after 'symbols:'",
+            "n is '39', the symbols line holds 40",
+            "seed is '6', this run has '5'",
+        ]
+        assert "at offset %d is not a digit" % cut in expected[1]
+        assert "is empty" in expected[2] and "9999" in expected[3] and "is empty" in expected[4]
+        monkeypatch.setattr(cli, "ENCODE_CHUNK", chunk)
+        monkeypatch.setattr(cli, "DECODE_CHUNK", chunk)
+        cli._write_path_file(tmp_path / "path.txt", symbols, m, 5)
+        assert (tmp_path / "path.txt").read_bytes() == whole
+        assert [read(data) for data in variants] == expected
+
     @pytest.mark.parametrize("m, chunk", [(2, 1), (11, 3), (1000, 7)])
     def test_chunked_encoding_matches_joined_text(self, monkeypatch, m, chunk):
         monkeypatch.setattr(cli, "ENCODE_CHUNK", chunk)
@@ -740,6 +810,9 @@ class TestVerify:
             ("bernstein_r", "order_two.model"),  # a candidate above bernstein_r = 1
             # orders whose m**r tables pass model.TABLE_CELLS
             ("deviation_r", "24"),
+            # orders whose 20 000 lanes' count tables pass mc.DEVIATION_CELLS
+            ("deviation_r", "16"),
+            ("deviation_r", "23"),
             ("bernstein_r", "30"),
             ("rho", "40"),
             # a bracket grid too fine for exact keys, envelopes past the
@@ -985,9 +1058,10 @@ def test_runs_without_scipy():
 
 def test_cli_imports_only_what_it_runs(tmp_path):
     # the CLI module loads no scoring code, diagnostics suite or process
-    # pool; verify and inline estimate write no manifest, so they never map
-    # OpenSSL through hashlib, and simulate labels the demo chain as before;
-    # the package attribute still reaches the suite
+    # pool; no command maps OpenSSL through hashlib: verify and inline
+    # estimate write no manifest, and simulate, then estimate and sweep from
+    # its path files, label the chain with the built-in SHA-1, the demo
+    # chain as before; the package attribute still reaches the suite
     script = (
         "import sys\n"
         "import markovorder, markovorder.cli as cli\n"
@@ -997,11 +1071,12 @@ def test_cli_imports_only_what_it_runs(tmp_path):
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "assert not loaded, loaded\n"
         f"demo, out = {os.path.join(ROOT, 'configs', 'demo.ini')!r}, {str(tmp_path)!r}\n"
-        "for command in ('verify', 'estimate'):\n"
-        "    assert cli.main([command, '--config', demo, '--out', out + '/' + command]) == 0\n"
+        "runs = [('verify', '/verify'), ('estimate', '/estimate')]\n"
+        "runs += [(command, '/simulate') for command in ('simulate', 'estimate', 'sweep')]\n"
+        "for command, where in runs:\n"
+        "    assert cli.main([command, '--config', demo, '--out', out + where]) == 0\n"
         "    loaded = [name for name in ('hashlib', '_hashlib') if name in sys.modules]\n"
-        "    assert not loaded, (command, loaded)\n"
-        "assert cli.main(['simulate', '--config', demo, '--out', out + '/simulate']) == 0\n"
+        "    assert not loaded, (command, where, loaded)\n"
         "markovorder.diagnostics.BoundParams(0.5)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
@@ -1011,6 +1086,8 @@ def test_cli_imports_only_what_it_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     manifest = json.loads((tmp_path / "simulate" / "manifest.json").read_text())
     assert manifest["model_label"] == "m2-r1-d82a3296"
+    for name in ("estimates.csv", "scores.csv", "recovery.csv"):  # read from the path files
+        assert (tmp_path / "simulate" / name).read_bytes() == (tmp_path / "estimate" / name).read_bytes()
 
 
 def test_package_names_resolve_on_first_read():

@@ -659,6 +659,20 @@ class TestDeviationTail:
         with pytest.raises(ValueError, match="passes 16777216 cells"):
             deviation_tail_mc(TWO_STATE, r, 64, [0.0], 10**4, eta=0.5, rho=rho, seed=3)
 
+    def test_lanes_past_the_cell_budget_rejected(self, monkeypatch):
+        # order 11 on two symbols: 2**12 + 2**11 cells a lane, 122.9M cells
+        # over 20 000 lanes; order 10 takes 61.4M of DEVIATION_CELLS = 2**26
+        with pytest.raises(ValueError, match="pass the 67108864 cells"):
+            deviation_tail_mc(TWO_STATE, 11, 64, [0.0], 20000, eta=0.5, rho=3, seed=3)
+        assert mc_mod.deviation_lane_cells(2, 10, 3, 20000) == 3 * 2**10
+        # a typicality window longer than the order's adds its own table
+        assert mc_mod.deviation_lane_cells(3, 1, 5, 1) == 9 + 3 + 81
+        # the budget is read at each call, and one at the budget runs
+        monkeypatch.setattr(mc_mod, "DEVIATION_CELLS", 12 * 100)
+        deviation_tail_mc(TWO_STATE, 2, 16, [0.0], 100, eta=0.5, rho=3, seed=3)
+        with pytest.raises(ValueError, match="101 lanes of 12 count cells"):
+            deviation_tail_mc(TWO_STATE, 2, 16, [0.0], 101, eta=0.5, rho=3, seed=3)
+
     def test_zero_eps_recovers_event_rate(self):
         report = deviation_tail_mc(
             TWO_STATE, 2, 64, [0.0, 1.0], 10**4, eta=0.5, rho=3, seed=3

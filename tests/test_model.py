@@ -616,6 +616,33 @@ class TestValidation:
         assert model_mod.table_fits(2, 24) and not model_mod.table_fits(3, 16)
 
 
+class TestLabel:
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 4), order=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_label_is_the_sha1_of_the_kernel_bytes(self, m, order, seed):
+        import hashlib
+
+        model = random_model(m, order, seed)
+        digest = hashlib.sha1(model.kernel.tobytes()).hexdigest()
+        assert model.label() == f"m{m}-r{order}-{digest[:8]}"
+
+    def test_label_without_the_builtin_sha1(self):
+        # where CPython has no _sha1 module, label() falls back on hashlib
+        script = (
+            "import sys; sys.modules['_sha1'] = None\n"
+            "from markovorder import MarkovModel\n"
+            "print(MarkovModel([[0.7, 0.3], [0.2, 0.8]]).label())\n"
+            "assert 'hashlib' in sys.modules\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == TWO_STATE.label() == "m2-r1-d82a3296"
+
+
 class TestModelFiles:
     def test_roundtrip(self, tmp_path):
         model = random_model(3, 2, seed=1)
