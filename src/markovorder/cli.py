@@ -2,7 +2,9 @@
 
 Every command is a deterministic function of (config file, master seed):
 outputs carry no timestamps, floats are printed with 12 significant
-digits, and replication ordering is by index regardless of --jobs.
+digits, and replication ordering is by index regardless of --jobs.  Nor
+do they depend on the core count or on OPENBLAS_NUM_THREADS: a command
+runs BLAS on one thread (below).
 
 Exit codes: 0 success, 1 config/validation/check failure, 2 IO failure.
 """
@@ -18,6 +20,14 @@ import json
 import math
 import os
 import sys
+
+# numpy's bundled OpenBLAS starts a thread pool when numpy loads; one
+# thread saves each command process about 0.07 s and keeps the dense
+# stationary solve's bits off the thread count.  An inherited value is
+# overridden, --jobs workers inherit the pin, and a program that loaded
+# numpy first keeps its own pool.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -214,6 +224,10 @@ def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
         cut = part.size  # where the span ends: the line's end or the last space
         if lo + DECODE_CHUNK < size:  # -1 when there is none: the whole part carries over
             cut = part.size - 1 - int(np.argmax(space[::-1])) if space.any() else -1
+        # the bytes after the cut carry over, copied so that this window's
+        # bytes and the check's mask are freed before the span is decoded
+        carry = part[cut + 1:].copy()
+        del part, foreign
         if cut >= 0 and empty is None:  # past an empty symbol, only bytes are checked
             span, at, bad = _decode_span(code[:cut], space[:cut], m)
             if at is not None:
@@ -223,7 +237,6 @@ def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
                     wrong = (done + bad[0], bad[1])
                 symbols[done:done + span.size] = span
                 done += span.size
-        carry = part[cut + 1:]
     if empty is not None:
         raise ConfigError(
             f"{source}: symbols: symbol {empty} is empty "
