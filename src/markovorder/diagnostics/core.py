@@ -17,7 +17,7 @@ import numpy as np
 from .._contexts import context_codes
 from ..counts import ContextCounts, prefix_counts
 from ..likelihood import MixtureKernel, log_ratio_table, masked_log_ratio
-from ..model import MarkovModel, lift_kernel, stationary_block_law
+from ..model import MarkovModel, stationary_block_law
 
 _PHI_SERIES_CUT = 1e-4
 # bernstein_norm, and the batteries' window counts, read the rows of a stack
@@ -50,8 +50,9 @@ def typicality_deviations(truth, context_counts, n: int) -> list:
     """Worst relative deviation ``|N(a) / ((n-d) P*(a)) - 1|`` over the
     supported depth-d contexts a, for each depth d.
 
-    ``context_counts[d]`` holds the depth-d counts of an n-symbol path, with
-    any leading lane axes; the result holds one array (or scalar) per depth.
+    ``context_counts`` yields the depth-d counts of an n-symbol path for
+    d = 0, 1, .., with any leading lane axes; the result holds one array
+    (or scalar) per depth.
     ``truth`` is one model for every lane, or a ``ModelStack`` whose kernel
     g is the truth of lane g, so that P* is each lane's own law.
     """
@@ -65,6 +66,16 @@ def typicality_deviations(truth, context_counts, n: int) -> list:
         ratio -= 1.0
         devs.append(np.abs(ratio, out=ratio).max(axis=-1))
     return devs
+
+
+def typical(truth, context_counts, n: int, eta: float):
+    """Whether every deviation (``typicality_deviations``) of the depth
+    tables of an n-symbol path is strictly below eta: one bool per lane,
+    and True when there is no depth."""
+    held = True
+    for dev in typicality_deviations(truth, context_counts, n):
+        held = held & (dev < eta)
+    return held
 
 
 def typicality_check(
@@ -82,7 +93,7 @@ def typicality_check(
     if rho_n > counts.depth_cap:
         raise ValueError(f"rho {rho_n} exceeds the depth cap {counts.depth_cap}")
     by_depth = [counts.context_counts(r) for r in range(rho_n)]
-    return all(d < eta for d in typicality_deviations(truth, by_depth, counts.n))
+    return bool(typical(truth, by_depth, counts.n, eta))
 
 
 def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
@@ -245,19 +256,6 @@ def count_pitch(m: int, r: int, n: int, sigma: float, eta: float) -> tuple[float
     return delta, beta
 
 
-def observed_steps(truth: MarkovModel, paths, r: int):
-    """The steps i = r+1..n of each path (one per row of ``paths``): their
-    order-r context codes, their symbols x_i and the truth's probabilities
-    of them, each of shape (paths, n - r)."""
-    symbols = np.asarray(paths)
-    codes = context_codes(symbols, r, truth.m)
-    nxt = symbols[:, r:].astype(np.int64)
-    t_obs = lift_kernel(truth.kernel, truth.m, r)[codes, nxt]
-    if np.any(t_obs <= 0.0):
-        raise ValueError("path has zero probability under the truth")
-    return codes, nxt, t_obs
-
-
 def bracket_log_envelopes(
     table_t: np.ndarray, kernel: np.ndarray, lower: np.ndarray, upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,8 +266,8 @@ def bracket_log_envelopes(
     included): xi is the log-ratio of the truth-mixed kernel against the
     truth, and Lambda/Upsilon the same transform of the bracket envelopes,
     0 where the truth puts no mass; Lambda <= xi <= Upsilon entrywise
-    whenever lower <= kernel <= upper.  A path's envelopes at its
-    ``observed_steps`` (codes, nxt) are the entries [codes, nxt].
+    whenever lower <= kernel <= upper.  A path's envelopes at a step from
+    order-r context a to symbol b are the entries [a, b].
     """
 
     def logratio(table):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._contexts import symbol_dtype, window_codes
-from ..counts import prefix_counts
 from ..estimator import grid_logliks, required_depth_cap
 from ..likelihood import (
     RunningOvershoot,
@@ -61,10 +60,8 @@ from .core import (
     count_pitch,
     entropy_bound,
     hellinger_stationary_distance,
-    observed_steps,
     phi,
-    typicality_check,
-    typicality_deviations,
+    typical,
     weighted_hellinger,
 )
 
@@ -89,7 +86,8 @@ def _chunks(total: int, size: int):
 
 
 def _lane_context_counts(windows, head, recent, i: int, m: int, length: int, rho: int):
-    """Each lane's depth-d context counts on its first i symbols, d < rho.
+    """Yield each lane's depth-d context counts on its first i symbols, for
+    d = 0..rho-1, one depth at a time.
 
     ``windows`` tallies each lane's length-``length`` windows ending at
     positions length..i (newest symbol least significant), ``head`` codes its
@@ -101,14 +99,13 @@ def _lane_context_counts(windows, head, recent, i: int, m: int, length: int, rho
     lanes = head.shape[0]
     rows = np.arange(lanes)
     h = min(length - 1, i)
-    out = []
     for d in range(rho):
-        freq = windows.reshape(lanes, m ** (length - d), m**d).sum(axis=1, dtype=np.int64)
+        # a count never passes i, which the windows' own type holds
+        freq = windows.reshape(lanes, m ** (length - d), m**d).sum(axis=1, dtype=windows.dtype)
         for s in range(h - d + 1):
             freq[rows, head // m ** (h - d - s) % m**d] += 1
         freq[rows, recent % m**d] -= 1
-        out.append(freq)
-    return out
+        yield freq
 
 
 # -- martingale maximum vs the closed-form tail ------------------------------
@@ -296,12 +293,11 @@ def deviation_tail_mc(
                 else:
                     run.step(ctx, trans, i >= n)
             if i == n or i == length:
-                # the lane tables are freed once read, not held into the next
-                # chunk
-                counts = _lane_context_counts(windows, head, trans, i, m, window, rho)
-                for dev in typicality_deviations(truth, counts, i):
-                    good &= dev < eta
-                del counts
+                # the lane tables are read one depth at a time and freed once
+                # read, not held into the next chunk
+                good &= typical(
+                    truth, _lane_context_counts(windows, head, trans, i, m, window, rho), i, eta
+                )
         f_count += int(np.count_nonzero(good))
         for j in range(eps.shape[0]):
             hits[j] += int(np.count_nonzero(good & (run.best >= eps[j])))
@@ -408,16 +404,26 @@ def typicality_trend(
     seeds: int,
     seed: int,
 ) -> TypicalityTrendReport:
-    """How often the typicality event holds at two path lengths."""
+    """How often the typicality event holds at two path lengths, read from
+    the window tallies of each chunk of paths (``_path_context_counts``)."""
     if n_small >= n_large:
         raise ValueError(f"n_small {n_small} must be below n_large {n_large}")
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
+    if rho >= n_small:
+        raise ValueError(f"rho {rho} must be below n_small {n_small}")
+    m = truth.m
     holds = [0, 0]
-    path_bytes = symbol_dtype(truth.m).itemsize * n_large
-    for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // path_bytes)):
-        for path in sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi))):
-            tables = prefix_counts(path, (n_small, n_large), min(rho, n_small - 1), truth.m)
-            for k, counts in enumerate(tables):
-                holds[k] += typicality_check(truth, counts, eta, rho)
+    # the depth tables of the first rho depths are read from windows of
+    # ``depth`` symbols; a path takes n_large symbols, and its int64 window
+    # table and the count tables read from it at most 24 * m**depth bytes
+    depth = max(rho, 1)
+    lane_bytes = symbol_dtype(m).itemsize * n_large + 24 * m**depth
+    for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // lane_bytes)):
+        paths = sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi)))
+        for k, n in enumerate((n_small, n_large)):
+            held = typical(truth, _path_context_counts(paths, n, m, depth)[:rho], n, eta)
+            holds[k] += int(np.count_nonzero(np.broadcast_to(held, hi - lo)))
     return TypicalityTrendReport(eta, rho, n_small, n_large, seeds, *holds)
 
 
@@ -448,30 +454,42 @@ def _compare(small, big):
     return ratio[()], (small > big * (1.0 + REL_TOL) + ABS_TOL)[()]
 
 
-def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
-    """Each row's depth-d context counts, d < depth, on its first ``ends``
-    symbols (one end for every row, or one per row, each at least
-    ``depth``), read as ``_lane_context_counts`` reads them from one table
-    of the rows' windows of ``depth`` symbols.  The table is tallied by
-    bincounts of lane-offset window codes, ``ROW_CELLS`` symbols at a time.
+def _path_windows(paths: np.ndarray, ends, m: int, length: int):
+    """Each row's tally of its windows of ``length`` symbols that end at
+    positions length..ends (one end for every row, or one per row), as one
+    flat int64 table of rows * m**length cells, and the code of the window
+    that ends at each row's end, for the rows that hold one.  The table is
+    tallied by bincounts of lane-offset window codes, ``ROW_CELLS`` symbols
+    at a time.
     """
     lanes = paths.shape[0]
     ends = np.broadcast_to(ends, (lanes,))
-    size = m**depth
+    size = m**length
     windows = np.empty(lanes * size, dtype=np.int64)
-    recent = np.empty(lanes, dtype=np.int64)
+    recent = np.zeros(lanes, dtype=np.int64)
     every = max(1, ROW_CELLS // paths.shape[1])
     for lo, hi in _chunks(lanes, every):
-        # window t of a row ends at position depth + t
-        codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], depth, m)
-        valid = np.arange(codes.shape[1]) <= (ends[lo:hi] - depth)[:, None]
+        # window t of a row ends at position length + t
+        codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], length, m)
+        last = ends[lo:hi] - length
+        valid = np.arange(codes.shape[1]) <= last[:, None]
         lane_at = np.arange(hi - lo, dtype=np.int64)[:, None] * size
         windows[lo * size : hi * size] = np.bincount(
             (codes + lane_at)[valid], minlength=(hi - lo) * size
         )
-        recent[lo:hi] = codes[np.arange(hi - lo), ends[lo:hi] - depth]
+        if codes.shape[1]:  # rows shorter than a window have no last one
+            recent[lo:hi] = codes[np.arange(hi - lo), last]
+    return windows, recent
+
+
+def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
+    """Each row's depth-d context counts, d < depth, on its first ``ends``
+    symbols (each end at least ``depth``), read as ``_lane_context_counts``
+    reads them from the ``_path_windows`` table of the rows' windows of
+    ``depth`` symbols."""
+    windows, recent = _path_windows(paths, ends, m, depth)
     head = window_codes(paths[:, : depth - 1], depth - 1, m)[:, 0]
-    return _lane_context_counts(windows, head, recent, int(ends.min()), m, depth, depth)
+    return list(_lane_context_counts(windows, head, recent, int(np.min(ends)), m, depth, depth))
 
 
 def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
@@ -559,14 +577,13 @@ def hellinger_sandwich_battery(
         truths = ModelStack(random_kernels(2, 1, derive_seed(bases, 1), floor=0.15))
         paths = sample_paths(truths, 2 * n, derive_seed(bases, 2))
         counts = [_path_context_counts(paths, i, 2, depth) for i in (n, 2 * n)]
-        typical = np.ones(chunk, dtype=bool)
+        held = np.ones(chunk, dtype=bool)
         for i, by_depth in zip((n, 2 * n), counts):
-            for dev in typicality_deviations(truths, by_depth[:rho], i):
-                typical &= dev < eta
-        hits = np.cumsum(typical)
+            held &= typical(truths, by_depth[:rho], i, eta)
+        hits = np.cumsum(held)
         scanned = int(np.searchsorted(hits, need)) + 1 if hits[-1] >= need else chunk
         attempts += scanned
-        taken = np.flatnonzero(typical[:scanned])
+        taken = np.flatnonzero(held[:scanned])
         accepted += taken.size
         mix_a, mix_b = (
             mixture_kernel(ModelStack(random_kernels(2, r, derive_seed(bases, j))), truths, r)
@@ -608,12 +625,9 @@ def bracket_battery(
     gap_cap = beta / np.sqrt(weights[supported])[:, None]
     table_t = lift_kernel(truth.kernel, m, r)
     paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
-    codes, nxt, _ = observed_steps(truth, paths, r)
-    # how often each path takes each transition (context, symbol)
-    cells = m ** (r + 1)
-    lane_at = np.arange(n_paths, dtype=np.int64)[:, None] * cells
-    taken = np.bincount((lane_at + codes * m + nxt).ravel(), minlength=n_paths * cells)
-    taken = taken.reshape(n_paths, cells)
+    # how often each path takes each transition (context, symbol): its
+    # windows of r + 1 symbols
+    taken = _path_windows(paths, path_len, m, r + 1)[0].reshape(n_paths, m ** (r + 1))
     violations = 0
     worst = 0.0
     per_kernel = 8 * (16 * m ** (r + 1) + n_paths)  # bytes of one kernel's tables

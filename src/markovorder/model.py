@@ -148,11 +148,10 @@ class ModelStack:
     shape (K, m**r, m), with initial laws of shape (K, m**r) (by default
     each kernel's stationary law).
 
-    The stack reads as the sequence of its K models, and the functions that
-    build a model's tables take a stack too, with a leading axis of length
-    K on each table: ``stationary_distribution``, ``stationary_block_law``,
-    ``lift_kernel`` (of ``stack.kernel``) and ``likelihood.mixture_kernel``.
-    ``sample_paths`` steps lane g on kernel g.
+    The functions that build a model's tables take a stack too, with a
+    leading axis of length K on each table: ``stationary_distribution``,
+    ``stationary_block_law``, ``lift_kernel`` (of ``stack.kernel``) and
+    ``likelihood.mixture_kernel``.  ``sample_paths`` steps lane g on kernel g.
     """
 
     def __init__(self, kernels, initial=None):
@@ -172,12 +171,6 @@ class ModelStack:
         if self._initial is None:
             return stationary_distribution(self)
         return self._initial
-
-    def __len__(self) -> int:
-        return self.kernel.shape[0]
-
-    def __getitem__(self, g: int) -> MarkovModel:
-        return MarkovModel(self.kernel[g], self.initial[g])
 
 
 def _shift_base(m: int, order: int, kernels: int = 1) -> np.ndarray:
@@ -520,12 +513,11 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     ``symbol_dtype(m)``: uint8 for m <= 256.
 
     ``model`` is one ``MarkovModel`` for every seed, or a ``ModelStack``
-    or a sequence of models of one alphabet and order, one per seed.  Such
-    a stack of K kernels steps as one block-diagonal context chain: its
-    thresholds are the K kernels' rows one after another, K * m**r rows,
-    the code of context c of kernel g is ``g * m**r + c``, and it moves on
-    symbol b to ``g * m**r + (c * m + b) % m**r``.  One model is the stack
-    K = 1.
+    with one kernel per seed.  Such a stack of K kernels steps as one
+    block-diagonal context chain: its thresholds are the K kernels' rows
+    one after another, K * m**r rows, the code of context c of kernel g is
+    ``g * m**r + c``, and it moves on symbol b to
+    ``g * m**r + (c * m + b) % m**r``.  One model is the stack K = 1.
 
     Stream layout: uniform 0 picks the initial context block, uniform k >= 1
     picks the symbol at position r + k.
@@ -544,15 +536,9 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
         raise ValueError("path length must be >= 1")
     seeds = np.atleast_1d(_as_u64(seeds))
     lanes = seeds.shape[0]
-    stacked = not isinstance(model, MarkovModel)
-    if stacked:
-        models = model if isinstance(model, ModelStack) else list(model)
-        if not 0 < len(models) == lanes:
-            raise ValueError(f"{len(models)} models for {lanes} seeds: give one model per seed")
-        if models is not model:
-            if any((other.m, other.order) != (models[0].m, models[0].order) for other in models):
-                raise ValueError("stacked models must share one alphabet size and order")
-            model = ModelStack([one.kernel for one in models], [one.initial for one in models])
+    stacked = isinstance(model, ModelStack)
+    if stacked and model.kernel.shape[0] != lanes:
+        raise ValueError(f"{model.kernel.shape[0]} kernels for {lanes} seeds: give one per seed")
     m, r, size = model.m, model.order, model.n_contexts
     kernels = model.kernel.reshape(-1, size, m)
     columns, base = _step_tables(kernels, m, r)

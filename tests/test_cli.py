@@ -964,6 +964,31 @@ class TestExitCodesAndDeterminism:
         assert orders == {100: set(range(6)), 200: set(range(7))}  # kappa = floor(log2 n)
 
     @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("simulate", {"replications": 10**14}),
+            ("estimate", {"n_grid": f"1024 {10**15}"}),
+            ("verify", {"checks": "typicality", "typicality_n_large": 10**15}),
+        ],
+        ids=["replications", "n_grid", "typicality_n_large"],
+    )
+    def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings):
+        # each setting sizes an array past 2**48 bytes, more than an address
+        # space holds, so its allocation fails at once whatever the
+        # overcommit policy
+        cfg = demo_config(tmp_path, {})
+        text = cfg.read_text()
+        for key, value in settings.items():
+            text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert count == 1
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
+    @pytest.mark.parametrize(
         "key, spec, named",
         [
             ("penalty.spec", "bic C=5", "unknown parameter 'C'"),

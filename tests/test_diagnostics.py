@@ -139,16 +139,27 @@ class TestEventF:
         assert report.improving
         assert 0 <= report.holds_small <= 20 and report.holds_large <= 20
 
-    def test_typicality_trend_matches_event_per_path(self, monkeypatch):
-        report = typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9)
-        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 512 * 7)  # 7 one-byte paths per chunk
-        assert typicality_trend(TWO_STATE, 0.3, 3, 64, 512, 30, seed=9) == report
+    @pytest.mark.parametrize("rho", [0, 1, 3])
+    def test_typicality_trend_matches_event_per_path(self, monkeypatch, rho):
+        report = typicality_trend(TWO_STATE, 0.3, rho, 64, 512, 30, seed=9)
+        # 7 one-byte paths, with their 192 bytes of count tables each, per chunk
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", (512 + 192) * 7)
+        assert typicality_trend(TWO_STATE, 0.3, rho, 64, 512, 30, seed=9) == report
         small = large = 0
         for path in sample_paths(TWO_STATE, 512, derive_seed(9, np.arange(30))):
-            small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, 3)
-            large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, 3)
+            small += typicality_check(TWO_STATE, build_counts(path[:64], 3, 2), 0.3, rho)
+            large += typicality_check(TWO_STATE, build_counts(path, 3, 2), 0.3, rho)
         assert (report.holds_small, report.holds_large) == (small, large)
-        assert 0 < small < 30  # the comparison is not between two constants
+        # below depth 1 every path holds; at rho 3 the comparison is not
+        # between two constants
+        assert (0 < small < 30) == (rho == 3)
+
+    @pytest.mark.parametrize(
+        "eta, rho, match", [(0.5, 64, "rho"), (0.5, 65, "rho"), (1.5, 3, "eta")]
+    )
+    def test_typicality_trend_needs_eta_in_range_and_rho_below_n_small(self, eta, rho, match):
+        with pytest.raises(ValueError, match=match):
+            typicality_trend(TWO_STATE, eta, rho, 64, 512, 4, seed=5)
 
     @pytest.mark.parametrize("n_small, n_large", [(2**14, 2**10), (1024, 1024)])
     def test_typicality_trend_needs_growing_paths(self, n_small, n_large):
@@ -264,8 +275,8 @@ class TestStackedDistances:
             counts = mc_mod._path_context_counts(paths, lengths, m, r + 1)[r]
         dists = weighted_hellinger(counts, mix, mixture_kernel(truths, truths, r))
         for g, n in enumerate(lengths):
-            truth, path = truths[g], paths[g, :n]
-            one = mixture_kernel(cands[g], truth, r)
+            truth, path = MarkovModel(truths.kernel[g]), paths[g, :n]
+            one = mixture_kernel(MarkovModel(cands.kernel[g]), truth, r)
             t_rows, log_ratio, _ = log_ratio_rows(truth, one, path, n)
             flat = t_rows * phi(0.5 * np.abs(log_ratio))  # (steps, m)
             assert norms[g] == bernstein_norm(truth, one, path, r, n) == 8.0 * float(flat.sum())
@@ -412,7 +423,7 @@ class TestBatteriesMatchPerInstanceLoops:
         calls = []
 
         def counting(models, n, seeds):
-            calls.append((models[0].m, models[0].order))
+            calls.append((models.m, models.order))
             return sample_paths(models, n, seeds)
 
         monkeypatch.setattr(mc_mod, "sample_paths", counting)
@@ -436,8 +447,13 @@ class TestBatteriesMatchPerInstanceLoops:
     @pytest.mark.parametrize("abs_tol", [None, -1e-3], ids=["slack", "negative-slack"])
     @pytest.mark.parametrize(
         "truth, kernels, paths, path_len, beta, r, seed",
-        [(TWO_STATE, 20, 10, 128, 0.05, 1, 3), (random_model(3, 1, 5), 12, 6, 64, 0.1, 2, 8)],
-        ids=["two-state", "three-symbols"],
+        [
+            (TWO_STATE, 20, 10, 128, 0.05, 1, 3),
+            (random_model(3, 1, 5), 12, 6, 64, 0.1, 2, 8),
+            # paths too short to take any transition
+            (random_model(2, 2, 6), 8, 5, 2, 0.05, 2, 4),
+        ],
+        ids=["two-state", "three-symbols", "no-transitions"],
     )
     def test_bracket(self, monkeypatch, abs_tol, truth, kernels, paths, path_len, beta, r, seed):
         args = (truth, kernels, paths, path_len, beta, r, seed)
@@ -738,12 +754,14 @@ class TestDeviationTail:
         eps = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         lanes = 200
         seen = []  # (i, per-depth lane counts) at each typicality check
+        deviations = core_mod.typicality_deviations
 
         def recording(truth_, counts, i):
+            counts = list(counts)
             seen.append((i, [c.copy() for c in counts]))
-            return core_mod.typicality_deviations(truth_, counts, i)
+            return deviations(truth_, counts, i)
 
-        with mock.patch.object(mc_mod, "typicality_deviations", recording):
+        with mock.patch.object(core_mod, "typicality_deviations", recording):
             report = deviation_tail_mc(truth, r, n, eps, lanes, eta, rho, seed)
         assert [i for i, _ in seen] == [n, 2 * n]
         events, hits = 0, [0] * len(eps)

@@ -20,7 +20,7 @@ from markovorder import (
     underestimation_gap,
 )
 from markovorder.estimator import argmax_score, grid_logliks, required_depth_cap
-from markovorder.model import lift_kernel, stationary_distribution
+from markovorder.model import ModelStack, lift_kernel, stationary_distribution
 from markovorder.penalty import cutoff_value
 from markovorder.rng import derive_seed
 
@@ -54,7 +54,8 @@ class TestEstimateOrder:
 
     def test_never_reaches_cutoff(self):
         models = [random_model(2, 1, seed=derive_seed(90, i)) for i in range(20)]
-        for path in sample_paths(models, 2048, derive_seed(91, np.arange(20))):
+        stack = ModelStack([model.kernel for model in models])
+        for path in sample_paths(stack, 2048, derive_seed(91, np.arange(20))):
             counts = build_counts(path, 6, m=2)
             result = estimate_order(counts, LogLogPenalty(5.0), SubLogCutoff(), 2)
             kappa = cutoff_value(SubLogCutoff(), 2048, 2)
@@ -69,7 +70,8 @@ class TestEstimateOrder:
         # a pointwise-larger penalty with gaps growing in r can only push the
         # argmax down
         models = [random_model(2, 2, seed=derive_seed(92, i)) for i in range(30)]
-        for path in sample_paths(models, 1024, derive_seed(93, np.arange(30))):
+        stack = ModelStack([model.kernel for model in models])
+        for path in sample_paths(stack, 1024, derive_seed(93, np.arange(30))):
             counts = build_counts(path, 5, m=2)
             small = estimate_order(counts, LogLogPenalty(3.0), SubLogCutoff(), 2)
             big = estimate_order(counts, LogLogPenalty(7.0), SubLogCutoff(), 2)

@@ -25,7 +25,7 @@ from markovorder import (
 from markovorder.counts import _merge
 from markovorder.diagnostics import hellinger_path_distance
 from markovorder.likelihood import lil_from_logliks, max_loglik_vector
-from markovorder.model import lift_kernel
+from markovorder.model import ModelStack, lift_kernel
 from markovorder.rng import derive_seed
 
 
@@ -218,7 +218,8 @@ class TestDeltaStatistic:
 
     def test_nonnegative_on_sampled_instances(self):
         models = [random_model(2, 1, seed=derive_seed(50, i)) for i in range(1000)]
-        paths = sample_paths(models, 24, derive_seed(51, np.arange(1000)))
+        stack = ModelStack([model.kernel for model in models])
+        paths = sample_paths(stack, 24, derive_seed(51, np.arange(1000)))
         for model, path in zip(models, paths):
             assert delta_running_max(model, path, 2, 24, 24) >= 0.0
 
@@ -289,7 +290,8 @@ class TestKlCompensator:
 
     def test_nonnegative_and_dominates_hellinger(self):
         truths = [random_model(2, 1, seed=derive_seed(70, i)) for i in range(1000)]
-        paths = sample_paths(truths, 30, derive_seed(72, np.arange(1000)))
+        stack = ModelStack([truth.kernel for truth in truths])
+        paths = sample_paths(stack, 30, derive_seed(72, np.arange(1000)))
         for i, (truth, path) in enumerate(zip(truths, paths)):
             cand = random_model(2, 1, seed=derive_seed(71, i))
             mix = mixture_kernel(cand, truth, 1)

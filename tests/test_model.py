@@ -250,11 +250,11 @@ class TestStacks:
     def test_stack_block_laws_and_items(self):
         seeds = derive_seed(3, np.arange(5))
         stack = ModelStack(random_kernels(3, 1, seeds))
-        assert len(stack) == 5
+        assert stack.kernel.shape[0] == 5
         for g, seed in enumerate(seeds):
             model = random_model(3, 1, seed)
-            assert (stack[g].kernel == model.kernel).all()
-            assert (stack[g].initial == stationary_distribution(model)).all()
+            assert (stack.kernel[g] == model.kernel).all()
+            assert (stack.initial[g] == stationary_distribution(model)).all()
             for length in range(4):
                 law = stationary_block_law(stack, length)[g]
                 assert (law == stationary_block_law(model, length)).all()
@@ -381,24 +381,26 @@ class TestSamplePath:
             return MarkovModel(kernel, initial=initial / initial.sum())
 
         models = [lane_model(k) for k in range(len(seeds))] if stacked else [lane_model(0)]
-        batch = sample_paths(models if stacked else models[0], n, seeds)
+        stack = ModelStack([one.kernel for one in models], [one.initial for one in models])
+        batch = sample_paths(stack if stacked else models[0], n, seeds)
         assert batch.shape == (len(seeds), n)
         for i, s in enumerate(seeds):
             assert np.array_equal(batch[i], reference_path(models[i % len(models)], n, s))
 
     @pytest.mark.parametrize(
-        "models, seeds",
+        "kernels, match",
         [
-            ([TWO_STATE], [1, 2]),
-            ([], []),
-            ([TWO_STATE, MarkovModel([[0.5, 0.5]])], [1, 2]),
-            ([TWO_STATE, MarkovModel([[0.5, 0.5, 0.0]] * 3)], [1, 2]),
+            ([TWO_STATE.kernel], "one per seed"),
+            ([TWO_STATE.kernel] * 3, "one per seed"),
+            ([TWO_STATE.kernel, [[0.5, 0.5]]], None),
+            ([TWO_STATE.kernel, [[0.5, 0.5, 0.0]] * 3], None),
         ],
-        ids=["one-model-two-seeds", "empty", "other-order", "other-alphabet"],
+        ids=["one-kernel-two-seeds", "three-kernels-two-seeds", "other-order", "other-alphabet"],
     )
-    def test_stack_needs_one_model_per_seed_of_one_shape(self, models, seeds):
-        with pytest.raises(ValueError):
-            sample_paths(models, 10, seeds)
+    def test_stack_needs_one_model_per_seed_of_one_shape(self, kernels, match):
+        # a stack of kernels of two shapes is refused before any sampling
+        with pytest.raises(ValueError, match=match):
+            sample_paths(ModelStack(kernels), 10, [1, 2])
 
     def test_never_emits_a_zero_probability_symbol(self, monkeypatch):
         # the row sums to 1 - 1e-13, inside the tolerance, so the largest
