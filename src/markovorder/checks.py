@@ -176,7 +176,9 @@ def _deviation_settings(s, model, candidate) -> None:
     _require(s.rho <= half, "rho", f"at most verify.deviation_n / 2 = {half}", s.rho)
     _require_table(model.m, r + 1, "deviation_r", r)
     _require_table(model.m, s.rho - 1, "rho", s.rho)
-    _mirror("deviation_r", deviation_lane_cells, model.m, r, s.rho, s.deviation_replications)
+    # past r + 1 symbols, rho's typicality window is a lane's largest table
+    key = "rho" if s.rho - 1 > r + 1 else "deviation_r"
+    _mirror(key, deviation_lane_cells, model.m, r, s.rho, s.deviation_replications)
 
 
 def _deviation(config, model, candidate):

@@ -37,7 +37,6 @@ from .checks import CHECKS
 from .config import ConfigError, ExperimentConfig, load_config
 from .model import (
     MarkovModel,
-    ReducibleChainError,
     read_model_file,
     sample_paths,
     stationary_distribution,
@@ -386,13 +385,14 @@ def _read_model(key: str, path) -> MarkovModel:
 
 def _resolve_law(model: MarkovModel, path, stationary: bool = False) -> None:
     """Resolve, once, the initial law the sampler reads or, with
-    ``stationary``, the stationary law the checks read; a chain with more
-    than one closed class has none and fails naming ``model.file`` and the
-    file ``path``, before any output is written."""
+    ``stationary``, the stationary law the checks read; one that cannot be
+    solved fails naming ``model.file`` and the file ``path``, before any
+    output is written."""
     try:
         stationary_distribution(model) if stationary else model.initial
-    except ReducibleChainError as exc:
-        raise ConfigError(f"model.file: {path}: {exc}")
+    except ValueError as exc:
+        hint = "an initial: line spares simulate, estimate and sweep this solve"
+        raise ConfigError(f"model.file: {path}: {exc}; {hint}")
 
 
 def cmd_simulate(config: ExperimentConfig) -> int:

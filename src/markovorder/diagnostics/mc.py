@@ -415,9 +415,10 @@ def typicality_trend(
     m = truth.m
     holds = [0, 0]
     # the depth tables of the first rho depths are read from windows of
-    # ``depth`` symbols; a path takes n_large symbols, and its int64 window
-    # table and the count tables read from it at most 24 * m**depth bytes
+    # max(rho - 1, 1) symbols; a path takes n_large symbols, and its int64
+    # window table and the count tables read from it at most 24 * m**depth bytes
     depth = max(rho, 1)
+    check_table(m, max(rho - 1, 1))
     lane_bytes = symbol_dtype(m).itemsize * n_large + 24 * m**depth
     for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // lane_bytes)):
         paths = sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi)))
@@ -486,10 +487,11 @@ def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
     """Each row's depth-d context counts, d < depth, on its first ``ends``
     symbols (each end at least ``depth``), read as ``_lane_context_counts``
     reads them from the ``_path_windows`` table of the rows' windows of
-    ``depth`` symbols."""
-    windows, recent = _path_windows(paths, ends, m, depth)
-    head = window_codes(paths[:, : depth - 1], depth - 1, m)[:, 0]
-    return list(_lane_context_counts(windows, head, recent, int(np.min(ends)), m, depth, depth))
+    max(depth - 1, 1) symbols, the longest context counted."""
+    length = max(depth - 1, 1)
+    windows, recent = _path_windows(paths, ends, m, length)
+    head = window_codes(paths[:, : length - 1], length - 1, m)[:, 0]
+    return list(_lane_context_counts(windows, head, recent, int(np.min(ends)), m, length, depth))
 
 
 def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:

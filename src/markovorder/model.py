@@ -257,69 +257,62 @@ def _dense_solve(probs: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)[..., 0]
 
 
-def _closed_class_law(model: MarkovModel) -> np.ndarray:
-    """Stationary law of one chain, solved on its unique closed class (dense
-    solve for m**r <= 4096, power iteration above); transient contexts get
-    probability zero."""
-    m, order = model.m, model.order
-    size = m**order
-    support = _closed_class(model)
-    k = support.shape[0]
-    targets = _shift_targets(m, order)[support]
-    # positions of targets within the closed class; positive-probability
-    # targets stay inside, zero-probability ones are clipped and ignored
-    pos = np.clip(np.searchsorted(support, targets), 0, k - 1)
-    probs = model.kernel[support]
-    if size <= DENSE_SOLVE_LIMIT:
-        sub = _dense_solve(probs[None], pos)[0]
-    else:
-        sub = np.full(k, 1.0 / k)
-        flat_pos = pos.ravel()
-        flat_probs = probs.ravel()
-        rows = np.repeat(np.arange(k), m)
-        for _ in range(POWER_ITER_MAX):
-            nxt = np.zeros(k)
-            np.add.at(nxt, flat_pos, sub[rows] * flat_probs)
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - sub)) <= POWER_ITER_TOL:
-                sub = nxt
-                break
-            sub = nxt
-        else:
-            raise RuntimeError("power iteration did not converge")
-    pi = np.zeros(size)
-    pi[support] = np.clip(sub, 0.0, None)
-    pi /= pi.sum()
-    return pi
+def _power_iteration(probs: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """pi = pi Q for one chain laid out as in ``_dense_solve`` (``probs`` of
+    shape (k, m)), iterated from the uniform law until no entry moves by more
+    than POWER_ITER_TOL; ValueError after POWER_ITER_MAX steps without that."""
+    k, m = probs.shape
+    sub = np.full(k, 1.0 / k)
+    rows = np.repeat(np.arange(k), m)
+    for _ in range(POWER_ITER_MAX):
+        nxt = np.zeros(k)
+        np.add.at(nxt, pos.ravel(), sub[rows] * probs.ravel())
+        nxt /= nxt.sum()
+        if np.max(np.abs(nxt - sub)) <= POWER_ITER_TOL:
+            return nxt
+        sub = nxt
+    raise ValueError(f"power iteration on {k} contexts did not converge in {POWER_ITER_MAX} steps")
 
 
 def stationary_distribution(model) -> np.ndarray:
     """Stationary law of the context chain, as a vector over A**r; for a
     ``ModelStack``, one law per kernel, of shape (K, m**r).
 
-    Solves pi = pi Q restricted to the unique closed class (dense linear
-    solve for m**r <= 4096, power iteration above); transient contexts get
-    probability zero.  When every entry of every kernel is positive, each
-    context reaches every other, so the class is all contexts and the K
-    dense solves run as one batched solve; the law of a kernel with zeros
-    is solved on its own.
+    Solves pi = pi Q restricted to the unique closed class; transient
+    contexts get probability zero.  When every entry of every kernel is
+    positive and m**r <= 4096, each context reaches every other, so the K
+    kernels are one group on all contexts; otherwise each kernel is a group
+    on its own closed class.  A group whose class has k <= 4096 contexts
+    takes one batched dense solve, a larger one power iteration.
 
     Raises
     ------
-    ReducibleChainError
-        If a chain has several closed classes.
+    ValueError
+        If a chain has several closed classes (``ReducibleChainError``) or
+        the power iteration does not converge in POWER_ITER_MAX steps.
     """
     if model._stationary_cache is None:
-        m, order = model.m, model.order
-        kernels = model.kernel.reshape(-1, m**order, m)
-        if order == 0:
-            laws = np.ones((kernels.shape[0], 1))
-        elif m**order <= DENSE_SOLVE_LIMIT and (kernels > 0.0).all():
-            laws = np.clip(_dense_solve(kernels, _shift_targets(m, order)), 0.0, None)
-            laws /= laws.sum(axis=-1, keepdims=True)
+        m, size = model.m, model.n_contexts
+        kernels = model.kernel.reshape(-1, size, m)
+        targets = _shift_targets(m, model.order)
+        if size <= DENSE_SOLVE_LIMIT and (kernels > 0.0).all():
+            groups = [(np.arange(kernels.shape[0]), np.arange(size))]
         else:
-            models = [model] if isinstance(model, MarkovModel) else map(MarkovModel, kernels)
-            laws = np.stack([_closed_class_law(one) for one in models])
+            groups = [([g], _closed_class(MarkovModel(one))) for g, one in enumerate(kernels)]
+        laws = np.zeros(kernels.shape[:2])
+        for lanes, support in groups:
+            k = support.shape[0]
+            # positions of targets within the closed class; positive-probability
+            # targets stay inside, zero-probability ones (and at order 0 those
+            # of the one context) are clipped and ignored
+            pos = np.clip(np.searchsorted(support, targets[support]), 0, k - 1)
+            probs = kernels[np.ix_(lanes, support)]
+            if k <= DENSE_SOLVE_LIMIT:
+                sub = _dense_solve(probs, pos)
+            else:
+                sub = _power_iteration(probs[0], pos)
+            laws[np.ix_(lanes, support)] = np.clip(sub, 0.0, None)
+        laws /= laws.sum(axis=-1, keepdims=True)
         pi = laws.reshape(model.kernel.shape[:-1])
         pi.setflags(write=False)
         model._stationary_cache = pi

@@ -192,6 +192,20 @@ class TestModelFile:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_law_out_of_iteration_steps_named(self, tmp_path, capsys, monkeypatch):
+        # the two-state chain lifted to order 13 has one class of 2**13
+        # contexts, past the dense solve; its iteration gets two steps
+        monkeypatch.setattr(model_mod, "POWER_ITER_MAX", 2)
+        cfg = make_config(tmp_path, n_grid="64")
+        kernel = lift_kernel(TWO_STATE.kernel, 2, 13).tolist()
+        rows = "".join(f"{a!r} {b!r}\n" for a, b in kernel)
+        (tmp_path / "chain.model").write_text(f"alphabet_size: 2\norder: 13\nkernel:\n{rows}")
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"model.file: {tmp_path / 'chain.model'}: power iteration" in err
+        assert "an initial: line spares" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_estimate_from_path_files_resolves_no_law(self, tmp_path, monkeypatch):
         # the path files hold the samples: no stationary solve is needed
         cfg = make_config(tmp_path, n_grid="64", reps=2)
@@ -816,6 +830,9 @@ class TestVerify:
             ("deviation_r", "23"),
             ("bernstein_r", "30"),
             ("rho", "40"),
+            # 20 000 lanes' count tables past mc.DEVIATION_CELLS, set by rho's
+            # typicality window of 2**24 cells, not by deviation_r = 2
+            pytest.param("rho", {"rho": "25", "checks": "deviation"}, id="rho-25-deviation"),
             # a bracket grid too fine for exact keys, envelopes past the
             # largest float
             ("bracket_sigma", "1e-300"),
@@ -833,7 +850,12 @@ class TestVerify:
         write_model_file(MarkovModel([[0.2, 0.3, 0.5]] * 3), tmp_path / "three_symbols.model")
         write_model_file(MarkovModel(lift_kernel(TWO_STATE.kernel, 2, 2)), tmp_path / "order_two.model")
         (tmp_path / "truncated.model").write_text("alphabet_size: 2\norder: 1\nkernel:\n0.5 0.5\n")
-        settings = {"candidate_file": value} if value.endswith(".model") else {key: value}
+        if isinstance(value, dict):  # several settings, the check's own
+            settings = value
+        elif value.endswith(".model"):
+            settings = {"candidate_file": value}
+        else:
+            settings = {key: value}
         cfg = demo_config(tmp_path, settings)
         out = tmp_path / "out"
         assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 1

@@ -155,7 +155,9 @@ class TestEventF:
         assert (0 < small < 30) == (rho == 3)
 
     @pytest.mark.parametrize(
-        "eta, rho, match", [(0.5, 64, "rho"), (0.5, 65, "rho"), (1.5, 3, "eta")]
+        "eta, rho, match",
+        # at rho 26 the windows of 25 symbols pass model.TABLE_CELLS
+        [(0.5, 64, "rho"), (0.5, 65, "rho"), (1.5, 3, "eta"), (0.5, 26, "25 symbols")],
     )
     def test_typicality_trend_needs_eta_in_range_and_rho_below_n_small(self, eta, rho, match):
         with pytest.raises(ValueError, match=match):

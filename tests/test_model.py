@@ -155,6 +155,29 @@ class TestStationary:
             oracle = oracle * base.kernel[digits[:, j - 1], digits[:, j]]
         assert np.abs(pi - oracle).max() < 1e-10
 
+    def test_periodic_class_in_a_wide_chain(self):
+        # 2**13 contexts, past the dense solve, but a closed class of 29:
+        # the law is solved densely on the class, where a power iteration
+        # over it never converges (its period is 2)
+        model, members = periodic_chain()
+        assert model_mod._closed_class(model).tolist() == members
+        size = 2**13
+        # the contexts entered at even and at odd steps from one in the class
+        seen = [set(), set()]
+        frontier = {members[0]}
+        for t in range(64):
+            seen[t % 2] |= frontier
+            frontier = {(c * 2 + b) % size for c in frontier for b in (0, 1) if model.kernel[c, b]}
+        assert not seen[0] & seen[1] and sorted(map(len, seen)) == [14, 15]
+        pi = stationary_distribution(model)
+        nxt = np.zeros(size)
+        for b in (0, 1):
+            np.add.at(nxt, (np.arange(size) * 2 + b) % size, pi * model.kernel[:, b])
+        assert np.abs(nxt - pi).sum() < 1e-12
+        off = np.ones(size, dtype=bool)
+        off[members] = False
+        assert (pi[off] == 0.0).all() and abs(pi.sum() - 1.0) < 1e-12
+
     @settings(max_examples=150, deadline=None)
     @given(
         m=st.integers(2, 4),
@@ -195,6 +218,29 @@ class TestStationary:
         else:
             with pytest.raises(ReducibleChainError):
                 model_mod._closed_class(model)
+
+
+def periodic_chain():
+    """An order-13 chain on two symbols, and the codes of its one closed
+    class: the 13-symbol windows of endless runs of the blocks below, 14 and
+    16 symbols long (so of period 2).  In the class each next symbol is
+    forced, except after the block-end context, which both blocks share;
+    that row and every row outside the class are 0.5/0.5."""
+    blocks = ("01111000001100", "1011111000001100")
+    after = {}
+    for first in blocks:
+        for second in blocks:
+            run = first + second
+            for i in range(len(run) - 13):
+                after.setdefault(int(run[i : i + 13], 2), set()).add(int(run[i + 13]))
+    # the block end is the one context of the class with two next symbols
+    end = int(blocks[0][-13:], 2)
+    assert [code for code, nexts in after.items() if len(nexts) > 1] == [end]
+    kernel = np.full((2**13, 2), 0.5)
+    for code, nexts in after.items():
+        if code != end:
+            kernel[code] = np.eye(2)[min(nexts)]
+    return MarkovModel(kernel), sorted(after)
 
 
 def dense_law_reference(kernel, m, order):
