@@ -82,7 +82,8 @@ def _sandwich_settings(s, model, candidate) -> None:
     half = s.sandwich_n // 2
     _require(s.rho <= half, "rho", f"at most verify.sandwich_n / 2 = {half}", s.rho)
     _require(s.sandwich_n > 2, "sandwich_n", "above the kernels' order 2", s.sandwich_n)
-    _require_table(2, s.rho, "rho", s.rho)  # the kernels' two symbols
+    # the battery tallies windows of max(rho, 3) - 1 of the kernels' two symbols
+    _require_table(2, max(s.rho, 3) - 1, "rho", s.rho)
 
 
 def _sandwich(config, model, candidate):

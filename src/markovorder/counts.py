@@ -16,6 +16,11 @@ first and the last ``depth_cap`` symbols of the path.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from functools import partial
+from itertools import takewhile
+from operator import is_not
+
 import numpy as np
 
 from ._contexts import symbol_dtype, window_code_chunks, window_codes
@@ -94,17 +99,50 @@ def _symbols(path, m: int, what: str) -> np.ndarray:
     return x.astype(symbol_dtype(m), copy=False)
 
 
-def _tally(parts, m: int, cap: int, pairs=()) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the depth-``cap`` windows of each symbol array in ``parts``
-    into the sorted (codes, counts) ``pairs``: each chunk of window codes
-    is tallied alone, and all pairs are merged once."""
+def _empty(m: int, depth_cap: int) -> ContextCounts:
+    """The counts of the empty path, after checking m and that the
+    depth-cap window codes fit int64."""
+    if m < 2:
+        raise ValueError(f"alphabet size m must be >= 2, got {m}")
+    if m ** (depth_cap + 1) >= 2**63:
+        raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
+    none = np.zeros(0, dtype=np.int64)
+    return ContextCounts(m, depth_cap, 0, none, none, none, none)
+
+
+def _extend(counts: ContextCounts, pieces) -> ContextCounts:
+    """Counts for the path extended by the symbol arrays ``pieces`` in
+    turn; ``counts`` is left untouched.
+
+    Only windows ending in a piece are added, read from the retained tail
+    and the piece in place, and tallied a chunk of window codes at a time;
+    all tallies are merged once.  A piece is never copied, and it is
+    released before the next one is pulled.
+    """
+    m, cap = counts.m, counts.depth_cap
     size = m ** (cap + 1)
-    chunks = (chunk for part in parts for chunk in window_code_chunks(part, cap + 1, m))
-    pairs = [*pairs, *(_merge(chunk, None, size) for chunk in chunks)]
-    if len(pairs) == 1:  # a short path: one chunk, already merged
-        return pairs[0]
-    keys, tallies = zip(*pairs)
-    return _merge(np.concatenate(keys), np.concatenate(tallies), size)
+    n, head, tail = counts.n, counts.head, counts.tail
+    pairs = [(counts.codes, counts.counts)]
+    for piece in pieces:
+        new = _symbols(piece, m, "path")
+        seam = np.concatenate([tail, new[:cap]])
+        pairs += [
+            _merge(c, None, size)
+            for part in (seam, new)
+            for c in window_code_chunks(part, cap + 1, m)
+        ]
+        if head.size < cap:
+            head = np.concatenate([head, new[: cap - head.size]])
+        # the last cap symbols of tail and piece, copied out of the piece
+        keep = max(cap - new.size, 0)
+        tail = np.concatenate([tail[max(tail.size - keep, 0) :], new[max(new.size - cap, 0) :]])
+        n += new.size
+        del piece, new
+    if len(pairs) > 1:
+        keys, tallies = zip(*pairs)
+        pairs = [_merge(np.concatenate(keys), np.concatenate(tallies), size)]
+    codes, totals = pairs[0]
+    return ContextCounts(m, cap, n, codes, totals, head, tail)
 
 
 def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
@@ -112,39 +150,61 @@ def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
     ``path`` on the alphabet {0, .., m-1}.  Requires depth_cap < n so that
     even the deepest table has at least one window.
     """
-    if m < 2:
-        raise ValueError(f"alphabet size m must be >= 2, got {m}")
-    symbols = _symbols(path, m, "path")
-    n = symbols.shape[0]
+    empty = _empty(m, depth_cap)
+    n = np.shape(path)[0]
     if depth_cap >= n:
         raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
-    if m ** (depth_cap + 1) >= 2**63:
-        raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
-    codes, counts = _tally((symbols,), m, depth_cap)
-    head = symbols[:depth_cap].copy()
-    return ContextCounts(m, depth_cap, n, codes, counts, head, symbols[n - depth_cap :].copy())
+    return _extend(empty, (path,))
 
 
 def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
-    """Counts for the concatenated path; the input is left untouched.
+    """Counts for the path extended by ``new_symbols``, one symbol array or
+    an iterator of them in turn; the input is left untouched.
 
-    Equivalent to rebuilding from scratch on the full path: only windows
-    ending in the new segment are added, read from the retained tail and
-    the segment in place; the segment itself is never copied.
+    Equivalent to rebuilding from scratch on the full path (see
+    ``_extend``).
     """
-    m, cap = counts.m, counts.depth_cap
-    new = _symbols(new_symbols, m, "extension")
-    seam = np.concatenate([counts.tail, new[:cap]])
-    codes, totals = _tally((seam, new), m, cap, [(counts.codes, counts.counts)])
-    tail = np.concatenate([counts.tail[min(new.size, cap):], new[max(new.size - cap, 0):]])
-    return ContextCounts(m, cap, counts.n + new.shape[0], codes, totals, counts.head, tail)
+    return _extend(counts, new_symbols if isinstance(new_symbols, Iterator) else (new_symbols,))
 
 
-def prefix_counts(symbols, lengths, depth_cap: int, m: int):
+def _cut(chunks, lengths):
+    """Yield the symbol arrays of ``chunks`` cut at the increasing
+    ``lengths``, and None after the pieces up to each length; stop early
+    when the chunks run out.  A chunk is pulled once the one before it has
+    been yielded whole, with no reference to it kept."""
+    chunks = iter(chunks)
+    rest, at = np.zeros(0), 0  # the part of the current chunk not yet yielded
+    for end in lengths:
+        while at < end:
+            if not rest.size:
+                rest = None  # an empty view would hold the spent chunk
+                rest = next(chunks, None)
+                if rest is None:
+                    return
+                rest = np.asarray(rest)
+            k = min(rest.size, end - at)
+            at += k
+            yield rest[:k]
+            rest = rest[k:]
+        yield None
+
+
+def prefix_counts(chunks, lengths, depth_cap: int, m: int):
     """Yield the counts of the prefixes x_{1:n} for the increasing
-    ``lengths``: built at the first, then extended, never rebuilt."""
-    counts = build_counts(symbols[: lengths[0]], depth_cap, m)
-    yield counts
-    for n in lengths[1:]:
-        counts = extend_counts(counts, symbols[counts.n : n])
+    ``lengths``, of a path given as the symbol arrays ``chunks`` in order
+    (a whole array x as ``(x,)``): extended from one length to the next,
+    never rebuilt, and never joined into one array.
+
+    Each chunk is pulled once the one before it is counted, and dropped
+    then; so a generator of chunks that keeps none of its own is held one
+    chunk at a time.
+    """
+    counts = _empty(m, depth_cap)
+    if depth_cap >= lengths[0]:
+        raise ValueError(f"depth cap {depth_cap} must be < path length {lengths[0]}")
+    pieces = _cut(chunks, lengths)
+    for n in lengths:
+        counts = extend_counts(counts, takewhile(partial(is_not, None), pieces))
+        if counts.n < n:
+            raise ValueError(f"the path ends after {counts.n} symbols, short of length {n}")
         yield counts

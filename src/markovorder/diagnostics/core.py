@@ -109,7 +109,7 @@ def event_F(truth: MarkovModel, path, eta: float, rho: int) -> bool:
     if rho > half // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {half // 2}")
     # the prefix table is extended only when the prefix is typical
-    tables = prefix_counts(symbols, (half, length), min(rho, half - 1), truth.m)
+    tables = prefix_counts((symbols,), (half, length), min(rho, half - 1), truth.m)
     return all(typicality_check(truth, counts, eta, rho) for counts in tables)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from ..model import (
     ModelStack,
     check_table,
     lift_kernel,
+    path_segments,
     random_kernels,
     sample_paths,
     stationary_block_law,
@@ -365,9 +367,9 @@ def lil_trajectory(
         raise ValueError("checkpoints must start at 16 or later")
     m = truth.m
     depth = required_depth_cap(cutoff, grid, m)
-    path = sample_paths(truth, grid[-1], seed)[0]
+    chunks = map(itemgetter(0), path_segments(truth, grid[-1], seed))
     points = []
-    for n, logliks in grid_logliks(path, m, cutoff, grid, depth):
+    for n, logliks in grid_logliks(chunks, m, cutoff, grid, depth):
         value = lil_from_logliks(logliks[r_star:], r_star, m)
         norm = value / math.log(math.log(n))
         points.append(LilPoint(n, len(logliks), value, norm))
@@ -560,9 +562,10 @@ def hellinger_sandwich_battery(
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
     if n <= r:
         raise ValueError(f"n {n} must exceed the kernels' order {r}")
-    # typicality reads the depths below rho, the distances depth r
+    # typicality reads the depths below rho, the distances depth r, all from
+    # a table of the windows of depth - 1 symbols (_path_context_counts)
     depth = max(rho, r + 1)
-    check_table(2, depth)
+    check_table(2, depth - 1)
     params = BoundParams(eta)
     accepted = attempts = violations = 0
     worst = 0.0
@@ -572,9 +575,10 @@ def hellinger_sandwich_battery(
         # so far: all of them before the first attempt, none after no hit
         need = instances - accepted
         chunk = -(-need * attempts // accepted) if accepted else (limit if attempts else need)
-        # a path takes 2n bytes, and its int64 window table and the two
-        # lists of count tables read from it 8 * 2**depth bytes each
-        chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // (2 * n + 24 * 2**depth)))
+        # a path takes 2n bytes, its int64 window table 8 * 2**(depth - 1)
+        # and the two lists of count tables read from it 8 * 2**depth each
+        attempt_bytes = 2 * n + 8 * 2 ** (depth - 1) + 16 * 2**depth
+        chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // attempt_bytes))
         bases = derive_seed(seed, np.arange(attempts, attempts + chunk))
         truths = ModelStack(random_kernels(2, 1, derive_seed(bases, 1), floor=0.15))
         paths = sample_paths(truths, 2 * n, derive_seed(bases, 2))

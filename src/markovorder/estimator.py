@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from operator import itemgetter
 
 from .counts import ContextCounts, prefix_counts
 from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
-from .model import MarkovModel, sample_paths, stationary_block_law, true_order
+from .model import MarkovModel, path_segments, stationary_block_law, true_order
 from .penalty import CutoffSpec, PenaltySpec, cutoff_value, penalty_value
 from .rng import derive_seed
 
@@ -100,13 +99,15 @@ class ExperimentResult:
     summary: tuple[RecoverySummary, ...]
 
 
-def grid_logliks(symbols: np.ndarray, m: int, cut: CutoffSpec, n_grid, depth_cap: int):
-    """Yield ``(n, logliks)`` along one growing path, where ``logliks[r]`` is
-    ``max_loglik`` of the prefix x_{1:n} for every order r < kappa(n).
+def grid_logliks(chunks, m: int, cut: CutoffSpec, n_grid, depth_cap: int):
+    """Yield ``(n, logliks)`` along one growing path, given as the symbol
+    arrays ``chunks`` in order, where ``logliks[r]`` is ``max_loglik`` of
+    the prefix x_{1:n} for every order r < kappa(n).
 
-    Counts are extended from one grid length to the next, never rebuilt.
+    Counts are extended from one grid length to the next, never rebuilt
+    (``prefix_counts``).
     """
-    for n, counts in zip(n_grid, prefix_counts(symbols, n_grid, depth_cap, m)):
+    for n, counts in zip(n_grid, prefix_counts(chunks, n_grid, depth_cap, m)):
         yield n, max_loglik_vector(counts, cutoff_value(cut, n, m))
 
 
@@ -116,19 +117,20 @@ def evaluate_replication(
     """Score one ``(replication, seed, source)`` task at every grid length
     under every penalty in ``pens``; returns one list of rows per penalty.
 
-    The path is sampled from the seed when the source is None, and read by
+    The path is sampled from the seed a segment at a time
+    (``path_segments``) when the source is None, and read whole by
     ``load(source, m, seed, n_max)`` otherwise.  Each length's
     ``max_loglik`` vector is scored against every penalty and also gives
     the LIL statistic.
     """
     replication, seed, source = task
     if source is None:
-        symbols = sample_paths(model, n_grid[-1], seed)[0]
+        chunks = map(itemgetter(0), path_segments(model, n_grid[-1], seed))
     else:
-        symbols = load(source, model.m, seed, n_grid[-1])
+        chunks = (load(source, model.m, seed, n_grid[-1]),)
     m, r_star = model.m, true_order(model)
     rows = [[] for _ in pens]
-    for n, logliks in grid_logliks(symbols, m, cut, n_grid, depth_cap):
+    for n, logliks in grid_logliks(chunks, m, cut, n_grid, depth_cap):
         lil = lil_from_logliks(logliks[r_star:], r_star, m)
         for out, pen in zip(rows, pens):
             result = _score_orders(logliks, pen, n, m)

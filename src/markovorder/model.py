@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._contexts import block_digits, context_codes, symbol_dtype
+from ._contexts import block_digits, context_codes, symbol_dtype, window_codes
 from .rng import PHI64, _as_u64, raw53_steps, uniform_block
 
 ROW_SUM_TOL = 1e-12
@@ -21,14 +21,17 @@ KERNEL_EQ_TOL = 1e-12
 DENSE_SOLVE_LIMIT = 4096
 POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 10**6
-# sample_paths cuts each lane into as many blocks as keep its first pass
+# a sampler run cuts each lane into as many blocks as keep its first pass
 # within BLOCK_CELLS contexts per numpy step, each at least MIN_BLOCK symbols
 # long, and holds up to FLUSH_CELLS symbols step-major before it stores them
-# into the paths; its stepper draws up to UNIFORM_CELLS uniforms per call
+# into the paths; its stepper draws up to UNIFORM_CELLS uniforms per call.
+# path_segments samples PATH_SEGMENT symbols per run: each run repeats the
+# coupling steps of its first pass, which 1 MiB runs paid for in time
 BLOCK_CELLS = 1 << 14
 MIN_BLOCK = 16
 FLUSH_CELLS = 1 << 18
 UNIFORM_CELLS = 1 << 15
+PATH_SEGMENT = 1 << 21
 # a draw k of raw53_steps is the uniform k * 2**-53; no draw reaches the
 # threshold NEVER
 NEVER = 1 << 53
@@ -499,58 +502,52 @@ def _store(steps, body: np.ndarray, count: int):
     return ctx, first
 
 
-def sample_paths(model, n: int, seeds) -> np.ndarray:
-    """Sample ``n`` symbols per seed: the first r from the initial law, the
-    rest from the kernel.  Row i is a pure function of (model, n, seeds[i]),
-    and its first k symbols do not depend on n.  The result has dtype
-    ``symbol_dtype(m)``: uint8 for m <= 256.
-
-    ``model`` is one ``MarkovModel`` for every seed, or a ``ModelStack``
-    with one kernel per seed.  Such a stack of K kernels steps as one
-    block-diagonal context chain: its thresholds are the K kernels' rows
-    one after another, K * m**r rows, the code of context c of kernel g is
-    ``g * m**r + c``, and it moves on symbol b to
-    ``g * m**r + (c * m + b) % m**r``.  One model is the stack K = 1.
-
-    Stream layout: uniform 0 picks the initial context block, uniform k >= 1
-    picks the symbol at position r + k.
-
-    The n - r kernel steps of each lane are cut into equal blocks.  A first
-    pass steps every block from every start context of its lane's kernel
-    at once and keeps the context each one ends in; composing these block
-    maps (on the kernel's own codes 0..m**r - 1) gives every block's start
-    from the lane's initial context.  This is a scan over finite-state maps
-    (Blelloch, "Prefix sums and their applications", 1990).  Once all start
-    columns have coalesced, a block's symbols no longer depend on its start,
-    so the first pass stores them; a second pass replays each block from
-    its start only up to that step.
-    """
-    if n < 1:
-        raise ValueError("path length must be >= 1")
+def _lane_tables(model, seeds):
+    """What ``_sample_run`` steps one lane per seed on: the seeds as a
+    uint64 array, the ``_step_tables`` and each lane's first code in the
+    stack; and each lane's initial context code, its kernel's own code."""
     seeds = np.atleast_1d(_as_u64(seeds))
     lanes = seeds.shape[0]
     stacked = isinstance(model, ModelStack)
     if stacked and model.kernel.shape[0] != lanes:
         raise ValueError(f"{model.kernel.shape[0]} kernels for {lanes} seeds: give one per seed")
     m, r, size = model.m, model.order, model.n_contexts
-    kernels = model.kernel.reshape(-1, size, m)
-    columns, base = _step_tables(kernels, m, r)
-    # each lane's first context code in the stack, whose kernels step
-    # lifted to order 1 when r = 0
+    columns, base = _step_tables(model.kernel.reshape(-1, size, m), m, r)
+    # the kernels of the stack step lifted to order 1 when r = 0
     lifted = m ** max(r, 1)
     offset = np.arange(lanes, dtype=np.int64) * lifted if stacked else np.zeros(lanes, np.int64)
     init = _initial_codes(model.initial.reshape(-1, size), seeds)
-    steps = max(n - r, 0)
+    return (seeds, columns, base, offset), init
+
+
+def _sample_run(model, tables, init, first: int, steps: int, lead: int) -> np.ndarray:
+    """A (lanes, lead + L) array, L >= ``steps``, whose columns from
+    ``lead`` on hold ``steps`` kernel symbols of each lane: lane g starts
+    in its kernel's context code ``init[g]`` and draws its symbols at
+    stream positions first, first + 1, ...  The first ``lead`` columns are
+    left to the caller.
+
+    The steps of each lane are cut into equal blocks.  A first pass steps
+    every block from every start context of its lane's kernel at once and
+    keeps the context each one ends in; composing these block maps (on the
+    kernel's own codes 0..m**r - 1) gives every block's start from the
+    lane's ``init``.  This is a scan over finite-state maps (Blelloch,
+    "Prefix sums and their applications", 1990).  Once all start columns
+    have coalesced, a block's symbols no longer depend on its start, so the
+    first pass stores them; a second pass replays each block from its start
+    only up to that step.
+    """
+    seeds, columns, base, offset = tables
+    lanes, size = seeds.shape[0], model.n_contexts
     blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
     # an odd block length keeps the column stores body[:, :, j] off a
     # power-of-two row stride, whose blocks all land on the same cache sets
     length = (-(-steps // blocks) | 1) if blocks > 1 else steps
-    firsts = np.uint64(1) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
+    firsts = np.uint64(first) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
     rows = (np.repeat(seeds, blocks), np.tile(firsts, lanes))
     starts = np.repeat(init, blocks).reshape(lanes, blocks)
-    out = np.empty((lanes, r + blocks * length), dtype=symbol_dtype(m))
-    out[:, :r] = block_digits(init, r, m)
-    body = out[:, r:].reshape(lanes, blocks, length)
+    out = np.empty((lanes, lead + blocks * length), dtype=symbol_dtype(model.m))
+    body = out[:, lead:].reshape(lanes, blocks, length)
     replay = length  # the steps before the start columns coalesce
     if blocks > 1:
         every = np.repeat(offset, blocks)[:, None] + np.arange(size)
@@ -570,7 +567,64 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
     if replay:
         starts = (starts + offset[:, None]).reshape(-1, 1)
         _store(_advance(columns, base, *rows, starts, replay), body, replay)
+    return out
+
+
+def sample_paths(model, n: int, seeds) -> np.ndarray:
+    """Sample ``n`` symbols per seed: the first r from the initial law, the
+    rest from the kernel.  Row i is a pure function of (model, n, seeds[i]),
+    and its first k symbols do not depend on n.  The result has dtype
+    ``symbol_dtype(m)``: uint8 for m <= 256.
+
+    ``model`` is one ``MarkovModel`` for every seed, or a ``ModelStack``
+    with one kernel per seed.  Such a stack of K kernels steps as one
+    block-diagonal context chain: its thresholds are the K kernels' rows
+    one after another, K * m**r rows, the code of context c of kernel g is
+    ``g * m**r + c``, and it moves on symbol b to
+    ``g * m**r + (c * m + b) % m**r``.  One model is the stack K = 1.
+
+    Stream layout: uniform 0 picks the initial context block, uniform k >= 1
+    picks the symbol at position r + k.  The n - r kernel steps are one
+    ``_sample_run``.
+    """
+    if n < 1:
+        raise ValueError("path length must be >= 1")
+    tables, init = _lane_tables(model, seeds)
+    r = model.order
+    out = _sample_run(model, tables, init, 1, max(n - r, 0), r)
+    out[:, :r] = block_digits(init, r, model.m)
     return out[:, :n]
+
+
+def path_segments(model, n: int, seeds):
+    """Yield ``sample_paths(model, n, seeds)`` a segment at a time: arrays
+    of shape (lanes, k), k <= PATH_SEGMENT, whose concatenation along the
+    last axis is that array bit for bit.
+
+    Each segment's kernel steps are one ``_sample_run`` from the code of
+    the r symbols before it, at the stream position of its first kernel
+    symbol.  A segment is sampled only when the one before it has been
+    taken, and no reference to it is kept, so a consumer that drops each
+    segment before taking the next holds one segment at a time.
+    """
+    if n < 1:
+        raise ValueError("path length must be >= 1")
+    tables, codes = _lane_tables(model, seeds)
+    m, r = model.m, model.order
+    digits = block_digits(codes, r, m)
+    done = 0
+    while done < n:
+        k = min(PATH_SEGMENT, n - done)
+        lead = min(max(r - done, 0), k)  # symbols of the initial block
+        seg = _sample_run(model, tables, codes, max(done, r) - r + 1, k - lead, lead)
+        seg[:, :lead] = digits[:, done : done + lead]
+        # the code of the r symbols that end the path so far: its j newest
+        # symbols are this segment's last kernel symbols
+        j = min(max(done + k - max(done, r), 0), r)
+        codes = codes % m ** (r - j) * m**j + window_codes(seg[:, k - j : k], j, m)[:, 0]
+        done += k
+        yield seg[:, :k]
+        del seg  # sample the next segment with this one released
 
 
 def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):

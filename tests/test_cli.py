@@ -900,8 +900,8 @@ class TestExitCodesAndDeterminism:
         assert cli.main(["estimate", "--config", str(cfg)]) == 1
         assert "model.file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["simulate", "estimate"])
-    @pytest.mark.parametrize("grid", ["64 32", "0", "-4"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "sweep", "verify"])
+    @pytest.mark.parametrize("grid", ["64 32", "0", "-4", f"64 {2**48}"])
     def test_bad_grid_names_field(self, tmp_path, capsys, grid, command):
         write_model_file(TWO_STATE, tmp_path / "chain.model")
         cfg = tmp_path / "exp.ini"
@@ -947,7 +947,7 @@ class TestExitCodesAndDeterminism:
         def no_path(*args):
             raise AssertionError("a path was sampled or read before the grid was checked")
 
-        monkeypatch.setattr(estimator_mod, "sample_paths", no_path)
+        monkeypatch.setattr(estimator_mod, "path_segments", no_path)
         monkeypatch.setattr(cli, "_read_path_file", no_path)
         assert cli.main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -966,7 +966,7 @@ class TestExitCodesAndDeterminism:
         def no_path(*args):
             raise AssertionError("a path was sampled or read before the grid was checked")
 
-        monkeypatch.setattr(estimator_mod, "sample_paths", no_path)
+        monkeypatch.setattr(estimator_mod, "path_segments", no_path)
         monkeypatch.setattr(cli, "_read_path_file", no_path)
         assert cli.main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -986,18 +986,23 @@ class TestExitCodesAndDeterminism:
         assert orders == {100: set(range(6)), 200: set(range(7))}  # kappa = floor(log2 n)
 
     @pytest.mark.parametrize(
-        "command, settings",
+        "command, settings, error",
         [
-            ("simulate", {"replications": 10**14}),
-            ("estimate", {"n_grid": f"1024 {10**15}"}),
-            ("verify", {"checks": "typicality", "typicality_n_large": 10**15}),
+            ("simulate", {"replications": 10**14}, "error: Unable to allocate"),
+            ("estimate", {"n_grid": f"1024 {10**15}"}, "config error: experiment.n_grid:"),
+            (
+                "verify",
+                {"checks": "typicality", "typicality_n_large": 10**15},
+                "error: Unable to allocate",
+            ),
         ],
         ids=["replications", "n_grid", "typicality_n_large"],
     )
-    def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings):
+    def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings, error):
         # each setting sizes an array past 2**48 bytes, more than an address
         # space holds, so its allocation fails at once whatever the
-        # overcommit policy
+        # overcommit policy; a path is sampled a segment at a time, so the
+        # config bounds n_grid by that size itself
         cfg = demo_config(tmp_path, {})
         text = cfg.read_text()
         for key, value in settings.items():
@@ -1007,7 +1012,7 @@ class TestExitCodesAndDeterminism:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert err.startswith(error) and "Traceback" not in err
         assert not [path for path in out.rglob("*") if path.is_file()]
 
     @pytest.mark.parametrize(

@@ -41,6 +41,8 @@ from markovorder.diagnostics import (
     typicality_trend,
 )
 from markovorder._contexts import context_codes
+from markovorder.checks import CHECKS
+from markovorder.config import ConfigError, VerifySettings
 from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder.diagnostics.core import weighted_hellinger
@@ -296,10 +298,22 @@ class TestSandwichBattery:
         assert report.passed
 
     def test_depth_past_the_cell_limit_rejected(self):
-        # typicality at rho = 25 reads a table over the 2**25 windows of 25
+        # typicality at rho = 26 reads a table over the 2**25 windows of 25
         # symbols, past model.TABLE_CELLS
         with pytest.raises(ValueError, match="passes 16777216 cells"):
-            hellinger_sandwich_battery(2, eta=0.5, n=64, rho=25, seed=17)
+            hellinger_sandwich_battery(2, eta=0.5, n=64, rho=26, seed=17)
+
+    @pytest.mark.parametrize("rho", [25, 26])
+    def test_validator_bounds_the_window_table(self, rho):
+        # the battery tallies windows of rho - 1 symbols: 2**24 cells, within
+        # model.TABLE_CELLS, at rho = 25
+        spec = next(spec for spec in CHECKS if spec.name == "hellinger-sandwich")
+        settings = VerifySettings(rho=rho, sandwich_n=64)
+        if rho == 25:
+            spec.validate(settings, TWO_STATE, None)
+        else:
+            with pytest.raises(ConfigError, match=r"^verify\.rho: .* 2\*\*25 table cells"):
+                spec.validate(settings, TWO_STATE, None)
 
 
 def reference_norm_bound(instances, seed):

@@ -124,8 +124,8 @@ class TestConsistencyExperiment:
         grid = [64, 512, 4096]
         cap = required_depth_cap(SubLogCutoff(), grid, m)
         path = sample_paths(random_model(m, 2, seed=m), grid[-1], 17)[0]
-        at_cap = list(grid_logliks(path, m, SubLogCutoff(), grid, cap))
-        assert at_cap == list(grid_logliks(path, m, SubLogCutoff(), grid, cap + 2))
+        at_cap = list(grid_logliks((path,), m, SubLogCutoff(), grid, cap))
+        assert at_cap == list(grid_logliks((path,), m, SubLogCutoff(), grid, cap + 2))
 
 
 class TestUnderestimationGap:
