@@ -196,8 +196,10 @@ def _deviation(config, model, candidate):
 
 
 def _lil_settings(s, model, candidate) -> None:
-    first = s.lil_checkpoints[0]
+    first, last = s.lil_checkpoints[0], s.lil_checkpoints[-1]
     _require(first >= 16, "lil_checkpoints", "16 or more at the first checkpoint", first)
+    # the path is sampled a segment at a time, so nothing else bounds its length
+    _require(last < 2**48, "lil_checkpoints", "below 2**48 at the last checkpoint", last)
 
 
 def _lil(config, model, candidate):

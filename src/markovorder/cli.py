@@ -120,15 +120,12 @@ def _encode_symbols(symbols: np.ndarray, m: int) -> bytes:
     Each symbol becomes its record of ``w + 1`` bytes, w the width of m - 1:
     NUL padding, its digits and a space; dropping the NULs and the last
     space leaves the line.  np.take casts the symbols to int64 indices, so
-    they are gathered ENCODE_CHUNK at a time.
+    ``_write_path_file`` hands it ENCODE_CHUNK symbols at a time.
     """
     w = len(str(m - 1))
     table = "".join(str(s).rjust(w, "\0") + " " for s in range(m)).encode()
     table = np.frombuffer(table, np.uint8).reshape(m, w + 1)
-    records = np.empty((symbols.shape[0], w + 1), np.uint8)
-    for lo in range(0, symbols.shape[0], ENCODE_CHUNK):
-        np.take(table, symbols[lo:lo + ENCODE_CHUNK], axis=0, out=records[lo:lo + ENCODE_CHUNK])
-    flat = records.ravel()
+    flat = np.take(table, symbols, axis=0).ravel()
     if w > 1:  # one-digit records hold no NUL
         flat = flat[flat != 0]
     return flat[:-1].tobytes()
@@ -182,15 +179,11 @@ def _decode_span(code: np.ndarray, space: np.ndarray, m: int):
     return symbols, None, (bad, tokens[bad])
 
 
-def _decode_symbols(source, text: bytes, m: int) -> np.ndarray:
-    """Inverse of ``_encode_symbols``: ``_decode_line`` over the text."""
-    return _decode_line(source, io.BytesIO(text), len(text), m)
-
-
-def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
-    """The symbols on the next ``size`` bytes of the binary file ``fh``;
-    rejects, naming ``source``, any line that encoding a path over ``m``
-    symbols cannot produce.  The symbols come back in ``symbol_dtype(m)``.
+def _decode_line(source, fh, size: int, m: int):
+    """Yield the symbols on the next ``size`` bytes of the binary file
+    ``fh`` a span at a time, in ``symbol_dtype(m)``, and return how many
+    there are; rejects, naming ``source``, any line that encoding a path
+    over ``m`` symbols cannot produce.
 
     One pass reads the line DECODE_CHUNK bytes at a time into one reused
     buffer.  It checks each window's bytes, after those carried over from
@@ -199,12 +192,10 @@ def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
     So every temporary is a few times DECODE_CHUNK bytes.  The first
     problem of the line is reported, with its offset or symbol index on the
     line: a byte that is no digit or space, else an empty symbol, else a
-    symbol not written as one of 0..m-1 in decimal.
+    symbol not written as one of 0..m-1 in decimal; the spans from the first
+    such symbol's on are not yielded, and the rest of the line is checked.
     """
-    # each symbol but the last takes a digit and a space, at least; the
-    # array is cut to the symbols read once the line is done
-    symbols = np.empty((size + 1) // 2, dtype=symbol_dtype(m))
-    done = 0
+    done = 0  # the symbols decoded so far
     empty = None  # the index of the first empty symbol
     wrong = None  # the first symbol not in decimal form: (index, token)
     carry = np.zeros(0, dtype=np.uint8)  # the bytes read after the last cut space
@@ -230,12 +221,14 @@ def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
         del part, foreign
         if cut >= 0 and empty is None:  # past an empty symbol, only bytes are checked
             span, at, bad = _decode_span(code[:cut], space[:cut], m)
+            del code, space  # not held while the span is out
             if at is not None:
                 empty = done + at
             else:
                 if bad is not None and wrong is None:
                     wrong = (done + bad[0], bad[1])
-                symbols[done:done + span.size] = span
+                if wrong is None:
+                    yield span.astype(symbol_dtype(m), copy=False)
                 done += span.size
     if empty is not None:
         raise ConfigError(
@@ -247,8 +240,7 @@ def _decode_line(source, fh, size: int, m: int) -> np.ndarray:
             f"{source}: symbol {wrong[0]} is {wrong[1].decode()!r}, "
             f"not one of 0..{m - 1} in decimal"
         )
-    symbols.resize(done, refcheck=False)
-    return symbols
+    return done
 
 
 def _write_path_file(path, symbols: np.ndarray, m: int, seed: int) -> None:
@@ -278,13 +270,15 @@ def _check_run_fields(source, fields: dict, expected: dict) -> None:
             raise ConfigError(f"{source}: {key} is {fields[key]!r}, this run has {value!r}")
 
 
-def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
-    """Symbols of a path file, checked against the run that reads it.
+def _read_path_file(path, m: int, seed: int, n_max: int):
+    """Yield the symbols of a path file, checked against the run that
+    reads it, a span at a time.
 
     A first pass reads the file a line, or DECODE_CHUNK bytes of one, at a
     time, and keeps each line's key and value, but of the symbols line only
-    where its value starts and ends.  Once the fields check out,
-    ``_decode_line`` reads that span, so the file is never held whole.
+    where its value starts and ends.  Once the fields check out, the spans
+    of ``_decode_line`` over it are yielded, so no path is held whole; the
+    ``n:`` field and the grid's length are checked after the last span.
     """
     fields = {}
     # a buffer of a window or more: the first pass reads a window per call
@@ -315,17 +309,13 @@ def _read_path_file(path, m: int, seed: int, n_max: int) -> np.ndarray:
         fh.seek(start)
         if start >= end or fh.read(1) != b" ":
             raise ConfigError(f"{path}: symbols: no space after 'symbols:'")
-        symbols = _decode_line(path, fh, end - start - 1, m)
-    if fields["n"] != str(symbols.shape[0]):
+        count = yield from _decode_line(path, fh, end - start - 1, m)
+    if fields["n"] != str(count):
+        raise ConfigError(f"{path}: n is {fields['n']!r}, the symbols line holds {count}")
+    if count < n_max:
         raise ConfigError(
-            f"{path}: n is {fields['n']!r}, the symbols line holds {symbols.shape[0]}"
+            f"experiment.n_grid: stored path {path} has {count} symbols, grid needs {n_max}"
         )
-    if symbols.shape[0] < n_max:
-        raise ConfigError(
-            f"experiment.n_grid: stored path {path} has "
-            f"{symbols.shape[0]} symbols, grid needs {n_max}"
-        )
-    return symbols
 
 
 def _replication_tasks(config: ExperimentConfig, model: MarkovModel):

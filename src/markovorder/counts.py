@@ -16,6 +16,7 @@ first and the last ``depth_cap`` symbols of the path.
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from functools import partial
 from itertools import takewhile
@@ -171,7 +172,8 @@ def _cut(chunks, lengths):
     """Yield the symbol arrays of ``chunks`` cut at the increasing
     ``lengths``, and None after the pieces up to each length; stop early
     when the chunks run out.  A chunk is pulled once the one before it has
-    been yielded whole, with no reference to it kept."""
+    been yielded whole, with no reference to it kept.  The chunks past the
+    last length are pulled and dropped before its None."""
     chunks = iter(chunks)
     rest, at = np.zeros(0), 0  # the part of the current chunk not yet yielded
     for end in lengths:
@@ -186,6 +188,9 @@ def _cut(chunks, lengths):
             at += k
             yield rest[:k]
             rest = rest[k:]
+        if end == lengths[-1]:
+            rest = None  # not held while the rest of the chunks is read
+            deque(chunks, maxlen=0)
         yield None
 
 
@@ -197,7 +202,8 @@ def prefix_counts(chunks, lengths, depth_cap: int, m: int):
 
     Each chunk is pulled once the one before it is counted, and dropped
     then; so a generator of chunks that keeps none of its own is held one
-    chunk at a time.
+    chunk at a time.  They are pulled to their end before the last counts
+    are yielded, so a path file is checked whole before any table is used.
     """
     counts = _empty(m, depth_cap)
     if depth_cap >= lengths[0]:

@@ -363,8 +363,9 @@ def lil_trajectory(
     non-positive trend).
     """
     grid = sorted(int(c) for c in checkpoints)
-    if grid[0] < 16:
-        raise ValueError("checkpoints must start at 16 or later")
+    # the path is sampled a segment at a time, so no array bounds its length
+    if grid[0] < 16 or grid[-1] >= 2**48:
+        raise ValueError("checkpoints must lie in 16..2**48 - 1")
     m = truth.m
     depth = required_depth_cap(cutoff, grid, m)
     chunks = map(itemgetter(0), path_segments(truth, grid[-1], seed))

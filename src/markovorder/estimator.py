@@ -118,16 +118,16 @@ def evaluate_replication(
     under every penalty in ``pens``; returns one list of rows per penalty.
 
     The path is sampled from the seed a segment at a time
-    (``path_segments``) when the source is None, and read whole by
-    ``load(source, m, seed, n_max)`` otherwise.  Each length's
-    ``max_loglik`` vector is scored against every penalty and also gives
-    the LIL statistic.
+    (``path_segments``) when the source is None, and read as the symbol
+    arrays that ``load(source, m, seed, n_max)`` yields otherwise.  Each
+    length's ``max_loglik`` vector is scored against every penalty and also
+    gives the LIL statistic.
     """
     replication, seed, source = task
     if source is None:
         chunks = map(itemgetter(0), path_segments(model, n_grid[-1], seed))
     else:
-        chunks = (load(source, model.m, seed, n_grid[-1]),)
+        chunks = load(source, model.m, seed, n_grid[-1])
     m, r_star = model.m, true_order(model)
     rows = [[] for _ in pens]
     for n, logliks in grid_logliks(chunks, m, cut, n_grid, depth_cap):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from markovorder import MarkovModel, cli, random_model, sample_paths
 from markovorder import estimator as estimator_mod
 from markovorder import model as model_mod
 from markovorder.diagnostics import mc as mc_mod
+from markovorder._contexts import symbol_dtype
+from markovorder.estimator import evaluate_replication, required_depth_cap
 from markovorder.model import lift_kernel, write_model_file
-from markovorder.penalty import N_MIN
+from markovorder.penalty import N_MIN, parse_cutoff, parse_penalty
 from markovorder.rng import PHI64, derive_seed
 
 TWO_STATE = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
@@ -30,6 +33,21 @@ MASK = 0xFFFFFFFFFFFFFFFF
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def joined(spans, m):
+    """The symbol arrays ``spans`` joined into one array of ``symbol_dtype(m)``."""
+    return np.concatenate([np.zeros(0, symbol_dtype(m)), *spans])
+
+
+def read_path(path, m, seed, n_max):
+    """The symbols of a path file, its spans joined."""
+    return joined(cli._read_path_file(path, m, seed, n_max), m)
+
+
+def decoded(source, text, m):
+    """The symbols of the line ``text``, decoded as a path file's symbols line."""
+    return joined(cli._decode_line(source, io.BytesIO(text), len(text), m), m)
 
 
 def make_config(
@@ -119,7 +137,7 @@ class TestSimulate:
         for i in range(7):
             seed = derive_seed(4242, i)
             assert np.array_equal(
-                cli._read_path_file(tmp_path / "batch3" / cli._path_filename(i), 2, seed, 100),
+                read_path(tmp_path / "batch3" / cli._path_filename(i), 2, seed, 100),
                 sample_paths(TWO_STATE, 100, seed)[0],
             )
 
@@ -150,7 +168,7 @@ class TestSimulate:
         for i in range(2):  # the two files written before the failure are whole
             seed = derive_seed(4242, i)
             assert np.array_equal(
-                cli._read_path_file(out / cli._path_filename(i), 2, seed, 64),
+                read_path(out / cli._path_filename(i), 2, seed, 64),
                 sample_paths(TWO_STATE, 64, seed)[0],
             )
 
@@ -237,12 +255,12 @@ class TestPathFileCodec:
             "symbols: " + " ".join(str(int(s)) for s in symbols) + "\n"
         )
         assert path.read_bytes() == expected.encode()
-        assert np.array_equal(cli._read_path_file(path, m, 99, n), symbols)
+        assert np.array_equal(read_path(path, m, 99, n), symbols)
 
     def test_reading_copies_no_symbols_line(self, tmp_path):
-        # a 2^20-symbol two-state path has a 2 MB symbols line; the file
-        # and the symbols take 1.5 lines, and the decoder's temporaries a
-        # few DECODE_CHUNK windows (5 lines when they were line-sized, 11.5
+        # a 2^20-symbol two-state path has a 2 MB symbols line; its spans
+        # and their joined copy take one line, and the decoder's temporaries
+        # a few DECODE_CHUNK windows (5 lines when they were line-sized, 11.5
         # when the line was split, partitioned and sliced out of the file)
         n = 1 << 20
         symbols = sample_paths(TWO_STATE, n, 3)[0]
@@ -250,33 +268,18 @@ class TestPathFileCodec:
         cli._write_path_file(path, symbols, 2, 3)
         tracemalloc.start()
         try:
-            out = cli._read_path_file(path, 2, 3, n)
+            out = read_path(path, 2, 3, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(out, symbols)
         assert peak < 2 * 2 * n
 
-    def test_writing_holds_no_int64_copy_of_the_symbols(self):
-        # the records and the line take two line sizes and the gather's
-        # int64 indices one ENCODE_CHUNK; all 2^20 indices at once took 8
-        # bytes a symbol, 5 line sizes in all
-        n = 1 << 20
-        symbols = sample_paths(TWO_STATE, n, 3)[0]
-        tracemalloc.start()
-        try:
-            line = cli._encode_symbols(symbols, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(line) == 2 * n - 1
-        assert peak < 3 * 2 * n
-
     def test_path_file_streamed_both_ways(self, tmp_path):
         # a 2^20-symbol two-state path (a 2 MB line) is written a run of
         # ENCODE_CHUNK symbols at a time, and read back a DECODE_CHUNK window
-        # at a time: reading holds the symbols and a few windows, not the file
-        # (about 10 windows beside the symbols, measured with tracemalloc)
+        # at a time: reading yields the symbols a span at a time and holds a
+        # few windows, not the file nor the path
         n = 1 << 20
         symbols = sample_paths(TWO_STATE, n, 3)[0]
         path = tmp_path / "path.txt"
@@ -285,13 +288,39 @@ class TestPathFileCodec:
             cli._write_path_file(path, symbols, 2, 3)
             written = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            out = cli._read_path_file(path, 2, 3, n)
+            done = 0
+            for span in cli._read_path_file(path, 2, 3, n):
+                assert np.array_equal(span, symbols[done:done + span.size])
+                done += span.size
             read = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert path.stat().st_size > 2 * n and np.array_equal(out, symbols)
+        assert path.stat().st_size > 2 * n and done == n
         assert written < 4 * cli.DECODE_CHUNK
-        assert read < symbols.nbytes + 12 * cli.DECODE_CHUNK
+        assert read < 12 * cli.DECODE_CHUNK
+
+    def test_replication_from_a_path_file_holds_no_path(self, tmp_path):
+        # one replication scored from a 2^21-symbol two-state path file (a
+        # 4 MB line) holds a few decoder windows and the count tables, not
+        # the 2 MB path: 0.7 MB traced, against 2.8 MB when the file was
+        # decoded whole; its rows equal those of the path sampled inline
+        n = 1 << 21
+        pen, cut = parse_penalty("loglog C=5"), parse_cutoff("sublog")
+        grid = [2**k for k in range(16, 22)]
+        cap = required_depth_cap(cut, grid, 2)
+        path = tmp_path / "path.txt"
+        cli._write_path_file(path, sample_paths(TWO_STATE, n, 5)[0], 2, 5)
+        score = partial(evaluate_replication, TWO_STATE, (pen,), cut)
+        task = (0, 5, str(path))
+        score(grid[:2], cap, cli._read_path_file, task)
+        tracemalloc.start()
+        try:
+            rows = score(grid, cap, cli._read_path_file, task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == score(grid, cap, None, (0, 5, None))
+        assert peak < 1_500_000
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @pytest.mark.parametrize("m", [2, 11, 1000])
@@ -323,7 +352,7 @@ class TestPathFileCodec:
             path = tmp_path / "path.txt"
             path.write_bytes(data)
             try:
-                return cli._read_path_file(path, m, 5, 40).tolist()
+                return read_path(path, m, 5, 40).tolist()
             except cli.ConfigError as exc:
                 return str(exc)
 
@@ -344,10 +373,13 @@ class TestPathFileCodec:
         assert [read(data) for data in variants] == expected
 
     @pytest.mark.parametrize("m, chunk", [(2, 1), (11, 3), (1000, 7)])
-    def test_chunked_encoding_matches_joined_text(self, monkeypatch, m, chunk):
+    def test_chunked_encoding_matches_joined_text(self, tmp_path, monkeypatch, m, chunk):
+        # the writer encodes runs of ENCODE_CHUNK symbols, each alone
         monkeypatch.setattr(cli, "ENCODE_CHUNK", chunk)
         symbols = np.random.default_rng(m).integers(0, m, 50)
-        assert cli._encode_symbols(symbols, m) == " ".join(map(str, symbols.tolist())).encode()
+        cli._write_path_file(tmp_path / "path.txt", symbols, m, 5)
+        line = (tmp_path / "path.txt").read_bytes().split(b"symbols: ")[1]
+        assert line == " ".join(map(str, symbols.tolist())).encode() + b"\n"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -362,7 +394,7 @@ class TestPathFileCodec:
         # the message (offset, symbol index), of decoding it as one span
         def decode():
             try:
-                return cli._decode_symbols("p", text, m).tolist()
+                return decoded("p", text, m).tolist()
             except cli.ConfigError as exc:
                 return str(exc)
 
@@ -377,7 +409,7 @@ class TestPathFileCodec:
     @pytest.mark.parametrize("text", [b"0", b"7 10", b"3 5 10", b"10 3 5"])
     def test_short_symbols_at_line_start(self, m, text):
         # the higher digits of the first symbols would lie before the line
-        assert cli._decode_symbols("p", text, m).tolist() == [int(t) for t in text.split()]
+        assert decoded("p", text, m).tolist() == [int(t) for t in text.split()]
 
     @pytest.mark.parametrize(
         "m, text, token",
@@ -386,10 +418,10 @@ class TestPathFileCodec:
     def test_symbols_that_wrap_in_uint8_rejected(self, m, text, token):
         # 256, 999 and 300 wrap to 0, 231 and 44 in uint8
         with pytest.raises(cli.ConfigError, match=f"is '{token}', not one of 0..{m - 1}"):
-            cli._decode_symbols("p", text, m)
-        good = cli._decode_symbols("p", b"0 %d 1" % (m - 1), m)
+            decoded("p", text, m)
+        good = decoded("p", b"0 %d 1" % (m - 1), m)
         assert good.dtype == np.uint8 and good.tolist() == [0, m - 1, 1]
-        assert cli._decode_symbols("p", b"256 0", 257).dtype == np.uint16
+        assert decoded("p", b"256 0", 257).dtype == np.uint16
 
     @pytest.mark.parametrize(
         "corrupt, named",
@@ -413,6 +445,36 @@ class TestPathFileCodec:
         assert cli.main(["estimate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "path_00001.txt" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda h, s: (h, s[:3000] + b"2" + s[3001:]), "symbol 1500 is '2', not one of 0..1"),
+            (
+                lambda h, s: (h.replace(b"n: 2048", b"n: 2047"), s),
+                "n is '2047', the symbols line holds 2048",
+            ),
+        ],
+        ids=["symbol", "n-mismatch"],
+    )
+    def test_fault_past_the_grid_rejected(self, tmp_path, capsys, monkeypatch, corrupt, named):
+        # paths of 2048 symbols read by a grid that ends at 1024: the counts
+        # stop at symbol 1024, but the file is still read to its end and
+        # checked before any table is written; 256-byte windows put symbol
+        # 1500 in a later span than the grid's end
+        monkeypatch.setattr(cli, "DECODE_CHUNK", 256)
+        cfg = make_config(tmp_path, n_grid="256 2048", reps=2)
+        assert cli.main(["simulate", "--config", str(cfg)]) == 0
+        make_config(tmp_path, n_grid="256 1024", reps=2)
+        path = tmp_path / "out" / "path_00001.txt"
+        head, symbols = path.read_bytes().split(b"symbols: ")
+        head, symbols = corrupt(head, symbols)
+        path.write_bytes(head + b"symbols: " + symbols)
+        capsys.readouterr()
+        assert cli.main(["estimate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "path_00001.txt" in err and named in err and "Traceback" not in err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
 
 class TestEstimate:
@@ -995,14 +1057,19 @@ class TestExitCodesAndDeterminism:
                 {"checks": "typicality", "typicality_n_large": 10**15},
                 "error: Unable to allocate",
             ),
+            (
+                "verify",
+                {"checks": "lil", "lil_checkpoints": f"1024 {10**15}"},
+                "config error: verify.lil_checkpoints:",
+            ),
         ],
-        ids=["replications", "n_grid", "typicality_n_large"],
+        ids=["replications", "n_grid", "typicality_n_large", "lil_checkpoints"],
     )
     def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings, error):
         # each setting sizes an array past 2**48 bytes, more than an address
         # space holds, so its allocation fails at once whatever the
         # overcommit policy; a path is sampled a segment at a time, so the
-        # config bounds n_grid by that size itself
+        # config bounds n_grid, and verify lil_checkpoints, by that size itself
         cfg = demo_config(tmp_path, {})
         text = cfg.read_text()
         for key, value in settings.items():
@@ -1350,7 +1417,7 @@ class TestFuzzedInputs:
                 key, _, rest = line.partition(b":")
                 fields[key.strip()] = rest
             line = fields[b"symbols"][1:]
-            assert cli._encode_symbols(cli._decode_symbols(path, line, 12), 12) == line
+            assert cli._encode_symbols(decoded(path, line, 12), 12) == line
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

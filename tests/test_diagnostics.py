@@ -811,3 +811,8 @@ class TestLilTrajectory:
     def test_checkpoint_floor(self):
         with pytest.raises(ValueError):
             lil_trajectory(TWO_STATE, [8, 64], 1, SubLogCutoff(), seed=1)
+
+    def test_checkpoint_ceiling(self):
+        # the path is sampled a segment at a time, so no allocation stops it
+        with pytest.raises(ValueError, match="16..2\\*\\*48 - 1"):
+            lil_trajectory(TWO_STATE, [1024, 2**48], 1, SubLogCutoff(), seed=1)
