@@ -27,8 +27,8 @@ _EXPORTS = {
         "likelihood": "MixtureKernel delta_running_max kl_compensator martingale_path "
         "max_loglik mixture_kernel",
         "model": "MarkovModel ReducibleChainError log_true_conditional_likelihood random_model "
-        "path_segments read_model_file sample_paths stationary_block_law stationary_distribution "
-        "true_order write_model_file",
+        "sample_paths stationary_block_law stationary_distribution true_order",
+        "modelfile": "read_model_file write_model_file",
         "penalty": "AlphaLogCutoff BICPenalty ConstantCutoff CsiszarPenalty LogLogPenalty "
         "SubLogCutoff cutoff_value parse_cutoff parse_penalty penalty_value",
         "rng": "derive_seed",

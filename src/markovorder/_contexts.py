@@ -32,12 +32,13 @@ def _horner(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
 
     Each operand is an array or a scalar of that dtype, so numpy 1.x
     value-based casting and numpy 2 (NEP 50) keep the same dtype.  Symbols
-    must lie below m.
+    must lie below m.  The codes keep the symbols' memory order, so the
+    transpose of a step-major array is coded a step at a time.
     """
     dt = np.min_scalar_type(m**length - 1)
     span = symbols.astype(dt, copy=False)
     width = max(span.shape[-1] - length + 1, 0)
-    codes = span[..., :width].copy()
+    codes = span[..., :width].copy(order="K")
     if length > 1:  # m itself may not fit dt when nothing is multiplied
         base = dt.type(m)
     for j in range(1, length):

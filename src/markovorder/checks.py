@@ -169,7 +169,7 @@ def _bracket(config, model, candidate):
 
 
 def _deviation_settings(s, model, candidate) -> None:
-    from .diagnostics.mc import deviation_lane_cells
+    from .diagnostics.mc import DEVIATION_EPS, deviation_lane_cells
 
     r, r_true = s.deviation_r, true_order(model)
     _require(r > r_true, "deviation_r", f"above the model's true order {r_true}", r)
@@ -180,6 +180,8 @@ def _deviation_settings(s, model, candidate) -> None:
     # past r + 1 symbols, rho's typicality window is a lane's largest table
     key = "rho" if s.rho - 1 > r + 1 else "deviation_r"
     _mirror(key, deviation_lane_cells, model.m, r, s.rho, s.deviation_replications)
+    count = s.deviation_eps_count
+    _require(count <= DEVIATION_EPS, "deviation_eps_count", f"at most {DEVIATION_EPS}", count)
 
 
 def _deviation(config, model, candidate):
@@ -198,7 +200,7 @@ def _deviation(config, model, candidate):
 def _lil_settings(s, model, candidate) -> None:
     first, last = s.lil_checkpoints[0], s.lil_checkpoints[-1]
     _require(first >= 16, "lil_checkpoints", "16 or more at the first checkpoint", first)
-    # the path is sampled a segment at a time, so nothing else bounds its length
+    # the path is sampled straight into its counts, so nothing else bounds its length
     _require(last < 2**48, "lil_checkpoints", "below 2**48 at the last checkpoint", last)
 
 
@@ -220,6 +222,8 @@ def _lil(config, model, candidate):
 
 
 def _typicality_settings(s, model, candidate) -> None:
+    from .diagnostics.mc import typicality_lane_bytes
+
     small, large = s.typicality_n_small, s.typicality_n_large
     _require(
         small < large, "typicality_n_small", f"below verify.typicality_n_large = {large}", small
@@ -227,6 +231,7 @@ def _typicality_settings(s, model, candidate) -> None:
     # the typicality event reads depths below rho of the shorter path
     _require(s.rho < small, "rho", f"below verify.typicality_n_small = {small}", s.rho)
     _require_table(model.m, s.rho - 1, "rho", s.rho)
+    _mirror("typicality_n_large", typicality_lane_bytes, model.m, s.rho, large)
 
 
 def _typicality(config, model, candidate):

@@ -35,13 +35,8 @@ import numpy as np
 from ._contexts import symbol_dtype
 from .checks import CHECKS
 from .config import ConfigError, ExperimentConfig, load_config
-from .model import (
-    MarkovModel,
-    read_model_file,
-    sample_paths,
-    stationary_distribution,
-    true_order,
-)
+from .model import MarkovModel, sample_paths, stationary_distribution, true_order
+from .modelfile import read_model_file
 from .penalty import N_MIN
 from .rng import derive_seed
 

@@ -170,13 +170,16 @@ def load_config(path: str) -> ExperimentConfig:
     if n_grid[0] < 1:
         raise ConfigError(f"experiment.n_grid: path lengths must be >= 1, got {n_grid[0]}")
     # 2**48 one-byte symbols pass what an address space holds; a path is
-    # sampled a segment at a time, so nothing else would stop the run
+    # sampled straight into its counts, so nothing else would stop the run
     if n_grid[-1] >= 2**48:
         raise ConfigError(f"experiment.n_grid: path lengths must be below 2**48, got {n_grid[-1]}")
     replications = _parse_int(
         "experiment", "replications",
         _get(parser, "experiment", "replications", "1"), minimum=1,
     )
+    # simulate derives every replication's seed in one array, 8 bytes each
+    if replications > 2**24:
+        raise ConfigError(f"experiment.replications: must be at most 2**24, got {replications}")
     seed = _parse_int("experiment", "seed", _get(parser, "experiment", "seed", "0"))
     jobs = _parse_int("experiment", "jobs", _get(parser, "experiment", "jobs", "1"), minimum=1)
     out_dir = _get(parser, "experiment", "out", "out")

@@ -12,6 +12,10 @@ plus the windows that lie inside the first ``depth_cap`` symbols.  So a
 table is one sorted pair: the distinct window codes ``ctx * m + next``
 (newest symbol least significant) and their positive counts, next to the
 first and the last ``depth_cap`` symbols of the path.
+
+The windows come from symbol arrays in path order (``_extend``), or, in
+``tally.sampled_counts``, from a sampler run that is never stored; both
+code them with ``_contexts`` and tally them with ``_merge``.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ def _merge(codes: np.ndarray, counts, size: int) -> tuple[np.ndarray, np.ndarray
     return keys.astype(np.int64), np.bincount(inverse, counts).astype(np.int64)
 
 
+def _merge_pairs(pairs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (codes, counts) ``pairs`` of ``_merge`` merged into one."""
+    keys, tallies = zip(*pairs)
+    return _merge(np.concatenate(keys), np.concatenate(tallies), size)
+
+
 def _symbols(path, m: int, what: str) -> np.ndarray:
     """``path`` in the symbol dtype of m, after checking every symbol lies
     in {0, .., m-1}, so that no out-of-range value wraps."""
@@ -139,10 +149,7 @@ def _extend(counts: ContextCounts, pieces) -> ContextCounts:
         tail = np.concatenate([tail[max(tail.size - keep, 0) :], new[max(new.size - cap, 0) :]])
         n += new.size
         del piece, new
-    if len(pairs) > 1:
-        keys, tallies = zip(*pairs)
-        pairs = [_merge(np.concatenate(keys), np.concatenate(tallies), size)]
-    codes, totals = pairs[0]
+    codes, totals = _merge_pairs(pairs, size) if len(pairs) > 1 else pairs[0]
     return ContextCounts(m, cap, n, codes, totals, head, tail)
 
 

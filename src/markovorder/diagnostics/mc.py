@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from ..model import (
     ModelStack,
     check_table,
     lift_kernel,
-    path_segments,
     random_kernels,
     sample_paths,
     stationary_block_law,
@@ -52,6 +50,7 @@ from ..model import (
 )
 from ..penalty import CutoffSpec
 from ..rng import derive_seed, uniform_block
+from ..tally import sampled_counts
 from .core import (
     ROW_CELLS,
     BoundParams,
@@ -78,6 +77,9 @@ CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
 # at most this many (on two symbols at 20 000 lanes, order 10 took 2 s,
 # order 12 6 s and order 16 88 s)
 DEVIATION_CELLS = 1 << 26
+# deviation_tail_mc scores every eps of its grid on each chunk of lanes and
+# reports a row for each; it takes at most this many
+DEVIATION_EPS = 1 << 16
 
 
 def _chunks(total: int, size: int):
@@ -268,6 +270,8 @@ def deviation_tail_mc(
     extra = m**window if window > r + 1 else 0
     log_p = masked_log_ratio(true_transition_law(truth, r), 1.0)
     eps = np.array([float(e) for e in eps_grid])
+    if eps.shape[0] > DEVIATION_EPS:
+        raise ValueError(f"{eps.shape[0]} eps values pass the {DEVIATION_EPS} one check may take")
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0
     depth = max(r, rho - 1)
@@ -363,14 +367,13 @@ def lil_trajectory(
     non-positive trend).
     """
     grid = sorted(int(c) for c in checkpoints)
-    # the path is sampled a segment at a time, so no array bounds its length
+    # the path is sampled straight into its counts, so no array bounds its length
     if grid[0] < 16 or grid[-1] >= 2**48:
         raise ValueError("checkpoints must lie in 16..2**48 - 1")
     m = truth.m
     depth = required_depth_cap(cutoff, grid, m)
-    chunks = map(itemgetter(0), path_segments(truth, grid[-1], seed))
     points = []
-    for n, logliks in grid_logliks(chunks, m, cutoff, grid, depth):
+    for n, logliks in grid_logliks(sampled_counts(truth, seed, grid, depth), m, cutoff, grid):
         value = lil_from_logliks(logliks[r_star:], r_star, m)
         norm = value / math.log(math.log(n))
         points.append(LilPoint(n, len(logliks), value, norm))
@@ -398,6 +401,19 @@ class TypicalityTrendReport:
         return self.holds_large >= self.holds_small
 
 
+def typicality_lane_bytes(m: int, rho: int, n_large: int) -> int:
+    """The bytes of one ``typicality_trend`` lane.  The depth tables of the
+    first rho depths are read from windows of max(rho - 1, 1) symbols,
+    within ``check_table``; a path takes n_large symbols, sampled whole, and
+    its int64 window table and the count tables read from it at most
+    24 * m**max(rho, 1) bytes.  Raises ValueError past CHUNK_BYTES."""
+    check_table(m, max(rho - 1, 1))
+    lane = symbol_dtype(m).itemsize * n_large + 24 * m ** max(rho, 1)
+    if lane > CHUNK_BYTES:
+        raise ValueError(f"a lane of {n_large} symbols takes {lane} bytes, past {CHUNK_BYTES}")
+    return lane
+
+
 def typicality_trend(
     truth: MarkovModel,
     eta: float,
@@ -417,12 +433,8 @@ def typicality_trend(
         raise ValueError(f"rho {rho} must be below n_small {n_small}")
     m = truth.m
     holds = [0, 0]
-    # the depth tables of the first rho depths are read from windows of
-    # max(rho - 1, 1) symbols; a path takes n_large symbols, and its int64
-    # window table and the count tables read from it at most 24 * m**depth bytes
     depth = max(rho, 1)
-    check_table(m, max(rho - 1, 1))
-    lane_bytes = symbol_dtype(m).itemsize * n_large + 24 * m**depth
+    lane_bytes = typicality_lane_bytes(m, rho, n_large)
     for lo, hi in _chunks(seeds, max(1, CHUNK_BYTES // lane_bytes)):
         paths = sample_paths(truth, n_large, derive_seed(seed, np.arange(lo, hi)))
         for k, n in enumerate((n_small, n_large)):

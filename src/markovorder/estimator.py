@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 from .counts import ContextCounts, prefix_counts
 from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
-from .model import MarkovModel, path_segments, stationary_block_law, true_order
+from .model import MarkovModel, stationary_block_law, true_order
 from .penalty import CutoffSpec, PenaltySpec, cutoff_value, penalty_value
 from .rng import derive_seed
+from .tally import sampled_counts
 
 
 @dataclass(frozen=True)
@@ -99,15 +99,13 @@ class ExperimentResult:
     summary: tuple[RecoverySummary, ...]
 
 
-def grid_logliks(chunks, m: int, cut: CutoffSpec, n_grid, depth_cap: int):
-    """Yield ``(n, logliks)`` along one growing path, given as the symbol
-    arrays ``chunks`` in order, where ``logliks[r]`` is ``max_loglik`` of
-    the prefix x_{1:n} for every order r < kappa(n).
-
-    Counts are extended from one grid length to the next, never rebuilt
-    (``prefix_counts``).
+def grid_logliks(tables, m: int, cut: CutoffSpec, n_grid):
+    """Yield ``(n, logliks)`` along one growing path, given as the counts
+    ``tables`` of its prefixes x_{1:n} for n in ``n_grid`` (from
+    ``prefix_counts`` or ``sampled_counts``), where ``logliks[r]`` is
+    ``max_loglik`` of the prefix for every order r < kappa(n).
     """
-    for n, counts in zip(n_grid, prefix_counts(chunks, n_grid, depth_cap, m)):
+    for n, counts in zip(n_grid, tables):
         yield n, max_loglik_vector(counts, cutoff_value(cut, n, m))
 
 
@@ -117,20 +115,20 @@ def evaluate_replication(
     """Score one ``(replication, seed, source)`` task at every grid length
     under every penalty in ``pens``; returns one list of rows per penalty.
 
-    The path is sampled from the seed a segment at a time
-    (``path_segments``) when the source is None, and read as the symbol
+    The path is sampled from the seed straight into its counts
+    (``sampled_counts``) when the source is None, and read as the symbol
     arrays that ``load(source, m, seed, n_max)`` yields otherwise.  Each
     length's ``max_loglik`` vector is scored against every penalty and also
     gives the LIL statistic.
     """
     replication, seed, source = task
-    if source is None:
-        chunks = map(itemgetter(0), path_segments(model, n_grid[-1], seed))
-    else:
-        chunks = load(source, model.m, seed, n_grid[-1])
     m, r_star = model.m, true_order(model)
+    if source is None:
+        tables = sampled_counts(model, seed, n_grid, depth_cap)
+    else:
+        tables = prefix_counts(load(source, m, seed, n_grid[-1]), n_grid, depth_cap, m)
     rows = [[] for _ in pens]
-    for n, logliks in grid_logliks(chunks, m, cut, n_grid, depth_cap):
+    for n, logliks in grid_logliks(tables, m, cut, n_grid):
         lil = lil_from_logliks(logliks[r_star:], r_star, m)
         for out, pen in zip(rows, pens):
             result = _score_orders(logliks, pen, n, m)

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from ._contexts import block_digits, context_codes, symbol_dtype, window_codes
+from ._contexts import block_digits, context_codes, symbol_dtype
 from .rng import PHI64, _as_u64, raw53_steps, uniform_block
 
 ROW_SUM_TOL = 1e-12
@@ -23,15 +23,12 @@ POWER_ITER_TOL = 1e-12
 POWER_ITER_MAX = 10**6
 # a sampler run cuts each lane into as many blocks as keep its first pass
 # within BLOCK_CELLS contexts per numpy step, each at least MIN_BLOCK symbols
-# long, and holds up to FLUSH_CELLS symbols step-major before it stores them
-# into the paths; its stepper draws up to UNIFORM_CELLS uniforms per call.
-# path_segments samples PATH_SEGMENT symbols per run: each run repeats the
-# coupling steps of its first pass, which 1 MiB runs paid for in time
+# long, and holds up to FLUSH_CELLS symbols step-major before it hands them
+# on; its stepper draws up to UNIFORM_CELLS uniforms per call
 BLOCK_CELLS = 1 << 14
 MIN_BLOCK = 16
 FLUSH_CELLS = 1 << 18
 UNIFORM_CELLS = 1 << 15
-PATH_SEGMENT = 1 << 21
 # a draw k of raw53_steps is the uniform k * 2**-53; no draw reaches the
 # threshold NEVER
 NEVER = 1 << 53
@@ -262,18 +259,20 @@ def _dense_solve(probs: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 def _power_iteration(probs: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """pi = pi Q for one chain laid out as in ``_dense_solve`` (``probs`` of
-    shape (k, m)), iterated from the uniform law until no entry moves by more
-    than POWER_ITER_TOL; ValueError after POWER_ITER_MAX steps without that."""
+    shape (k, m)), iterated from the uniform law on the lazy chain (I + Q) / 2,
+    which has the same stationary law and no period, until the residual
+    ||pi Q - pi||_1 is at most POWER_ITER_TOL (a small step between iterates
+    does not bound the error of a slowly mixing chain); ValueError after
+    POWER_ITER_MAX steps without that."""
     k, m = probs.shape
     sub = np.full(k, 1.0 / k)
     rows = np.repeat(np.arange(k), m)
     for _ in range(POWER_ITER_MAX):
         nxt = np.zeros(k)
         np.add.at(nxt, pos.ravel(), sub[rows] * probs.ravel())
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - sub)) <= POWER_ITER_TOL:
-            return nxt
-        sub = nxt
+        if np.abs(nxt - sub).sum() <= POWER_ITER_TOL:
+            return sub
+        sub = (sub + nxt) / (sub.sum() + nxt.sum())
     raise ValueError(f"power iteration on {k} contexts did not converge in {POWER_ITER_MAX} steps")
 
 
@@ -476,18 +475,17 @@ def _advance(columns, base, seeds, positions, ctx, steps: int):
             yield ctx, sym
 
 
-def _store(steps, body: np.ndarray, count: int):
-    """Run ``count`` ``_advance`` steps of the (lanes, blocks, length)
-    ``body``'s rows, storing the symbols of step j into ``body[:, :, j]``
-    from the first step whose columns have coalesced on.  The symbols of up
-    to FLUSH_CELLS // rows steps are held step-major and stored together,
-    so each row is written a run of steps at a time, not a byte per step.
-    Returns the last ``ctx`` and that first step (``count`` when none
-    coalesced).
+def _store(steps, count: int, sink, rows: int, dtype):
+    """Run ``count`` ``_advance`` steps of ``rows`` rows and hand the
+    symbols of each step from the first whose columns have coalesced on to
+    ``sink``.  The symbols of up to FLUSH_CELLS // rows steps are held
+    step-major and handed on together as ``sink(run, a)``: ``run`` of shape
+    (steps, rows) holds steps a, a + 1, ..., and is overwritten once
+    ``sink`` returns.  Returns the last ``ctx`` and that first step
+    (``count`` when none coalesced).
     """
-    lanes, blocks, _ = body.shape
-    held = max(1, min(count, FLUSH_CELLS // max(lanes * blocks, 1)))
-    buf = np.empty((held, lanes * blocks), dtype=body.dtype)
+    held = max(1, min(count, FLUSH_CELLS // max(rows, 1)))
+    buf = np.empty((held, rows), dtype=dtype)
     first = count
     for lo in range(0, count, held):
         hi = min(lo + held, count)
@@ -497,8 +495,7 @@ def _store(steps, body: np.ndarray, count: int):
                 buf[j - lo] = sym[:, 0]
         if first < hi:
             a = max(first, lo)
-            run = buf[a - lo : hi - lo].reshape(hi - a, lanes, blocks)
-            body[:, :, a:hi] = np.moveaxis(run, 0, -1)
+            sink(buf[a - lo : hi - lo], a)
     return ctx, first
 
 
@@ -520,38 +517,44 @@ def _lane_tables(model, seeds):
     return (seeds, columns, base, offset), init
 
 
-def _sample_run(model, tables, init, first: int, steps: int, lead: int) -> np.ndarray:
-    """A (lanes, lead + L) array, L >= ``steps``, whose columns from
-    ``lead`` on hold ``steps`` kernel symbols of each lane: lane g starts
-    in its kernel's context code ``init[g]`` and draws its symbols at
-    stream positions first, first + 1, ...  The first ``lead`` columns are
-    left to the caller.
+def _blocking(model, lanes: int, steps: int) -> tuple[int, int]:
+    """How many blocks ``_sample_run`` cuts each of ``lanes`` lanes of
+    ``steps`` kernel steps into, and their length: as many as keep its
+    first pass within BLOCK_CELLS contexts per numpy step, each at least
+    MIN_BLOCK steps long.  The blocks may end past ``steps``."""
+    blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * model.n_contexts, 1)))
+    # an odd block length keeps the column stores of sample_paths off a
+    # power-of-two row stride, whose blocks all land on the same cache sets
+    return blocks, (-(-steps // blocks) | 1) if blocks > 1 else steps
 
-    The steps of each lane are cut into equal blocks.  A first pass steps
-    every block from every start context of its lane's kernel at once and
-    keeps the context each one ends in; composing these block maps (on the
-    kernel's own codes 0..m**r - 1) gives every block's start from the
-    lane's ``init``.  This is a scan over finite-state maps (Blelloch,
-    "Prefix sums and their applications", 1990).  Once all start columns
-    have coalesced, a block's symbols no longer depend on its start, so the
-    first pass stores them; a second pass replays each block from its start
-    only up to that step.
+
+def _sample_run(model, tables, init, blocks: int, length: int, sink) -> None:
+    """Sample ``blocks`` blocks of ``length`` kernel symbols per lane and
+    hand them to ``sink`` (see ``_store``): lane g starts in its kernel's
+    context code ``init[g]`` and draws its symbols at stream positions 1,
+    2, ...; column g * blocks + b of each run holds block b of lane g.
+    Every step of every block is handed on once: those from the first
+    pass's coalescence step on in increasing order, then those before it.
+
+    A first pass steps every block from every start context of its lane's
+    kernel at once and keeps the context each one ends in; composing these
+    block maps (on the kernel's own codes 0..m**r - 1) gives every block's
+    start from the lane's ``init``.  This is a scan over finite-state maps
+    (Blelloch, "Prefix sums and their applications", 1990).  Once all start
+    columns have coalesced, a block's symbols no longer depend on its start,
+    so the first pass hands them on; a second pass replays each block from
+    its start only up to that step.
     """
     seeds, columns, base, offset = tables
     lanes, size = seeds.shape[0], model.n_contexts
-    blocks = max(1, min(steps // MIN_BLOCK, BLOCK_CELLS // max(lanes * size, 1)))
-    # an odd block length keeps the column stores body[:, :, j] off a
-    # power-of-two row stride, whose blocks all land on the same cache sets
-    length = (-(-steps // blocks) | 1) if blocks > 1 else steps
-    firsts = np.uint64(first) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
+    firsts = np.uint64(1) + np.uint64(length) * np.arange(blocks, dtype=np.uint64)
     rows = (np.repeat(seeds, blocks), np.tile(firsts, lanes))
     starts = np.repeat(init, blocks).reshape(lanes, blocks)
-    out = np.empty((lanes, lead + blocks * length), dtype=symbol_dtype(model.m))
-    body = out[:, lead:].reshape(lanes, blocks, length)
+    runs = (sink, lanes * blocks, symbol_dtype(model.m))
     replay = length  # the steps before the start columns coalesce
     if blocks > 1:
         every = np.repeat(offset, blocks)[:, None] + np.arange(size)
-        ends, replay = _store(_advance(columns, base, *rows, every, length), body, length)
+        ends, replay = _store(_advance(columns, base, *rows, every, length), length, *runs)
     if blocks > 1 and replay:
         # compose the block maps by doubling, on each kernel's own codes
         # (each right-hand side is read whole before it is stored);
@@ -566,8 +569,7 @@ def _sample_run(model, tables, init, first: int, steps: int, lead: int) -> np.nd
         starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
     if replay:
         starts = (starts + offset[:, None]).reshape(-1, 1)
-        _store(_advance(columns, base, *rows, starts, replay), body, replay)
-    return out
+        _store(_advance(columns, base, *rows, starts, replay), replay, *runs)
 
 
 def sample_paths(model, n: int, seeds) -> np.ndarray:
@@ -585,46 +587,23 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
 
     Stream layout: uniform 0 picks the initial context block, uniform k >= 1
     picks the symbol at position r + k.  The n - r kernel steps are one
-    ``_sample_run``.
+    ``_sample_run``, stored into the paths a run of steps at a time.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
     tables, init = _lane_tables(model, seeds)
-    r = model.order
-    out = _sample_run(model, tables, init, 1, max(n - r, 0), r)
+    lanes, r = init.shape[0], model.order
+    blocks, length = _blocking(model, lanes, max(n - r, 0))
+    out = np.empty((lanes, r + blocks * length), dtype=symbol_dtype(model.m))
+    body = out[:, r:].reshape(lanes, blocks, length)
+
+    def store(run, a):
+        steps = run.shape[0]
+        body[:, :, a : a + steps] = np.moveaxis(run.reshape(steps, lanes, blocks), 0, -1)
+
+    _sample_run(model, tables, init, blocks, length, store)
     out[:, :r] = block_digits(init, r, model.m)
     return out[:, :n]
-
-
-def path_segments(model, n: int, seeds):
-    """Yield ``sample_paths(model, n, seeds)`` a segment at a time: arrays
-    of shape (lanes, k), k <= PATH_SEGMENT, whose concatenation along the
-    last axis is that array bit for bit.
-
-    Each segment's kernel steps are one ``_sample_run`` from the code of
-    the r symbols before it, at the stream position of its first kernel
-    symbol.  A segment is sampled only when the one before it has been
-    taken, and no reference to it is kept, so a consumer that drops each
-    segment before taking the next holds one segment at a time.
-    """
-    if n < 1:
-        raise ValueError("path length must be >= 1")
-    tables, codes = _lane_tables(model, seeds)
-    m, r = model.m, model.order
-    digits = block_digits(codes, r, m)
-    done = 0
-    while done < n:
-        k = min(PATH_SEGMENT, n - done)
-        lead = min(max(r - done, 0), k)  # symbols of the initial block
-        seg = _sample_run(model, tables, codes, max(done, r) - r + 1, k - lead, lead)
-        seg[:, :lead] = digits[:, done : done + lead]
-        # the code of the r symbols that end the path so far: its j newest
-        # symbols are this segment's last kernel symbols
-        j = min(max(done + k - max(done, r), 0), r)
-        codes = codes % m ** (r - j) * m**j + window_codes(seg[:, k - j : k], j, m)[:, 0]
-        done += k
-        yield seg[:, :k]
-        del seg  # sample the next segment with this one released
 
 
 def step_lanes(model: MarkovModel, n: int, seeds: np.ndarray, depth: int):
@@ -702,85 +681,3 @@ def random_model(m: int, order: int, seed: int, floor: float = 0.05) -> MarkovMo
     """Random fully supported (hence irreducible) chain: the table of
     ``random_kernels`` for the one seed."""
     return MarkovModel(random_kernels(m, order, seed, floor))
-
-
-# ---------------------------------------------------------------------------
-# plain-text model files
-#
-# Grammar (one key per line, '#' starts a comment, blank lines ignored):
-#   alphabet_size: <int>
-#   order: <int>
-#   kernel:
-#     <m floats>            one line per context, in context-code order
-#     ... (m**order lines)
-#   initial: <m**order floats>          optional; may continue on
-#     following indented lines until enough numbers are read
-# ---------------------------------------------------------------------------
-
-
-def write_model_file(model: MarkovModel, path) -> None:
-    """Write the model in the plain-text format described in the README."""
-    lines = [
-        f"alphabet_size: {model.m}",
-        f"order: {model.order}",
-        "kernel:",
-    ]
-    for row in model.kernel:
-        lines.append("  " + " ".join(format(v, ".17g") for v in row))
-    lines.append("initial: " + " ".join(format(v, ".17g") for v in model.initial))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_model_file(path) -> MarkovModel:
-    """Parse a plain-text model file; see ``write_model_file`` for the grammar."""
-    with open(path) as fh:
-        raw = [ln.split("#", 1)[0].rstrip() for ln in fh]
-    lines = [ln for ln in raw if ln.strip()]
-    fields: dict[str, object] = {}
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        rest = rest.strip()
-        if key in ("alphabet_size", "order"):
-            least = 2 if key == "alphabet_size" else 0
-            if not rest.isdecimal() or int(rest) < least:
-                raise ValueError(f"model file {key}: expected an integer >= {least}, got {rest!r}")
-            fields[key] = int(rest)
-            i += 1
-        elif key in ("kernel", "initial"):
-            if "alphabet_size" not in fields or "order" not in fields:
-                raise ValueError(f"model file {key}: must follow alphabet_size and order")
-            m, order = fields["alphabet_size"], fields["order"]
-            # context codes are int64; an order past that fits no kernel
-            if order >= 63 or m**order >= 2**63:
-                raise ValueError(f"model file order: {m}**{order} contexts overflow int64 codes")
-            needed = m**order
-            i += 1
-            if key == "kernel":
-                rows = []
-                for k in range(needed):
-                    if i >= len(lines):
-                        raise ValueError("kernel section is truncated")
-                    rows.append([float(v) for v in lines[i].split()])
-                    if len(rows[k]) != m:
-                        raise ValueError(f"kernel row {k} has {len(rows[k])} entries, not {m}")
-                    i += 1
-                fields["kernel"] = rows
-            else:
-                values = [float(v) for v in rest.split()]
-                while len(values) < needed and i < len(lines) and ":" not in lines[i]:
-                    values.extend(float(v) for v in lines[i].split())
-                    i += 1
-                if len(values) != needed:
-                    raise ValueError(
-                        f"initial law has {len(values)} entries, expected {needed}"
-                    )
-                fields["initial"] = values
-        else:
-            raise ValueError(f"unknown model file key: {key!r}")
-    if "kernel" not in fields:
-        raise ValueError("model file lacks a kernel section")
-    return MarkovModel(fields["kernel"], initial=fields.get("initial"))

@@ -23,7 +23,7 @@ from markovorder.diagnostics import (
     lil_trajectory,
     norm_bound_battery,
 )
-from markovorder.model import write_model_file
+from markovorder.modelfile import write_model_file
 from markovorder.rng import derive_seed
 
 TEST_CHAIN = mo.MarkovModel([[0.7, 0.3], [0.2, 0.8]])  # P(1|0)=0.3, P(1|1)=0.8

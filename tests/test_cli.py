@@ -24,7 +24,8 @@ from markovorder import model as model_mod
 from markovorder.diagnostics import mc as mc_mod
 from markovorder._contexts import symbol_dtype
 from markovorder.estimator import evaluate_replication, required_depth_cap
-from markovorder.model import lift_kernel, write_model_file
+from markovorder.model import lift_kernel
+from markovorder.modelfile import write_model_file
 from markovorder.penalty import N_MIN, parse_cutoff, parse_penalty
 from markovorder.rng import PHI64, derive_seed
 
@@ -1009,7 +1010,7 @@ class TestExitCodesAndDeterminism:
         def no_path(*args):
             raise AssertionError("a path was sampled or read before the grid was checked")
 
-        monkeypatch.setattr(estimator_mod, "path_segments", no_path)
+        monkeypatch.setattr(estimator_mod, "sampled_counts", no_path)
         monkeypatch.setattr(cli, "_read_path_file", no_path)
         assert cli.main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -1028,7 +1029,7 @@ class TestExitCodesAndDeterminism:
         def no_path(*args):
             raise AssertionError("a path was sampled or read before the grid was checked")
 
-        monkeypatch.setattr(estimator_mod, "path_segments", no_path)
+        monkeypatch.setattr(estimator_mod, "sampled_counts", no_path)
         monkeypatch.setattr(cli, "_read_path_file", no_path)
         assert cli.main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -1050,26 +1051,34 @@ class TestExitCodesAndDeterminism:
     @pytest.mark.parametrize(
         "command, settings, error",
         [
-            ("simulate", {"replications": 10**14}, "error: Unable to allocate"),
+            ("simulate", {"replications": 10**14}, "config error: experiment.replications:"),
             ("estimate", {"n_grid": f"1024 {10**15}"}, "config error: experiment.n_grid:"),
             (
                 "verify",
                 {"checks": "typicality", "typicality_n_large": 10**15},
-                "error: Unable to allocate",
+                "config error: verify.typicality_n_large:",
             ),
             (
                 "verify",
                 {"checks": "lil", "lil_checkpoints": f"1024 {10**15}"},
                 "config error: verify.lil_checkpoints:",
             ),
+            (
+                "verify",
+                {"checks": "deviation", "deviation_eps_count": 10**15},
+                "config error: verify.deviation_eps_count:",
+            ),
         ],
-        ids=["replications", "n_grid", "typicality_n_large", "lil_checkpoints"],
+        ids=[
+            "replications", "n_grid", "typicality_n_large", "lil_checkpoints",
+            "deviation_eps_count",
+        ],
     )
     def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings, error):
         # each setting sizes an array past 2**48 bytes, more than an address
-        # space holds, so its allocation fails at once whatever the
-        # overcommit policy; a path is sampled a segment at a time, so the
-        # config bounds n_grid, and verify lil_checkpoints, by that size itself
+        # space holds; the config bounds each one, naming its key, before
+        # anything is allocated (a path is sampled straight into its counts,
+        # so nothing else would bound n_grid or the last lil checkpoint)
         cfg = demo_config(tmp_path, {})
         text = cfg.read_text()
         for key, value in settings.items():
@@ -1081,6 +1090,11 @@ class TestExitCodesAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(error) and "Traceback" not in err
         assert not [path for path in out.rglob("*") if path.is_file()]
+
+    def test_replications_bounded(self, tmp_path):
+        assert cli.load_config(str(make_config(tmp_path, reps=2**24))).replications == 2**24
+        with pytest.raises(ValueError, match=r"^experiment.replications: must be at most 2\*\*24"):
+            cli.load_config(str(make_config(tmp_path, reps=2**24 + 1)))
 
     @pytest.mark.parametrize(
         "key, spec, named",
@@ -1185,8 +1199,9 @@ def test_cli_imports_only_what_it_runs(tmp_path):
     script = (
         "import sys\n"
         "import markovorder, markovorder.cli as cli\n"
-        "heavy = ('markovorder.counts', 'markovorder.likelihood', 'markovorder.estimator',\n"
-        "         'markovorder.diagnostics', 'concurrent.futures', 'multiprocessing',\n"
+        "heavy = ('markovorder.counts', 'markovorder.tally', 'markovorder.likelihood',\n"
+        "         'markovorder.estimator', 'markovorder.diagnostics', 'concurrent.futures',\n"
+        "         'multiprocessing',\n"
         "         'hashlib', '_hashlib')\n"
         "loaded = [name for name in heavy if name in sys.modules]\n"
         "assert not loaded, loaded\n"

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from markovorder import MarkovModel, build_counts, extend_counts, sample_paths
+from markovorder import MarkovModel, build_counts, extend_counts, random_model, sample_paths
+from markovorder import model as model_mod
 from markovorder._contexts import (
     CODE_CHUNK,
     context_codes,
@@ -18,6 +19,7 @@ from markovorder._contexts import (
 from markovorder.counts import TALLY_CELLS, TALLY_RATIO, _merge, prefix_counts
 from markovorder.estimator import evaluate_replication, required_depth_cap
 from markovorder.penalty import parse_cutoff, parse_penalty
+from markovorder.tally import sampled_counts
 
 
 def scan_windows(symbols, r, m):
@@ -386,20 +388,68 @@ def test_prefix_counts_hold_no_path_length_array():
     assert peak < 600_000
 
 
-def test_inline_replication_holds_one_path_segment():
-    # one replication of the two-state chain sampled inline to n = 2**23
-    # holds one 2 MB path segment and the sampler's buffers: 3.8 MB traced,
-    # against 10.0 MB when the 8 MB path was sampled whole
+@given(
+    data=st.data(),
+    m=st.integers(2, 4),
+    order=st.integers(0, 3),
+    cap=st.integers(0, 6),
+    kind=st.sampled_from(["full", "zeros", "never-coalesces"]),
+    model_seed=st.integers(0, 2**32),
+    seed=st.integers(0, 2**64 - 1),
+    block_cells=st.sampled_from([1, 5, 65, 1 << 14]),
+    flush_cells=st.sampled_from([1, 7, 65, 1 << 18]),
+)
+@settings(max_examples=200, deadline=None)
+def test_sampled_counts_equal_prefix_counts(
+    data, m, order, cap, kind, model_seed, seed, block_cells, flush_cells
+):
+    # the tally of the sampler's runs counts what prefix_counts counts on
+    # the sampled path, at every length: lengths anywhere in a block, just
+    # above the depth cap, runs short enough for one block, blocks and
+    # runs of steps of small odd sizes, and a chain whose start columns
+    # never coalesce, so the second pass replays every step
+    if kind == "never-coalesces":  # the symbols cycle 0, 1, .., m - 1
+        order = 1
+        kernel = np.roll(np.eye(m), 1, axis=1)
+    else:
+        kernel = random_model(m, order, model_seed).kernel.copy()
+        if kind == "zeros":  # zero entries, never a whole row
+            mask = np.arange(kernel.size).reshape(kernel.shape) % 3 == model_seed % 3
+            mask[:, 0] = False
+            kernel[mask] = 0.0
+            kernel /= kernel.sum(axis=1, keepdims=True)
+    model = MarkovModel(kernel, initial=np.full(m**order, m**-order))
+    top = data.draw(st.one_of(st.integers(cap + 1, cap + 4), st.integers(cap + 1, 3000)))
+    lengths = sorted({top, *data.draw(st.lists(st.integers(cap + 1, top), max_size=4))})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_mod, "BLOCK_CELLS", block_cells)
+        patch.setattr(model_mod, "FLUSH_CELLS", flush_cells)
+        tallied = list(sampled_counts(model, seed, lengths, cap))
+    path = sample_paths(model, top, seed)[0]
+    counted = list(prefix_counts((path,), lengths, cap, m))
+    assert len(tallied) == len(counted) == len(lengths)
+    for a, b in zip(tallied, counted):
+        assert same_counts(a, b) and a.head.dtype == b.head.dtype and a.tail.dtype == b.tail.dtype
+
+
+def test_inline_replication_holds_no_path():
+    # one replication of the two-state chain sampled inline hands the
+    # sampler's runs of steps straight to the counts: 2.2 MB traced at
+    # n = 2**23 and as much at 2**20, against 3.8 MB at 2**23 when it held
+    # a 2 MB path segment and 10.0 MB when the 8 MB path was sampled whole
     model = MarkovModel([[0.7, 0.3], [0.2, 0.8]])
     pen, cut = parse_penalty("loglog C=5"), parse_cutoff("sublog")
-    grid = [2**k for k in range(16, 24)]
-    cap = required_depth_cap(cut, grid, 2)
-    evaluate_replication(model, (pen,), cut, grid[:2], cap, None, (0, 5, None))
-    tracemalloc.start()
-    try:
-        (rows,) = evaluate_replication(model, (pen,), cut, grid, cap, None, (0, 5, None))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [row.n for row in rows] == grid
-    assert peak < 4_500_000
+    peaks = []
+    for top in (20, 23):
+        grid = [2**k for k in range(16, top + 1)]
+        cap = required_depth_cap(cut, grid, 2)
+        evaluate_replication(model, (pen,), cut, grid[:2], cap, None, (0, 5, None))
+        tracemalloc.start()
+        try:
+            (rows,) = evaluate_replication(model, (pen,), cut, grid, cap, None, (0, 5, None))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert [row.n for row in rows] == grid
+    assert peaks[1] < 2_500_000
+    assert abs(peaks[1] - peaks[0]) < 250_000, peaks

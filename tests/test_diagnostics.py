@@ -170,6 +170,16 @@ class TestEventF:
         with pytest.raises(ValueError, match="n_small"):
             typicality_trend(TWO_STATE, 0.5, 3, n_small, n_large, 4, seed=5)
 
+    def test_lane_past_the_chunk_budget_rejected(self, monkeypatch):
+        # a lane is sampled whole: n_large one-byte symbols and 24 * 2**3
+        # bytes of tables at rho 3, within CHUNK_BYTES, or refused before
+        # any sampling
+        assert mc_mod.typicality_lane_bytes(2, 3, 512) == 512 + 24 * 8
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 512 + 24 * 8)
+        typicality_trend(TWO_STATE, 0.5, 3, 64, 512, 2, seed=5)
+        with pytest.raises(ValueError, match="a lane of 513 symbols takes 705 bytes"):
+            typicality_trend(TWO_STATE, 0.5, 3, 64, 513, 2, seed=5)
+
 
 class TestHellingerDistances:
     def test_identity_zero(self):
@@ -705,6 +715,12 @@ class TestDeviationTail:
         with pytest.raises(ValueError, match="101 lanes of 12 count cells"):
             deviation_tail_mc(TWO_STATE, 2, 16, [0.0], 101, eta=0.5, rho=3, seed=3)
 
+    def test_eps_grid_past_the_limit_rejected(self, monkeypatch):
+        monkeypatch.setattr(mc_mod, "DEVIATION_EPS", 2)
+        deviation_tail_mc(TWO_STATE, 2, 16, [0.0, 1.0], 10**4, eta=0.5, rho=3, seed=3)
+        with pytest.raises(ValueError, match="3 eps values pass the 2"):
+            deviation_tail_mc(TWO_STATE, 2, 16, [0.0, 1.0, 2.0], 10**4, eta=0.5, rho=3, seed=3)
+
     def test_zero_eps_recovers_event_rate(self):
         report = deviation_tail_mc(
             TWO_STATE, 2, 64, [0.0, 1.0], 10**4, eta=0.5, rho=3, seed=3
@@ -813,6 +829,6 @@ class TestLilTrajectory:
             lil_trajectory(TWO_STATE, [8, 64], 1, SubLogCutoff(), seed=1)
 
     def test_checkpoint_ceiling(self):
-        # the path is sampled a segment at a time, so no allocation stops it
+        # the path is sampled straight into its counts, so no allocation stops it
         with pytest.raises(ValueError, match="16..2\\*\\*48 - 1"):
             lil_trajectory(TWO_STATE, [1024, 2**48], 1, SubLogCutoff(), seed=1)

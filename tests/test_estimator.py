@@ -19,6 +19,7 @@ from markovorder import (
     true_order,
     underestimation_gap,
 )
+from markovorder.counts import prefix_counts
 from markovorder.estimator import argmax_score, grid_logliks, required_depth_cap
 from markovorder.model import ModelStack, lift_kernel, stationary_distribution
 from markovorder.penalty import cutoff_value
@@ -124,8 +125,9 @@ class TestConsistencyExperiment:
         grid = [64, 512, 4096]
         cap = required_depth_cap(SubLogCutoff(), grid, m)
         path = sample_paths(random_model(m, 2, seed=m), grid[-1], 17)[0]
-        at_cap = list(grid_logliks((path,), m, SubLogCutoff(), grid, cap))
-        assert at_cap == list(grid_logliks((path,), m, SubLogCutoff(), grid, cap + 2))
+        at_cap = list(grid_logliks(prefix_counts((path,), grid, cap, m), m, SubLogCutoff(), grid))
+        deeper = prefix_counts((path,), grid, cap + 2, m)
+        assert at_cap == list(grid_logliks(deeper, m, SubLogCutoff(), grid))
 
 
 class TestUnderestimationGap:
