@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# window_code_chunks computes this many codes at a time, so that each
-# Horner pass reads and writes a chunk still in cache, and counting needs
-# no path-length code array
+# the window tally codes this many windows at a time, and a path in order
+# reaches it in pieces this long, so that each Horner pass reads and writes
+# a chunk still in cache, and counting needs no path-length code array
 CODE_CHUNK = 1 << 15
 
 
@@ -45,15 +45,6 @@ def _horner(symbols: np.ndarray, length: int, m: int) -> np.ndarray:
         codes *= base
         codes += span[..., j : j + width]
     return codes
-
-
-def window_code_chunks(symbols: np.ndarray, length: int, m: int):
-    """Yield the codes of every length-``length`` window of ``symbols``
-    (``length`` >= 1), ``CODE_CHUNK`` windows at a time, each chunk in the
-    narrowest unsigned dtype that holds m**length - 1."""
-    x = np.asarray(symbols)
-    for start in range(0, x.shape[0] - length + 1, CODE_CHUNK):
-        yield _horner(x[start : start + CODE_CHUNK + length - 1], length, m)
 
 
 def window_codes(symbols: np.ndarray, length: int, m: int) -> np.ndarray:

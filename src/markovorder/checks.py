@@ -136,6 +136,7 @@ def _bernstein(config, model, candidate):
 
 def _bracket_settings(s, model, candidate) -> None:
     from .diagnostics.core import check_envelopes, count_pitch
+    from .diagnostics.mc import bracket_path_bytes, bracket_sample_bytes
 
     _require(s.bracket_beta > 0, "bracket_beta", "> 0", s.bracket_beta)
     _require(s.bracket_sigma > 0, "bracket_sigma", "> 0", s.bracket_sigma)
@@ -147,6 +148,10 @@ def _bracket_settings(s, model, candidate) -> None:
     r = max(order, 1)  # the order _bracket runs both parts at
     _mirror("bracket_beta", check_envelopes, stationary_block_law(model, r), s.bracket_beta)
     _mirror("bracket_sigma", count_pitch, model.m, r, n, s.bracket_sigma, s.eta)
+    # one path past the budget names its length, the paths together their number
+    _mirror("bracket_path_len", bracket_path_bytes, model.m, r, 1, n)
+    _mirror("bracket_paths", bracket_path_bytes, model.m, r, s.bracket_paths, n)
+    _mirror("bracket_samples", bracket_sample_bytes, model.m ** (r + 1), s.bracket_samples)
 
 
 def _bracket(config, model, candidate):

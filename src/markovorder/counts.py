@@ -13,22 +13,16 @@ table is one sorted pair: the distinct window codes ``ctx * m + next``
 (newest symbol least significant) and their positive counts, next to the
 first and the last ``depth_cap`` symbols of the path.
 
-The windows come from symbol arrays in path order (``_extend``), or, in
-``tally.sampled_counts``, from a sampler run that is never stored; both
-code them with ``_contexts`` and tally them with ``_merge``.
+One engine counts the windows, ``tally._WindowTally``: from a sampler
+run that is never stored (``tally.sampled_counts``), or from symbol arrays
+in path order, its one-block case (``prefix_counts``).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
-from functools import partial
-from itertools import takewhile
-from operator import is_not
-
 import numpy as np
 
-from ._contexts import symbol_dtype, window_code_chunks, window_codes
+from ._contexts import CODE_CHUNK, symbol_dtype, window_codes
 
 # _merge tallies codes by bincount up to this many cells, or this many
 # cells per code; a sort of the codes is cheaper only past both
@@ -101,123 +95,56 @@ def _merge_pairs(pairs, size: int) -> tuple[np.ndarray, np.ndarray]:
     return _merge(np.concatenate(keys), np.concatenate(tallies), size)
 
 
-def _symbols(path, m: int, what: str) -> np.ndarray:
-    """``path`` in the symbol dtype of m, after checking every symbol lies
-    in {0, .., m-1}, so that no out-of-range value wraps."""
-    x = np.asarray(path)
-    if x.size and (x.min() < 0 or x.max() >= m):
-        raise ValueError(f"{what} contains a symbol outside the alphabet")
-    return x.astype(symbol_dtype(m), copy=False)
-
-
-def _empty(m: int, depth_cap: int) -> ContextCounts:
-    """The counts of the empty path, after checking m and that the
-    depth-cap window codes fit int64."""
-    if m < 2:
-        raise ValueError(f"alphabet size m must be >= 2, got {m}")
-    if m ** (depth_cap + 1) >= 2**63:
-        raise ValueError(f"depth cap {depth_cap}: {m}**{depth_cap + 1} window codes overflow int64")
-    none = np.zeros(0, dtype=np.int64)
-    return ContextCounts(m, depth_cap, 0, none, none, none, none)
-
-
-def _extend(counts: ContextCounts, pieces) -> ContextCounts:
-    """Counts for the path extended by the symbol arrays ``pieces`` in
-    turn; ``counts`` is left untouched.
-
-    Only windows ending in a piece are added, read from the retained tail
-    and the piece in place, and tallied a chunk of window codes at a time;
-    all tallies are merged once.  A piece is never copied, and it is
-    released before the next one is pulled.
-    """
-    m, cap = counts.m, counts.depth_cap
-    size = m ** (cap + 1)
-    n, head, tail = counts.n, counts.head, counts.tail
-    pairs = [(counts.codes, counts.counts)]
-    for piece in pieces:
-        new = _symbols(piece, m, "path")
-        seam = np.concatenate([tail, new[:cap]])
-        pairs += [
-            _merge(c, None, size)
-            for part in (seam, new)
-            for c in window_code_chunks(part, cap + 1, m)
-        ]
-        if head.size < cap:
-            head = np.concatenate([head, new[: cap - head.size]])
-        # the last cap symbols of tail and piece, copied out of the piece
-        keep = max(cap - new.size, 0)
-        tail = np.concatenate([tail[max(tail.size - keep, 0) :], new[max(new.size - cap, 0) :]])
-        n += new.size
-        del piece, new
-    codes, totals = _merge_pairs(pairs, size) if len(pairs) > 1 else pairs[0]
-    return ContextCounts(m, cap, n, codes, totals, head, tail)
-
-
 def build_counts(path, depth_cap: int, m: int) -> ContextCounts:
     """Count all windows of every depth 0..depth_cap over the symbol array
     ``path`` on the alphabet {0, .., m-1}.  Requires depth_cap < n so that
     even the deepest table has at least one window.
     """
-    empty = _empty(m, depth_cap)
-    n = np.shape(path)[0]
-    if depth_cap >= n:
-        raise ValueError(f"depth cap {depth_cap} must be < path length {n}")
-    return _extend(empty, (path,))
+    return next(prefix_counts((path,), (len(path),), depth_cap, m))
 
 
 def extend_counts(counts: ContextCounts, new_symbols) -> ContextCounts:
-    """Counts for the path extended by ``new_symbols``, one symbol array or
-    an iterator of them in turn; the input is left untouched.
-
-    Equivalent to rebuilding from scratch on the full path (see
-    ``_extend``).
-    """
-    return _extend(counts, new_symbols if isinstance(new_symbols, Iterator) else (new_symbols,))
-
-
-def _cut(chunks, lengths):
-    """Yield the symbol arrays of ``chunks`` cut at the increasing
-    ``lengths``, and None after the pieces up to each length; stop early
-    when the chunks run out.  A chunk is pulled once the one before it has
-    been yielded whole, with no reference to it kept.  The chunks past the
-    last length are pulled and dropped before its None."""
-    chunks = iter(chunks)
-    rest, at = np.zeros(0), 0  # the part of the current chunk not yet yielded
-    for end in lengths:
-        while at < end:
-            if not rest.size:
-                rest = None  # an empty view would hold the spent chunk
-                rest = next(chunks, None)
-                if rest is None:
-                    return
-                rest = np.asarray(rest)
-            k = min(rest.size, end - at)
-            at += k
-            yield rest[:k]
-            rest = rest[k:]
-        if end == lengths[-1]:
-            rest = None  # not held while the rest of the chunks is read
-            deque(chunks, maxlen=0)
-        yield None
+    """Counts for the path extended by the symbol array ``new_symbols``, as
+    rebuilt on the whole path, from the windows of the retained tail
+    followed by them; the input is left untouched."""
+    m, cap = counts.m, counts.depth_cap
+    new = np.asarray(new_symbols)
+    if not new.size:
+        return counts
+    seam = next(prefix_counts((counts.tail, new), (counts.tail.size + new.size,), cap, m))
+    pairs = [(counts.codes, counts.counts), (seam.codes, seam.counts)]
+    codes, totals = _merge_pairs(pairs, m ** (cap + 1))
+    return ContextCounts(m, cap, counts.n + new.size, codes, totals, counts.head, seam.tail)
 
 
 def prefix_counts(chunks, lengths, depth_cap: int, m: int):
     """Yield the counts of the prefixes x_{1:n} for the increasing
     ``lengths``, of a path given as the symbol arrays ``chunks`` in order
-    (a whole array x as ``(x,)``): extended from one length to the next,
-    never rebuilt, and never joined into one array.
+    (a whole array x as ``(x,)``), never joined into one array: the
+    one-block case of the sampler's runs, counted CODE_CHUNK symbols at a
+    time by ``tally._WindowTally``.
 
     Each chunk is pulled once the one before it is counted, and dropped
     then; so a generator of chunks that keeps none of its own is held one
-    chunk at a time.  They are pulled to their end before the last counts
-    are yielded, so a path file is checked whole before any table is used.
+    chunk at a time.  Every chunk is checked, also past the last length,
+    before any counts are yielded: a path file is checked whole first.
     """
-    counts = _empty(m, depth_cap)
-    if depth_cap >= lengths[0]:
-        raise ValueError(f"depth cap {depth_cap} must be < path length {lengths[0]}")
-    pieces = _cut(chunks, lengths)
-    for n in lengths:
-        counts = extend_counts(counts, takewhile(partial(is_not, None), pieces))
-        if counts.n < n:
-            raise ValueError(f"the path ends after {counts.n} symbols, short of length {n}")
-        yield counts
+    from .tally import _WindowTally  # the tally imports this module
+
+    end = lengths[-1]
+    tally = _WindowTally(m, depth_cap, lengths, np.zeros(0, symbol_dtype(m)), 1, end)
+    at = 0  # the symbols counted, up to the last length
+    for chunk in chunks:
+        piece = np.asarray(chunk)
+        # checked before it is narrowed, so that no out-of-range value wraps
+        if piece.size and (piece.min() < 0 or piece.max() >= m):
+            raise ValueError("path contains a symbol outside the alphabet")
+        # the symbols past the last length are not stored: no window of theirs counts
+        piece = piece[: end - at].astype(symbol_dtype(m), copy=False)
+        for a in range(0, piece.shape[0], CODE_CHUNK):
+            tally.store(piece[a : a + CODE_CHUNK, None], at + a)
+        at += piece.shape[0]
+        del chunk, piece  # neither is held while the next chunk is read
+    if at < end:
+        raise ValueError(f"the path ends after {at} symbols, short of length {end}")
+    yield from tally.counts()

@@ -401,6 +401,13 @@ class TypicalityTrendReport:
         return self.holds_large >= self.holds_small
 
 
+def _within_chunk(held: int, what: str) -> int:
+    """``held``, the bytes ``what`` takes, once checked against CHUNK_BYTES."""
+    if held > CHUNK_BYTES:
+        raise ValueError(f"{what} takes {held} bytes, past {CHUNK_BYTES}")
+    return held
+
+
 def typicality_lane_bytes(m: int, rho: int, n_large: int) -> int:
     """The bytes of one ``typicality_trend`` lane.  The depth tables of the
     first rho depths are read from windows of max(rho - 1, 1) symbols,
@@ -409,9 +416,21 @@ def typicality_lane_bytes(m: int, rho: int, n_large: int) -> int:
     24 * m**max(rho, 1) bytes.  Raises ValueError past CHUNK_BYTES."""
     check_table(m, max(rho - 1, 1))
     lane = symbol_dtype(m).itemsize * n_large + 24 * m ** max(rho, 1)
-    if lane > CHUNK_BYTES:
-        raise ValueError(f"a lane of {n_large} symbols takes {lane} bytes, past {CHUNK_BYTES}")
-    return lane
+    return _within_chunk(lane, f"a lane of {n_large} symbols")
+
+
+def bracket_path_bytes(m: int, r: int, n_paths: int, path_len: int) -> int:
+    """The bytes of ``bracket_battery``'s paths and of their int64 tables
+    of the m**(r + 1) transitions.  Raises ValueError past CHUNK_BYTES."""
+    held = n_paths * (symbol_dtype(m).itemsize * path_len + 8 * m ** (r + 1))
+    return _within_chunk(held, f"a battery of {n_paths} paths of {path_len} symbols")
+
+
+def bracket_sample_bytes(cells: int, samples: int) -> int:
+    """The bytes of ``bracket_count_check``'s int64 keys (16 a cell) and of
+    its float64 draws and the candidates, mixtures and gaps made of them
+    (32 a cell).  Raises ValueError past CHUNK_BYTES."""
+    return _within_chunk(48 * samples * cells, f"a sample of {samples} kernels of {cells} cells")
 
 
 def typicality_trend(
@@ -643,6 +662,7 @@ def bracket_battery(
     supported = weights > 0.0
     gap_cap = beta / np.sqrt(weights[supported])[:, None]
     table_t = lift_kernel(truth.kernel, m, r)
+    bracket_path_bytes(m, r, n_paths, path_len)
     paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
     # how often each path takes each transition (context, symbol): its
     # windows of r + 1 symbols
@@ -706,6 +726,7 @@ def bracket_count_check(
     table_t = lift_kernel(truth.kernel, m, r)
     weights = stationary_block_law(truth, r)
     sq_w = np.sqrt(np.where(weights > 0.0, weights, 0.0))[:, None]
+    bracket_sample_bytes(table_t.size, samples)
     # a bracket is the row of its int64 floor and ceil tables
     keys = np.empty((samples, 2) + table_t.shape, dtype=np.int64)
     accepted = 0

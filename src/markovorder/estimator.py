@@ -4,7 +4,7 @@ The estimated order maximizes ``max_loglik(r) - pen(n, r)`` over
 0 <= r < kappa(n); ties break to the smallest order.  Recovery experiments
 evaluate every n in a grid along a single growing path per replication, so
 the reported trajectory matches the almost-sure convergence statement and
-count tables are extended rather than rebuilt.
+the count tables of every length come from one pass over the path.
 """
 
 from __future__ import annotations

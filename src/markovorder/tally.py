@@ -1,12 +1,13 @@
-"""Window counts of a sampled path, tallied as the sampler hands it on.
+"""Window counts of a path, tallied as its symbols are handed on.
 
-``sampled_counts`` gives the counts that ``counts.prefix_counts`` gives on
-``sample_paths(model, n, seed)[0]``, from one run of the blocked sampler
-whose runs of steps are counted as they come, so the path is never held.
-It codes windows with ``_contexts`` and merges them with ``counts._merge``,
-as ``counts._extend`` does.  It is a module of its own so that ``counts``
-stays free of the sampler; also, without cached bytecode, the commands
-peaked higher in RSS with this code inside ``counts``.
+``sampled_counts`` gives the counts of ``sample_paths(model, n, seed)[0]``
+from one run of the blocked sampler whose runs of steps are counted as
+they come, so the path is never held; ``counts.prefix_counts`` hands a
+path in order to the same tally as one block.  It codes windows with
+``_contexts`` and merges them with ``counts._merge``.  It is a module of
+its own so that ``counts`` stays free of the sampler; also, without cached
+bytecode, the commands peaked higher in RSS with this code inside
+``counts``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._contexts import CODE_CHUNK, _horner, block_digits, symbol_dtype
-from .counts import ContextCounts, _empty, _merge, _merge_pairs
+from .counts import ContextCounts, _merge, _merge_pairs
 from .model import _blocking, _lane_tables, _sample_run
 
 
@@ -33,10 +34,18 @@ class _WindowTally:
     replay has run, from strips of the steps around those starts, filled as
     the runs pass, as are strips of the path's first ``cap`` symbols and of
     the ``cap`` before each length.  A window counts towards the first
-    length it ends within (``_tally``).
+    length it ends within (``_tally``).  A path in order is the one-block
+    case: no initial block, the last length as the block length, and the
+    path's pieces as the runs of one pass (``counts.prefix_counts``).
     """
 
     def __init__(self, m: int, cap: int, lengths, digits, blocks: int, length: int):
+        if m < 2:
+            raise ValueError(f"alphabet size m must be >= 2, got {m}")
+        if m ** (cap + 1) >= 2**63:
+            raise ValueError(f"depth cap {cap}: {m}**{cap + 1} window codes overflow int64")
+        if cap >= lengths[0]:
+            raise ValueError(f"depth cap {cap} must be < path length {lengths[0]}")
         self.m, self.cap, self.size = m, cap, m ** (cap + 1)
         self.digits, self.r = digits, digits.shape[0]
         self.blocks, self.length = blocks, max(length, 1)  # no steps at all when 0
@@ -160,9 +169,6 @@ def sampled_counts(model, seed, lengths, depth_cap: int):
     (``_WindowTally``), so no array as long as the path is held.
     """
     m, r = model.m, model.order
-    _empty(m, depth_cap)
-    if depth_cap >= lengths[0]:
-        raise ValueError(f"depth cap {depth_cap} must be < path length {lengths[0]}")
     tables, init = _lane_tables(model, seed)
     blocks, length = _blocking(model, 1, max(lengths[-1] - r, 0))
     digits = block_digits(init, r, m)[0].astype(symbol_dtype(m))

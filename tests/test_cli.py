@@ -1068,10 +1068,14 @@ class TestExitCodesAndDeterminism:
                 {"checks": "deviation", "deviation_eps_count": 10**15},
                 "config error: verify.deviation_eps_count:",
             ),
+            *(
+                ("verify", {"checks": "bracket", key: 10**15}, f"config error: verify.{key}:")
+                for key in ("bracket_samples", "bracket_paths", "bracket_path_len")
+            ),
         ],
         ids=[
             "replications", "n_grid", "typicality_n_large", "lil_checkpoints",
-            "deviation_eps_count",
+            "deviation_eps_count", "bracket_samples", "bracket_paths", "bracket_path_len",
         ],
     )
     def test_size_past_memory_is_an_error(self, tmp_path, capsys, command, settings, error):

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from markovorder import MarkovModel, build_counts, extend_counts, random_model, sample_paths
 from markovorder import model as model_mod
-from markovorder._contexts import (
-    CODE_CHUNK,
-    context_codes,
-    symbol_dtype,
-    window_code_chunks,
-    window_codes,
-)
+from markovorder import counts as counts_mod
+from markovorder._contexts import CODE_CHUNK, context_codes, symbol_dtype, window_codes
 from markovorder.counts import TALLY_CELLS, TALLY_RATIO, _merge, prefix_counts
 from markovorder.estimator import evaluate_replication, required_depth_cap
 from markovorder.penalty import parse_cutoff, parse_penalty
@@ -247,10 +242,6 @@ def test_window_codes_across_chunk_edges(m, extra):
         for i in range(length):  # sum of x[t + i] * m**(length - 1 - i)
             expected += x[i : i + n - length + 1] * weights[i]
         assert np.array_equal(window_codes(x, length, m), expected)
-        if length:
-            chunks = list(window_code_chunks(x, length, m))
-            assert all(c.shape[0] == CODE_CHUNK for c in chunks[:-1])
-            assert np.array_equal(np.concatenate(chunks), expected)
 
 
 def test_extend_split_mid_chunk_equals_build():
@@ -329,28 +320,47 @@ def test_narrow_symbols_match_int64(data, m, n, seed):
 @given(
     data=st.data(),
     m=st.integers(2, 4),
-    n=st.integers(1, 80),
+    top=st.integers(1, 80),
 )
 @settings(max_examples=150, deadline=None)
-def test_prefix_counts_over_any_chunking(data, m, n):
-    # a path cut anywhere into chunks, among them an empty one and a first
-    # one of at most depth_cap symbols (too short for a window), counts as
-    # build_counts and extend_counts count the whole path
-    cap = data.draw(st.integers(0, min(4, n - 1)))
+def test_prefix_counts_over_any_chunking(data, m, top):
+    # a path cut anywhere into chunks, among them an empty one, a first one
+    # of at most depth_cap symbols (too short for a window), one that
+    # straddles the last length and is longer than CODE_CHUNK, and one
+    # wholly past that length, counts at each length what a scan of its
+    # windows counts, and what build_counts and extend_counts count
+    cap = data.draw(st.integers(0, min(4, top - 1)))
+    lengths = sorted({top, *data.draw(st.lists(st.integers(cap + 1, top), max_size=3))})
+    n = top + data.draw(st.integers(2, 6))
     symbols = np.array(
         data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)), dtype=symbol_dtype(m)
     )
     first = data.draw(st.integers(0, cap))
-    edges = [0, first, *sorted(data.draw(st.lists(st.integers(first, n), max_size=6))), n]
+    lo, hi = data.draw(st.integers(first, top - 1)), data.draw(st.integers(top + 1, n - 1))
+    cuts = data.draw(st.lists(st.integers(first, n), max_size=6))
+    edges = sorted({0, first, lo, hi, n, *(c for c in cuts if not lo < c < hi)})
     chunks = [symbols[a:b] for a, b in zip(edges, edges[1:])]
     chunks.insert(data.draw(st.integers(0, len(chunks))), symbols[:0])
-    lengths = sorted(set(data.draw(st.lists(st.integers(cap + 1, n), min_size=1, max_size=4))))
-    tables = list(prefix_counts((chunk for chunk in chunks), lengths, cap, m))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counts_mod, "CODE_CHUNK", data.draw(st.integers(1, hi - lo - 1)))
+        tables = list(prefix_counts((chunk for chunk in chunks), lengths, cap, m))
     assert [c.n for c in tables] == lengths
     start = build_counts(symbols[: lengths[0]], cap, m)
     for length, counts in zip(lengths, tables):
+        windows = int64_window_codes(symbols[:length], cap + 1, m)
+        keys, tally = np.unique(windows, return_counts=True)
+        assert np.array_equal(counts.codes, keys) and np.array_equal(counts.counts, tally)
+        assert np.array_equal(counts.head, symbols[:cap])
+        assert np.array_equal(counts.tail, symbols[length - cap : length])
         assert same_counts(counts, build_counts(symbols[:length], cap, m))
         assert same_counts(counts, extend_counts(start, symbols[lengths[0] : length]))
+
+
+def test_prefix_counts_check_every_chunk():
+    # a chunk past the last length is checked too, before any counts
+    good, bad = np.array([0, 1, 1, 0], dtype=np.uint8), np.array([0, 2])
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        list(prefix_counts((good, bad), [3, 4], 1, 2))
 
 
 def test_prefix_counts_reject_a_path_short_of_the_lengths():
@@ -372,9 +382,9 @@ def test_out_of_range_symbol_rejected_before_narrowing(m):
 
 
 def test_prefix_counts_hold_no_path_length_array():
-    # the codes are tallied one chunk at a time, the symbols are bytes, and
-    # an extension copies only the symbols at its seam, not the segment
-    # (splicing the last 2**19-symbol segment peaked at 0.92 MB)
+    # the path reaches the window tally CODE_CHUNK symbols at a time and the
+    # symbols are bytes, so nothing as long as the path is held (0.37 MB
+    # traced; handing the tally the 2**20 symbols as one run peaked at 6.3 MB)
     path = sample_paths(MarkovModel([[0.7, 0.3], [0.2, 0.8]]), 2**20, 7)[0]
     lengths = [2**k for k in range(14, 21)]
     list(prefix_counts((path,), lengths[:2], 7, 2))

@@ -490,7 +490,9 @@ class TestBatteriesMatchPerInstanceLoops:
         report = bracket_battery(*args)
         assert report == reference_bracket_battery(*args)
         assert (report.violations > 0) == (abs_tol is not None)
-        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 1)  # one kernel per chunk
+        # the least budget that holds the paths: one or two kernels per chunk
+        held = mc_mod.bracket_path_bytes(truth.m, r, paths, path_len)
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", held)
         assert bracket_battery(*args) == report
 
     @pytest.mark.parametrize(
@@ -563,6 +565,20 @@ class TestBrackets:
             bracket_count_check(TWO_STATE, r=1, sigma=1e-300, n=64, samples=10, seed=12)
         delta, beta = core_mod.count_pitch(2, 1, 64, 0.01, 0.5)
         assert 1.0 / beta < core_mod.EXACT_KEYS and delta > 0.0
+
+    def test_sizes_past_the_chunk_budget_rejected(self, monkeypatch):
+        # 3 one-byte paths of 16 symbols with 8 * 2**2 bytes of transition
+        # tables each, and 10 samples of 4 cells at 48 bytes a cell, within
+        # CHUNK_BYTES, or refused before anything is sampled
+        assert mc_mod.bracket_path_bytes(2, 1, 3, 16) == 3 * (16 + 32)
+        assert mc_mod.bracket_sample_bytes(4, 10) == 48 * 40
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 48 * 40)
+        bracket_battery(TWO_STATE, 2, 3, 16, beta=0.05, r=1, seed=3)
+        bracket_count_check(TWO_STATE, r=1, sigma=0.01, n=64, samples=10, seed=12)
+        with pytest.raises(ValueError, match="41 paths of 16 symbols takes 1968 bytes"):
+            bracket_battery(TWO_STATE, 2, 41, 16, beta=0.05, r=1, seed=3)
+        with pytest.raises(ValueError, match="11 kernels of 4 cells takes 2112 bytes"):
+            bracket_count_check(TWO_STATE, r=1, sigma=0.01, n=64, samples=11, seed=12)
 
 
 class TestClosedFormBounds:
