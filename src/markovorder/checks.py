@@ -14,7 +14,6 @@ first use, so ``config`` loads this module without it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Callable, NamedTuple
 
@@ -58,10 +57,20 @@ def _mirror(key: str, check, *args) -> None:
         raise ConfigError(f"verify.{key}: {exc}")
 
 
+def _plain(value):
+    """A record (a NamedTuple) as the dict of its fields in order, and a
+    tuple as a list, each entry converted in turn; other values as they are."""
+    if hasattr(value, "_fields"):
+        return {name: _plain(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
 def _detail(report, verdict: str | None = None) -> dict:
     """A check's detail: the report's fields, plus the verdict property of
     the report named by ``verdict``."""
-    detail = dataclasses.asdict(report)
+    detail = _plain(report)
     if verdict:
         detail[verdict] = getattr(report, verdict)
     return detail

@@ -59,12 +59,20 @@ def typicality_deviations(truth, context_counts, n: int) -> list:
     devs = []
     for d, freq in enumerate(context_counts):
         p = stationary_block_law(truth, d)
+        shape = np.broadcast_shapes(np.shape(freq), p.shape)
+        # numpy takes the maximum over a short trailing axis one lane at a
+        # time, so a table of more lanes than contexts is divided into
+        # context-major ratios, whose maximum runs across all lanes at once
+        major = len(shape) == 2 and shape[0] > shape[1]
+        if major:
+            shape = shape[::-1]
+            freq, p = (np.atleast_2d(x).T for x in (freq, p))
         # an unsupported context reads ratio 1, a deviation of 0; the lane
         # tables are large, so the deviations are taken in place
-        ratio = np.ones(np.broadcast_shapes(np.shape(freq), p.shape))
+        ratio = np.ones(shape)
         np.divide(freq, (n - d) * p, out=ratio, where=p > 0.0)
         ratio -= 1.0
-        devs.append(np.abs(ratio, out=ratio).max(axis=-1))
+        devs.append(np.abs(ratio, out=ratio).max(axis=0 if major else -1))
     return devs
 
 

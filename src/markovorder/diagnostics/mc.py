@@ -23,7 +23,7 @@ instance, and one sampler call, at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,8 +74,8 @@ MAX_LANES = 1 << 13
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
 # deviation_tail_mc zeroes and steps its lanes' int32 count tables chunk by
 # chunk, so its time grows with their cells summed over all lanes; it takes
-# at most this many (on two symbols at 20 000 lanes, order 10 took 2 s,
-# order 12 6 s and order 16 88 s)
+# at most this many (on two symbols at 20 000 lanes, order 10 takes 0.85 s;
+# order 12 took 6 s and order 16 88 s while every step tracked the overshoot)
 DEVIATION_CELLS = 1 << 26
 # deviation_tail_mc scores every eps of its grid on each chunk of lanes and
 # reports a row for each; it takes at most this many
@@ -101,22 +101,24 @@ def _lane_context_counts(windows, head, recent, i: int, m: int, length: int, rho
     ends at position i (no next symbol follows it yet).
     """
     lanes = head.shape[0]
-    rows = np.arange(lanes)
     h = min(length - 1, i)
     for d in range(rho):
-        # a count never passes i, which the windows' own type holds
-        freq = windows.reshape(lanes, m ** (length - d), m**d).sum(axis=1, dtype=windows.dtype)
+        # a count never passes i, which the windows' own type holds; einsum
+        # adds the windows' oldest length - d digits away across all lanes at
+        # once, where sum(axis=1) would add a short row of one lane at a time
+        freq = np.einsum("lkt->lt", windows.reshape(lanes, m ** (length - d), m**d))
+        # each lane's cells by flat index, in half the time of (row, cell) pairs
+        flat, at = freq.reshape(-1), np.arange(lanes) * m**d
         for s in range(h - d + 1):
-            freq[rows, head // m ** (h - d - s) % m**d] += 1
-        freq[rows, recent % m**d] -= 1
+            flat[at + head // m ** (h - d - s) % m**d] += 1
+        flat[at + recent % m**d] -= 1
         yield freq
 
 
 # -- martingale maximum vs the closed-form tail ------------------------------
 
 
-@dataclass(frozen=True)
-class BernsteinRow:
+class BernsteinRow(NamedTuple):
     alpha: float
     empirical: float
     bound: float
@@ -124,8 +126,7 @@ class BernsteinRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BernsteinMcReport:
+class BernsteinMcReport(NamedTuple):
     n: int
     r: int
     replications: int
@@ -200,14 +201,12 @@ def bernstein_mc_check(
 # -- deviation tail of the running likelihood overshoot ----------------------
 
 
-@dataclass(frozen=True)
-class DeviationRow:
+class DeviationRow(NamedTuple):
     eps: float
     frequency: float
 
 
-@dataclass(frozen=True)
-class DeviationTailReport:
+class DeviationTailReport(NamedTuple):
     n: int
     r: int
     replications: int
@@ -294,10 +293,13 @@ def deviation_tail_mc(
             elif extra:
                 windows[lane_at + trans % extra] += 1
             if i > r:
-                if cut:
-                    run.step(ctx % size_r, trans % (size_r * m), i >= n)
+                # before step n only the transition table grows, and the
+                # order-r context code is not read
+                at = trans % (size_r * m) if cut else trans
+                if i < n:
+                    run.count(at)
                 else:
-                    run.step(ctx, trans, i >= n)
+                    run.step(ctx % size_r if cut else ctx, at)
             if i == n or i == length:
                 # the lane tables are read one depth at a time and freed once
                 # read, not held into the next chunk
@@ -337,16 +339,14 @@ def deviation_tail_mc(
 # -- normalized likelihood-ratio trajectory ----------------------------------
 
 
-@dataclass(frozen=True)
-class LilPoint:
+class LilPoint(NamedTuple):
     n: int
     kappa: int
     value: float
     normalized: float
 
 
-@dataclass(frozen=True)
-class LilTrajectoryReport:
+class LilTrajectoryReport(NamedTuple):
     points: tuple[LilPoint, ...]
     max_normalized: float
     slope: float
@@ -386,8 +386,7 @@ def lil_trajectory(
 # -- typicality trend ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypicalityTrendReport:
+class TypicalityTrendReport(NamedTuple):
     eta: float
     rho: int
     n_small: int
@@ -465,8 +464,7 @@ def typicality_trend(
 # -- instance batteries for the distance and norm comparisons ----------------
 
 
-@dataclass(frozen=True)
-class InstanceBatteryReport:
+class InstanceBatteryReport(NamedTuple):
     name: str
     instances: int
     attempted: int
@@ -687,8 +685,7 @@ def bracket_battery(
     )
 
 
-@dataclass(frozen=True)
-class BracketCountReport:
+class BracketCountReport(NamedTuple):
     samples: int
     distinct: int
     log_bound: float

@@ -9,8 +9,8 @@ the count tables of every length come from one pass over the path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .counts import ContextCounts, prefix_counts
 from .likelihood import lil_from_logliks, masked_log_ratio, max_loglik_vector
@@ -20,8 +20,7 @@ from .rng import derive_seed
 from .tally import sampled_counts
 
 
-@dataclass(frozen=True)
-class OrderScore:
+class OrderScore(NamedTuple):
     order: int
     loglik: float
     penalty: float
@@ -31,8 +30,7 @@ class OrderScore:
         return self.loglik - self.penalty
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     """Chosen order plus the full per-order score table."""
 
     chosen_order: int
@@ -73,8 +71,7 @@ def required_depth_cap(cut: CutoffSpec, n_grid, m: int) -> int:
     return max(cutoff_value(cut, n, m) for n in n_grid) - 1
 
 
-@dataclass(frozen=True)
-class ReplicationRow:
+class ReplicationRow(NamedTuple):
     """One (replication, n) estimate; ``table`` is its per-order score table."""
 
     n: int
@@ -85,16 +82,14 @@ class ReplicationRow:
     table: tuple[OrderScore, ...]
 
 
-@dataclass(frozen=True)
-class RecoverySummary:
+class RecoverySummary(NamedTuple):
     n: int
     recovery: float
     under: int
     over: int
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     rows: tuple[ReplicationRow, ...]
     summary: tuple[RecoverySummary, ...]
 

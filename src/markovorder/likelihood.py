@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._contexts import context_codes, window_codes
+from ._contexts import CODE_CHUNK, context_codes, window_codes
 from .counts import ContextCounts, _merge
 from .model import (
     ROW_SUM_TOL,
@@ -81,47 +81,98 @@ def lil_from_logliks(logliks, r_star: int, m: int) -> float:
 class RunningOvershoot:
     """Running maximum of the order-r overshoot along a batch of growing paths.
 
-    Each ``step`` appends one transition per lane, given by its order-r
-    context code a and its transition code ``a * m + b`` (b the symbol),
-    and reads that step's true conditional log-probability from the flat
-    table ``log_p`` by transition code.  The maximized log-likelihood
-    ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` moves by the gain
-    ``(c+1) log(c+1) - c log c`` of each of the two counts c the transition
-    touches, read from one table indexed by c, so a step costs O(1) per
-    lane.  ``steps`` bounds the number of steps taken.
+    ``count`` appends one transition per lane, given by its transition code
+    ``a * m + b`` (a the order-r context code, b the symbol), to the lane's
+    count table and nothing else.  The first ``step`` derives from that
+    table each lane's context counts and its overshoot: the maximized
+    log-likelihood ``sum N(a,b) log N(a,b) - sum N(a) log N(a)`` less the
+    true one, ``sum N(a,b) log p(b|a)`` read from the flat table ``log_p``
+    by transition code.  From then on a ``step`` moves the overshoot by the
+    gain ``(c+1) log(c+1) - c log c`` of each of the two counts c the
+    transition touches, read from one table indexed by c, less the step's
+    true log-probability, so it costs O(1) per lane, and folds it into
+    ``best``.  ``steps`` bounds the number of transitions.
     """
 
     def __init__(self, lanes: int, m: int, r: int, steps: int, log_p: np.ndarray):
+        self.m = m
         self.offset = np.arange(lanes, dtype=np.int64) * m**r  # first context slot per lane
         self.trans_offset = self.offset * m  # first transition slot per lane
         self.trans = np.zeros(lanes * m**r * m, dtype=np.int32)
+        # the context table is filled at the first step but allocated with
+        # the transition table: allocated mid-run, it raised verify's peak
+        # RSS by about 0.2 MB
         self.ctx = np.zeros(lanes * m**r, dtype=np.int32)
+        self.over = None  # derived at the first step
         self.log_p = log_p
         ks = np.arange(1, steps + 2, dtype=np.float64)
-        xlogx = np.zeros(steps + 2)
-        xlogx[1:] = ks * np.log(ks)
-        self.gain = xlogx[1:] - xlogx[:-1]
-        self.ml = np.zeros(lanes)
-        self.ll = np.zeros(lanes)
+        self.xlogx = np.zeros(steps + 2)
+        self.xlogx[1:] = ks * np.log(ks)
+        self.gain = self.xlogx[1:] - self.xlogx[:-1]
         self.best = np.full(lanes, -np.inf)
 
-    def step(self, code, trans, track: bool) -> None:
-        """Add one transition per lane; with ``track`` set, fold the new
-        overshoot ``ml - ll`` into ``best``."""
+    def count(self, trans) -> None:
+        """Add one transition per lane, before the first ``step``."""
+        if self.over is not None:
+            raise ValueError("a transition is only counted before the first step")
+        self.trans[self.trans_offset + trans] += 1
+
+    def step(self, code, trans) -> None:
+        """Add one transition per lane, with its context code, and fold the
+        new overshoot into ``best``."""
+        if self.over is None:
+            self._derive()
         # the counts come as int32: gain.take(c) reads them as indices in
         # about 19 us at 8192 lanes, the fancy index gain[c] in about 28 us
-        gain = self.gain
+        gain, over = self.gain, self.over
         trans_at = self.trans_offset + trans
         c = self.trans[trans_at]
-        self.ml += gain.take(c)
+        over += gain.take(c)
         self.trans[trans_at] = c + 1
         ctx_at = self.offset + code
         c = self.ctx[ctx_at]
-        self.ml -= gain.take(c)
+        over -= gain.take(c)
         self.ctx[ctx_at] = c + 1
-        self.ll += self.log_p[trans]
-        if track:
-            np.maximum(self.best, self.ml - self.ll, out=self.best)
+        over -= self.log_p.take(trans)
+        np.maximum(self.best, over, out=self.best)
+
+    def _derive(self) -> None:
+        """Each lane's context table and overshoot, from its transition table."""
+        # einsum adds the m transition counts of every context of every lane
+        # at once, where sum(axis=1) would add them a context at a time
+        np.einsum("ab->a", self.trans.reshape(-1, self.m), out=self.ctx)
+        self.over = self._lane_sums(self.trans, self.log_p) - self._lane_sums(self.ctx, None)
+
+    def _lane_sums(self, table: np.ndarray, log_p) -> np.ndarray:
+        """Each lane's sum of ``c log c`` over the counts c of its part of the
+        flat lane-major ``table``, less ``c * log_p[a]`` for each count's
+        code a within its lane when ``log_p`` is given.
+
+        A lane's part is read in rows of a power of m cells, at most
+        CODE_CHUNK, and as many rows at a time as keep a slice within one
+        cell per lane (one row if a row is longer), so the float temporaries
+        are the size of a step's.  Each row is summed on its own and each
+        lane's row sums in order, so a lane's sum does not depend on the
+        other lanes of the batch.
+        """
+        lanes = self.best.shape[0]
+        cells = table.shape[0] // lanes
+        width = cells
+        while width > CODE_CHUNK:
+            width //= self.m
+        rows = table.reshape(-1, width)
+        per_lane = cells // width
+        if log_p is not None:
+            log_p = log_p.reshape(per_lane, width)
+        every = max(1, lanes // width) if per_lane == 1 else 1
+        sums = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], every):
+            c = rows[lo : lo + every]
+            v = self.xlogx.take(c)
+            if log_p is not None:
+                v -= c * log_p[lo % per_lane]
+            sums[lo : lo + every] = v.sum(axis=1)
+        return sums.reshape(lanes, per_lane).sum(axis=1)
 
 
 def true_transition_law(model: MarkovModel, r: int) -> np.ndarray:
@@ -151,7 +202,10 @@ def delta_running_max(model: MarkovModel, path, r: int, i_lo: int, i_hi: int) ->
         raise ValueError("path has zero probability under the model")
     run = RunningOvershoot(1, m, r, i_hi - r, masked_log_ratio(law, 1.0))
     for t in range(i_hi - r):
-        run.step(codes[t], trans[t], r + t + 1 >= i_lo)
+        if r + t + 1 < i_lo:
+            run.count(trans[t])
+        else:
+            run.step(codes[t], trans[t])
     return max(float(run.best[0]), 0.0)
 
 

@@ -1,6 +1,7 @@
 """Typicality, distances, norms, brackets, bounds, and the MC verifiers."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from markovorder import (
     random_model,
     sample_paths,
 )
+from markovorder import likelihood as likelihood_mod
 from markovorder.diagnostics import (
     BoundParams,
     BracketCountReport,
@@ -764,17 +766,46 @@ class TestDeviationTail:
         assert report.slope < 0.0
         assert report.r_squared > 0.8
 
-    def test_chunking_invariant(self, monkeypatch):
-        kwargs = dict(eps_grid=[0.0, 1.0, 2.0], replications=3000, eta=0.5, rho=3, seed=8)
-        whole = deviation_tail_mc(TWO_STATE, 2, 32, **kwargs)
-        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", 48 * 700)  # 700 lanes of 48 bytes
+    @pytest.mark.parametrize(
+        "r, eps_grid, code_chunk",
+        [
+            (2, [0.0, 1.0, 2.0], None),
+            # at order 6 a lane's transition table holds 128 cells, so the
+            # first tracked step reads a chunk's tables in many slices (with
+            # CODE_CHUNK at 64, each lane's table in two rows)
+            (6, [0.0, 8.0, 11.0, 14.0], None),
+            (6, [0.0, 8.0, 11.0, 14.0], 64),
+        ],
+    )
+    def test_chunking_invariant(self, monkeypatch, r, eps_grid, code_chunk):
+        if code_chunk:
+            monkeypatch.setattr(likelihood_mod, "CODE_CHUNK", code_chunk)
+        kwargs = dict(eps_grid=eps_grid, replications=3000, eta=0.5, rho=3, seed=8)
+        whole = deviation_tail_mc(TWO_STATE, r, 32, **kwargs)
+        lane_bytes = 4 * mc_mod.deviation_lane_cells(2, r, 3, 1)  # 48 bytes at order 2
+        monkeypatch.setattr(mc_mod, "CHUNK_BYTES", lane_bytes * 700)  # 700 lanes a chunk
         sizes, chunks = [], mc_mod._chunks
         monkeypatch.setattr(
             mc_mod, "_chunks", lambda total, size: sizes.append(size) or chunks(total, size)
         )
-        chunked = deviation_tail_mc(TWO_STATE, 2, 32, **kwargs)
+        chunked = deviation_tail_mc(TWO_STATE, r, 32, **kwargs)
         assert sizes == [700] and whole.usable_points >= 2
+        assert len({row.frequency for row in whole.rows}) == len(eps_grid)
         assert chunked == whole
+
+    def test_order_ten_holds_its_tables_and_little_more(self):
+        # the overshoot is derived from the count tables a slice at a time,
+        # so no float copy of a table (3000 lanes of 2**11 cells, 49 MB)
+        # is ever built; the int32 tables take 36.9 MB
+        lanes = 3000
+        tables = 4 * lanes * mc_mod.deviation_lane_cells(2, 10, 3, 1)
+        tracemalloc.start()
+        try:
+            deviation_tail_mc(TWO_STATE, 10, 128, [0.0, 5.0], lanes, eta=0.5, rho=3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables + (2 << 20)
 
     def test_order_must_exceed_truth(self):
         with pytest.raises(ValueError):
@@ -795,6 +826,9 @@ class TestDeviationTail:
     @example(m=3, r_true=0, gap=2, rho=3, n=48, eta=0.9, seed=2)
     @example(m=2, r_true=0, gap=1, rho=4, n=64, eta=0.99, seed=3)
     @example(m=2, r_true=1, gap=1, rho=5, n=64, eta=0.99, seed=4)
+    # three symbols with a window of its own: the oldest-digit axis the depth
+    # tables are summed over runs from 81 cells at depth 0 to 3 at depth 3
+    @example(m=3, r_true=0, gap=1, rho=5, n=64, eta=0.99, seed=5)
     def test_matches_per_lane_reference(self, m, r_true, gap, rho, n, eta, seed):
         r = r_true + gap
         assume(rho <= n // 2 and r < n)
@@ -819,6 +853,7 @@ class TestDeviationTail:
                 for d, freq in enumerate(counts):
                     ref = np.bincount(context_codes(path[:i], d, m), minlength=m**d)
                     assert freq[lane].tolist() == ref.tolist()
+                    assert freq.dtype == np.int32  # the lanes' count tables' type
             if event_F(truth, path, eta, rho):
                 events += 1
                 delta = delta_running_max(truth, path, r, n, 2 * n)

@@ -3,10 +3,11 @@ built on top of them."""
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from markovorder import (
@@ -22,9 +23,17 @@ from markovorder import (
     random_model,
     sample_paths,
 )
+from markovorder import likelihood as likelihood_mod
+from markovorder._contexts import context_codes
 from markovorder.counts import _merge
 from markovorder.diagnostics import hellinger_path_distance
-from markovorder.likelihood import lil_from_logliks, max_loglik_vector
+from markovorder.likelihood import (
+    RunningOvershoot,
+    lil_from_logliks,
+    masked_log_ratio,
+    max_loglik_vector,
+    true_transition_law,
+)
 from markovorder.model import ModelStack, lift_kernel
 from markovorder.rng import derive_seed
 
@@ -229,17 +238,63 @@ class TestDeltaStatistic:
         with pytest.raises(ValueError):
             delta_running_max(model, path, 1, 4, 4)
 
-    def test_running_max_matches_endpoint_scan(self):
-        model = random_model(2, 1, seed=7)
-        path = sample_paths(model, 40, 8)[0]
-        by_scan = -np.inf
-        for i in range(20, 41):
-            c = build_counts(path[:i], 2, m=2)
-            ll = log_true_conditional_likelihood(model, path[:i], 2)
-            by_scan = max(by_scan, max_loglik(c, 2) - ll)
-        assert delta_running_max(model, path, 2, 20, 40) == pytest.approx(
-            max(by_scan, 0.0), abs=1e-9
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3]),
+        r_true=st.integers(0, 3),
+        r=st.integers(0, 3),
+        n=st.integers(4, 48),
+        start=st.sampled_from(["first", "half", "last"]),
+        # below a lane's cells, its tables are read in several rows
+        code_chunk=st.sampled_from([None, 1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=2, r_true=1, r=2, n=40, start="half", code_chunk=None, seed=7)
+    @example(m=3, r_true=0, r=3, n=48, start="first", code_chunk=4, seed=1)
+    def test_running_max_matches_endpoint_scan(self, m, r_true, r, n, start, code_chunk, seed):
+        # the overshoot is counted up to i_lo - 1 and derived from its
+        # tables at i_lo, then tracked step by step
+        i_lo = {"first": r + 1, "half": n // 2, "last": n}[start]
+        assume(r_true <= r < i_lo)
+        model = random_model(m, r_true, seed)
+        path = sample_paths(model, n, seed + 1)[0]
+        by_scan = max(
+            max_loglik(build_counts(path[:i], r, m=m), r)
+            - log_true_conditional_likelihood(model, path[:i], r)
+            for i in range(i_lo, n + 1)
         )
+        chunk = code_chunk or likelihood_mod.CODE_CHUNK
+        with mock.patch.object(likelihood_mod, "CODE_CHUNK", chunk):
+            delta = delta_running_max(model, path, r, i_lo, n)
+        assert delta == pytest.approx(max(by_scan, 0.0), abs=1e-9)
+
+    @pytest.mark.parametrize("code_chunk", [None, 4])
+    @pytest.mark.parametrize("m, r", [(2, 1), (3, 2)])
+    def test_lanes_of_a_batch_equal_lanes_alone(self, monkeypatch, m, r, code_chunk):
+        # the first step sums each lane's tables a few lanes at a time (and,
+        # with CODE_CHUNK below a lane's cells, each lane's in several rows),
+        # so every lane's overshoot must be the bits it has in a batch of one
+        if code_chunk:
+            monkeypatch.setattr(likelihood_mod, "CODE_CHUNK", code_chunk)
+        model = random_model(m, 1, 11)
+        lanes, n, i_lo = 300, 40, 20
+        paths = sample_paths(model, n, derive_seed(12, np.arange(lanes)))
+        codes = context_codes(paths, r, m)
+        trans = codes * m + paths[:, r:]
+        log_p = masked_log_ratio(true_transition_law(model, r), 1.0)
+
+        def run(rows):
+            overshoot = RunningOvershoot(len(rows), m, r, n - r, log_p)
+            for t in range(n - r):
+                if r + t + 1 < i_lo:
+                    overshoot.count(trans[rows, t])
+                else:
+                    overshoot.step(codes[rows, t], trans[rows, t])
+            return overshoot.best
+
+        batch = run(np.arange(lanes))
+        alone = [run(np.array([lane]))[0] for lane in range(lanes)]
+        assert batch.tolist() == alone
 
 
 class TestMixtureKernel:
