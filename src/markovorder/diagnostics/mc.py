@@ -74,8 +74,7 @@ MAX_LANES = 1 << 13
 CHUNK_BYTES = 64 << 20  # budget for one chunk's per-lane count tables or paths
 # deviation_tail_mc zeroes and steps its lanes' int32 count tables chunk by
 # chunk, so its time grows with their cells summed over all lanes; it takes
-# at most this many (on two symbols at 20 000 lanes, order 10 takes 0.85 s;
-# order 12 took 6 s and order 16 88 s while every step tracked the overshoot)
+# at most this many (on two symbols at 20 000 lanes, order 10 takes 0.7 s)
 DEVIATION_CELLS = 1 << 26
 # deviation_tail_mc scores every eps of its grid on each chunk of lanes and
 # reports a row for each; it takes at most this many
@@ -89,30 +88,32 @@ def _chunks(total: int, size: int):
         start += size
 
 
-def _lane_context_counts(windows, head, recent, i: int, m: int, length: int, rho: int):
-    """Yield each lane's depth-d context counts on its first i symbols, for
-    d = 0..rho-1, one depth at a time.
+def _depth_tables(table, head, i: int, m: int, deep: int, rho: int) -> list:
+    """Each lane's depth-d context counts on its first i symbols, for
+    d = 0..rho-1, derived from the flat lane-major ``table`` of its
+    depth-``deep`` context counts (deep >= rho - 1), which is read once and
+    never written; ``head`` codes each lane's first min(deep - 1, i) symbols.
 
-    ``windows`` tallies each lane's length-``length`` windows ending at
-    positions length..i (newest symbol least significant), ``head`` codes its
-    first min(length - 1, i) symbols and ``recent`` its newest ones.  As in
-    ``ContextCounts.window_counts``, the depth-d counts are the windows read
-    modulo m**d, plus the d-blocks inside the head, minus the d-block that
-    ends at position i (no next symbol follows it yet).
+    As in ``ContextCounts``, depth d is depth d + 1 with its oldest symbol
+    summed away, plus the block of the first d symbols, the one d-block no
+    (d + 1)-block ends with; unrolled, depth d is any depth e > d read
+    modulo m**d, plus the d-blocks that end at positions d..e - 1.
     """
-    lanes = head.shape[0]
-    h = min(length - 1, i)
-    for d in range(rho):
-        # a count never passes i, which the windows' own type holds; einsum
-        # adds the windows' oldest length - d digits away across all lanes at
-        # once, where sum(axis=1) would add a short row of one lane at a time
-        freq = np.einsum("lkt->lt", windows.reshape(lanes, m ** (length - d), m**d))
-        # each lane's cells by flat index, in half the time of (row, cell) pairs
-        flat, at = freq.reshape(-1), np.arange(lanes) * m**d
-        for s in range(h - d + 1):
-            flat[at + head // m ** (h - d - s) % m**d] += 1
-        flat[at + recent % m**d] -= 1
-        yield freq
+    lanes, h = head.shape[0], min(deep - 1, i)
+    freq, above, tables = table, deep, []
+    for d in range(rho - 1, -1, -1):
+        if above > d:
+            # a count never passes i, which the table's own type holds; einsum
+            # adds the oldest digits away across all lanes at once, where
+            # sum(axis=1) would add a short row of one lane at a time
+            freq = np.einsum("lkt->lt", freq.reshape(lanes, m ** (above - d), m**d))
+            # each lane's cells by flat index, in half the time of (row, cell) pairs
+            flat, at = freq.reshape(-1), np.arange(lanes) * m**d
+            for end in range(d, min(above - 1, i - 1) + 1):
+                flat[at + head // m ** (h - end) % m**d] += 1
+        tables.append(freq.reshape(lanes, m**d))
+        above = d
+    return tables[::-1]
 
 
 # -- martingale maximum vs the closed-form tail ------------------------------
@@ -261,34 +262,35 @@ def deviation_tail_mc(
     m, r0 = truth.m, truth.order
     length = 2 * n
     size_r = m**r
-    # a lane's typicality counts come from one table of its windows of this
-    # length; at length r + 1 that is the overshoot's own transition table
-    window = max(r + 1, rho - 1)
-    check_table(m, window)
+    # a lane's typicality counts derive from one table (_depth_tables): the
+    # overshoot's context table when rho - 1 <= r, else its windows of
+    # rho - 1 symbols, at rho - 1 = r + 1 the overshoot's transition table
+    deep = max(r, rho - 1)
+    check_table(m, max(r + 1, deep))
     lane_cells = deviation_lane_cells(m, r, rho, replications)
-    extra = m**window if window > r + 1 else 0
+    extra = m**deep if deep > r + 1 else 0
     log_p = masked_log_ratio(true_transition_law(truth, r), 1.0)
     eps = np.array([float(e) for e in eps_grid])
     if eps.shape[0] > DEVIATION_EPS:
         raise ValueError(f"{eps.shape[0]} eps values pass the {DEVIATION_EPS} one check may take")
     hits = np.zeros(eps.shape[0], dtype=np.int64)
     f_count = 0
-    depth = max(r, rho - 1)
-    # step_lanes codes max(depth, r0) symbols; the overshoot reads the
+    # step_lanes codes max(deep, r0) symbols; the overshoot reads the
     # newest r of them
-    cut = max(depth, r0) > r
+    cut = max(deep, r0) > r
     lane_bytes = 4 * lane_cells  # int32 tables
     for lo, hi in _chunks(replications, max(1, min(MAX_LANES, CHUNK_BYTES // lane_bytes))):
         seeds = derive_seed(seed, np.arange(lo, hi))
         reps = seeds.shape[0]
         run = RunningOvershoot(reps, m, r, length, log_p)
         windows = np.zeros(reps * extra, dtype=np.int32) if extra else run.trans
-        lane_at = np.arange(reps, dtype=np.int64) * extra
+        table = run.ctx if deep == r else windows
+        lane_at = np.arange(reps, dtype=np.int64) * m**deep
         head = np.zeros(reps, dtype=np.int64)
         good = np.ones(reps, dtype=bool)
-        for i, ctx, sym in step_lanes(truth, length, seeds, depth):
+        for i, ctx, sym in step_lanes(truth, length, seeds, deep):
             trans = ctx * m + sym
-            if i < window:
+            if i < deep:
                 head = trans  # the first i symbols
             elif extra:
                 windows[lane_at + trans % extra] += 1
@@ -301,11 +303,12 @@ def deviation_tail_mc(
                 else:
                     run.step(ctx % size_r if cut else ctx, at)
             if i == n or i == length:
-                # the lane tables are read one depth at a time and freed once
-                # read, not held into the next chunk
-                good &= typical(
-                    truth, _lane_context_counts(windows, head, trans, i, m, window, rho), i, eta
-                )
+                # a window table holds the window ending at i, no context yet: it
+                # is taken out while the depths are read (the context table holds none)
+                newest = lane_at + trans % m**deep if deep > r else lane_at[:0]
+                table[newest] -= 1
+                good &= typical(truth, _depth_tables(table, head, i, m, deep, rho), i, eta)
+                table[newest] += 1
         f_count += int(np.count_nonzero(good))
         for j in range(eps.shape[0]):
             hits[j] += int(np.count_nonzero(good & (run.best >= eps[j])))
@@ -409,11 +412,11 @@ def _within_chunk(held: int, what: str) -> int:
 
 def typicality_lane_bytes(m: int, rho: int, n_large: int) -> int:
     """The bytes of one ``typicality_trend`` lane.  The depth tables of the
-    first rho depths are read from windows of max(rho - 1, 1) symbols,
-    within ``check_table``; a path takes n_large symbols, sampled whole, and
-    its int64 window table and the count tables read from it at most
+    first rho depths derive from the deepest, a path's windows of rho - 1
+    symbols, within ``check_table``; a path takes n_large symbols, sampled
+    whole, and its int64 depth tables and their float deviations at most
     24 * m**max(rho, 1) bytes.  Raises ValueError past CHUNK_BYTES."""
-    check_table(m, max(rho - 1, 1))
+    check_table(m, max(rho - 1, 0))
     lane = symbol_dtype(m).itemsize * n_large + 24 * m ** max(rho, 1)
     return _within_chunk(lane, f"a lane of {n_large} symbols")
 
@@ -487,43 +490,39 @@ def _compare(small, big):
     return ratio[()], (small > big * (1.0 + REL_TOL) + ABS_TOL)[()]
 
 
-def _path_windows(paths: np.ndarray, ends, m: int, length: int):
+def _path_windows(paths: np.ndarray, ends, m: int, length: int) -> np.ndarray:
     """Each row's tally of its windows of ``length`` symbols that end at
     positions length..ends (one end for every row, or one per row), as one
-    flat int64 table of rows * m**length cells, and the code of the window
-    that ends at each row's end, for the rows that hold one.  The table is
-    tallied by bincounts of lane-offset window codes, ``ROW_CELLS`` symbols
-    at a time.
+    flat int64 table of rows * m**length cells, tallied by bincounts of
+    lane-offset window codes, ``ROW_CELLS`` symbols at a time.  With ends
+    one short of the rows' lengths, it holds their depth-``length``
+    context counts.
     """
     lanes = paths.shape[0]
     ends = np.broadcast_to(ends, (lanes,))
     size = m**length
     windows = np.empty(lanes * size, dtype=np.int64)
-    recent = np.zeros(lanes, dtype=np.int64)
     every = max(1, ROW_CELLS // paths.shape[1])
     for lo, hi in _chunks(lanes, every):
         # window t of a row ends at position length + t
         codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], length, m)
-        last = ends[lo:hi] - length
-        valid = np.arange(codes.shape[1]) <= last[:, None]
+        valid = np.arange(codes.shape[1]) <= ends[lo:hi, None] - length
         lane_at = np.arange(hi - lo, dtype=np.int64)[:, None] * size
         windows[lo * size : hi * size] = np.bincount(
             (codes + lane_at)[valid], minlength=(hi - lo) * size
         )
-        if codes.shape[1]:  # rows shorter than a window have no last one
-            recent[lo:hi] = codes[np.arange(hi - lo), last]
-    return windows, recent
+    return windows
 
 
 def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
     """Each row's depth-d context counts, d < depth, on its first ``ends``
-    symbols (each end at least ``depth``), read as ``_lane_context_counts``
-    reads them from the ``_path_windows`` table of the rows' windows of
-    max(depth - 1, 1) symbols, the longest context counted."""
-    length = max(depth - 1, 1)
-    windows, recent = _path_windows(paths, ends, m, length)
-    head = window_codes(paths[:, : length - 1], length - 1, m)[:, 0]
-    return list(_lane_context_counts(windows, head, recent, int(np.min(ends)), m, length, depth))
+    symbols (each end at least ``depth``), derived by ``_depth_tables``
+    from its depth-(depth - 1) context counts, the ``_path_windows`` table
+    of its windows of depth - 1 symbols that end before its end."""
+    deep = depth - 1
+    table = _path_windows(paths, np.asarray(ends) - 1, m, deep)
+    head = window_codes(paths[:, : max(deep - 1, 0)], max(deep - 1, 0), m)[:, 0]
+    return _depth_tables(table, head, int(np.min(ends)), m, deep, depth)
 
 
 def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
@@ -558,7 +557,7 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
             truth = ModelStack(truths[sub])
             mix = mixture_kernel(ModelStack(random_kernels(m, r, cand_seeds[members])), truth, r)
             r_n = bernstein_norm(truth, mix, paths[sub], r, ns[members])
-            counts = _path_context_counts(paths[sub], ns[members], m, r + 1)[r]
+            counts = _path_windows(paths[sub], ns[members] - 1, m, r).reshape(-1, m**r)
             h_n = weighted_hellinger(counts, mix, mixture_kernel(truth, truth, r))
             ratio, violated = _compare(r_n, 8.0 * h_n)
             worst = max(worst, float(ratio.max()))
@@ -592,8 +591,8 @@ def hellinger_sandwich_battery(
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
     if n <= r:
         raise ValueError(f"n {n} must exceed the kernels' order {r}")
-    # typicality reads the depths below rho, the distances depth r, all from
-    # a table of the windows of depth - 1 symbols (_path_context_counts)
+    # typicality reads the depths below rho, the distances depth r, all
+    # derived from its windows of depth - 1 symbols (_path_context_counts)
     depth = max(rho, r + 1)
     check_table(2, depth - 1)
     params = BoundParams(eta)
@@ -605,9 +604,9 @@ def hellinger_sandwich_battery(
         # so far: all of them before the first attempt, none after no hit
         need = instances - accepted
         chunk = -(-need * attempts // accepted) if accepted else (limit if attempts else need)
-        # a path takes 2n bytes, its int64 window table 8 * 2**(depth - 1)
-        # and the two lists of count tables read from it 8 * 2**depth each
-        attempt_bytes = 2 * n + 8 * 2 ** (depth - 1) + 16 * 2**depth
+        # a path takes 2n bytes and the two lists of its int64 count tables
+        # 8 * 2**depth each, the deepest of each list its window table
+        attempt_bytes = 2 * n + 16 * 2**depth
         chunk = min(chunk, limit - attempts, max(1, CHUNK_BYTES // attempt_bytes))
         bases = derive_seed(seed, np.arange(attempts, attempts + chunk))
         truths = ModelStack(random_kernels(2, 1, derive_seed(bases, 1), floor=0.15))
@@ -664,7 +663,7 @@ def bracket_battery(
     paths = sample_paths(truth, path_len, derive_seed(seed, 10_000 + np.arange(n_paths)))
     # how often each path takes each transition (context, symbol): its
     # windows of r + 1 symbols
-    taken = _path_windows(paths, path_len, m, r + 1)[0].reshape(n_paths, m ** (r + 1))
+    taken = _path_windows(paths, path_len, m, r + 1).reshape(n_paths, m ** (r + 1))
     violations = 0
     worst = 0.0
     per_kernel = 8 * (16 * m ** (r + 1) + n_paths)  # bytes of one kernel's tables

@@ -101,7 +101,8 @@ class RunningOvershoot:
         self.trans = np.zeros(lanes * m**r * m, dtype=np.int32)
         # the context table is filled at the first step but allocated with
         # the transition table: allocated mid-run, it raised verify's peak
-        # RSS by about 0.2 MB
+        # RSS by about 0.2 MB; from then on it holds each lane's order-r
+        # context counts, which the deviation check's typicality event reads
         self.ctx = np.zeros(lanes * m**r, dtype=np.int32)
         self.over = None  # derived at the first step
         self.log_p = log_p

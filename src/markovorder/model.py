@@ -528,13 +528,14 @@ def _blocking(model, lanes: int, steps: int) -> tuple[int, int]:
     return blocks, (-(-steps // blocks) | 1) if blocks > 1 else steps
 
 
-def _sample_run(model, tables, init, blocks: int, length: int, sink) -> None:
+def _sample_run(model, tables, init, blocks: int, length: int, sink, overlap: int) -> None:
     """Sample ``blocks`` blocks of ``length`` kernel symbols per lane and
     hand them to ``sink`` (see ``_store``): lane g starts in its kernel's
     context code ``init[g]`` and draws its symbols at stream positions 1,
     2, ...; column g * blocks + b of each run holds block b of lane g.
-    Every step of every block is handed on once: those from the first
-    pass's coalescence step on in increasing order, then those before it.
+    Every step of every block is handed on: those from the first pass's
+    coalescence step on in increasing order, then the replay's, which
+    hands on the first ``overlap`` of those again.
 
     A first pass steps every block from every start context of its lane's
     kernel at once and keeps the context each one ends in; composing these
@@ -543,7 +544,7 @@ def _sample_run(model, tables, init, blocks: int, length: int, sink) -> None:
     (Blelloch, "Prefix sums and their applications", 1990).  Once all start
     columns have coalesced, a block's symbols no longer depend on its start,
     so the first pass hands them on; a second pass replays each block from
-    its start only up to that step.
+    its start to ``overlap`` steps past it, at most to the block's end.
     """
     seeds, columns, base, offset = tables
     lanes, size = seeds.shape[0], model.n_contexts
@@ -568,8 +569,9 @@ def _sample_run(model, tables, init, blocks: int, length: int, sink) -> None:
             shift *= 2
         starts[:, 1:] = np.take_along_axis(maps[:, :-1], init[:, None, None], axis=2)[:, :, 0]
     if replay:
+        steps = min(replay + overlap, length)
         starts = (starts + offset[:, None]).reshape(-1, 1)
-        _store(_advance(columns, base, *rows, starts, replay), replay, *runs)
+        _store(_advance(columns, base, *rows, starts, steps), steps, *runs)
 
 
 def sample_paths(model, n: int, seeds) -> np.ndarray:
@@ -601,7 +603,7 @@ def sample_paths(model, n: int, seeds) -> np.ndarray:
         steps = run.shape[0]
         body[:, :, a : a + steps] = np.moveaxis(run.reshape(steps, lanes, blocks), 0, -1)
 
-    _sample_run(model, tables, init, blocks, length, store)
+    _sample_run(model, tables, init, blocks, length, store, 0)
     out[:, :r] = block_digits(init, r, model.m)
     return out[:, :n]
 

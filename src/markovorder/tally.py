@@ -23,20 +23,22 @@ class _WindowTally:
     """The window counts of one lane's path, taken as the blocked sampler
     hands it on (``model._sample_run``): runs of steps a, a + 1, .. of every
     block, step-major, first those from the first pass's coalescence step
-    on, then those the second pass replays before it.
+    on, then those the second pass replays, up to ``cap`` steps past it.
 
     Kernel step t of block b is global step g = b * length + t, at path
     position r + 1 + g; the initial block's r symbols are the steps -r..-1.
     A window whose symbols all lie in one pass of one block is counted with
     the run that holds its end: each block's last ``cap`` symbols of a pass
-    carry over to its next run.  The others end within ``cap`` steps of a
-    block's start or of the first pass's start; they are counted once the
-    replay has run, from strips of the steps around those starts, filled as
-    the runs pass, as are strips of the path's first ``cap`` symbols and of
-    the ``cap`` before each length.  A window counts towards the first
-    length it ends within (``_tally``).  A path in order is the one-block
-    case: no initial block, the last length as the block length, and the
-    path's pieces as the runs of one pass (``counts.prefix_counts``).
+    carry over to its next run.  The replay runs ``cap`` steps past the
+    first pass's start, so all the windows of a block lie in one of its
+    passes but those that end within ``cap`` steps of the block's start;
+    they are counted once the replay has run, from a strip of the steps
+    around the block starts, filled as the runs pass, as are strips of the
+    path's first ``cap`` symbols and of the ``cap`` before each length.  A
+    window counts towards the first length it ends within (``_tally``).  A
+    path in order is the one-block case: no initial block, the last length
+    as the block length, and the path's pieces as the runs of one pass
+    (``counts.prefix_counts``).
     """
 
     def __init__(self, m: int, cap: int, lengths, digits, blocks: int, length: int):
@@ -48,7 +50,7 @@ class _WindowTally:
             raise ValueError(f"depth cap {cap} must be < path length {lengths[0]}")
         self.m, self.cap, self.size = m, cap, m ** (cap + 1)
         self.digits, self.r = digits, digits.shape[0]
-        self.blocks, self.length = blocks, max(length, 1)  # no steps at all when 0
+        self.length = max(length, 1)  # no steps at all when 0
         self.lengths = lengths
         # the global steps where the windows of each length start and end
         self.cuts = [cap - self.r] + [n - self.r for n in lengths]
@@ -59,7 +61,7 @@ class _WindowTally:
         self.seam = self._strip(-cap, cap + min(cap, length), blocks)
         self.head = self._strip(-self.r, cap, 1)
         self.tails = [self._strip(c - cap, cap, 1) for c in self.cuts[1:]]
-        self.first = self.mid = self.carry = self.next = None
+        self.carry = self.next = None
 
     def _strip(self, off: int, rows: int, cols: int) -> np.ndarray:
         """A step-major (rows, cols) array whose row j of column b holds
@@ -90,9 +92,6 @@ class _WindowTally:
         which is overwritten once this returns."""
         cap = self.cap
         if a != self.next:  # a pass starts: none of its windows reaches before it
-            if self.next is None and a:  # the first pass, from its coalescence step
-                self.first = a
-                self.mid = self._strip(a - cap, cap + min(cap, self.length - a), self.blocks)
             self.carry = run[:0]
         for off, strip in self.strips:
             self._fill(off, strip, run, a)
@@ -145,14 +144,10 @@ class _WindowTally:
 
     def counts(self):
         """Yield the counts at every length, once the run is done: the
-        windows around the block starts and the first pass's start, and
-        those inside the initial block, are counted first."""
-        cap, length = self.cap, self.length
+        windows around the block starts, and those inside the initial
+        block, are counted first."""
+        cap = self.cap
         self._tally(self.seam, 0)
-        if self.first is not None:
-            lo, hi = max(self.first, cap), min(self.first + cap, length)
-            if lo < hi:
-                self._tally(self.mid[lo - self.first : hi - self.first + cap], lo)
         if self.r > cap:
             self._tally(self.digits[:, None], cap - self.r, self.r)
         total = (np.zeros(0, dtype=np.int64),) * 2
@@ -173,5 +168,6 @@ def sampled_counts(model, seed, lengths, depth_cap: int):
     blocks, length = _blocking(model, 1, max(lengths[-1] - r, 0))
     digits = block_digits(init, r, m)[0].astype(symbol_dtype(m))
     tally = _WindowTally(m, depth_cap, lengths, digits, blocks, length)
-    _sample_run(model, tables, init, blocks, length, tally.store)
+    # the replay also counts the windows that straddle the first pass's start
+    _sample_run(model, tables, init, blocks, length, tally.store, depth_cap)
     yield from tally.counts()

@@ -442,6 +442,53 @@ def test_sampled_counts_equal_prefix_counts(
         assert same_counts(a, b) and a.head.dtype == b.head.dtype and a.tail.dtype == b.tail.dtype
 
 
+def sampler_runs(model, seed, n, overlap):
+    """The block count and length of one lane of n symbols, and the (first
+    step, steps) of each run of steps the sampler hands on for it."""
+    tables, init = model_mod._lane_tables(model, seed)
+    blocks, length = model_mod._blocking(model, 1, n - model.order)
+    runs = []
+    model_mod._sample_run(
+        model, tables, init, blocks, length, lambda run, a: runs.append((a, run.shape[0])), overlap
+    )
+    return blocks, length, runs
+
+
+@pytest.mark.parametrize(
+    "kernel, passes",
+    [
+        # its start columns meet anywhere in a block, or never
+        ([[0.9, 0.1], [0.1, 0.9]], {"one", "clamped", "within"}),
+        ([[0.3, 0.7]], {"one"}),  # order 0: one start column, so no replay
+        (np.roll(np.eye(3), 1, axis=1), {"one"}),  # a cycle: they never meet
+    ],
+    ids=["sticky", "order-0", "never-coalesces"],
+)
+def test_sampled_counts_across_the_replay_seams(monkeypatch, kernel, passes):
+    # blocks of 7 or 11 steps: the replay runs cap = 4 steps past the first
+    # pass's coalescence step, clamped to the block when that step is less
+    # than cap steps before the block's end
+    monkeypatch.setattr(model_mod, "BLOCK_CELLS", 16)
+    monkeypatch.setattr(model_mod, "MIN_BLOCK", 4)
+    model = MarkovModel(kernel, initial=np.full(len(kernel), 1 / len(kernel)))
+    n, cap, lengths = 81, 4, (5, 40, 81)
+    seen = set()
+    for seed in range(40):
+        blocks, length, runs = sampler_runs(model, seed, n, cap)
+        assert blocks > 1
+        if len(runs) == 1:  # coalesced at step 0, or never: the whole block at once
+            assert runs == [(0, length)]
+            seen.add("one")
+        else:  # a first pass from step a, then a replay up to cap steps past it
+            (a, _), replay = runs
+            assert 0 < a < length and replay == (0, min(a + cap, length))
+            seen.add("clamped" if a + cap > length else "within")
+        tallied = list(sampled_counts(model, seed, lengths, cap))
+        counted = list(prefix_counts((sample_paths(model, n, seed)[0],), lengths, cap, model.m))
+        assert len(tallied) == 3 and all(same_counts(x, y) for x, y in zip(tallied, counted))
+    assert seen == passes
+
+
 def test_inline_replication_holds_no_path():
     # one replication of the two-state chain sampled inline hands the
     # sampler's runs of steps straight to the counts: 2.2 MB traced at

@@ -301,6 +301,26 @@ class TestStackedDistances:
             gap = (np.sqrt(one.table) - np.sqrt(lift_kernel(truth.kernel, m, r))) ** 2
             assert dists[g] == float((counts_g * gap.sum(axis=1)).sum())
 
+    @pytest.mark.parametrize(
+        "m, depth, ends",
+        [
+            (2, 4, 40),  # one end for every row
+            (3, 3, [5, 17, 40, 9]),  # one end per row, as norm-bound reads them
+            (2, 1, [1, 12, 40, 3]),  # depth 0 only: no context symbols
+        ],
+    )
+    def test_path_context_counts_match_per_row_bincounts(self, m, depth, ends):
+        paths = sample_paths(random_model(m, 1, 5), 40, derive_seed(9, np.arange(4)))
+        # two rows' windows are tallied at a time
+        with mock.patch.object(mc_mod, "ROW_CELLS", 80):
+            tables = mc_mod._path_context_counts(paths, ends, m, depth)
+        assert len(tables) == depth
+        for d, table in enumerate(tables):
+            assert table.shape == (4, m**d) and table.dtype == np.int64
+            for row, path, end in zip(table, paths, np.broadcast_to(ends, 4)):
+                ref = np.bincount(context_codes(path[:end], d, m), minlength=m**d)
+                assert row.tolist() == ref.tolist()
+
 
 class TestSandwichBattery:
     def test_no_violations_on_event(self):
@@ -821,13 +841,20 @@ class TestDeviationTail:
         eta=st.sampled_from([0.5, 0.9, 0.99]),
         seed=st.integers(0, 2**32),
     )
-    # the window table is the overshoot's (rho - 1 <= r + 1) or one of its own
+    # the depth tables derive from the overshoot's context table, read as
+    # it is (rho - 1 = r) or with its oldest digits summed away, several at
+    # once when rho - 1 < r - 1
     @example(m=2, r_true=1, gap=1, rho=3, n=64, eta=0.5, seed=1)
     @example(m=3, r_true=0, gap=2, rho=3, n=48, eta=0.9, seed=2)
+    @example(m=2, r_true=1, gap=2, rho=2, n=48, eta=0.9, seed=6)
+    # or from a window table less the window ending at i: the overshoot's
+    # transition table (rho - 1 = r + 1) or one of its own (rho - 1 > r + 1)
+    @example(m=3, r_true=0, gap=1, rho=3, n=48, eta=0.9, seed=7)
     @example(m=2, r_true=0, gap=1, rho=4, n=64, eta=0.99, seed=3)
+    @example(m=3, r_true=0, gap=1, rho=4, n=48, eta=0.99, seed=8)
     @example(m=2, r_true=1, gap=1, rho=5, n=64, eta=0.99, seed=4)
-    # three symbols with a window of its own: the oldest-digit axis the depth
-    # tables are summed over runs from 81 cells at depth 0 to 3 at depth 3
+    # three symbols with a window of its own of 81 cells, read as depth 4:
+    # each shallower depth sums an axis of 3 cells away from the one above
     @example(m=3, r_true=0, gap=1, rho=5, n=64, eta=0.99, seed=5)
     def test_matches_per_lane_reference(self, m, r_true, gap, rho, n, eta, seed):
         r = r_true + gap
