@@ -187,6 +187,7 @@ def _deviation_settings(s, model, candidate) -> None:
 
     r, r_true = s.deviation_r, true_order(model)
     _require(r > r_true, "deviation_r", f"above the model's true order {r_true}", r)
+    _require(s.deviation_n > r, "deviation_n", f"above verify.deviation_r = {r}", s.deviation_n)
     half = s.deviation_n // 2
     _require(s.rho <= half, "rho", f"at most verify.deviation_n / 2 = {half}", s.rho)
     _require_table(model.m, r + 1, "deviation_r", r)

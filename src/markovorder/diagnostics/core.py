@@ -14,15 +14,15 @@ import math
 
 import numpy as np
 
-from .._contexts import context_codes
+from .._contexts import window_codes
 from ..counts import ContextCounts, prefix_counts
 from ..likelihood import MixtureKernel, log_ratio_table, masked_log_ratio
 from ..model import MarkovModel, stationary_block_law
 
 _PHI_SERIES_CUT = 1e-4
-# bernstein_norm, and the batteries' window counts, read the rows of a stack
-# of paths a few at a time, about this many symbols, so that each int64 or
-# float64 temporary stays within 64 KB
+# _path_windows, which counts the windows of bernstein_norm and the
+# batteries, reads the rows of a stack of paths a few at a time, about this
+# many symbols, so that each int64 temporary stays within 64 KB
 ROW_CELLS = 1 << 13
 # bracket_count_check keys a bracket by its grid positions, integers up to
 # 1 / beta, which float64 holds exactly below EXACT_KEYS
@@ -152,21 +152,37 @@ def hellinger_stationary_distance(truth, mix_a: MixtureKernel, mix_b: MixtureKer
     return weighted_hellinger(stationary_block_law(truth, mix_a.order), mix_a, mix_b)
 
 
-def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``values[g, :lengths[g]].sum()`` for each row g of a 2-d array, bit
-    for bit, in one call.
-
-    ``sum`` adds the pairwise sum of its input to 0.0, while
-    ``np.add.reduceat`` adds the pairwise sum of the rest of a segment to
-    its first entry; so each segment is a row's first ``lengths[g]`` values
-    behind a leading 0.0.
+def _path_windows(paths: np.ndarray, ends, m: int, length: int) -> np.ndarray:
+    """Each row's tally of its windows of ``length`` symbols that end at
+    positions length..ends (one end for every row, or one per row), as one
+    flat int64 table of rows * m**length cells, tallied by bincounts of
+    lane-offset window codes, ``ROW_CELLS`` symbols at a time.  With ends
+    one short of the rows' lengths, it holds their depth-``length``
+    context counts.
     """
-    rows, width = values.shape
-    padded = np.zeros((rows, width + 2))
-    padded[:, 1:-1] = values
-    starts = np.arange(rows) * (width + 2)
-    cuts = np.stack([starts, starts + 1 + lengths], axis=1).ravel()
-    return np.add.reduceat(padded.ravel(), cuts)[::2]
+    lanes = paths.shape[0]
+    ends = np.broadcast_to(ends, (lanes,))
+    size = m**length
+    windows = np.empty(lanes * size, dtype=np.int64)
+    every = max(1, ROW_CELLS // paths.shape[1])
+    for lo in range(0, lanes, every):
+        hi = min(lo + every, lanes)
+        # window t of a row ends at position length + t
+        codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], length, m)
+        valid = np.arange(codes.shape[1]) <= ends[lo:hi, None] - length
+        lane_at = np.arange(hi - lo, dtype=np.int64)[:, None] * size
+        windows[lo * size : hi * size] = np.bincount(
+            (codes + lane_at)[valid], minlength=(hi - lo) * size
+        )
+    return windows
+
+
+def bernstein_rates(truth, mix: MixtureKernel) -> np.ndarray:
+    """``8 sum_b P*(b|a) phi(|log(mix/P*)|/2)`` for each context a of the
+    mixture's order, the phi-norm term of a step from a; a ``ModelStack`` of
+    truths with stacked mixtures gives one row per kernel."""
+    t_rows, log_ratio = log_ratio_table(truth, mix)
+    return 8.0 * (t_rows * phi(0.5 * np.abs(log_ratio))).sum(axis=-1)
 
 
 def bernstein_norm(truth, mix: MixtureKernel, path, r: int, up_to):
@@ -174,7 +190,9 @@ def bernstein_norm(truth, mix: MixtureKernel, path, r: int, up_to):
 
     ``8 sum_{i=r+1}^{up_to} sum_a P*(a|ctx_i) phi(|log(mix/P*)|/2)``; this is
     the quantity that controls the martingale tails and never exceeds eight
-    times the count-weighted Hellinger distance to the truth.
+    times the count-weighted Hellinger distance to the truth.  A step's term
+    depends on its context alone, so the norm weighs the depth-r context
+    counts of steps r+1..up_to with ``bernstein_rates``, as that distance does.
 
     For a ``ModelStack`` of truths and stacked mixtures, ``path`` holds one
     path per kernel as the rows of a 2-d array and ``up_to`` one length per
@@ -188,20 +206,9 @@ def bernstein_norm(truth, mix: MixtureKernel, path, r: int, up_to):
     ends = np.broadcast_to(up_to, lanes.shape[:1]).astype(np.int64)
     if np.any(ends > lanes.shape[1]):
         raise ValueError(f"up_to {up_to} exceeds path length {lanes.shape[1]}")
-    steps = np.maximum(ends, r) - r
-    t_rows, log_ratio = log_ratio_table(truth, mix)
-    # each step adds the row of its context in this table, summed in step
-    # order as one flat (steps, m) array
-    terms = t_rows * phi(0.5 * np.abs(log_ratio))
-    terms = np.broadcast_to(terms, lanes.shape[:1] + terms.shape[-2:])
-    width = r + steps.max()
-    norms = np.empty(lanes.shape[0])
-    every = max(1, ROW_CELLS // (width * mix.m))
-    for lo in range(0, lanes.shape[0], every):
-        part = slice(lo, lo + every)
-        codes = context_codes(lanes[part, :width], r, mix.m)
-        rows = terms[part][np.arange(codes.shape[0])[:, None], codes]
-        norms[part] = 8.0 * _row_sums(rows.reshape(codes.shape[0], -1), steps[part] * mix.m)
+    # the contexts of steps r+1..up_to are the windows that end at r..up_to-1
+    counts = _path_windows(lanes, ends - 1, mix.m, r).reshape(lanes.shape[0], -1)
+    norms = (counts * bernstein_rates(truth, mix)).sum(axis=-1)
     return float(norms[0]) if symbols.ndim == 1 else norms
 
 

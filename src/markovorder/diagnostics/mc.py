@@ -52,16 +52,15 @@ from ..penalty import CutoffSpec
 from ..rng import derive_seed, uniform_block
 from ..tally import sampled_counts
 from .core import (
-    ROW_CELLS,
     BoundParams,
-    bernstein_norm,
+    _path_windows,
+    bernstein_rates,
     bernstein_tail_bound,
     bracket_grid,
     bracket_log_envelopes,
     count_pitch,
     entropy_bound,
     hellinger_stationary_distance,
-    phi,
     typical,
     weighted_hellinger,
 )
@@ -156,17 +155,19 @@ def bernstein_mc_check(
     against ``exp(-alpha^2 / (2 (K alpha + R)))`` with K = 2.
 
     M is the compensated log-ratio martingale of the candidate/truth
-    mixture; R_n its predictable phi-norm.  A pass means the frequency
+    mixture; R_n its predictable phi-norm, to which each step adds the
+    ``bernstein_rates`` entry of its context.  A pass means the frequency
     stays within three binomial sigmas of the bound.
     """
     if replications < 10**4:
         raise ValueError("need at least 1e4 replications for a meaningful tail")
-    table_t, log_ratio = log_ratio_table(truth, mixture_kernel(candidate, truth, r))
+    mix = mixture_kernel(candidate, truth, r)
+    table_t, log_ratio = log_ratio_table(truth, mix)
     d_step = -(table_t * log_ratio).sum(axis=1)
     # the martingale step by transition code ctx * m + sym
     inc = (log_ratio + d_step[:, None]).ravel()
     m = truth.m
-    r_step = 8.0 * (table_t * phi(0.5 * np.abs(log_ratio))).sum(axis=1)
+    r_step = bernstein_rates(truth, mix)
     alphas = [float(a) for a in alpha_grid]
     hits = np.zeros(len(alphas), dtype=np.int64)
     finals = np.zeros(replications)
@@ -257,6 +258,8 @@ def deviation_tail_mc(
     r_true = true_order(truth)
     if r <= r_true:
         raise ValueError(f"order {r} must exceed the true order {r_true}")
+    if n <= r:
+        raise ValueError(f"n {n} must exceed the order {r}")
     if rho > n // 2:
         raise ValueError(f"rho {rho} exceeds n/2 = {n // 2}")
     m, r0 = truth.m, truth.order
@@ -490,30 +493,6 @@ def _compare(small, big):
     return ratio[()], (small > big * (1.0 + REL_TOL) + ABS_TOL)[()]
 
 
-def _path_windows(paths: np.ndarray, ends, m: int, length: int) -> np.ndarray:
-    """Each row's tally of its windows of ``length`` symbols that end at
-    positions length..ends (one end for every row, or one per row), as one
-    flat int64 table of rows * m**length cells, tallied by bincounts of
-    lane-offset window codes, ``ROW_CELLS`` symbols at a time.  With ends
-    one short of the rows' lengths, it holds their depth-``length``
-    context counts.
-    """
-    lanes = paths.shape[0]
-    ends = np.broadcast_to(ends, (lanes,))
-    size = m**length
-    windows = np.empty(lanes * size, dtype=np.int64)
-    every = max(1, ROW_CELLS // paths.shape[1])
-    for lo, hi in _chunks(lanes, every):
-        # window t of a row ends at position length + t
-        codes = window_codes(paths[lo:hi, : ends[lo:hi].max()], length, m)
-        valid = np.arange(codes.shape[1]) <= ends[lo:hi, None] - length
-        lane_at = np.arange(hi - lo, dtype=np.int64)[:, None] * size
-        windows[lo * size : hi * size] = np.bincount(
-            (codes + lane_at)[valid], minlength=(hi - lo) * size
-        )
-    return windows
-
-
 def _path_context_counts(paths: np.ndarray, ends, m: int, depth: int) -> list:
     """Each row's depth-d context counts, d < depth, on its first ``ends``
     symbols (each end at least ``depth``), derived by ``_depth_tables``
@@ -535,8 +514,8 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
     The truths of one alphabet and order are sampled as one kernel stack,
     at the longest path length among them: a path's first n symbols do not
     depend on the length sampled.  The triples that also share the
-    candidate order are checked as stacks, each path read to its own
-    length.
+    candidate order are checked as stacks, each path's context counts tallied
+    once, to its own length, and weighed for both the norm and the distance.
     """
     bases = derive_seed(seed, np.arange(instances))
     u = uniform_block(bases, 0, 4)
@@ -556,8 +535,8 @@ def norm_bound_battery(instances: int, seed: int) -> InstanceBatteryReport:
             members = group[sub]
             truth = ModelStack(truths[sub])
             mix = mixture_kernel(ModelStack(random_kernels(m, r, cand_seeds[members])), truth, r)
-            r_n = bernstein_norm(truth, mix, paths[sub], r, ns[members])
             counts = _path_windows(paths[sub], ns[members] - 1, m, r).reshape(-1, m**r)
+            r_n = (counts * bernstein_rates(truth, mix)).sum(axis=-1)
             h_n = weighted_hellinger(counts, mix, mixture_kernel(truth, truth, r))
             ratio, violated = _compare(r_n, 8.0 * h_n)
             worst = max(worst, float(ratio.max()))

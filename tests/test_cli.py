@@ -896,6 +896,13 @@ class TestVerify:
             # 20 000 lanes' count tables past mc.DEVIATION_CELLS, set by rho's
             # typicality window of 2**24 cells, not by deviation_r = 2
             pytest.param("rho", {"rho": "25", "checks": "deviation"}, id="rho-25-deviation"),
+            # a path of deviation_n symbols not past the order: no step from n on
+            # would be tracked
+            pytest.param(
+                "deviation_n",
+                {"deviation_r": "5", "deviation_n": "4", "rho": "2", "checks": "deviation"},
+                id="deviation-n-at-r",
+            ),
             # a bracket grid too fine for exact keys, envelopes past the
             # largest float
             ("bracket_sigma", "1e-300"),

@@ -47,7 +47,7 @@ from markovorder.checks import CHECKS
 from markovorder.config import ConfigError, VerifySettings
 from markovorder.diagnostics import core as core_mod
 from markovorder.diagnostics import mc as mc_mod
-from markovorder.diagnostics.core import weighted_hellinger
+from markovorder.diagnostics.core import bernstein_rates, weighted_hellinger
 from markovorder.likelihood import log_ratio_rows, masked_log_ratio
 from markovorder.model import (
     ModelStack,
@@ -250,6 +250,29 @@ class TestBernsteinNorm:
         )
         assert value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "r_star, r, ends",
+        [
+            (1, 2, [2, 0, 1]),  # up_to <= r: no step, and an end below the window length
+            (0, 0, [40, 0, 5]),  # r = 0: every step has the empty context
+            (1, 3, [40, 7, 23]),  # rows that end at different lengths
+        ],
+    )
+    def test_stack_rows_against_per_step_sums(self, r_star, r, ends):
+        seeds = derive_seed(21, np.arange(3))
+        truths = ModelStack(random_kernels(2, r_star, derive_seed(seeds, 1)))
+        cands = ModelStack(random_kernels(2, r, derive_seed(seeds, 2)))
+        paths = sample_paths(truths, 40, derive_seed(seeds, 3))
+        norms = bernstein_norm(truths, mixture_kernel(cands, truths, r), paths, r, ends)
+        for g, end in enumerate(ends):
+            truth = MarkovModel(truths.kernel[g])
+            one = mixture_kernel(MarkovModel(cands.kernel[g]), truth, r)
+            assert norms[g] == bernstein_norm(truth, one, paths[g], r, end)
+            t_rows, log_ratio, _ = log_ratio_rows(truth, one, paths[g], end)
+            flat = t_rows * phi(0.5 * np.abs(log_ratio))  # (steps, m)
+            assert norms[g] == pytest.approx(8.0 * float(flat.sum()), rel=1e-12)
+            assert (norms[g] == 0.0) == (end <= r)
+
     def test_dominated_by_hellinger_battery(self):
         report = norm_bound_battery(200, seed=99)
         assert report.passed
@@ -258,8 +281,8 @@ class TestBernsteinNorm:
 
 
 class TestStackedDistances:
-    """Stacked norms and distances equal the one-path formulas, which sum
-    one flat array per path, bit for bit."""
+    """Stacked norms and distances equal the one-path count forms, which
+    weigh one path's context counts, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -284,20 +307,22 @@ class TestStackedDistances:
         paths = sample_paths(truths, max(lengths), derive_seed(seeds, 3))
         mix = mixture_kernel(cands, truths, r)
         # the rows are read ROW_CELLS symbols at a time: one row, a few, all
-        with mock.patch.object(core_mod, "ROW_CELLS", cells), mock.patch.object(
-            mc_mod, "ROW_CELLS", cells
-        ):
+        with mock.patch.object(core_mod, "ROW_CELLS", cells):
             norms = bernstein_norm(truths, mix, paths, r, lengths)
             counts = mc_mod._path_context_counts(paths, lengths, m, r + 1)[r]
         dists = weighted_hellinger(counts, mix, mixture_kernel(truths, truths, r))
         for g, n in enumerate(lengths):
             truth, path = MarkovModel(truths.kernel[g]), paths[g, :n]
             one = mixture_kernel(MarkovModel(cands.kernel[g]), truth, r)
-            t_rows, log_ratio, _ = log_ratio_rows(truth, one, path, n)
-            flat = t_rows * phi(0.5 * np.abs(log_ratio))  # (steps, m)
-            assert norms[g] == bernstein_norm(truth, one, path, r, n) == 8.0 * float(flat.sum())
             counts_g = build_counts(path, r, m).context_counts(r)
             assert counts[g].tolist() == counts_g.tolist()
+            rates_g = bernstein_rates(truth, one)
+            assert norms[g] == bernstein_norm(truth, one, path, r, n)
+            assert norms[g] == float((counts_g * rates_g).sum())
+            # the per-step sum adds the same terms in step order
+            t_rows, log_ratio, _ = log_ratio_rows(truth, one, path, n)
+            flat = t_rows * phi(0.5 * np.abs(log_ratio))  # (steps, m)
+            assert norms[g] == pytest.approx(8.0 * float(flat.sum()), rel=1e-12)
             gap = (np.sqrt(one.table) - np.sqrt(lift_kernel(truth.kernel, m, r))) ** 2
             assert dists[g] == float((counts_g * gap.sum(axis=1)).sum())
 
@@ -312,7 +337,7 @@ class TestStackedDistances:
     def test_path_context_counts_match_per_row_bincounts(self, m, depth, ends):
         paths = sample_paths(random_model(m, 1, 5), 40, derive_seed(9, np.arange(4)))
         # two rows' windows are tallied at a time
-        with mock.patch.object(mc_mod, "ROW_CELLS", 80):
+        with mock.patch.object(core_mod, "ROW_CELLS", 80):
             tables = mc_mod._path_context_counts(paths, ends, m, depth)
         assert len(tables) == depth
         for d, table in enumerate(tables):
@@ -752,6 +777,13 @@ class TestDeviationTail:
         deviation_tail_mc(TWO_STATE, 2, 16, [0.0], 100, eta=0.5, rho=3, seed=3)
         with pytest.raises(ValueError, match="101 lanes of 12 count cells"):
             deviation_tail_mc(TWO_STATE, 2, 16, [0.0], 101, eta=0.5, rho=3, seed=3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_path_not_past_the_order_rejected(self, n):
+        # at 2n <= r no step would be tracked, and at n <= r < 2n tracking
+        # would start at r + 1, not n
+        with pytest.raises(ValueError, match=f"n {n} must exceed the order 4"):
+            deviation_tail_mc(TWO_STATE, 4, n, [0.0], 10**4, eta=0.5, rho=1, seed=3)
 
     def test_eps_grid_past_the_limit_rejected(self, monkeypatch):
         monkeypatch.setattr(mc_mod, "DEVIATION_EPS", 2)
